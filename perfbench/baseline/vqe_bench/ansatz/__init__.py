@@ -1,0 +1,45 @@
+"""Ansatz builders grouped by circuit family.
+
+`adaptive` is imported on demand (it depends on the optimization driver,
+which itself uses the core types from this package).
+"""
+
+from .core import (
+    AnsatzBuild,
+    ExcitationGenerator,
+    InitPolicy,
+    compile_generators,
+    trotterize,
+)
+from .fixed import (
+    build_kupccgsd,
+    build_qucc,
+    build_uccsd0,
+    build_uccsd_singlet,
+)
+from .layered import (
+    build_brc,
+    build_brc_closed_shell,
+    build_hea,
+    build_ldca,
+    givens_compilation,
+    givens_network,
+)
+
+__all__ = [
+    "AnsatzBuild",
+    "ExcitationGenerator",
+    "InitPolicy",
+    "compile_generators",
+    "trotterize",
+    "build_uccsd_singlet",
+    "build_uccsd0",
+    "build_kupccgsd",
+    "build_qucc",
+    "build_hea",
+    "build_ldca",
+    "build_brc",
+    "build_brc_closed_shell",
+    "givens_compilation",
+    "givens_network",
+]

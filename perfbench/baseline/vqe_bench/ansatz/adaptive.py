@@ -1,0 +1,355 @@
+"""Iterative ansatz construction: gradient-screened operator pools
+(fermionic and Pauli-string flavors) and the entangler-ranking
+mean-field-plus-correlators scheme."""
+
+from __future__ import annotations
+
+import math
+import time
+from dataclasses import dataclass, replace
+
+import numpy as np
+
+from ..driver import OptimizerConfig, circuit_objective, minimize_bfgs
+from ..operators import (
+    PauliString,
+    QubitOperator,
+    serialize_pauli_string,
+)
+from ..simulator import (
+    Gate,
+    ParamCircuit,
+    apply_circuit,
+    apply_gates,
+    apply_pauli_evolution,
+    commutator_gradient,
+    expectation,
+    parameter_shift_gradient,
+)
+from .core import ZEROS, AnsatzBuild, ExcitationGenerator, generator_gates
+from .fixed import build_uccsd_singlet
+
+FD_STEP = 1e-5
+DEFAULT_EPSILON = 1e-2
+GOLDEN_TOL = 1e-6
+GRID_POINTS = 17
+
+
+@dataclass(frozen=True)
+class PoolEntry:
+    """One screening candidate: a generator group or a bare Pauli string."""
+
+    label: str
+    generators: tuple[ExcitationGenerator, ...] = ()
+    string: PauliString | None = None
+
+
+@dataclass(frozen=True)
+class OperatorPool:
+    kind: str  # "fermionic-sd" | "qubit-pauli" | "qcc-entangler"
+    entries: tuple[PoolEntry, ...]
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+
+@dataclass
+class AdaptiveIteration:
+    chosen_label: str
+    gradient_norm: float
+    energy_after_reopt: float
+    n_params: int
+    wall_time: float
+
+
+@dataclass
+class AdaptiveTrace:
+    iterations: list[AdaptiveIteration]
+    converged: bool
+    final_energy: float
+
+    def to_dict(self) -> dict:
+        return {
+            "converged": self.converged,
+            "final_energy": self.final_energy,
+            "iterations": [
+                {"chosen_label": it.chosen_label,
+                 "gradient_norm": it.gradient_norm,
+                 "energy_after_reopt": it.energy_after_reopt,
+                 "n_params": it.n_params,
+                 "wall_time": it.wall_time}
+                for it in self.iterations],
+        }
+
+
+def build_fermionic_pool(n_qubits: int, n_electrons: int) -> OperatorPool:
+    """Spin-adapted single/double generator groups, one entry per parameter."""
+    build = build_uccsd_singlet(n_qubits, n_electrons)
+    grouped: dict[str, list[ExcitationGenerator]] = {}
+    order = []
+    for gen in build.generators:
+        if gen.param_name not in grouped:
+            grouped[gen.param_name] = []
+            order.append(gen.param_name)
+        grouped[gen.param_name].append(gen)
+    entries = tuple(PoolEntry(label=name, generators=tuple(grouped[name]))
+                    for name in order)
+    return OperatorPool("fermionic-sd", entries)
+
+
+def build_qubit_pool(fermionic: OperatorPool,
+                     n_qubits: int) -> OperatorPool:
+    """Split the JW images into individual odd-Y strings, Z chains removed."""
+    if fermionic.kind != "fermionic-sd":
+        raise ValueError("qubit pool is derived from a fermionic-sd pool")
+    seen = set()
+    entries = []
+    for entry in fermionic.entries:
+        op = QubitOperator.zero()
+        for gen in entry.generators:
+            op = op + gen.antihermitian_operator(n_qubits)
+        for string in sorted(op.terms, key=serialize_pauli_string):
+            if string.y_count() % 2 == 0:
+                continue
+            stripped = string.strip_z()
+            if stripped.ops and stripped not in seen:
+                seen.add(stripped)
+                entries.append(PoolEntry(
+                    label=serialize_pauli_string(stripped), string=stripped))
+    return OperatorPool("qubit-pauli", tuple(entries))
+
+
+def _entry_probe_gates(entry: PoolEntry, n_qubits: int) -> list[Gate]:
+    gates = []
+    for gen in entry.generators:
+        gates.extend(generator_gates(replace(gen, param_name="probe"),
+                                     n_qubits))
+    return gates
+
+
+def _fd_screen(h, state, probe_gates, step=FD_STEP) -> float:
+    plus = expectation(h, apply_gates(state, probe_gates, {"probe": step}))
+    minus = expectation(h, apply_gates(state, probe_gates, {"probe": -step}))
+    return (plus - minus) / (2.0 * step)
+
+
+def adapt_vqe(h: QubitOperator, n_qubits: int, pool: OperatorPool,
+              epsilon: float = DEFAULT_EPSILON, initial_state: int = 0,
+              max_iters: int = 100,
+              cfg: OptimizerConfig | None = None
+              ) -> tuple[AnsatzBuild, AdaptiveTrace]:
+    """Grow a circuit by repeatedly appending the largest-gradient pool
+    operator (finite-difference screening) and re-optimizing everything."""
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    if pool.kind != "fermionic-sd":
+        raise ValueError("adapt_vqe expects a fermionic-sd pool")
+    cfg = cfg or OptimizerConfig()
+    probes = [_entry_probe_gates(entry, n_qubits) for entry in pool.entries]
+    chosen: list[ExcitationGenerator] = []
+    gates: list[Gate] = []
+    values: dict[str, float] = {}
+    trace = AdaptiveTrace([], converged=False, final_energy=math.nan)
+    circuit = ParamCircuit.from_gates(n_qubits, gates)
+    energy = expectation(h, apply_circuit(circuit, values, initial_state))
+    for iteration in range(max_iters):
+        tick = time.perf_counter()
+        state = apply_circuit(circuit, values, initial_state)
+        grads = np.array([_fd_screen(h, state, probe) for probe in probes])
+        norm = float(np.linalg.norm(grads))
+        if norm < epsilon:
+            trace.converged = True
+            break
+        best = int(np.argmax(np.abs(grads)))  # ties break to the lowest index
+        name = f"adapt{iteration}"
+        new_gens = [replace(g, param_name=name)
+                    for g in pool.entries[best].generators]
+        chosen.extend(new_gens)
+        for gen in new_gens:
+            gates.extend(generator_gates(gen, n_qubits))
+        values[name] = 0.0
+        circuit = ParamCircuit.from_gates(n_qubits, gates)
+        outcome = minimize_bfgs(
+            circuit_objective(circuit, h, initial_state),
+            np.array([values[n] for n in circuit.param_names]), cfg,
+            param_names=circuit.param_names)
+        values = outcome.parameters
+        energy = outcome.energy
+        trace.iterations.append(AdaptiveIteration(
+            chosen_label=pool.entries[best].label, gradient_norm=norm,
+            energy_after_reopt=energy, n_params=circuit.n_params,
+            wall_time=time.perf_counter() - tick))
+    trace.final_energy = energy
+    build = AnsatzBuild(circuit, tuple(chosen), particle_conserving=True,
+                        init_policy=ZEROS, n_params=circuit.n_params)
+    return build, trace
+
+
+def qubit_adapt_vqe(h: QubitOperator, n_qubits: int, pool: OperatorPool,
+                    epsilon: float = DEFAULT_EPSILON, initial_state: int = 0,
+                    max_iters: int = 100,
+                    cfg: OptimizerConfig | None = None
+                    ) -> tuple[AnsatzBuild, AdaptiveTrace]:
+    """Pauli-string variant: commutator screening, one evolution gate per
+    pick, parameter-shift gradients inside the re-optimization."""
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    if pool.kind != "qubit-pauli":
+        raise ValueError("qubit_adapt_vqe expects a qubit-pauli pool")
+    cfg = cfg or OptimizerConfig()
+    operators = [QubitOperator.from_term(entry.string)
+                 for entry in pool.entries]
+    gates: list[Gate] = []
+    values: dict[str, float] = {}
+    trace = AdaptiveTrace([], converged=False, final_energy=math.nan)
+    circuit = ParamCircuit.from_gates(n_qubits, gates)
+    energy = expectation(h, apply_circuit(circuit, values, initial_state))
+
+    def objective_factory(circ):
+        names = circ.param_names
+
+        def objective(x):
+            vals = dict(zip(names, x))
+            e = expectation(h, apply_circuit(circ, vals, initial_state))
+            grad = np.array([
+                parameter_shift_gradient(circ, h, vals, initial_state, name)
+                for name in names])
+            return e, grad
+
+        return objective
+
+    for iteration in range(max_iters):
+        tick = time.perf_counter()
+        state = apply_circuit(circuit, values, initial_state)
+        grads = np.array([commutator_gradient(h, op, state, form="pauli")
+                          for op in operators])
+        norm = float(np.linalg.norm(grads))
+        if norm < epsilon:
+            trace.converged = True
+            break
+        best = int(np.argmax(np.abs(grads)))
+        name = f"qadapt{iteration}"
+        gates.append(Gate("PauliEvolution", pool.entries[best].string.qubits,
+                          generator=pool.entries[best].string,
+                          param=(name, 1.0)))
+        values[name] = 0.0
+        circuit = ParamCircuit.from_gates(n_qubits, gates)
+        outcome = minimize_bfgs(
+            objective_factory(circuit),
+            np.array([values[n] for n in circuit.param_names]), cfg,
+            param_names=circuit.param_names)
+        values = outcome.parameters
+        energy = outcome.energy
+        trace.iterations.append(AdaptiveIteration(
+            chosen_label=pool.entries[best].label, gradient_norm=norm,
+            energy_after_reopt=energy, n_params=circuit.n_params,
+            wall_time=time.perf_counter() - tick))
+    trace.final_energy = energy
+    build = AnsatzBuild(circuit, (), particle_conserving=False,
+                        init_policy=ZEROS, n_params=circuit.n_params)
+    return build, trace
+
+
+def _golden_section(f, lo: float, hi: float, tol: float = GOLDEN_TOL) -> float:
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def _rank_entangler(h, state, string) -> tuple[float, float]:
+    """min over tau of the appended-evolution energy, as (delta_e, tau*)."""
+    def energy_at(tau):
+        return expectation(h, apply_pauli_evolution(state, string, tau))
+
+    base = energy_at(0.0)
+    grid = np.linspace(-math.pi, math.pi, GRID_POINTS)
+    samples = [energy_at(t) for t in grid]
+    j = int(np.argmin(samples))
+    lo = grid[max(j - 1, 0)]
+    hi = grid[min(j + 1, GRID_POINTS - 1)]
+    tau = _golden_section(energy_at, lo, hi)
+    best = energy_at(tau)
+    if samples[j] < best:
+        tau, best = float(grid[j]), samples[j]
+    return best - base, tau
+
+
+def qcc_optimize(h: QubitOperator, n_qubits: int, pool: OperatorPool,
+                 chem_tol: float = 0.0016, max_entanglers: int = 20,
+                 initial_state: int = 0,
+                 reference_energy: float | None = None,
+                 improvement_tol: float = 1e-6,
+                 cfg: OptimizerConfig | None = None
+                 ) -> tuple[AnsatzBuild, AdaptiveTrace]:
+    """Mean-field Bloch product state plus greedily ranked entanglers.
+
+    Candidates are ranked by their 1-D energy gain with everything else
+    frozen; the winner joins the circuit and all parameters re-optimize.
+    Stops when the best candidate gains less than improvement_tol, when a
+    supplied reference is matched to chem_tol, or at max_entanglers.
+    """
+    if len(pool.entries) == 0:
+        raise ValueError("empty entangler pool")
+    cfg = cfg or OptimizerConfig()
+    gates: list[Gate] = []
+    values: dict[str, float] = {}
+    # the Bloch product state is built from the vacuum; initial_state only
+    # seeds the mean-field angles to the matching determinant
+    for q in range(n_qubits):
+        gates.append(Gate("RY", (q,), param=(f"mf_t{q}", 1.0)))
+        gates.append(Gate("RZ", (q,), param=(f"mf_p{q}", 1.0)))
+        values[f"mf_t{q}"] = math.pi if (initial_state >> q) & 1 else 0.0
+        values[f"mf_p{q}"] = 0.0
+    circuit = ParamCircuit.from_gates(n_qubits, gates)
+    trace = AdaptiveTrace([], converged=False, final_energy=math.nan)
+
+    def reoptimize():
+        outcome = minimize_bfgs(
+            circuit_objective(circuit, h, 0),
+            np.array([values[n] for n in circuit.param_names]), cfg,
+            param_names=circuit.param_names)
+        return outcome.parameters, outcome.energy
+
+    values, energy = reoptimize()  # mean-field alone first
+    for iteration in range(max_entanglers):
+        tick = time.perf_counter()
+        state = apply_circuit(circuit, values, 0)
+        rankings = [_rank_entangler(h, state, entry.string)
+                    for entry in pool.entries]
+        deltas = np.array([r[0] for r in rankings])
+        best = int(np.argmin(deltas))
+        delta, tau = rankings[best]
+        if delta > -improvement_tol:
+            trace.converged = True
+            break
+        name = f"ent{iteration}"
+        gates.append(Gate("PauliEvolution", pool.entries[best].string.qubits,
+                          generator=pool.entries[best].string,
+                          param=(name, 1.0)))
+        values[name] = tau
+        circuit = ParamCircuit.from_gates(n_qubits, gates)
+        values, energy = reoptimize()
+        trace.iterations.append(AdaptiveIteration(
+            chosen_label=pool.entries[best].label, gradient_norm=abs(delta),
+            energy_after_reopt=energy, n_params=circuit.n_params,
+            wall_time=time.perf_counter() - tick))
+        if (reference_energy is not None
+                and energy - reference_energy <= chem_tol):
+            trace.converged = True
+            break
+    trace.final_energy = energy
+    build = AnsatzBuild(circuit, (), particle_conserving=False,
+                        init_policy=ZEROS, n_params=circuit.n_params)
+    return build, trace

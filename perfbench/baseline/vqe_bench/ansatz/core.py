@@ -1,0 +1,141 @@
+"""Shared ansatz machinery: excitation generators, init policies, and the
+single-step first-order Trotter compilation into Pauli-evolution gates."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from ..operators import (
+    FermionOperator,
+    PauliString,
+    QubitOperator,
+    jordan_wigner,
+    pauli_multiply,
+    serialize_pauli_string,
+)
+from ..simulator import Gate, ParamCircuit
+
+FERMIONIC_KINDS = frozenset({"single", "double", "paired-double",
+                             "generalized-single"})
+QUBIT_KINDS = frozenset({"qubit-single", "qubit-double"})
+
+
+@dataclass(frozen=True)
+class ExcitationGenerator:
+    """One excitation whose anti-Hermitian form gets exponentiated.
+
+    `occupied` lists the annihilated spin orbitals, `virtual` the created
+    ones.  The fermionic convention is T = a†_{v1} a†_{v2} a_{o2} a_{o1}
+    (creations in listed order, annihilations reversed); qubit kinds use
+    the ladder operators without Z chains.  Several generators may share a
+    param_name; `prefactor` weights this generator's contribution.
+    """
+
+    kind: str
+    occupied: tuple[int, ...]
+    virtual: tuple[int, ...]
+    param_name: str
+    prefactor: float = 1.0
+
+    def __post_init__(self):
+        if self.kind not in FERMIONIC_KINDS | QUBIT_KINDS:
+            raise ValueError(f"unknown generator kind {self.kind}")
+
+    def _fermionic_t(self) -> FermionOperator:
+        factors = tuple((v, True) for v in self.virtual)
+        factors += tuple((o, False) for o in reversed(self.occupied))
+        return FermionOperator.from_term(factors, self.prefactor)
+
+    def _qubit_t(self) -> QubitOperator:
+        op = QubitOperator.identity(self.prefactor)
+        for v in self.virtual:
+            op = pauli_multiply(op, _qubit_ladder(v, dagger=True))
+        for o in reversed(self.occupied):
+            op = pauli_multiply(op, _qubit_ladder(o, dagger=False))
+        return op
+
+    def antihermitian_operator(self, n_qubits: int) -> QubitOperator:
+        """T - T† mapped to qubits (JW for fermionic kinds)."""
+        if self.kind in FERMIONIC_KINDS:
+            t = self._fermionic_t()
+            return jordan_wigner(t - t.dagger(), n_qubits)
+        t = self._qubit_t()
+        return t - t.dagger()
+
+
+def _qubit_ladder(qubit: int, dagger: bool) -> QubitOperator:
+    sign = -0.5j if dagger else 0.5j
+    return QubitOperator({PauliString(((qubit, "X"),)): 0.5,
+                          PauliString(((qubit, "Y"),)): sign})
+
+
+@dataclass(frozen=True)
+class InitPolicy:
+    """zeros, or uniform(low, high) sampling per parameter."""
+
+    kind: str  # "zeros" | "uniform"
+    low: float = 0.0
+    high: float = 0.0
+
+    def draw(self, param_names, rng: np.random.Generator) -> dict[str, float]:
+        if self.kind == "zeros":
+            return {name: 0.0 for name in param_names}
+        return {name: float(rng.uniform(self.low, self.high))
+                for name in param_names}
+
+
+ZEROS = InitPolicy("zeros")
+UNIFORM_0_2PI = InitPolicy("uniform", 0.0, 2.0 * np.pi)
+UNIFORM_PM_PI = InitPolicy("uniform", -np.pi, np.pi)
+
+
+@dataclass
+class AnsatzBuild:
+    """A compiled ansatz circuit plus its build metadata."""
+
+    circuit: ParamCircuit
+    generators: tuple[ExcitationGenerator, ...]
+    particle_conserving: bool
+    init_policy: InitPolicy
+    n_params: int
+    restarts: int = 1
+
+    def __post_init__(self):
+        if self.n_params != self.circuit.n_params:
+            raise ValueError("n_params disagrees with the circuit")
+
+
+def generator_gates(gen: ExcitationGenerator, n_qubits: int) -> list[Gate]:
+    """Pauli-evolution gates for one generator, in canonical term order."""
+    op = gen.antihermitian_operator(n_qubits)
+    gates = []
+    for string in sorted(op.terms, key=serialize_pauli_string):
+        coeff = op.terms[string]
+        if abs(coeff.real) > 1e-12:
+            raise ValueError(
+                f"generator {gen} is not anti-Hermitian (real residue)")
+        gates.append(Gate("PauliEvolution", string.qubits, generator=string,
+                          param=(gen.param_name, coeff.imag)))
+    return gates
+
+
+def compile_generators(
+        gens, n_qubits: int) -> tuple[ParamCircuit,
+                                      tuple[ExcitationGenerator, ...]]:
+    """Trotterize (one step), dropping generators with an empty image."""
+    gates: list[Gate] = []
+    kept = []
+    for gen in gens:
+        new_gates = generator_gates(gen, n_qubits)
+        if new_gates:
+            gates.extend(new_gates)
+            kept.append(gen)
+    return ParamCircuit.from_gates(n_qubits, gates), tuple(kept)
+
+
+def trotterize(gens, n_qubits: int) -> ParamCircuit:
+    """First-order single-step product of exponentials, generator order kept."""
+    circuit, _ = compile_generators(gens, n_qubits)
+    return circuit

@@ -1,0 +1,236 @@
+"""Command-line harness.
+
+Exit codes: 0 success, 1 usage error, 2 data-file error, 3 numerical
+failure.  Thread count comes from --threads, falling back to the
+VQE_BENCH_THREADS environment variable, then 4.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+
+import click
+
+from . import __version__
+from .bench import (
+    CHEMICAL_ACCURACY,
+    DataFileError,
+    emit_comparison,
+    initdata,
+    known_ansatz,
+    load_record,
+    record_path,
+    run_sweep,
+    save_reference,
+    savedata,
+)
+from .driver import NumericalError, OptimizerConfig
+from .hamiltonian import (
+    bundled_molecule,
+    bundled_molecules,
+    exact_ground_energy,
+    hf_energy,
+    molecule_from_dir,
+    qubit_hamiltonian,
+)
+from .operators import dump_qubit_operator
+
+REFERENCE_KINDS = ("fci", "hf", "ccsd")
+
+
+def resolve_molecule(name: str, fixtures_dir: str | None):
+    if fixtures_dir:
+        return molecule_from_dir(name, os.path.join(fixtures_dir, name))
+    if name not in bundled_molecules():
+        raise click.UsageError(
+            f"unknown molecule {name!r}; bundled: {', '.join(bundled_molecules())}")
+    return bundled_molecule(name)
+
+
+def resolve_threads(threads: int | None) -> int:
+    if threads is not None:
+        return threads
+    env = os.environ.get("VQE_BENCH_THREADS")
+    return int(env) if env else 4
+
+
+def parse_bond_lengths(text: str | None):
+    if not text:
+        return None
+    try:
+        return [float(token) for token in text.replace(",", " ").split()]
+    except ValueError as exc:
+        raise click.UsageError(f"bad bond length list {text!r}") from exc
+
+
+@click.group()
+@click.version_option(version=__version__, prog_name="vqe-bench")
+def cli():
+    """Benchmark variational eigensolver ansatzes on bundled molecules."""
+
+
+@cli.command("init")
+@click.option("--molecule", required=True)
+@click.option("--bond-lengths", default=None,
+              help="comma or space separated; defaults to the fixture set")
+@click.option("--data-dir", default="data", show_default=True)
+@click.option("--fixtures-dir", default=None)
+@click.option("--force", is_flag=True)
+def cmd_init(molecule, bond_lengths, data_dir, fixtures_dir, force):
+    """Create the skeleton data file for a molecule."""
+    points = parse_bond_lengths(bond_lengths)
+    if points is None:
+        points = resolve_molecule(molecule, fixtures_dir).bond_lengths
+    initdata(molecule, points, data_dir, force=force)
+    click.echo(f"initialized {record_path(data_dir, molecule)}")
+
+
+@cli.command("run")
+@click.option("--molecule", required=True)
+@click.option("--ansatz", "ansatzes", multiple=True, required=True,
+              help="repeatable, e.g. --ansatz UCCSD --ansatz 2-UpCCGSD")
+@click.option("--bond-lengths", default=None)
+@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--threads", default=None, type=int)
+@click.option("--data-dir", default="data", show_default=True)
+@click.option("--fixtures-dir", default=None)
+@click.option("--gradient-tolerance", default=1e-5, show_default=True)
+@click.option("--max-evaluations", default=10000, show_default=True, type=int)
+def cmd_run(molecule, ansatzes, bond_lengths, seed, threads, data_dir,
+            fixtures_dir, gradient_tolerance, max_evaluations):
+    """Run a sweep and persist energies/runtimes/parameter counts."""
+    for name in ansatzes:
+        if not known_ansatz(name):
+            raise click.UsageError(f"unknown ansatz {name!r}")
+    spec = resolve_molecule(molecule, fixtures_dir)
+    cfg = OptimizerConfig(gradient_tolerance=gradient_tolerance,
+                          max_energy_evaluations=max_evaluations)
+    points = parse_bond_lengths(bond_lengths)
+    record = run_sweep(spec, list(ansatzes), cfg, seed, data_dir,
+                       bond_lengths=points, threads=resolve_threads(threads))
+    for name in ansatzes:
+        for r in points or record.bond_lengths:
+            idx = record.point_index(r)
+            e = record.energies.get(name, [None] * len(record.bond_lengths))[idx]
+            if e is None:
+                click.echo(f"{molecule} {name} r={r}: failed (null recorded)")
+            else:
+                fci = record.fci[idx]
+                flag = "ok" if abs(e - fci) < CHEMICAL_ACCURACY else "  "
+                click.echo(f"{molecule} {name} r={r}: E={e:.8f} "
+                           f"err={e - fci:+.2e} {flag}")
+
+
+@cli.command("record")
+@click.option("--molecule", required=True)
+@click.option("--ansatz", default=None,
+              help="ansatz name, or use --reference for fci/hf/ccsd values")
+@click.option("--reference", default=None, type=click.Choice(REFERENCE_KINDS))
+@click.option("--bond-length", required=True, type=float)
+@click.option("--energy", required=True, type=float)
+@click.option("--runtime", default=None, type=float)
+@click.option("--n-params", default=None, type=int)
+@click.option("--data-dir", default="data", show_default=True)
+def cmd_record(molecule, ansatz, reference, bond_length, energy, runtime,
+               n_params, data_dir):
+    """Record one externally computed energy (e.g. a CCSD reference)."""
+    if (ansatz is None) == (reference is None):
+        raise click.UsageError("pass exactly one of --ansatz / --reference")
+    path = record_path(data_dir, molecule)
+    try:
+        if reference:
+            save_reference(path, reference, bond_length, energy)
+            click.echo(f"recorded {reference} at r={bond_length}")
+        else:
+            savedata(path, ansatz, bond_length, energy, runtime, n_params)
+            click.echo(f"recorded {ansatz} at r={bond_length}")
+    except ValueError as exc:  # e.g. a bond length the record does not hold
+        raise click.UsageError(str(exc)) from exc
+
+
+@cli.command("compare")
+@click.option("--molecule", required=True)
+@click.option("--kind", default="errors", show_default=True,
+              type=click.Choice(["errors", "runtimes", "params"]))
+@click.option("--format", "fmt", default="csv", show_default=True,
+              type=click.Choice(["csv", "json"]))
+@click.option("--data-dir", default="data", show_default=True)
+@click.option("--output", default=None, help="file path; stdout by default")
+def cmd_compare(molecule, kind, fmt, data_dir, output):
+    """Emit plot-ready comparison tables from a data file."""
+    record = load_record(record_path(data_dir, molecule))
+    text = emit_comparison(record, kind, fmt)
+    if output:
+        with open(output, "w") as fh:
+            fh.write(text)
+        click.echo(f"wrote {output}")
+    else:
+        click.echo(text, nl=False)
+
+
+@cli.command("fci")
+@click.option("--molecule", required=True)
+@click.option("--bond-lengths", default=None)
+@click.option("--data-dir", default="data", show_default=True)
+@click.option("--fixtures-dir", default=None)
+@click.option("--no-save", is_flag=True, help="print only")
+def cmd_fci(molecule, bond_lengths, data_dir, fixtures_dir, no_save):
+    """Compute and store exact (FCI) and mean-field reference energies."""
+    spec = resolve_molecule(molecule, fixtures_dir)
+    points = parse_bond_lengths(bond_lengths) or list(spec.bond_lengths)
+    path = record_path(data_dir, molecule)
+    if not no_save and not path.exists():
+        initdata(molecule, spec.bond_lengths, data_dir)
+    for r in points:
+        data = spec.integrals(r)
+        h = qubit_hamiltonian(data)
+        fci = exact_ground_energy(h, data.n_qubits,
+                                  sector=(data.n_electrons, data.ms2))
+        ehf = hf_energy(h, data.n_qubits, data.n_electrons)
+        if not no_save:
+            save_reference(path, "fci", r, fci)
+            save_reference(path, "hf", r, ehf)
+        click.echo(f"{molecule} r={r}: FCI={fci:.10f}  HF={ehf:.10f}")
+
+
+@cli.command("dump-hamiltonian")
+@click.option("--molecule", required=True)
+@click.option("--bond-length", required=True, type=float)
+@click.option("--fixtures-dir", default=None)
+@click.option("--output", default=None)
+def cmd_dump_hamiltonian(molecule, bond_length, fixtures_dir, output):
+    """Write the qubit Hamiltonian in the one-term-per-line text format."""
+    spec = resolve_molecule(molecule, fixtures_dir)
+    if bond_length not in spec.fcidump_paths:
+        raise click.UsageError(
+            f"no fixture at r={bond_length}; have {list(spec.bond_lengths)}")
+    text = dump_qubit_operator(qubit_hamiltonian(spec.integrals(bond_length)))
+    if output:
+        with open(output, "w") as fh:
+            fh.write(text)
+        click.echo(f"wrote {output}")
+    else:
+        click.echo(text, nl=False)
+
+
+def main(argv=None) -> int:
+    try:
+        cli.main(args=argv, standalone_mode=False)
+        return 0
+    except click.ClickException as exc:
+        exc.show()
+        return 1
+    except click.Abort:
+        click.echo("aborted", err=True)
+        return 1
+    except DataFileError as exc:
+        click.echo(f"data-file error: {exc}", err=True)
+        return 2
+    except (NumericalError, ValueError) as exc:
+        click.echo(f"numerical failure: {exc}", err=True)
+        return 3
+
+
+if __name__ == "__main__":
+    sys.exit(main())

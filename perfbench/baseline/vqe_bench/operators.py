@@ -1,0 +1,392 @@
+"""Sparse algebra for fermionic operators and Pauli-string operators.
+
+FermionOperator stores normal-ordered products of creation/annihilation
+factors; QubitOperator stores linear combinations of Pauli strings.  The
+Jordan-Wigner transform maps between the two.  All values are immutable
+after construction and all operations are pure functions.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Mapping
+
+COEFF_TOLERANCE = 1e-12
+
+# Single-qubit products: (left, right) -> (power of i, result axis or None).
+_PAULI_TABLE = {
+    ("X", "X"): (0, None), ("Y", "Y"): (0, None), ("Z", "Z"): (0, None),
+    ("X", "Y"): (1, "Z"), ("Y", "X"): (3, "Z"),
+    ("Y", "Z"): (1, "X"), ("Z", "Y"): (3, "X"),
+    ("Z", "X"): (1, "Y"), ("X", "Z"): (3, "Y"),
+}
+_I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+
+
+@dataclass(frozen=True)
+class PauliString:
+    """Product of X/Y/Z factors on distinct qubits; the empty product is I."""
+
+    ops: tuple[tuple[int, str], ...] = ()
+
+    def __post_init__(self):
+        seen = set()
+        for qubit, axis in self.ops:
+            if qubit < 0 or axis not in "XYZ":
+                raise ValueError(f"bad Pauli factor ({qubit}, {axis})")
+            if qubit in seen:
+                raise ValueError(f"duplicate qubit index {qubit}")
+            seen.add(qubit)
+        if any(self.ops[i][0] >= self.ops[i + 1][0]
+               for i in range(len(self.ops) - 1)):
+            object.__setattr__(self, "ops", tuple(sorted(self.ops)))
+
+    @classmethod
+    def from_mapping(cls, ops: Mapping[int, str]) -> "PauliString":
+        return cls(tuple(sorted(ops.items())))
+
+    def axis_on(self, qubit: int) -> str | None:
+        for q, axis in self.ops:
+            if q == qubit:
+                return axis
+        return None
+
+    @property
+    def qubits(self) -> tuple[int, ...]:
+        return tuple(q for q, _ in self.ops)
+
+    def max_qubit(self) -> int:
+        return self.ops[-1][0] if self.ops else -1
+
+    def y_count(self) -> int:
+        return sum(1 for _, axis in self.ops if axis == "Y")
+
+    def strip_z(self) -> "PauliString":
+        return PauliString(tuple(f for f in self.ops if f[1] != "Z"))
+
+    def __str__(self) -> str:
+        return serialize_pauli_string(self)
+
+
+def multiply_strings(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
+    """Product of two Pauli strings as (exact phase in {1,i,-1,-i}, string)."""
+    phase_power = 0
+    ops = dict(a.ops)
+    for qubit, axis in b.ops:
+        left = ops.pop(qubit, None)
+        if left is None:
+            ops[qubit] = axis
+            continue
+        power, result = _PAULI_TABLE[(left, axis)]
+        phase_power = (phase_power + power) % 4
+        if result is not None:
+            ops[qubit] = result
+    return _I_POWERS[phase_power], PauliString.from_mapping(ops)
+
+
+def parse_pauli_string(text: str) -> PauliString:
+    """Parse tokens like "X0 Z3"; "" and "I" both denote the identity."""
+    tokens = text.split()
+    if tokens == ["I"]:
+        return PauliString()
+    ops = {}
+    for token in tokens:
+        axis, index = token[:1], token[1:]
+        if axis not in "XYZ" or not index.isdigit():
+            raise ValueError(f"malformed Pauli token {token!r}")
+        qubit = int(index)
+        if qubit in ops:
+            raise ValueError(f"duplicate qubit index {qubit}")
+        ops[qubit] = axis
+    return PauliString.from_mapping(ops)
+
+
+def serialize_pauli_string(p: PauliString) -> str:
+    if not p.ops:
+        return "I"
+    return " ".join(f"{axis}{qubit}" for qubit, axis in p.ops)
+
+
+class QubitOperator:
+    """Linear combination of Pauli strings; like strings merged on insertion."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Mapping[PauliString, complex] | None = None):
+        self.terms: dict[PauliString, complex] = {}
+        if terms:
+            for string, coeff in terms.items():
+                if abs(coeff) > COEFF_TOLERANCE:
+                    self.terms[string] = complex(coeff)
+
+    @classmethod
+    def from_term(cls, string: PauliString, coeff: complex = 1.0) -> "QubitOperator":
+        return cls({string: coeff})
+
+    @classmethod
+    def identity(cls, coeff: complex = 1.0) -> "QubitOperator":
+        return cls({PauliString(): coeff})
+
+    @classmethod
+    def zero(cls) -> "QubitOperator":
+        return cls()
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+    def __iter__(self) -> Iterator[tuple[PauliString, complex]]:
+        return iter(self.terms.items())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, QubitOperator) and self.terms == other.terms
+
+    def max_qubit(self) -> int:
+        return max((s.max_qubit() for s in self.terms), default=-1)
+
+    def __add__(self, other: "QubitOperator") -> "QubitOperator":
+        merged = dict(self.terms)
+        for string, coeff in other.terms.items():
+            merged[string] = merged.get(string, 0.0) + coeff
+        return QubitOperator(merged)
+
+    def __sub__(self, other: "QubitOperator") -> "QubitOperator":
+        return self + (-1.0) * other
+
+    def __neg__(self) -> "QubitOperator":
+        return (-1.0) * self
+
+    def __rmul__(self, scalar: complex) -> "QubitOperator":
+        return QubitOperator({s: scalar * c for s, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, QubitOperator):
+            return pauli_multiply(self, other)
+        return QubitOperator({s: c * other for s, c in self.terms.items()})
+
+    def dagger(self) -> "QubitOperator":
+        return QubitOperator({s: c.conjugate() for s, c in self.terms.items()})
+
+    def isclose(self, other: "QubitOperator", tol: float = 1e-9) -> bool:
+        keys = set(self.terms) | set(other.terms)
+        return all(abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) <= tol
+                   for k in keys)
+
+    def __repr__(self) -> str:
+        if not self.terms:
+            return "QubitOperator(0)"
+        parts = [f"({c:.6g}) {s}" for s, c in sorted(
+            self.terms.items(), key=lambda kv: serialize_pauli_string(kv[0]))]
+        return "QubitOperator(" + " + ".join(parts) + ")"
+
+
+def pauli_multiply(a: QubitOperator, b: QubitOperator) -> QubitOperator:
+    """Operator product with Pauli-group phase tracking."""
+    out: dict[PauliString, complex] = {}
+    for sa, ca in a.terms.items():
+        for sb, cb in b.terms.items():
+            phase, string = multiply_strings(sa, sb)
+            out[string] = out.get(string, 0.0) + phase * ca * cb
+    return QubitOperator(out)
+
+
+def commutator(a: QubitOperator, b: QubitOperator) -> QubitOperator:
+    return pauli_multiply(a, b) - pauli_multiply(b, a)
+
+
+def hermiticity_check(q: QubitOperator, tol: float = 1e-9) -> bool:
+    """True iff every coefficient is real to within tol."""
+    return all(abs(c.imag) <= tol for c in q.terms.values())
+
+
+def dump_qubit_operator(q: QubitOperator) -> str:
+    """One term per line: `<re> <im> <pauli-string>`, sorted canonically."""
+    lines = []
+    for string in sorted(q.terms, key=serialize_pauli_string):
+        coeff = q.terms[string]
+        lines.append(f"{coeff.real!r} {coeff.imag!r} {serialize_pauli_string(string)}")
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def load_qubit_operator(text: str) -> QubitOperator:
+    terms: dict[PauliString, complex] = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        re_part, im_part, *rest = line.split(maxsplit=2)
+        string = parse_pauli_string(rest[0] if rest else "")
+        terms[string] = terms.get(string, 0.0) + complex(float(re_part),
+                                                         float(im_part))
+    return QubitOperator(terms)
+
+
+# ---------------------------------------------------------------------------
+# Fermionic operators
+# ---------------------------------------------------------------------------
+
+FermionKey = tuple[tuple[int, bool], ...]  # ((mode, is_creation), ...)
+
+
+def _normal_order_term(factors: tuple[tuple[int, bool], ...],
+                       coeff: complex) -> Iterator[tuple[FermionKey, complex]]:
+    """Expand one raw factor product into normal-ordered terms.
+
+    Convention: creations left of annihilations, indices strictly descending
+    within each group.  Swaps flip the sign; {a_i, a†_j} = δ_ij produces the
+    contracted extra term; repeated factors in a group vanish.
+    """
+    stack = [(list(factors), coeff)]
+    while stack:
+        term, c = stack.pop()
+        i = 1
+        ordered = True
+        while i < len(term):
+            (m1, d1), (m2, d2) = term[i - 1], term[i]
+            if (not d1) and d2:
+                # annihilation-creation: anticommute
+                rest = term[:i - 1] + term[i + 1:]
+                if m1 == m2:
+                    stack.append((rest, c))
+                stack.append((term[:i - 1] + [(m2, d2), (m1, d1)] + term[i + 1:], -c))
+                ordered = False
+                break
+            if d1 == d2:
+                if m1 == m2:
+                    ordered = False
+                    break  # a†a† or aa with equal index: zero
+                if m1 < m2:
+                    stack.append((term[:i - 1] + [(m2, d2), (m1, d1)] + term[i + 1:], -c))
+                    ordered = False
+                    break
+            i += 1
+        if ordered:
+            yield tuple(term), c
+
+
+class FermionOperator:
+    """Linear combination of normal-ordered fermionic factor products."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Mapping[FermionKey, complex] | None = None):
+        self.terms: dict[FermionKey, complex] = {}
+        if terms:
+            for key, coeff in terms.items():
+                if abs(coeff) > COEFF_TOLERANCE:
+                    self.terms[key] = complex(coeff)
+
+    @classmethod
+    def from_term(cls, factors: Iterable[tuple[int, bool]],
+                  coeff: complex = 1.0) -> "FermionOperator":
+        """Build from an arbitrary factor product; normal-orders on insertion."""
+        out: dict[FermionKey, complex] = {}
+        for key, c in _normal_order_term(tuple(factors), coeff):
+            out[key] = out.get(key, 0.0) + c
+        return cls(out)
+
+    @classmethod
+    def identity(cls, coeff: complex = 1.0) -> "FermionOperator":
+        return cls({(): coeff})
+
+    @classmethod
+    def zero(cls) -> "FermionOperator":
+        return cls()
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FermionOperator) and self.terms == other.terms
+
+    def __add__(self, other: "FermionOperator") -> "FermionOperator":
+        merged = dict(self.terms)
+        for key, coeff in other.terms.items():
+            merged[key] = merged.get(key, 0.0) + coeff
+        return FermionOperator(merged)
+
+    def __sub__(self, other: "FermionOperator") -> "FermionOperator":
+        return self + (-1.0) * other
+
+    def __rmul__(self, scalar: complex) -> "FermionOperator":
+        return FermionOperator({k: scalar * c for k, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, FermionOperator):
+            return fermion_multiply(self, other)
+        return FermionOperator({k: c * other for k, c in self.terms.items()})
+
+    def dagger(self) -> "FermionOperator":
+        out: dict[FermionKey, complex] = {}
+        for key, coeff in self.terms.items():
+            reversed_factors = tuple((m, not d) for m, d in reversed(key))
+            for k, c in _normal_order_term(reversed_factors, coeff.conjugate()):
+                out[k] = out.get(k, 0.0) + c
+        return FermionOperator(out)
+
+    def max_mode(self) -> int:
+        return max((m for key in self.terms for m, _ in key), default=-1)
+
+    def isclose(self, other: "FermionOperator", tol: float = 1e-9) -> bool:
+        keys = set(self.terms) | set(other.terms)
+        return all(abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) <= tol
+                   for k in keys)
+
+    def __repr__(self) -> str:
+        if not self.terms:
+            return "FermionOperator(0)"
+        def fmt(key):
+            return " ".join(f"a{'+' if d else ''}_{m}" for m, d in key) or "1"
+        parts = [f"({c:.6g}) {fmt(k)}" for k, c in sorted(self.terms.items())]
+        return "FermionOperator(" + " + ".join(parts) + ")"
+
+
+def fermion_multiply(a: FermionOperator, b: FermionOperator) -> FermionOperator:
+    """Normal-ordered product with exhaustive anticommutation bookkeeping."""
+    out: dict[FermionKey, complex] = {}
+    for ka, ca in a.terms.items():
+        for kb, cb in b.terms.items():
+            for key, c in _normal_order_term(ka + kb, ca * cb):
+                out[key] = out.get(key, 0.0) + c
+    return FermionOperator(out)
+
+
+def creation(mode: int) -> FermionOperator:
+    return FermionOperator({((mode, True),): 1.0})
+
+
+def annihilation(mode: int) -> FermionOperator:
+    return FermionOperator({((mode, False),): 1.0})
+
+
+def number_operator(n_modes: int) -> FermionOperator:
+    """Total number operator over the first n_modes modes."""
+    terms = {((m, True), (m, False)): 1.0 + 0.0j for m in range(n_modes)}
+    return FermionOperator(terms)
+
+
+# ---------------------------------------------------------------------------
+# Jordan-Wigner transform
+# ---------------------------------------------------------------------------
+
+
+def _jw_ladder(mode: int, dagger: bool) -> QubitOperator:
+    # a†_i -> (X_i - iY_i)/2 ⊗ Z chain on qubits below i; a_i flips the sign.
+    chain = tuple((q, "Z") for q in range(mode))
+    x_string = PauliString(chain + ((mode, "X"),))
+    y_string = PauliString(chain + ((mode, "Y"),))
+    sign = -0.5j if dagger else 0.5j
+    return QubitOperator({x_string: 0.5, y_string: sign})
+
+
+def jordan_wigner(f: FermionOperator, n_qubits: int) -> QubitOperator:
+    """Map a fermionic operator to qubits, one spin orbital per qubit."""
+    if f.max_mode() >= n_qubits:
+        raise ValueError(
+            f"mode index {f.max_mode()} out of range for {n_qubits} qubits")
+    result = QubitOperator.zero()
+    for key, coeff in f.terms.items():
+        product = QubitOperator.identity(coeff)
+        for mode, dagger in key:
+            product = pauli_multiply(product, _jw_ladder(mode, dagger))
+        result = result + product
+    return result
