@@ -20,19 +20,14 @@ from ..simulator import (
     Gate,
     ParamCircuit,
     apply_circuit,
-    apply_gates,
     apply_pauli_evolution,
     commutator_gradient,
     expectation,
-    parameter_shift_gradient,
 )
 from .core import ZEROS, AnsatzBuild, ExcitationGenerator, generator_gates
 from .fixed import build_uccsd_singlet
 
-FD_STEP = 1e-5
 DEFAULT_EPSILON = 1e-2
-GOLDEN_TOL = 1e-6
-GRID_POINTS = 17
 
 
 @dataclass(frozen=True)
@@ -42,6 +37,13 @@ class PoolEntry:
     label: str
     generators: tuple[ExcitationGenerator, ...] = ()
     string: PauliString | None = None
+
+    def antihermitian_operator(self, n_qubits: int) -> QubitOperator:
+        """Sum of the generators' anti-Hermitian qubit images."""
+        op = QubitOperator.zero()
+        for gen in self.generators:
+            op = op + gen.antihermitian_operator(n_qubits)
+        return op
 
 
 @dataclass(frozen=True)
@@ -105,9 +107,7 @@ def build_qubit_pool(fermionic: OperatorPool,
     seen = set()
     entries = []
     for entry in fermionic.entries:
-        op = QubitOperator.zero()
-        for gen in entry.generators:
-            op = op + gen.antihermitian_operator(n_qubits)
+        op = entry.antihermitian_operator(n_qubits)
         for string in sorted(op.terms, key=serialize_pauli_string):
             if string.y_count() % 2 == 0:
                 continue
@@ -119,33 +119,23 @@ def build_qubit_pool(fermionic: OperatorPool,
     return OperatorPool("qubit-pauli", tuple(entries))
 
 
-def _entry_probe_gates(entry: PoolEntry, n_qubits: int) -> list[Gate]:
-    gates = []
-    for gen in entry.generators:
-        gates.extend(generator_gates(replace(gen, param_name="probe"),
-                                     n_qubits))
-    return gates
-
-
-def _fd_screen(h, state, probe_gates, step=FD_STEP) -> float:
-    plus = expectation(h, apply_gates(state, probe_gates, {"probe": step}))
-    minus = expectation(h, apply_gates(state, probe_gates, {"probe": -step}))
-    return (plus - minus) / (2.0 * step)
-
-
 def adapt_vqe(h: QubitOperator, n_qubits: int, pool: OperatorPool,
               epsilon: float = DEFAULT_EPSILON, initial_state: int = 0,
               max_iters: int = 100,
               cfg: OptimizerConfig | None = None
               ) -> tuple[AnsatzBuild, AdaptiveTrace]:
     """Grow a circuit by repeatedly appending the largest-gradient pool
-    operator (finite-difference screening) and re-optimizing everything."""
+    operator and re-optimizing everything.
+
+    Each entry is screened analytically by <psi|[h, tau]|psi>, tau the sum
+    of its generators' anti-Hermitian images (commutator_gradient)."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if pool.kind != "fermionic-sd":
         raise ValueError("adapt_vqe expects a fermionic-sd pool")
     cfg = cfg or OptimizerConfig()
-    probes = [_entry_probe_gates(entry, n_qubits) for entry in pool.entries]
+    operators = [entry.antihermitian_operator(n_qubits)
+                 for entry in pool.entries]
     chosen: list[ExcitationGenerator] = []
     gates: list[Gate] = []
     values: dict[str, float] = {}
@@ -155,7 +145,8 @@ def adapt_vqe(h: QubitOperator, n_qubits: int, pool: OperatorPool,
     for iteration in range(max_iters):
         tick = time.perf_counter()
         state = apply_circuit(circuit, values, initial_state)
-        grads = np.array([_fd_screen(h, state, probe) for probe in probes])
+        grads = np.array([commutator_gradient(h, op, state, form="fermionic")
+                          for op in operators])
         norm = float(np.linalg.norm(grads))
         if norm < epsilon:
             trace.converged = True
@@ -191,7 +182,7 @@ def qubit_adapt_vqe(h: QubitOperator, n_qubits: int, pool: OperatorPool,
                     cfg: OptimizerConfig | None = None
                     ) -> tuple[AnsatzBuild, AdaptiveTrace]:
     """Pauli-string variant: commutator screening, one evolution gate per
-    pick, parameter-shift gradients inside the re-optimization."""
+    pick, adjoint gradients (circuit_objective) inside the re-optimization."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if pool.kind != "qubit-pauli":
@@ -204,20 +195,6 @@ def qubit_adapt_vqe(h: QubitOperator, n_qubits: int, pool: OperatorPool,
     trace = AdaptiveTrace([], converged=False, final_energy=math.nan)
     circuit = ParamCircuit.from_gates(n_qubits, gates)
     energy = expectation(h, apply_circuit(circuit, values, initial_state))
-
-    def objective_factory(circ):
-        names = circ.param_names
-
-        def objective(x):
-            vals = dict(zip(names, x))
-            e = expectation(h, apply_circuit(circ, vals, initial_state))
-            grad = np.array([
-                parameter_shift_gradient(circ, h, vals, initial_state, name)
-                for name in names])
-            return e, grad
-
-        return objective
-
     for iteration in range(max_iters):
         tick = time.perf_counter()
         state = apply_circuit(circuit, values, initial_state)
@@ -235,7 +212,7 @@ def qubit_adapt_vqe(h: QubitOperator, n_qubits: int, pool: OperatorPool,
         values[name] = 0.0
         circuit = ParamCircuit.from_gates(n_qubits, gates)
         outcome = minimize_bfgs(
-            objective_factory(circuit),
+            circuit_objective(circuit, h, initial_state),
             np.array([values[n] for n in circuit.param_names]), cfg,
             param_names=circuit.param_names)
         values = outcome.parameters
@@ -250,40 +227,19 @@ def qubit_adapt_vqe(h: QubitOperator, n_qubits: int, pool: OperatorPool,
     return build, trace
 
 
-def _golden_section(f, lo: float, hi: float, tol: float = GOLDEN_TOL) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+def _rank_entangler(h, state, string, base) -> tuple[float, float]:
+    """Exact min over tau of the appended-evolution energy, as
+    (delta_e, tau*); base is the energy of state itself.
 
-
-def _rank_entangler(h, state, string) -> tuple[float, float]:
-    """min over tau of the appended-evolution energy, as (delta_e, tau*)."""
-    def energy_at(tau):
-        return expectation(h, apply_pauli_evolution(state, string, tau))
-
-    base = energy_at(0.0)
-    grid = np.linspace(-math.pi, math.pi, GRID_POINTS)
-    samples = [energy_at(t) for t in grid]
-    j = int(np.argmin(samples))
-    lo = grid[max(j - 1, 0)]
-    hi = grid[min(j + 1, GRID_POINTS - 1)]
-    tau = _golden_section(energy_at, lo, hi)
-    best = energy_at(tau)
-    if samples[j] < best:
-        tau, best = float(grid[j]), samples[j]
-    return best - base, tau
+    Since P^2 = I, E(tau) = a + b cos 2tau + c sin 2tau, so E(0) and
+    E(+-pi/4) fix the curve and its minimum a - hypot(b, c).
+    """
+    plus = expectation(h, apply_pauli_evolution(state, string, math.pi / 4))
+    minus = expectation(h, apply_pauli_evolution(state, string, -math.pi / 4))
+    a = 0.5 * (plus + minus)
+    b = base - a
+    c = 0.5 * (plus - minus)
+    return -math.hypot(b, c) - b, 0.5 * math.atan2(-c, -b)
 
 
 def qcc_optimize(h: QubitOperator, n_qubits: int, pool: OperatorPool,
@@ -295,8 +251,10 @@ def qcc_optimize(h: QubitOperator, n_qubits: int, pool: OperatorPool,
                  ) -> tuple[AnsatzBuild, AdaptiveTrace]:
     """Mean-field Bloch product state plus greedily ranked entanglers.
 
-    Candidates are ranked by their 1-D energy gain with everything else
-    frozen; the winner joins the circuit and all parameters re-optimize.
+    Candidates are ranked by their exact 1-D energy gain with everything
+    else frozen, read off the closed-form curve a + b cos 2tau + c sin 2tau
+    through E(0) and E(+-pi/4); the winner joins the circuit at its
+    optimal angle and all parameters re-optimize.
     Stops when the best candidate gains less than improvement_tol, when a
     supplied reference is matched to chem_tol, or at max_entanglers.
     """
@@ -326,7 +284,8 @@ def qcc_optimize(h: QubitOperator, n_qubits: int, pool: OperatorPool,
     for iteration in range(max_entanglers):
         tick = time.perf_counter()
         state = apply_circuit(circuit, values, 0)
-        rankings = [_rank_entangler(h, state, entry.string)
+        base = expectation(h, state)
+        rankings = [_rank_entangler(h, state, entry.string, base)
                     for entry in pool.entries]
         deltas = np.array([r[0] for r in rankings])
         best = int(np.argmin(deltas))

@@ -151,7 +151,8 @@ class BenchRecord:
             raise DataFileError(f"malformed record payload: {exc}") from exc
 
     def serialize(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
 
 
 def record_path(data_dir: str | Path, molecule: str) -> Path:

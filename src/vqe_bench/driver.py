@@ -37,6 +37,8 @@ class OptimizerConfig:
             raise ValueError("only BFGS is supported")
         if not 0.0 < self.c1 < self.c2 < 1.0:
             raise ValueError("need 0 < c1 < c2 < 1")
+        if self.max_energy_evaluations < 1:
+            raise ValueError("max_energy_evaluations must be at least 1")
 
 
 @dataclass
@@ -180,10 +182,7 @@ def minimize_bfgs(objective, x0, cfg: OptimizerConfig | None = None,
                          wall_time=time.perf_counter() - start,
                          converged=converged)
 
-    try:
-        f, g = counted(x)
-    except _BudgetExhausted:
-        return result(math.inf, x, 0, False)
+    f, g = counted(x)  # the budget is at least one evaluation
     if n == 0:
         return result(f, x, 0, True)
     h = np.eye(n)
@@ -284,8 +283,9 @@ def run_hea_layer_growth(h: QubitOperator, n_qubits: int, initial_state: int,
     """Grow the hardware-efficient circuit one layer at a time.
 
     Each depth gets `s_restarts` independently initialized optimizations;
-    growth stops once the best energy is within chem_tol of the reference
-    or the cumulative evaluation budget n_budget is spent.
+    growth stops once the best energy is within chem_tol of the reference,
+    the cumulative evaluation budget n_budget is spent, or max_depth is
+    done.  `converged` is True only when chem_tol was reached.
     """
     cfg = cfg or OptimizerConfig()
     if n_budget < 1 or s_restarts < 1:
@@ -294,8 +294,7 @@ def run_hea_layer_growth(h: QubitOperator, n_qubits: int, initial_state: int,
     best: VqeResult | None = None
     best_build: AnsatzBuild | None = None
     total_evals = 0
-    depth = 1
-    while depth <= max_depth:
+    for depth in range(1, max_depth + 1):
         build = build_hea(n_qubits, depth)
         objective = circuit_objective(build.circuit, h, initial_state)
         names = build.circuit.param_names
@@ -316,13 +315,10 @@ def run_hea_layer_growth(h: QubitOperator, n_qubits: int, initial_state: int,
             if best is None or outcome.energy < best.energy:
                 best = outcome
                 best_build = build
-        if best is not None and best.energy - reference_energy <= chem_tol:
-            best.converged = True
+        if (best.energy - reference_energy <= chem_tol
+                or total_evals >= n_budget):
             break
-        if total_evals >= n_budget:
-            best.converged = False
-            break
-        depth += 1
+    best.converged = best.energy - reference_energy <= chem_tol
     best.n_evaluations = total_evals
     best.wall_time = time.perf_counter() - start
     best.restarts_used = s_restarts

@@ -14,7 +14,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse
 import scipy.sparse.linalg
 
 from .operators import (
@@ -24,7 +23,12 @@ from .operators import (
     hermiticity_check,
     jordan_wigner,
 )
-from .simulator import StateVector, expectation
+from .simulator import (
+    StateVector,
+    apply_qubit_operator,
+    expectation,
+    pauli_masks,
+)
 
 SYMMETRY_TOLERANCE = 1e-10
 DENSE_QUBIT_LIMIT = 14
@@ -160,19 +164,6 @@ def hf_state_index(n_qubits: int, n_electrons: int) -> int:
     return (1 << n_electrons) - 1
 
 
-def _string_masks(string) -> tuple[int, int, int]:
-    x = y = z = 0
-    for qubit, axis in string.ops:
-        bit = 1 << qubit
-        if axis == "X":
-            x |= bit
-        elif axis == "Y":
-            y |= bit
-        else:
-            z |= bit
-    return x, y, z
-
-
 def sector_indices(n_qubits: int, n_electrons: int,
                    ms2: int | None = None) -> np.ndarray:
     """Basis indices with the given electron count (and optionally 2*Sz)."""
@@ -196,7 +187,7 @@ def operator_matrix(h: QubitOperator, n_qubits: int,
     position[basis] = np.arange(dim)
     mat = np.zeros((dim, dim), dtype=complex)
     for string, coeff in h.terms.items():
-        x, y, z = _string_masks(string)
+        x, y, z = pauli_masks(string)
         flip = np.int64(x | y)
         yz = np.int64(y | z)
         rows_full = basis ^ flip
@@ -206,23 +197,6 @@ def operator_matrix(h: QubitOperator, n_qubits: int,
             np.bitwise_count(basis & yz) % 2 == 0, 1.0, -1.0)
         mat[row_pos[valid], np.arange(dim)[valid]] += coeff * phase[valid]
     return mat
-
-
-def _sparse_matrix(h: QubitOperator, n_qubits: int) -> scipy.sparse.csr_matrix:
-    dim = 1 << n_qubits
-    cols = np.arange(dim, dtype=np.int64)
-    parts = []
-    for string, coeff in h.terms.items():
-        x, y, z = _string_masks(string)
-        flip = np.int64(x | y)
-        yz = np.int64(y | z)
-        phase = (1j) ** string.y_count() * np.where(
-            np.bitwise_count(cols & yz) % 2 == 0, 1.0, -1.0)
-        parts.append(scipy.sparse.coo_matrix(
-            (coeff * phase, (cols ^ flip, cols)), shape=(dim, dim)))
-    if not parts:
-        return scipy.sparse.csr_matrix((dim, dim), dtype=complex)
-    return sum(parts).tocsr()
 
 
 def exact_ground_energy(h: QubitOperator, n_qubits: int,
@@ -247,8 +221,11 @@ def exact_ground_energy(h: QubitOperator, n_qubits: int,
     if n_qubits <= DENSE_QUBIT_LIMIT:
         mat = operator_matrix(h, n_qubits)
         return float(np.linalg.eigvalsh(mat)[0])
-    sparse = _sparse_matrix(h, n_qubits)
-    vals = scipy.sparse.linalg.eigsh(sparse, k=1, which="SA",
+    dim = 1 << n_qubits
+    action = scipy.sparse.linalg.LinearOperator(
+        (dim, dim), matvec=lambda v: apply_qubit_operator(h, v.ravel()),
+        dtype=complex)
+    vals = scipy.sparse.linalg.eigsh(action, k=1, which="SA",
                                      tol=LANCZOS_TOLERANCE,
                                      return_eigenvectors=False)
     return float(vals[0])

@@ -194,7 +194,8 @@ def _apply_two(amps: np.ndarray, n_qubits: int, qa: int, qb: int,
     moved[...] = (u @ flat).reshape(moved.shape)
 
 
-def _pauli_masks(string: PauliString) -> tuple[int, int, int]:
+def pauli_masks(string: PauliString) -> tuple[int, int, int]:
+    """Bit masks (x, y, z) of the qubits the string acts on with each axis."""
     x = y = z = 0
     for qubit, axis in string.ops:
         bit = 1 << qubit
@@ -209,7 +210,7 @@ def _pauli_masks(string: PauliString) -> tuple[int, int, int]:
 
 def apply_pauli_string(string: PauliString, amps: np.ndarray) -> np.ndarray:
     """Return P|amps> (new array)."""
-    x, y, z = _pauli_masks(string)
+    x, y, z = pauli_masks(string)
     flip = x | y
     yz = y | z
     idx = _indices(len(amps))

@@ -85,6 +85,20 @@ def finite_difference_gradient(circuit, h, values, initial, step=1e-6):
     return grad
 
 
+def pool_entry_finite_difference(h, state, entry, n_qubits, step=1e-5):
+    """Central finite difference, at theta = 0, of the energy after the
+    entry's generator gates run at a shared angle theta on the state."""
+    from vqe_bench.ansatz.core import generator_gates
+    from vqe_bench.simulator import apply_gates, expectation
+
+    gates = [gate for gen in entry.generators
+             for gate in generator_gates(gen, n_qubits)]
+    name = entry.generators[0].param_name
+    plus = expectation(h, apply_gates(state, gates, {name: step}))
+    minus = expectation(h, apply_gates(state, gates, {name: -step}))
+    return (plus - minus) / (2 * step)
+
+
 def random_circuit(rng, n_qubits, n_params, n_gates):
     """Random mixed-gate circuit; parameters may be shared across gates."""
     from vqe_bench.operators import PauliString

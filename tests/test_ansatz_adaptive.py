@@ -1,5 +1,9 @@
+import math
+
+import numpy as np
 import pytest
 
+from oracles import pool_entry_finite_difference, qubit_operator_matrix
 from vqe_bench.ansatz import ExcitationGenerator, build_uccsd_singlet
 from vqe_bench.ansatz.adaptive import (
     OperatorPool,
@@ -18,7 +22,17 @@ from vqe_bench.hamiltonian import (
     qubit_hamiltonian,
 )
 from vqe_bench.operators import QubitOperator, parse_pauli_string
-from vqe_bench.simulator import apply_circuit, commutator_gradient
+from vqe_bench.simulator import (
+    ParamCircuit,
+    StateVector,
+    adjoint_gradient,
+    apply_circuit,
+    apply_pauli_evolution,
+    commutator_gradient,
+    expectation,
+    parameter_shift_gradient,
+    pauli_evolution,
+)
 
 
 def h2_problem():
@@ -118,15 +132,10 @@ class TestAdaptVqe:
             build_uccsd_singlet(8, 4).circuit,
             {p: 0.0 for p in build_uccsd_singlet(8, 4).circuit.param_names},
             hf_state_index(8, 4))
-        from vqe_bench.ansatz.adaptive import _entry_probe_gates, _fd_screen
-
         for entry in pool.entries:
-            probe = _entry_probe_gates(entry, 8)
-            fd = _fd_screen(h, state, probe)
-            op = QubitOperator.zero()
-            for gen in entry.generators:
-                op = op + gen.antihermitian_operator(8)
-            analytic = commutator_gradient(h, op, state, form="fermionic")
+            fd = pool_entry_finite_difference(h, state, entry, 8)
+            analytic = commutator_gradient(
+                h, entry.antihermitian_operator(8), state, form="fermionic")
             assert fd == pytest.approx(analytic, abs=1e-4)
 
     def test_epsilon_validation(self):
@@ -160,6 +169,22 @@ class TestQubitAdaptVqe:
         build, _ = qubit_adapt_vqe(h, 4, qpool, initial_state=hf_idx)
         assert not build.particle_conserving
 
+    def test_parameter_shift_matches_adjoint_on_pool_circuit(self):
+        h = qubit_hamiltonian(bundled_molecule("H4").integrals(1.0))
+        qpool = build_qubit_pool(build_fermionic_pool(8, 4), 8)
+        rng = np.random.default_rng(4)
+        picks = rng.choice(len(qpool), size=5, replace=False)
+        circuit = ParamCircuit.from_gates(8, [
+            pauli_evolution(qpool.entries[int(i)].string, f"qadapt{k}")
+            for k, i in enumerate(picks)])
+        values = {name: float(rng.uniform(-np.pi, np.pi))
+                  for name in circuit.param_names}
+        hf_idx = hf_state_index(8, 4)
+        _, grad = adjoint_gradient(circuit, h, values, hf_idx)
+        for name in circuit.param_names:
+            shift = parameter_shift_gradient(circuit, h, values, hf_idx, name)
+            assert shift == pytest.approx(grad[name], abs=1e-10)
+
 
 class TestQcc:
     def test_product_ground_state_needs_no_entanglers(self):
@@ -185,6 +210,31 @@ class TestQcc:
                                 reference_energy=fci)
         assert trace.final_energy - fci < 0.0016
         assert trace.converged
+
+    def test_first_gain_matches_dense_angle_scan(self):
+        h = qubit_hamiltonian(bundled_molecule("H4").integrals(1.0))
+        qpool = build_qubit_pool(build_fermionic_pool(8, 4), 8)
+        hf_idx = hf_state_index(8, 4)
+        _, trace = qcc_optimize(h, 8, qpool, initial_state=hf_idx,
+                                max_entanglers=1)
+        first = trace.iterations[0]
+        # h conserves particle number, so the mean-field gradient vanishes
+        # at the starting determinant and the mean field stays there
+        _, mean_field = qcc_optimize(h, 8, qpool, initial_state=hf_idx,
+                                     max_entanglers=0)
+        assert mean_field.final_energy == pytest.approx(
+            hf_energy(h, 8, 4), abs=1e-12)
+        state = StateVector.basis_state(8, hf_idx)
+        string = next(e.string for e in qpool.entries
+                      if e.label == first.chosen_label)
+        taus = np.linspace(-math.pi / 2, math.pi / 2, 2001)
+        scan = np.array([apply_pauli_evolution(state, string, t).amplitudes
+                         for t in taus])
+        energies = np.einsum("ti,ti->t", scan.conj(),
+                             scan @ qubit_operator_matrix(h, 8).T).real
+        gain = expectation(h, state) - energies.min()
+        assert first.gradient_norm == pytest.approx(gain, abs=1e-6)
+        assert first.gradient_norm >= gain - 1e-12  # closed form is exact
 
     def test_empty_pool_rejected(self):
         h, _, _ = h2_problem()

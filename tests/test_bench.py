@@ -107,6 +107,12 @@ class TestSaveData:
         assert reparsed.serialize() == text
         assert load_record(path).to_dict() == reparsed.to_dict()
 
+    def test_non_finite_energy_refused(self):
+        record = BenchRecord(molecule="X", bond_lengths=[1.0])
+        record.slot("energies", "A")[0] = float("inf")
+        with pytest.raises(ValueError):
+            record.serialize()
+
 
 class TestRoundData:
     def base_record(self):
@@ -302,6 +308,19 @@ class TestCli:
         assert main(["record", "--molecule", "H2", "--ansatz", "UCCSD",
                      "--bond-length", "9.9", "--energy", "-1.0",
                      "--data-dir", data_dir]) == 1
+
+    def test_zero_evaluation_budget_fails_without_writing_infinity(
+            self, tmp_path):
+        data_dir = tmp_path / "data"
+        assert main(["run", "--molecule", "H2", "--ansatz", "UCCSD",
+                     "--max-evaluations", "0",
+                     "--data-dir", str(data_dir)]) != 0
+
+        def reject(token):
+            raise ValueError(f"non-strict JSON constant {token}")
+
+        for path in tmp_path.glob("**/*.json"):
+            json.loads(path.read_text(), parse_constant=reject)
 
     def test_dump_hamiltonian(self, tmp_path):
         out = tmp_path / "h2.txt"

@@ -77,6 +77,10 @@ class TestMinimizeBfgs:
         assert not result.converged
         assert result.n_evaluations <= 3
 
+    def test_budget_below_one_rejected(self):
+        with pytest.raises(ValueError, match="max_energy_evaluations"):
+            OptimizerConfig(max_energy_evaluations=0)
+
     def test_non_finite_objective(self):
         def bad(x):
             return math.nan, np.array([0.0])
@@ -185,3 +189,11 @@ class TestHeaLayerGrowth:
                                          n_budget=200, s_restarts=2, seed=3)
         assert not result.converged
         assert result.n_evaluations <= 200
+
+    def test_max_depth_exit_is_not_converged(self):
+        data = bundled_molecule("H2").integrals(0.7414)
+        h = qubit_hamiltonian(data)
+        _, result = run_hea_layer_growth(h, 4, 3, reference_energy=-99.0,
+                                         n_budget=50000, max_depth=1)
+        assert result.n_evaluations < 50000  # growth ended at max_depth
+        assert not result.converged
