@@ -23,11 +23,13 @@ from ..simulator import (
     apply_pauli_evolution,
     commutator_gradient,
     expectation,
+    pauli_evolution,
 )
 from .core import ZEROS, AnsatzBuild, ExcitationGenerator, generator_gates
 from .fixed import build_uccsd_singlet
 
 DEFAULT_EPSILON = 1e-2
+TIE_TOLERANCE = 1e-10  # score gap below which two pool entries tie
 
 
 @dataclass(frozen=True)
@@ -39,7 +41,10 @@ class PoolEntry:
     string: PauliString | None = None
 
     def antihermitian_operator(self, n_qubits: int) -> QubitOperator:
-        """Sum of the generators' anti-Hermitian qubit images."""
+        """Anti-Hermitian generator tau of the gate exp(theta tau): iP for a
+        string P, else the sum of the generators' qubit images."""
+        if self.string is not None:
+            return QubitOperator.from_term(self.string, 1j)
         op = QubitOperator.zero()
         for gen in self.generators:
             op = op + gen.antihermitian_operator(n_qubits)
@@ -119,45 +124,41 @@ def build_qubit_pool(fermionic: OperatorPool,
     return OperatorPool("qubit-pauli", tuple(entries))
 
 
-def adapt_vqe(h: QubitOperator, n_qubits: int, pool: OperatorPool,
-              epsilon: float = DEFAULT_EPSILON, initial_state: int = 0,
-              max_iters: int = 100,
-              cfg: OptimizerConfig | None = None
-              ) -> tuple[AnsatzBuild, AdaptiveTrace]:
-    """Grow a circuit by repeatedly appending the largest-gradient pool
-    operator and re-optimizing everything.
+def _pick(scores: np.ndarray) -> int:
+    """Index of the largest score; scores within TIE_TOLERANCE of it tie and
+    go to the lowest index, so rounding cannot move a pick."""
+    return int(np.flatnonzero(scores >= scores.max() - TIE_TOLERANCE)[0])
 
-    Each entry is screened analytically by <psi|[h, tau]|psi>, tau the sum
-    of its generators' anti-Hermitian images (commutator_gradient)."""
+
+def _adapt(h, n_qubits, pool, epsilon, initial_state, max_iters, cfg
+           ) -> tuple[AnsatzBuild, AdaptiveTrace]:
+    """Both flavours' growth loop: append the entry of largest commutator
+    gradient, re-optimize all parameters with adjoint gradients."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if pool.kind != "fermionic-sd":
-        raise ValueError("adapt_vqe expects a fermionic-sd pool")
     cfg = cfg or OptimizerConfig()
-    operators = [entry.antihermitian_operator(n_qubits)
-                 for entry in pool.entries]
+    taus = [entry.antihermitian_operator(n_qubits) for entry in pool.entries]
     chosen: list[ExcitationGenerator] = []
     gates: list[Gate] = []
     values: dict[str, float] = {}
     trace = AdaptiveTrace([], converged=False, final_energy=math.nan)
     circuit = ParamCircuit.from_gates(n_qubits, gates)
-    energy = expectation(h, apply_circuit(circuit, values, initial_state))
+    state = apply_circuit(circuit, values, initial_state)
+    energy = expectation(h, state)
     for iteration in range(max_iters):
         tick = time.perf_counter()
-        state = apply_circuit(circuit, values, initial_state)
-        grads = np.array([commutator_gradient(h, op, state, form="fermionic")
-                          for op in operators])
+        grads = commutator_gradient(h, taus, state)
         norm = float(np.linalg.norm(grads))
         if norm < epsilon:
             trace.converged = True
             break
-        best = int(np.argmax(np.abs(grads)))  # ties break to the lowest index
+        entry = pool.entries[_pick(np.abs(grads))]
         name = f"adapt{iteration}"
-        new_gens = [replace(g, param_name=name)
-                    for g in pool.entries[best].generators]
-        chosen.extend(new_gens)
-        for gen in new_gens:
-            gates.extend(generator_gates(gen, n_qubits))
+        if entry.string is not None:
+            gates.append(pauli_evolution(entry.string, name))
+        for gen in entry.generators:
+            chosen.append(replace(gen, param_name=name))
+            gates.extend(generator_gates(chosen[-1], n_qubits))
         values[name] = 0.0
         circuit = ParamCircuit.from_gates(n_qubits, gates)
         outcome = minimize_bfgs(
@@ -166,14 +167,29 @@ def adapt_vqe(h: QubitOperator, n_qubits: int, pool: OperatorPool,
             param_names=circuit.param_names)
         values = outcome.parameters
         energy = outcome.energy
+        state = apply_circuit(circuit, values, initial_state)
         trace.iterations.append(AdaptiveIteration(
-            chosen_label=pool.entries[best].label, gradient_norm=norm,
+            chosen_label=entry.label, gradient_norm=norm,
             energy_after_reopt=energy, n_params=circuit.n_params,
             wall_time=time.perf_counter() - tick))
     trace.final_energy = energy
-    build = AnsatzBuild(circuit, tuple(chosen), particle_conserving=True,
+    build = AnsatzBuild(circuit, tuple(chosen),
+                        particle_conserving=pool.kind == "fermionic-sd",
                         init_policy=ZEROS, n_params=circuit.n_params)
     return build, trace
+
+
+def adapt_vqe(h: QubitOperator, n_qubits: int, pool: OperatorPool,
+              epsilon: float = DEFAULT_EPSILON, initial_state: int = 0,
+              max_iters: int = 100,
+              cfg: OptimizerConfig | None = None
+              ) -> tuple[AnsatzBuild, AdaptiveTrace]:
+    """ADAPT-VQE over a fermionic-sd pool: append the generator group of
+    largest commutator gradient and re-optimize everything, until the
+    screening gradient norm falls below epsilon."""
+    if pool.kind != "fermionic-sd":
+        raise ValueError("adapt_vqe expects a fermionic-sd pool")
+    return _adapt(h, n_qubits, pool, epsilon, initial_state, max_iters, cfg)
 
 
 def qubit_adapt_vqe(h: QubitOperator, n_qubits: int, pool: OperatorPool,
@@ -181,50 +197,11 @@ def qubit_adapt_vqe(h: QubitOperator, n_qubits: int, pool: OperatorPool,
                     max_iters: int = 100,
                     cfg: OptimizerConfig | None = None
                     ) -> tuple[AnsatzBuild, AdaptiveTrace]:
-    """Pauli-string variant: commutator screening, one evolution gate per
-    pick, adjoint gradients (circuit_objective) inside the re-optimization."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    """qubit-ADAPT-VQE: the ADAPT loop over a qubit-pauli pool, one
+    exp(i theta P) gate per pick, screened by tau = iP."""
     if pool.kind != "qubit-pauli":
         raise ValueError("qubit_adapt_vqe expects a qubit-pauli pool")
-    cfg = cfg or OptimizerConfig()
-    operators = [QubitOperator.from_term(entry.string)
-                 for entry in pool.entries]
-    gates: list[Gate] = []
-    values: dict[str, float] = {}
-    trace = AdaptiveTrace([], converged=False, final_energy=math.nan)
-    circuit = ParamCircuit.from_gates(n_qubits, gates)
-    energy = expectation(h, apply_circuit(circuit, values, initial_state))
-    for iteration in range(max_iters):
-        tick = time.perf_counter()
-        state = apply_circuit(circuit, values, initial_state)
-        grads = np.array([commutator_gradient(h, op, state, form="pauli")
-                          for op in operators])
-        norm = float(np.linalg.norm(grads))
-        if norm < epsilon:
-            trace.converged = True
-            break
-        best = int(np.argmax(np.abs(grads)))
-        name = f"qadapt{iteration}"
-        gates.append(Gate("PauliEvolution", pool.entries[best].string.qubits,
-                          generator=pool.entries[best].string,
-                          param=(name, 1.0)))
-        values[name] = 0.0
-        circuit = ParamCircuit.from_gates(n_qubits, gates)
-        outcome = minimize_bfgs(
-            circuit_objective(circuit, h, initial_state),
-            np.array([values[n] for n in circuit.param_names]), cfg,
-            param_names=circuit.param_names)
-        values = outcome.parameters
-        energy = outcome.energy
-        trace.iterations.append(AdaptiveIteration(
-            chosen_label=pool.entries[best].label, gradient_norm=norm,
-            energy_after_reopt=energy, n_params=circuit.n_params,
-            wall_time=time.perf_counter() - tick))
-    trace.final_energy = energy
-    build = AnsatzBuild(circuit, (), particle_conserving=False,
-                        init_policy=ZEROS, n_params=circuit.n_params)
-    return build, trace
+    return _adapt(h, n_qubits, pool, epsilon, initial_state, max_iters, cfg)
 
 
 def _rank_entangler(h, state, string, base) -> tuple[float, float]:
@@ -287,16 +264,13 @@ def qcc_optimize(h: QubitOperator, n_qubits: int, pool: OperatorPool,
         base = expectation(h, state)
         rankings = [_rank_entangler(h, state, entry.string, base)
                     for entry in pool.entries]
-        deltas = np.array([r[0] for r in rankings])
-        best = int(np.argmin(deltas))
+        best = _pick(-np.array([r[0] for r in rankings]))
         delta, tau = rankings[best]
         if delta > -improvement_tol:
             trace.converged = True
             break
         name = f"ent{iteration}"
-        gates.append(Gate("PauliEvolution", pool.entries[best].string.qubits,
-                          generator=pool.entries[best].string,
-                          param=(name, 1.0)))
+        gates.append(pauli_evolution(pool.entries[best].string, name))
         values[name] = tau
         circuit = ParamCircuit.from_gates(n_qubits, gates)
         values, energy = reoptimize()

@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import re
+import socket
 import tempfile
 import time
 import zlib
@@ -333,20 +334,42 @@ def run_ansatz_point(name: str, h, n_qubits: int, n_electrons: int,
 
 
 class _SweepLock:
-    """Advisory lock file so concurrent sweeps refuse to share a record."""
+    """Advisory lock file so concurrent sweeps refuse to share a record.
+
+    It holds "<pid> <hostname>"; a lock whose pid is gone from this host
+    (a killed sweep) is taken over with a warning."""
 
     def __init__(self, path: Path):
         self.lock_path = Path(str(path) + ".lock")
 
     def __enter__(self):
-        try:
-            fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise DataFileError(
-                f"{self.lock_path} exists: another sweep owns this data file")
+        for attempt in range(2):
+            try:
+                fd = os.open(self.lock_path,
+                             os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                break
+            except FileExistsError:
+                if attempt or not self._owner_is_dead():
+                    raise DataFileError(f"{self.lock_path} exists: another "
+                                        "sweep owns this data file")
+                log.warning("taking over %s: its sweep is no longer running",
+                            self.lock_path)
+                self.lock_path.unlink(missing_ok=True)
         with os.fdopen(fd, "w") as fh:
-            fh.write(str(os.getpid()))
+            fh.write(f"{os.getpid()} {socket.gethostname()}")
         return self
+
+    def _owner_is_dead(self) -> bool:
+        pid, _, host = self.lock_path.read_text().partition(" ")
+        if not pid.isdecimal() or host != socket.gethostname():
+            return False
+        try:
+            os.kill(int(pid), 0)
+        except ProcessLookupError:
+            return True
+        except PermissionError:  # alive, owned by another user
+            pass
+        return False
 
     def __exit__(self, *exc):
         try:

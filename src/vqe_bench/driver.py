@@ -288,8 +288,8 @@ def run_hea_layer_growth(h: QubitOperator, n_qubits: int, initial_state: int,
     done.  `converged` is True only when chem_tol was reached.
     """
     cfg = cfg or OptimizerConfig()
-    if n_budget < 1 or s_restarts < 1:
-        raise ValueError("n_budget and s_restarts must be positive")
+    if n_budget < 1 or s_restarts < 1 or max_depth < 1:
+        raise ValueError("n_budget, s_restarts and max_depth must be positive")
     start = time.perf_counter()
     best: VqeResult | None = None
     best_build: AnsatzBuild | None = None

@@ -31,7 +31,9 @@ from .simulator import (
 )
 
 SYMMETRY_TOLERANCE = 1e-10
-DENSE_QUBIT_LIMIT = 14
+# unsectored references above this many qubits run Lanczos: the dense
+# matrix is 16 * 4**n bytes, 16.8 MB at 10 qubits but 268 MB at 12
+DENSE_QUBIT_LIMIT = 10
 ITERATIVE_QUBIT_LIMIT = 20
 LANCZOS_TOLERANCE = 1e-9
 

@@ -392,21 +392,16 @@ def parameter_shift_gradient(circuit: ParamCircuit, h: QubitOperator,
     return plus - minus
 
 
-def commutator_gradient(h: QubitOperator, tau: QubitOperator,
-                        state: StateVector, form: str = "pauli") -> float:
-    """Derivative at theta=0 of appending the generator's exponential.
+def commutator_gradient(h: QubitOperator, taus, state: StateVector
+                        ) -> np.ndarray:
+    """Slopes 2 Re<h psi|tau psi> at theta=0 of appending exp(theta tau),
+    one per anti-Hermitian generator tau; h|psi> is applied once.
 
-    form="pauli": tau Hermitian, gate exp(i theta tau);
-    form="fermionic": tau anti-Hermitian (a JW image), gate exp(theta tau).
+    A Pauli-string gate exp(i theta P) is the generator tau = iP.
     """
     h_psi = apply_qubit_operator(h, state.amplitudes)
-    tau_psi = apply_qubit_operator(tau, state.amplitudes)
-    overlap = complex(np.vdot(h_psi, tau_psi))
-    if form == "pauli":
-        return -2.0 * overlap.imag
-    if form == "fermionic":
-        return 2.0 * overlap.real
-    raise ValueError(f"unknown form {form!r}")
+    return np.array([2.0 * np.vdot(h_psi, apply_qubit_operator(
+        tau, state.amplitudes)).real for tau in taus])
 
 
 def number_expectation(state: StateVector) -> float:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import pool_entry_finite_difference, qubit_operator_matrix
-from vqe_bench.ansatz import ExcitationGenerator, build_uccsd_singlet
+from vqe_bench.ansatz import ExcitationGenerator, adaptive, build_uccsd_singlet
 from vqe_bench.ansatz.adaptive import (
     OperatorPool,
     PoolEntry,
@@ -135,13 +135,29 @@ class TestAdaptVqe:
         for entry in pool.entries:
             fd = pool_entry_finite_difference(h, state, entry, 8)
             analytic = commutator_gradient(
-                h, entry.antihermitian_operator(8), state, form="fermionic")
+                h, [entry.antihermitian_operator(8)], state)[0]
             assert fd == pytest.approx(analytic, abs=1e-4)
 
     def test_epsilon_validation(self):
         h, _, _ = h2_problem()
         with pytest.raises(ValueError):
             adapt_vqe(h, 4, build_fermionic_pool(4, 2), epsilon=0.0)
+
+    def test_qubit_pool_rejected(self):
+        h, _, _ = h2_problem()
+        qpool = build_qubit_pool(build_fermionic_pool(4, 2), 4)
+        with pytest.raises(ValueError, match="fermionic-sd"):
+            adapt_vqe(h, 4, qpool)
+
+    def test_gradient_ties_pick_lowest_index(self, monkeypatch):
+        # scores equal up to rounding must not let the later entry win
+        h, _, hf_idx = h2_problem()
+        pool = build_fermionic_pool(4, 2)
+        scores = np.array([1.0, 1.0 + 1e-13])
+        monkeypatch.setattr(adaptive, "commutator_gradient",
+                            lambda h, taus, state: scores)
+        _, trace = adapt_vqe(h, 4, pool, initial_state=hf_idx, max_iters=1)
+        assert trace.iterations[0].chosen_label == pool.entries[0].label
 
 
 class TestQubitAdaptVqe:
@@ -168,6 +184,16 @@ class TestQubitAdaptVqe:
         qpool = build_qubit_pool(build_fermionic_pool(4, 2), 4)
         build, _ = qubit_adapt_vqe(h, 4, qpool, initial_state=hf_idx)
         assert not build.particle_conserving
+
+    def test_fermionic_pool_rejected(self):
+        h, _, _ = h2_problem()
+        with pytest.raises(ValueError, match="qubit-pauli"):
+            qubit_adapt_vqe(h, 4, build_fermionic_pool(4, 2))
+
+    def test_string_entry_generator_is_i_times_string(self):
+        string = parse_pauli_string("X0 Y1")
+        tau = PoolEntry("X0 Y1", string=string).antihermitian_operator(2)
+        assert tau.terms == {string: 1j}
 
     def test_parameter_shift_matches_adjoint_on_pool_circuit(self):
         h = qubit_hamiltonian(bundled_molecule("H4").integrals(1.0))
@@ -240,3 +266,16 @@ class TestQcc:
         h, _, _ = h2_problem()
         with pytest.raises(ValueError, match="empty"):
             qcc_optimize(h, 4, OperatorPool("qubit-pauli", ()))
+
+    def test_gain_ties_pick_lowest_index(self, monkeypatch):
+        # gains equal up to rounding must not let the later entry win
+        h, _, hf_idx = h2_problem()
+        qpool = build_qubit_pool(build_fermionic_pool(4, 2), 4)
+        pool = OperatorPool("qubit-pauli", qpool.entries[:2])
+        deltas = {pool.entries[0].string: -1.0,
+                  pool.entries[1].string: -1.0 - 1e-13}
+        monkeypatch.setattr(adaptive, "_rank_entangler",
+                            lambda h, state, s, base: (deltas[s], 0.1))
+        _, trace = qcc_optimize(h, 4, pool, initial_state=hf_idx,
+                                max_entanglers=1)
+        assert trace.iterations[0].chosen_label == pool.entries[0].label

@@ -1,5 +1,8 @@
 import json
 import os
+import socket
+import subprocess
+import sys
 
 import pytest
 
@@ -181,6 +184,28 @@ class TestRunSweep:
         lock.unlink()
         run_sweep(spec, ["BRC"], FAST_CFG, seed=0, data_dir=tmp_path)
         assert not lock.exists()  # released after the sweep
+
+    def test_lock_of_live_process_refused(self, tmp_path):
+        spec = bundled_molecule("H2")
+        initdata("H2", spec.bond_lengths, tmp_path)
+        lock = record_path(tmp_path, "H2").with_suffix(".json.lock")
+        lock.write_text(f"{os.getpid()} {socket.gethostname()}")
+        with pytest.raises(DataFileError, match="another sweep"):
+            run_sweep(spec, ["UCCSD"], FAST_CFG, seed=0, data_dir=tmp_path)
+        assert lock.exists()
+
+    def test_stale_lock_of_killed_sweep_taken_over(self, tmp_path):
+        spec = bundled_molecule("H2")
+        initdata("H2", spec.bond_lengths, tmp_path)
+        lock = record_path(tmp_path, "H2").with_suffix(".json.lock")
+        finished = subprocess.run([sys.executable, "-c", "import os; "
+                                   "print(os.getpid())"],
+                                  capture_output=True, text=True, check=True)
+        lock.write_text(f"{finished.stdout.strip()} {socket.gethostname()}")
+        record = run_sweep(spec, ["UCCSD"], FAST_CFG, seed=0,
+                           data_dir=tmp_path)
+        assert record.energies["UCCSD"][0] is not None
+        assert not lock.exists()
 
     def test_mismatched_bond_lengths_refused(self, tmp_path):
         initdata("H2", [9.0], tmp_path)

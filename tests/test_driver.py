@@ -197,3 +197,8 @@ class TestHeaLayerGrowth:
                                          n_budget=50000, max_depth=1)
         assert result.n_evaluations < 50000  # growth ended at max_depth
         assert not result.converged
+
+    def test_max_depth_below_one_rejected(self):
+        h = QubitOperator.identity(-1.0)
+        with pytest.raises(ValueError, match="max_depth"):
+            run_hea_layer_growth(h, 2, 0, reference_energy=-1.0, max_depth=0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vqe_bench import hamiltonian
 from vqe_bench.hamiltonian import (
     IntegralData,
     build_fermionic_hamiltonian,
@@ -180,6 +181,25 @@ class TestExactGroundEnergy:
         n = 15
         terms = {PauliString(((q, "Z"),)): 1.0 + 0.0j for q in range(n)}
         h = QubitOperator(terms) + QubitOperator.from_term(
+            parse_pauli_string("X0 X1"), 0.3)
+        block = np.array([[2.0, 0.3], [0.3, -2.0]])
+        expected = float(np.linalg.eigvalsh(block)[0]) - (n - 2)
+        assert exact_ground_energy(h, n) == pytest.approx(expected, abs=1e-7)
+
+    def test_unsectored_twelve_qubits_builds_no_full_matrix(self, monkeypatch):
+        # the full 12-qubit matrix would be 268 MB, so the matrix-free
+        # Lanczos path must take over; sector matrices stay allowed
+        real_matrix = hamiltonian.operator_matrix
+
+        def sector_only(h, n_qubits, basis=None):
+            if basis is None:
+                raise AssertionError("full-space dense matrix requested")
+            return real_matrix(h, n_qubits, basis)
+
+        monkeypatch.setattr(hamiltonian, "operator_matrix", sector_only)
+        n = 12
+        h = QubitOperator({parse_pauli_string(f"Z{q}"): 1.0 + 0.0j
+                           for q in range(n)}) + QubitOperator.from_term(
             parse_pauli_string("X0 X1"), 0.3)
         block = np.array([[2.0, 0.3], [0.3, -2.0]])
         expected = float(np.linalg.eigvalsh(block)[0]) - (n - 2)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from vqe_bench.ansatz.adaptive import build_fermionic_pool, build_qubit_pool
 from vqe_bench.operators import PauliString, QubitOperator, parse_pauli_string
 from vqe_bench.simulator import (
     Gate,
@@ -192,16 +193,19 @@ class TestParameterShift:
 class TestCommutatorGradient:
     def test_commuting_generator_gives_zero(self):
         state = apply_circuit(ParamCircuit(1, (Gate("H", (0,)),), ()), {}, 0)
-        assert abs(commutator_gradient(qo("Z0"), qo("Z0"), state)) < 1e-14
+        grads = commutator_gradient(qo("Z0"), [qo("Z0", 1j)], state)
+        assert abs(grads[0]) < 1e-14
 
     def test_analytic_one_qubit_values(self):
         zero = StateVector.basis_state(1, 0)
         plus = apply_circuit(ParamCircuit(1, (Gate("H", (0,)),), ()), {}, 0)
         # d/dt <e^{-itX} Z e^{itX}> = -2 sin(2t) -> 0 at t=0
-        assert abs(commutator_gradient(qo("Z0"), qo("X0"), zero)) < 1e-14
-        assert abs(commutator_gradient(qo("Z0"), qo("X0"), plus)) < 1e-14
+        ix = [qo("X0", 1j)]
+        assert abs(commutator_gradient(qo("Z0"), ix, zero)[0]) < 1e-14
+        assert abs(commutator_gradient(qo("Z0"), ix, plus)[0]) < 1e-14
         # Y generator moves |+> along the Z meridian with slope 2
-        assert abs(commutator_gradient(qo("Z0"), qo("Y0"), plus) - 2.0) < 1e-12
+        assert abs(commutator_gradient(qo("Z0"), [qo("Y0", 1j)], plus)[0]
+                   - 2.0) < 1e-12
 
     def test_pauli_form_matches_finite_differences(self):
         rng = np.random.default_rng(21)
@@ -212,15 +216,15 @@ class TestCommutatorGradient:
             h = random_hermitian_operator(rng, n, 5)
             size = int(rng.integers(1, n + 1))
             qubits = rng.choice(n, size=size, replace=False)
-            tau = QubitOperator.from_term(PauliString(tuple(sorted(
-                (int(q), str(rng.choice(list("XYZ")))) for q in qubits))))
+            string = PauliString(tuple(sorted(
+                (int(q), str(rng.choice(list("XYZ")))) for q in qubits)))
+            tau = QubitOperator.from_term(string, 1j)  # gate exp(i t P)
             delta = 1e-5
-            plus = expectation(h, apply_pauli_evolution(
-                state, next(iter(tau.terms)), delta))
-            minus = expectation(h, apply_pauli_evolution(
-                state, next(iter(tau.terms)), -delta))
+            plus = expectation(h, apply_pauli_evolution(state, string, delta))
+            minus = expectation(h, apply_pauli_evolution(state, string,
+                                                         -delta))
             fd = (plus - minus) / (2 * delta)
-            assert abs(commutator_gradient(h, tau, state) - fd) < 1e-4
+            assert abs(commutator_gradient(h, [tau], state)[0] - fd) < 1e-4
 
     def test_fermionic_form_matches_dense_expm(self):
         rng = np.random.default_rng(33)
@@ -238,8 +242,26 @@ class TestCommutatorGradient:
                          for s in (delta, -delta)]
             fd = (np.vdot(fd_states[0], hmat @ fd_states[0]).real
                   - np.vdot(fd_states[1], hmat @ fd_states[1]).real) / (2 * delta)
-            grad = commutator_gradient(h, tau, state, form="fermionic")
+            grad = commutator_gradient(h, [tau], state)[0]
             assert abs(grad - fd) < 1e-4
+
+    def test_mixed_batch_matches_dense_oracle(self):
+        # fermionic JW images and 1j*P strings in one call, each against
+        # 2 Re<H psi|tau psi> from dense matrices
+        rng = np.random.default_rng(8)
+        n = 4
+        fermionic = build_fermionic_pool(n, 2)
+        taus = [entry.antihermitian_operator(n) for entry in
+                fermionic.entries + build_qubit_pool(fermionic, n).entries]
+        circuit = random_circuit(rng, n, 4, 10)
+        state = apply_circuit(circuit, random_values(rng, circuit), 3)
+        h = random_hermitian_operator(rng, n, 8)
+        h_psi = qubit_operator_matrix(h, n) @ state.amplitudes
+        expected = [2.0 * np.vdot(h_psi, qubit_operator_matrix(tau, n)
+                                  @ state.amplitudes).real for tau in taus]
+        grads = commutator_gradient(h, taus, state)
+        assert len(grads) == len(taus)
+        np.testing.assert_allclose(grads, expected, rtol=0, atol=1e-12)
 
 
 class TestPauliEvolution:
