@@ -18,7 +18,6 @@ import socket
 import tempfile
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -58,7 +57,7 @@ log = logging.getLogger(__name__)
 SCHEMA_VERSION = 1
 CHEMICAL_ACCURACY = 0.0016
 DEFAULT_LDCA_CYCLES = 2
-KUPCCGSD_PATTERN = re.compile(r"^(\d+)-UpCCGSD$")
+KUPCCGSD_PATTERN = re.compile(r"^([1-9]\d*)-UpCCGSD$")  # k >= 1
 
 FIXED_ANSATZES = ("UCCSD", "UCCSD0", "QUCC", "1-UpCCGSD", "2-UpCCGSD")
 CHANGEABLE_ANSATZES = ("HEA", "LDCA", "BRC", "ADAPT", "qubit-ADAPT", "QCC")
@@ -382,7 +381,8 @@ class _SweepLock:
 def run_sweep(spec: MoleculeSpec, ansatz_names, cfg: OptimizerConfig | None,
               seed: int, data_dir: str | Path, bond_lengths=None,
               threads: int = 4) -> BenchRecord:
-    """Sweep every requested point, persisting each result as it lands.
+    """Sweep every requested point in the calling thread, one at a time,
+    persisting each as it lands; `threads` is only recorded in metadata.
 
     Per-point failures are logged and stay null; the sweep continues.
     """
@@ -402,38 +402,24 @@ def run_sweep(spec: MoleculeSpec, ansatz_names, cfg: OptimizerConfig | None,
     record.metadata.update({"seed": seed, "threads": threads})
     save_record(record, path)
 
-    def prepare(r):
-        data = spec.integrals(r)
-        h = qubit_hamiltonian(data)
-        fci = exact_ground_energy(h, data.n_qubits,
-                                  sector=(data.n_electrons, data.ms2))
-        ehf = hf_energy(h, data.n_qubits, data.n_electrons)
-        return r, data, h, fci, ehf
-
-    def run_point(prepared, name):
-        r, data, h, fci, ehf = prepared
-        point_idx = record.point_index(r)
-        try:
-            result = run_ansatz_point(
-                name, h, data.n_qubits, data.n_electrons, fci, cfg,
-                _point_seed(seed, name, point_idx))
-            return (r, name, result, None)
-        except Exception as exc:  # record the miss, keep sweeping
-            return (r, name, None, exc)
-
     with _SweepLock(path):
-        with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-            prepared = list(pool.map(prepare, points))
-            for r, data, h, fci, ehf in prepared:
-                save_reference(path, "fci", r, fci)
-                save_reference(path, "hf", r, ehf)
-            futures = [pool.submit(run_point, prep, name)
-                       for prep in prepared for name in ansatz_names]
-            for future in futures:
-                r, name, result, error = future.result()
-                if error is not None:
+        for r in points:
+            data = spec.integrals(r)
+            h = qubit_hamiltonian(data)
+            fci = exact_ground_energy(h, data.n_qubits,
+                                      sector=(data.n_electrons, data.ms2))
+            save_reference(path, "fci", r, fci)
+            save_reference(path, "hf", r,
+                           hf_energy(h, data.n_qubits, data.n_electrons))
+            idx = record.point_index(r)
+            for name in ansatz_names:
+                try:
+                    result = run_ansatz_point(
+                        name, h, data.n_qubits, data.n_electrons, fci, cfg,
+                        _point_seed(seed, name, idx))
+                except Exception as exc:  # record the miss, keep sweeping
                     log.error("point failed: %s %s r=%s: %s",
-                              spec.name, name, r, error)
+                              spec.name, name, r, exc)
                     savedata(path, name, r, None)
                     continue
                 savedata(path, name, r, result.energy, result.runtime,

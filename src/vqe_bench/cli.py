@@ -1,8 +1,8 @@
 """Command-line harness.
 
 Exit codes: 0 success, 1 usage error, 2 data-file error, 3 numerical
-failure.  Thread count comes from --threads, falling back to the
-VQE_BENCH_THREADS environment variable, then 4.
+failure, including a `run` that leaves a point null.  Sweeps run serially;
+--threads (else VQE_BENCH_THREADS, else 4) is only recorded in metadata.
 """
 
 from __future__ import annotations
@@ -109,17 +109,21 @@ def cmd_run(molecule, ansatzes, bond_lengths, seed, threads, data_dir,
     points = parse_bond_lengths(bond_lengths)
     record = run_sweep(spec, list(ansatzes), cfg, seed, data_dir,
                        bond_lengths=points, threads=resolve_threads(threads))
+    failed = 0
     for name in ansatzes:
         for r in points or record.bond_lengths:
             idx = record.point_index(r)
             e = record.energies.get(name, [None] * len(record.bond_lengths))[idx]
             if e is None:
+                failed += 1
                 click.echo(f"{molecule} {name} r={r}: failed (null recorded)")
             else:
                 fci = record.fci[idx]
                 flag = "ok" if abs(e - fci) < CHEMICAL_ACCURACY else "  "
                 click.echo(f"{molecule} {name} r={r}: E={e:.8f} "
                            f"err={e - fci:+.2e} {flag}")
+    if failed:
+        raise NumericalError(f"{failed} point(s) failed (null recorded)")
 
 
 @cli.command("record")

@@ -17,7 +17,7 @@ from .simulator import adjoint_gradient, apply_circuit, expectation
 
 
 class NumericalError(RuntimeError):
-    """Objective returned a non-finite value."""
+    """Objective returned a non-finite value, or sweep points failed."""
 
 
 class _BudgetExhausted(Exception):
@@ -39,6 +39,9 @@ class OptimizerConfig:
             raise ValueError("need 0 < c1 < c2 < 1")
         if self.max_energy_evaluations < 1:
             raise ValueError("max_energy_evaluations must be at least 1")
+        if not 0.0 <= self.gradient_tolerance < math.inf:
+            raise ValueError("gradient_tolerance must be finite and "
+                             "non-negative")
 
 
 @dataclass

@@ -383,10 +383,13 @@ def jordan_wigner(f: FermionOperator, n_qubits: int) -> QubitOperator:
     if f.max_mode() >= n_qubits:
         raise ValueError(
             f"mode index {f.max_mode()} out of range for {n_qubits} qubits")
-    result = QubitOperator.zero()
+    terms: dict[PauliString, complex] = {}
     for key, coeff in f.terms.items():
         product = QubitOperator.identity(coeff)
         for mode, dagger in key:
             product = pauli_multiply(product, _jw_ladder(mode, dagger))
-        result = result + product
-    return result
+        for string, c in product.terms.items():
+            terms[string] = terms.get(string, 0.0) + c
+            if abs(terms[string]) <= COEFF_TOLERANCE:  # as `+` would prune
+                del terms[string]
+    return QubitOperator(terms)

@@ -3,9 +3,11 @@ import os
 import socket
 import subprocess
 import sys
+import threading
 
 import pytest
 
+from vqe_bench import bench
 from vqe_bench.bench import (
     BenchRecord,
     DataFileError,
@@ -16,6 +18,7 @@ from vqe_bench.bench import (
     load_record,
     record_path,
     rounddata,
+    run_ansatz_point,
     run_sweep,
     save_record,
     savedata,
@@ -207,6 +210,19 @@ class TestRunSweep:
         assert record.energies["UCCSD"][0] is not None
         assert not lock.exists()
 
+    def test_points_run_on_the_calling_thread(self, tmp_path, monkeypatch):
+        idents = []
+
+        def recording(*args, **kwargs):
+            idents.append(threading.get_ident())
+            return run_ansatz_point(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "run_ansatz_point", recording)
+        record = run_sweep(bundled_molecule("H2"), ["UCCSD", "BRC"],
+                           FAST_CFG, seed=3, data_dir=tmp_path, threads=2)
+        assert idents == [threading.get_ident()] * 2
+        assert record.metadata["threads"] == 2
+
     def test_mismatched_bond_lengths_refused(self, tmp_path):
         initdata("H2", [9.0], tmp_path)
         with pytest.raises(DataFileError, match="disagree"):
@@ -295,6 +311,7 @@ class TestAnsatzRegistry:
             assert known_ansatz(name)
         assert not known_ansatz("NOPE")
         assert not known_ansatz("k-UpCCGSD")
+        assert not known_ansatz("0-UpCCGSD")
 
 
 class TestCli:
@@ -319,6 +336,9 @@ class TestCli:
                      "--data-dir", str(tmp_path)]) == 1
         assert main(["init", "--molecule", "UNOBTANIUM",
                      "--data-dir", str(tmp_path)]) == 1
+        assert main(["run", "--molecule", "H2", "--ansatz", "0-UpCCGSD",
+                     "--data-dir", str(tmp_path)]) == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_data_file_error_exit_code(self, tmp_path):
         assert main(["compare", "--molecule", "H2",
@@ -346,6 +366,26 @@ class TestCli:
 
         for path in tmp_path.glob("**/*.json"):
             json.loads(path.read_text(), parse_constant=reject)
+
+    def test_nan_gradient_tolerance_fails_without_writing(self, tmp_path):
+        assert main(["run", "--molecule", "H2", "--ansatz", "UCCSD",
+                     "--gradient-tolerance", "nan",
+                     "--data-dir", str(tmp_path)]) == 3
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_point_exits_three_and_keeps_good_points(
+            self, tmp_path, monkeypatch):
+        def flaky(name, *args, **kwargs):
+            if name == "BRC":
+                raise RuntimeError("simulated point failure")
+            return run_ansatz_point(name, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "run_ansatz_point", flaky)
+        assert main(["run", "--molecule", "H2", "--ansatz", "UCCSD",
+                     "--ansatz", "BRC", "--data-dir", str(tmp_path)]) == 3
+        record = load_record(record_path(tmp_path, "H2"))
+        assert record.energies["UCCSD"][0] is not None
+        assert record.energies["BRC"] == [None]
 
     def test_dump_hamiltonian(self, tmp_path):
         out = tmp_path / "h2.txt"

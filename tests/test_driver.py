@@ -81,6 +81,12 @@ class TestMinimizeBfgs:
         with pytest.raises(ValueError, match="max_energy_evaluations"):
             OptimizerConfig(max_energy_evaluations=0)
 
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_gradient_tolerance_rejected(
+            self, tolerance):
+        with pytest.raises(ValueError, match="gradient_tolerance"):
+            OptimizerConfig(gradient_tolerance=tolerance)
+
     def test_non_finite_objective(self):
         def bad(x):
             return math.nan, np.array([0.0])
