@@ -45,10 +45,9 @@ class PoolEntry:
         string P, else the sum of the generators' qubit images."""
         if self.string is not None:
             return QubitOperator.from_term(self.string, 1j)
-        op = QubitOperator.zero()
-        for gen in self.generators:
-            op = op + gen.antihermitian_operator(n_qubits)
-        return op
+        return QubitOperator.summed(
+            pair for gen in self.generators
+            for pair in gen.antihermitian_operator(n_qubits))
 
 
 @dataclass(frozen=True)

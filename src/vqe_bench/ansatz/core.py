@@ -9,10 +9,9 @@ import numpy as np
 
 from ..operators import (
     FermionOperator,
-    PauliString,
     QubitOperator,
     jordan_wigner,
-    pauli_multiply,
+    ladder_product,
     serialize_pauli_string,
 )
 from ..simulator import Gate, ParamCircuit
@@ -43,32 +42,15 @@ class ExcitationGenerator:
         if self.kind not in FERMIONIC_KINDS | QUBIT_KINDS:
             raise ValueError(f"unknown generator kind {self.kind}")
 
-    def _fermionic_t(self) -> FermionOperator:
-        factors = tuple((v, True) for v in self.virtual)
-        factors += tuple((o, False) for o in reversed(self.occupied))
-        return FermionOperator.from_term(factors, self.prefactor)
-
-    def _qubit_t(self) -> QubitOperator:
-        op = QubitOperator.identity(self.prefactor)
-        for v in self.virtual:
-            op = pauli_multiply(op, _qubit_ladder(v, dagger=True))
-        for o in reversed(self.occupied):
-            op = pauli_multiply(op, _qubit_ladder(o, dagger=False))
-        return op
-
     def antihermitian_operator(self, n_qubits: int) -> QubitOperator:
         """T - T† mapped to qubits (JW for fermionic kinds)."""
+        factors = tuple((v, True) for v in self.virtual)
+        factors += tuple((o, False) for o in reversed(self.occupied))
         if self.kind in FERMIONIC_KINDS:
-            t = self._fermionic_t()
+            t = FermionOperator.from_term(factors, self.prefactor)
             return jordan_wigner(t - t.dagger(), n_qubits)
-        t = self._qubit_t()
+        t = ladder_product(factors, self.prefactor, z_chain=False)
         return t - t.dagger()
-
-
-def _qubit_ladder(qubit: int, dagger: bool) -> QubitOperator:
-    sign = -0.5j if dagger else 0.5j
-    return QubitOperator({PauliString(((qubit, "X"),)): 0.5,
-                          PauliString(((qubit, "Y"),)): sign})
 
 
 @dataclass(frozen=True)

@@ -392,17 +392,17 @@ def run_sweep(spec: MoleculeSpec, ansatz_names, cfg: OptimizerConfig | None,
         if r not in spec.fcidump_paths:
             raise DataFileError(f"no fixture for {spec.name} at r={r}")
     path = record_path(data_dir, spec.name)
-    if not path.exists():
-        initdata(spec.name, spec.bond_lengths, data_dir)
-    record = load_record(path)
-    if [float(r) for r in record.bond_lengths] != [
-            float(r) for r in spec.bond_lengths]:
-        raise DataFileError(
-            f"{path} bond lengths disagree with the molecule spec")
-    record.metadata.update({"seed": seed, "threads": threads})
-    save_record(record, path)
-
+    path.parent.mkdir(parents=True, exist_ok=True)
     with _SweepLock(path):
+        if not path.exists():
+            initdata(spec.name, spec.bond_lengths, data_dir)
+        record = load_record(path)
+        if [float(r) for r in record.bond_lengths] != [
+                float(r) for r in spec.bond_lengths]:
+            raise DataFileError(
+                f"{path} bond lengths disagree with the molecule spec")
+        record.metadata.update({"seed": seed, "threads": threads})
+        save_record(record, path)
         for r in points:
             data = spec.integrals(r)
             h = qubit_hamiltonian(data)

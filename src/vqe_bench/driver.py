@@ -13,7 +13,7 @@ import numpy as np
 from .ansatz.core import AnsatzBuild
 from .ansatz.layered import build_hea
 from .operators import QubitOperator
-from .simulator import adjoint_gradient, apply_circuit, expectation
+from .simulator import adjoint_gradient
 
 
 class NumericalError(RuntimeError):
@@ -26,15 +26,12 @@ class _BudgetExhausted(Exception):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    method: str = "BFGS"
     gradient_tolerance: float = 1e-5
     max_energy_evaluations: int = 10000
     c1: float = 1e-4
     c2: float = 0.9
 
     def __post_init__(self):
-        if self.method != "BFGS":
-            raise ValueError("only BFGS is supported")
         if not 0.0 < self.c1 < self.c2 < 1.0:
             raise ValueError("need 0 < c1 < c2 < 1")
         if self.max_energy_evaluations < 1:
@@ -252,13 +249,8 @@ def run_vqe(ansatz: AnsatzBuild, h: QubitOperator, initial_state: int,
     circuit = ansatz.circuit
     names = circuit.param_names
     start = time.perf_counter()
-    if not names:
-        state = apply_circuit(circuit, {}, initial_state)
-        return VqeResult(energy=expectation(h, state), parameters={},
-                         n_evaluations=1, n_iterations=0,
-                         wall_time=time.perf_counter() - start,
-                         converged=True, restarts_used=1)
-    restarts = ansatz.restarts if ansatz.init_policy.kind != "zeros" else 1
+    restarts = (ansatz.restarts
+                if names and ansatz.init_policy.kind != "zeros" else 1)
     objective = circuit_objective(circuit, h, initial_state)
     best: VqeResult | None = None
     total_evals = 0

@@ -2,8 +2,8 @@
 
 Spin orbitals are interleaved: spatial orbital p maps to qubit 2p (alpha)
 and 2p+1 (beta).  Exact ground energies come from dense diagonalization,
-optionally restricted to a particle-number / spin-z sector; large systems
-fall back to a restarted Lanczos solver.
+optionally restricted to a particle-number / spin-z sector; bases too
+large for a dense matrix fall back to a restarted Lanczos solver.
 """
 
 from __future__ import annotations
@@ -11,13 +11,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse.linalg
 
 from .operators import (
-    FermionKey,
     FermionOperator,
     QubitOperator,
     hermiticity_check,
@@ -31,8 +31,8 @@ from .simulator import (
 )
 
 SYMMETRY_TOLERANCE = 1e-10
-# unsectored references above this many qubits run Lanczos: the dense
-# matrix is 16 * 4**n bytes, 16.8 MB at 10 qubits but 268 MB at 12
+# references over more than 2**DENSE_QUBIT_LIMIT basis states run Lanczos:
+# a dense matrix over d states is 16 * d**2 bytes, 16.8 MB at d = 1024
 DENSE_QUBIT_LIMIT = 10
 ITERATIVE_QUBIT_LIMIT = 20
 LANCZOS_TOLERANCE = 1e-9
@@ -124,35 +124,26 @@ def load_fcidump(path: str | Path) -> IntegralData:
 
 def build_fermionic_hamiltonian(data: IntegralData) -> FermionOperator:
     """Second-quantized Hamiltonian over interleaved spin orbitals."""
-    raw: dict[FermionKey, complex] = {}
-
-    def add(factors, coeff):
-        for key, c in FermionOperator.from_term(factors, coeff).terms.items():
-            raw[key] = raw.get(key, 0.0) + c
-
-    if data.core_energy:
-        raw[()] = complex(data.core_energy)
     n = data.n_spatial
-    for p in range(n):
-        for q in range(n):
-            if data.h1[p, q] == 0.0:
-                continue
-            for spin in (0, 1):
-                add(((2 * p + spin, True), (2 * q + spin, False)),
-                    data.h1[p, q])
-    for p in range(n):
-        for q in range(n):
-            for r in range(n):
-                for s in range(n):
-                    g = data.g2[p, q, r, s]
-                    if g == 0.0:
-                        continue
-                    for sp in (0, 1):
-                        for tau in (0, 1):
-                            add(((2 * p + sp, True), (2 * r + tau, True),
-                                 (2 * s + tau, False), (2 * q + sp, False)),
-                                0.5 * g)
-    return FermionOperator(raw)
+
+    def terms():
+        if data.core_energy:
+            yield (), complex(data.core_energy)
+        for p, q in product(range(n), repeat=2):
+            if data.h1[p, q] != 0.0:
+                for spin in (0, 1):
+                    yield from FermionOperator.from_term(
+                        ((2 * p + spin, True), (2 * q + spin, False)),
+                        data.h1[p, q])
+        for p, q, r, s in product(range(n), repeat=4):
+            g = data.g2[p, q, r, s]
+            if g != 0.0:
+                for sp, tau in product((0, 1), repeat=2):
+                    yield from FermionOperator.from_term(
+                        ((2 * p + sp, True), (2 * r + tau, True),
+                         (2 * s + tau, False), (2 * q + sp, False)), 0.5 * g)
+
+    return FermionOperator.summed(terms())
 
 
 def qubit_hamiltonian(data: IntegralData) -> QubitOperator:
@@ -207,26 +198,32 @@ def exact_ground_energy(h: QubitOperator, n_qubits: int,
 
     With a (n_electrons, ms2) sector the diagonalization runs in that
     occupation block, which matches the full minimum for particle-conserving
-    Hamiltonians whose ground state lies in the sector.
+    Hamiltonians whose ground state lies in the sector.  A basis (the
+    sector, else the full space) of at most 2**DENSE_QUBIT_LIMIT states is
+    diagonalized densely; a larger one runs Lanczos on h restricted to it.
     """
     if not hermiticity_check(h, 1e-9):
         raise ValueError("Hamiltonian is not Hermitian")
     if n_qubits > ITERATIVE_QUBIT_LIMIT:
         raise ValueError(f"dimension overflow: {n_qubits} qubits")
-    if sector is not None:
+    if sector is None:
+        basis = np.arange(1 << n_qubits, dtype=np.int64)
+    else:
         basis = sector_indices(n_qubits, sector[0],
                                sector[1] if len(sector) > 1 else None)
-        if len(basis) == 0:
-            raise ValueError("empty sector")
+    if len(basis) == 0:
+        raise ValueError("empty sector")
+    if len(basis) <= 1 << DENSE_QUBIT_LIMIT:
         mat = operator_matrix(h, n_qubits, basis)
         return float(np.linalg.eigvalsh(mat)[0])
-    if n_qubits <= DENSE_QUBIT_LIMIT:
-        mat = operator_matrix(h, n_qubits)
-        return float(np.linalg.eigvalsh(mat)[0])
-    dim = 1 << n_qubits
+    full = np.zeros(1 << n_qubits, dtype=complex)
+
+    def matvec(v):
+        full[basis] = v.ravel()
+        return apply_qubit_operator(h, full)[basis]
+
     action = scipy.sparse.linalg.LinearOperator(
-        (dim, dim), matvec=lambda v: apply_qubit_operator(h, v.ravel()),
-        dtype=complex)
+        (len(basis), len(basis)), matvec=matvec, dtype=complex)
     vals = scipy.sparse.linalg.eigsh(action, k=1, which="SA",
                                      tol=LANCZOS_TOLERANCE,
                                      return_eigenvectors=False)

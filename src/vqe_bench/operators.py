@@ -1,14 +1,18 @@
 """Sparse algebra for fermionic operators and Pauli-string operators.
 
-FermionOperator stores normal-ordered products of creation/annihilation
-factors; QubitOperator stores linear combinations of Pauli strings.  The
-Jordan-Wigner transform maps between the two.  All values are immutable
-after construction and all operations are pure functions.
+Both operator types are linear combinations of keyed terms sharing one
+rule: like keys are summed, then coefficients at or below
+COEFF_TOLERANCE are pruned once per constructed operator.
+FermionOperator keys are normal-ordered products of creation/annihilation
+factors; QubitOperator keys are Pauli strings.  The Jordan-Wigner
+transform maps between the two.  All values are immutable after
+construction and all operations are pure functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
 COEFF_TOLERANCE = 1e-12
@@ -107,69 +111,88 @@ def serialize_pauli_string(p: PauliString) -> str:
     return " ".join(f"{axis}{qubit}" for qubit, axis in p.ops)
 
 
-class QubitOperator:
-    """Linear combination of Pauli strings; like strings merged on insertion."""
+class _LinearCombination:
+    """Keyed terms with complex coefficients; subclasses name the identity
+    key and the product rule."""
 
     __slots__ = ("terms",)
+    _IDENTITY_KEY: object = None
 
-    def __init__(self, terms: Mapping[PauliString, complex] | None = None):
-        self.terms: dict[PauliString, complex] = {}
+    def __init__(self, terms: Mapping | None = None):
+        self.terms: dict = {}
         if terms:
-            for string, coeff in terms.items():
+            for key, coeff in terms.items():
                 if abs(coeff) > COEFF_TOLERANCE:
-                    self.terms[string] = complex(coeff)
+                    self.terms[key] = complex(coeff)
 
     @classmethod
-    def from_term(cls, string: PauliString, coeff: complex = 1.0) -> "QubitOperator":
-        return cls({string: coeff})
+    def summed(cls, pairs: Iterable[tuple[object, complex]]):
+        """Add (key, coeff) pairs in order, then prune once."""
+        out: dict = {}
+        for key, coeff in pairs:
+            out[key] = out.get(key, 0.0) + coeff
+        return cls(out)
 
     @classmethod
-    def identity(cls, coeff: complex = 1.0) -> "QubitOperator":
-        return cls({PauliString(): coeff})
+    def identity(cls, coeff: complex = 1.0):
+        return cls({cls._IDENTITY_KEY: coeff})
 
     @classmethod
-    def zero(cls) -> "QubitOperator":
+    def zero(cls):
         return cls()
 
     def __len__(self) -> int:
         return len(self.terms)
 
-    def __iter__(self) -> Iterator[tuple[PauliString, complex]]:
+    def __iter__(self) -> Iterator[tuple[object, complex]]:
         return iter(self.terms.items())
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, QubitOperator) and self.terms == other.terms
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.summed(chain(self.terms.items(), other.terms.items()))
+
+    def __sub__(self, other):
+        return self + (-1.0) * other
+
+    def __neg__(self):
+        return (-1.0) * self
+
+    def __rmul__(self, scalar: complex):
+        return type(self)({k: scalar * c for k, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if type(other) is type(self):
+            return self._product(other)
+        return type(self)({k: c * other for k, c in self.terms.items()})
+
+    def isclose(self, other, tol: float = 1e-9) -> bool:
+        keys = set(self.terms) | set(other.terms)
+        return all(abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) <= tol
+                   for k in keys)
+
+
+class QubitOperator(_LinearCombination):
+    """Linear combination of Pauli strings."""
+
+    __slots__ = ()
+    _IDENTITY_KEY = PauliString()
+
+    @classmethod
+    def from_term(cls, string: PauliString, coeff: complex = 1.0) -> "QubitOperator":
+        return cls({string: coeff})
+
+    def _product(self, other: "QubitOperator") -> "QubitOperator":
+        return pauli_multiply(self, other)
 
     def max_qubit(self) -> int:
         return max((s.max_qubit() for s in self.terms), default=-1)
 
-    def __add__(self, other: "QubitOperator") -> "QubitOperator":
-        merged = dict(self.terms)
-        for string, coeff in other.terms.items():
-            merged[string] = merged.get(string, 0.0) + coeff
-        return QubitOperator(merged)
-
-    def __sub__(self, other: "QubitOperator") -> "QubitOperator":
-        return self + (-1.0) * other
-
-    def __neg__(self) -> "QubitOperator":
-        return (-1.0) * self
-
-    def __rmul__(self, scalar: complex) -> "QubitOperator":
-        return QubitOperator({s: scalar * c for s, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, QubitOperator):
-            return pauli_multiply(self, other)
-        return QubitOperator({s: c * other for s, c in self.terms.items()})
-
     def dagger(self) -> "QubitOperator":
         return QubitOperator({s: c.conjugate() for s, c in self.terms.items()})
-
-    def isclose(self, other: "QubitOperator", tol: float = 1e-9) -> bool:
-        keys = set(self.terms) | set(other.terms)
-        return all(abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) <= tol
-                   for k in keys)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -181,12 +204,12 @@ class QubitOperator:
 
 def pauli_multiply(a: QubitOperator, b: QubitOperator) -> QubitOperator:
     """Operator product with Pauli-group phase tracking."""
-    out: dict[PauliString, complex] = {}
-    for sa, ca in a.terms.items():
-        for sb, cb in b.terms.items():
-            phase, string = multiply_strings(sa, sb)
-            out[string] = out.get(string, 0.0) + phase * ca * cb
-    return QubitOperator(out)
+    def products():
+        for sa, ca in a.terms.items():
+            for sb, cb in b.terms.items():
+                phase, string = multiply_strings(sa, sb)
+                yield string, phase * ca * cb
+    return QubitOperator.summed(products())
 
 
 def commutator(a: QubitOperator, b: QubitOperator) -> QubitOperator:
@@ -208,16 +231,13 @@ def dump_qubit_operator(q: QubitOperator) -> str:
 
 
 def load_qubit_operator(text: str) -> QubitOperator:
-    terms: dict[PauliString, complex] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        re_part, im_part, *rest = line.split(maxsplit=2)
-        string = parse_pauli_string(rest[0] if rest else "")
-        terms[string] = terms.get(string, 0.0) + complex(float(re_part),
-                                                         float(im_part))
-    return QubitOperator(terms)
+    def pairs():
+        for line in text.splitlines():
+            if line.strip():
+                re_part, im_part, *rest = line.split(maxsplit=2)
+                yield (parse_pauli_string(rest[0] if rest else ""),
+                       complex(float(re_part), float(im_part)))
+    return QubitOperator.summed(pairs())
 
 
 # ---------------------------------------------------------------------------
@@ -263,73 +283,29 @@ def _normal_order_term(factors: tuple[tuple[int, bool], ...],
             yield tuple(term), c
 
 
-class FermionOperator:
+class FermionOperator(_LinearCombination):
     """Linear combination of normal-ordered fermionic factor products."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[FermionKey, complex] | None = None):
-        self.terms: dict[FermionKey, complex] = {}
-        if terms:
-            for key, coeff in terms.items():
-                if abs(coeff) > COEFF_TOLERANCE:
-                    self.terms[key] = complex(coeff)
+    __slots__ = ()
+    _IDENTITY_KEY = ()
 
     @classmethod
     def from_term(cls, factors: Iterable[tuple[int, bool]],
                   coeff: complex = 1.0) -> "FermionOperator":
         """Build from an arbitrary factor product; normal-orders on insertion."""
-        out: dict[FermionKey, complex] = {}
-        for key, c in _normal_order_term(tuple(factors), coeff):
-            out[key] = out.get(key, 0.0) + c
-        return cls(out)
+        return cls.summed(_normal_order_term(tuple(factors), coeff))
 
-    @classmethod
-    def identity(cls, coeff: complex = 1.0) -> "FermionOperator":
-        return cls({(): coeff})
-
-    @classmethod
-    def zero(cls) -> "FermionOperator":
-        return cls()
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FermionOperator) and self.terms == other.terms
-
-    def __add__(self, other: "FermionOperator") -> "FermionOperator":
-        merged = dict(self.terms)
-        for key, coeff in other.terms.items():
-            merged[key] = merged.get(key, 0.0) + coeff
-        return FermionOperator(merged)
-
-    def __sub__(self, other: "FermionOperator") -> "FermionOperator":
-        return self + (-1.0) * other
-
-    def __rmul__(self, scalar: complex) -> "FermionOperator":
-        return FermionOperator({k: scalar * c for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, FermionOperator):
-            return fermion_multiply(self, other)
-        return FermionOperator({k: c * other for k, c in self.terms.items()})
+    def _product(self, other: "FermionOperator") -> "FermionOperator":
+        return fermion_multiply(self, other)
 
     def dagger(self) -> "FermionOperator":
-        out: dict[FermionKey, complex] = {}
-        for key, coeff in self.terms.items():
-            reversed_factors = tuple((m, not d) for m, d in reversed(key))
-            for k, c in _normal_order_term(reversed_factors, coeff.conjugate()):
-                out[k] = out.get(k, 0.0) + c
-        return FermionOperator(out)
+        return FermionOperator.summed(
+            pair for key, coeff in self.terms.items()
+            for pair in _normal_order_term(
+                tuple((m, not d) for m, d in reversed(key)), coeff.conjugate()))
 
     def max_mode(self) -> int:
         return max((m for key in self.terms for m, _ in key), default=-1)
-
-    def isclose(self, other: "FermionOperator", tol: float = 1e-9) -> bool:
-        keys = set(self.terms) | set(other.terms)
-        return all(abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) <= tol
-                   for k in keys)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -342,12 +318,9 @@ class FermionOperator:
 
 def fermion_multiply(a: FermionOperator, b: FermionOperator) -> FermionOperator:
     """Normal-ordered product with exhaustive anticommutation bookkeeping."""
-    out: dict[FermionKey, complex] = {}
-    for ka, ca in a.terms.items():
-        for kb, cb in b.terms.items():
-            for key, c in _normal_order_term(ka + kb, ca * cb):
-                out[key] = out.get(key, 0.0) + c
-    return FermionOperator(out)
+    return FermionOperator.summed(
+        pair for ka, ca in a.terms.items() for kb, cb in b.terms.items()
+        for pair in _normal_order_term(ka + kb, ca * cb))
 
 
 def creation(mode: int) -> FermionOperator:
@@ -369,13 +342,21 @@ def number_operator(n_modes: int) -> FermionOperator:
 # ---------------------------------------------------------------------------
 
 
-def _jw_ladder(mode: int, dagger: bool) -> QubitOperator:
-    # a†_i -> (X_i - iY_i)/2 ⊗ Z chain on qubits below i; a_i flips the sign.
-    chain = tuple((q, "Z") for q in range(mode))
-    x_string = PauliString(chain + ((mode, "X"),))
-    y_string = PauliString(chain + ((mode, "Y"),))
-    sign = -0.5j if dagger else 0.5j
-    return QubitOperator({x_string: 0.5, y_string: sign})
+def ladder_product(factors: Iterable[tuple[int, bool]], coeff: complex = 1.0,
+                   z_chain: bool = True) -> QubitOperator:
+    """coeff times the product of (mode, is_creation) ladder images.
+
+    a†_i -> (X_i - iY_i)/2 and a_i -> (X_i + iY_i)/2, each with Z on every
+    qubit below i when z_chain (the Jordan-Wigner image) and bare otherwise
+    (qubit excitations).
+    """
+    product = QubitOperator.identity(coeff)
+    for mode, dagger in factors:
+        chain_ops = tuple((q, "Z") for q in range(mode)) if z_chain else ()
+        product = product * QubitOperator({
+            PauliString(chain_ops + ((mode, "X"),)): 0.5,
+            PauliString(chain_ops + ((mode, "Y"),)): -0.5j if dagger else 0.5j})
+    return product
 
 
 def jordan_wigner(f: FermionOperator, n_qubits: int) -> QubitOperator:
@@ -383,13 +364,5 @@ def jordan_wigner(f: FermionOperator, n_qubits: int) -> QubitOperator:
     if f.max_mode() >= n_qubits:
         raise ValueError(
             f"mode index {f.max_mode()} out of range for {n_qubits} qubits")
-    terms: dict[PauliString, complex] = {}
-    for key, coeff in f.terms.items():
-        product = QubitOperator.identity(coeff)
-        for mode, dagger in key:
-            product = pauli_multiply(product, _jw_ladder(mode, dagger))
-        for string, c in product.terms.items():
-            terms[string] = terms.get(string, 0.0) + c
-            if abs(terms[string]) <= COEFF_TOLERANCE:  # as `+` would prune
-                del terms[string]
-    return QubitOperator(terms)
+    return QubitOperator.summed(pair for key, coeff in f.terms.items()
+                                for pair in ladder_product(key, coeff))

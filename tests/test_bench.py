@@ -197,6 +197,20 @@ class TestRunSweep:
             run_sweep(spec, ["UCCSD"], FAST_CFG, seed=0, data_dir=tmp_path)
         assert lock.exists()
 
+    def test_refused_sweep_leaves_data_file_untouched(self, tmp_path):
+        spec = bundled_molecule("H2")
+        initdata("H2", spec.bond_lengths, tmp_path,
+                 metadata={"seed": 1, "threads": 1})
+        path = record_path(tmp_path, "H2")
+        savedata(path, "UCCSD", spec.bond_lengths[0], -1.1, 0.5, 3)
+        lock = path.with_suffix(".json.lock")
+        lock.write_text(f"{os.getpid()} {socket.gethostname()}")
+        before = path.read_bytes()
+        with pytest.raises(DataFileError, match="another sweep"):
+            run_sweep(spec, ["UCCSD"], FAST_CFG, seed=99, data_dir=tmp_path,
+                      threads=2)
+        assert path.read_bytes() == before
+
     def test_stale_lock_of_killed_sweep_taken_over(self, tmp_path):
         spec = bundled_molecule("H2")
         initdata("H2", spec.bond_lengths, tmp_path)

@@ -7,7 +7,6 @@ from vqe_bench.ansatz import build_brc_closed_shell, build_uccsd_singlet
 from vqe_bench.driver import (
     NumericalError,
     OptimizerConfig,
-    apply_circuit,
     minimize_bfgs,
     run_hea_layer_growth,
     run_vqe,
@@ -19,7 +18,7 @@ from vqe_bench.hamiltonian import (
     qubit_hamiltonian,
 )
 from vqe_bench.operators import QubitOperator, parse_pauli_string
-from vqe_bench.simulator import ParamCircuit, expectation, ry
+from vqe_bench.simulator import ParamCircuit, apply_circuit, expectation, ry
 
 
 def quadratic_1d(x):

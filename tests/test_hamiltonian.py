@@ -205,6 +205,24 @@ class TestExactGroundEnergy:
         expected = float(np.linalg.eigvalsh(block)[0]) - (n - 2)
         assert exact_ground_energy(h, n) == pytest.approx(expected, abs=1e-7)
 
+    def test_large_sector_builds_no_dense_matrix(self, monkeypatch):
+        # 14 qubits, 7 electrons: 3432 sector states, a 188 MB dense matrix
+        real_matrix = hamiltonian.operator_matrix
+
+        def small_only(h, n_qubits, basis=None):
+            if basis is None or len(basis) > 1024:
+                raise AssertionError("dense matrix over too many states")
+            return real_matrix(h, n_qubits, basis)
+
+        monkeypatch.setattr(hamiltonian, "operator_matrix", small_only)
+        n = 14
+        w = 1.0 + 0.1 * np.arange(n)
+        h = QubitOperator({parse_pauli_string(f"Z{q}"): w[q]
+                           for q in range(n)})
+        expected = w.sum() - 2.0 * np.sort(w)[-7:].sum()
+        assert exact_ground_energy(h, n, sector=(7, None)) == pytest.approx(
+            expected, abs=1e-7)
+
     def test_sector_indices_filter(self):
         sel = sector_indices(4, 2, 0)
         assert set(sel) == {0b0011, 0b0110, 0b1001, 0b1100}

@@ -1,3 +1,6 @@
+from functools import reduce
+from operator import add
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +27,39 @@ from oracles import fermion_operator_matrix, qubit_operator_matrix
 
 def qo(text: str, coeff: complex = 1.0) -> QubitOperator:
     return QubitOperator.from_term(parse_pauli_string(text), coeff)
+
+
+QUBIT_KEYS = [parse_pauli_string(t) for t in ("I", "X0", "Y0 Z2", "Z1", "X1 X3")]
+FERMION_KEYS = [(), ((0, True),), ((1, False),), ((1, True), (0, False)),
+                ((2, True), (1, True), (1, False), (0, False))]
+INTEGER_COMPLEX = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3))
+
+
+class TestLinearCombination:
+    @pytest.mark.parametrize("cls, keys", [(QubitOperator, QUBIT_KEYS),
+                                           (FermionOperator, FERMION_KEYS)])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_summed_equals_fold_of_additions(self, cls, keys, data):
+        # integer coefficients make every partial sum exact
+        pairs = data.draw(st.lists(st.tuples(st.sampled_from(keys),
+                                             INTEGER_COMPLEX), max_size=12))
+        folded = reduce(add, (cls({k: c}) for k, c in pairs), cls.zero())
+        assert cls.summed(pairs) == folded
+
+    def test_types_never_compare_equal(self):
+        assert QubitOperator.zero() != FermionOperator.zero()
+        assert QubitOperator.identity() != FermionOperator.identity()
+        with pytest.raises(TypeError):
+            QubitOperator.zero() + FermionOperator.zero()
+
+    @pytest.mark.parametrize("cls, keys", [(QubitOperator, QUBIT_KEYS),
+                                           (FermionOperator, FERMION_KEYS)])
+    def test_cancelled_pairs_leave_no_key(self, cls, keys):
+        a, b, c = keys[1:4]
+        op = cls.summed([(a, 0.5), (b, 1.0), (c, 2.0), (a, -0.5),
+                         (b, -1.0 + 5e-13)])
+        assert op.terms == {c: 2.0}
 
 
 class TestFermionMultiply:
