@@ -159,13 +159,17 @@ def record_path(data_dir: str | Path, molecule: str) -> Path:
     return Path(data_dir) / f"{molecule}.json"
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"non-finite number {token}")
+
+
 def load_record(path: str | Path) -> BenchRecord:
     path = Path(path)
     if not path.exists():
         raise DataFileError(f"no data file at {path}")
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    try:  # strict JSON: NaN and Infinity tokens are refused
+        payload = json.loads(path.read_text(), parse_constant=_reject_constant)
+    except ValueError as exc:  # JSONDecodeError included
         raise DataFileError(f"{path} is not valid JSON: {exc}") from exc
     return BenchRecord.from_dict(payload)
 
@@ -359,7 +363,10 @@ class _SweepLock:
         return self
 
     def _owner_is_dead(self) -> bool:
-        pid, _, host = self.lock_path.read_text().partition(" ")
+        try:
+            pid, _, host = self.lock_path.read_text().partition(" ")
+        except FileNotFoundError:  # released since the failed open: free
+            return True
         if not pid.isdecimal() or host != socket.gethostname():
             return False
         try:
@@ -471,7 +478,7 @@ def emit_comparison(record: BenchRecord, kind: str, fmt: str = "csv") -> str:
     if fmt == "json":
         return json.dumps({"molecule": record.molecule, "kind": kind,
                            "columns": columns, "rows": rows},
-                          indent=2, sort_keys=True) + "\n"
+                          indent=2, sort_keys=True, allow_nan=False) + "\n"
     if fmt != "csv":
         raise ValueError(f"unknown format {fmt!r}")
     buffer = io.StringIO()

@@ -1,9 +1,9 @@
 """Molecular Hamiltonians: FCIDUMP ingestion, qubit mapping, exact references.
 
 Spin orbitals are interleaved: spatial orbital p maps to qubit 2p (alpha)
-and 2p+1 (beta).  Exact ground energies come from dense diagonalization,
-optionally restricted to a particle-number / spin-z sector; bases too
-large for a dense matrix fall back to a restarted Lanczos solver.
+and 2p+1 (beta).  Exact ground energies diagonalize the Hamiltonian's
+sparse matrix over the full space or a particle-number / spin-z sector:
+densely when small, else by restarted Lanczos on the sparse matrix.
 """
 
 from __future__ import annotations
@@ -23,12 +23,7 @@ from .operators import (
     hermiticity_check,
     jordan_wigner,
 )
-from .simulator import (
-    StateVector,
-    apply_qubit_operator,
-    expectation,
-    pauli_masks,
-)
+from .simulator import StateVector, expectation, pauli_sum_matrix
 
 SYMMETRY_TOLERANCE = 1e-10
 # references over more than 2**DENSE_QUBIT_LIMIT basis states run Lanczos:
@@ -173,23 +168,7 @@ def sector_indices(n_qubits: int, n_electrons: int,
 def operator_matrix(h: QubitOperator, n_qubits: int,
                     basis: np.ndarray | None = None) -> np.ndarray:
     """Dense matrix of h, optionally restricted to a list of basis states."""
-    if basis is None:
-        basis = np.arange(1 << n_qubits, dtype=np.int64)
-    dim = len(basis)
-    position = np.full(1 << n_qubits, -1, dtype=np.int64)
-    position[basis] = np.arange(dim)
-    mat = np.zeros((dim, dim), dtype=complex)
-    for string, coeff in h.terms.items():
-        x, y, z = pauli_masks(string)
-        flip = np.int64(x | y)
-        yz = np.int64(y | z)
-        rows_full = basis ^ flip
-        row_pos = position[rows_full]
-        valid = row_pos >= 0
-        phase = (1j) ** string.y_count() * np.where(
-            np.bitwise_count(basis & yz) % 2 == 0, 1.0, -1.0)
-        mat[row_pos[valid], np.arange(dim)[valid]] += coeff * phase[valid]
-    return mat
+    return pauli_sum_matrix(h, n_qubits, basis).toarray()
 
 
 def exact_ground_energy(h: QubitOperator, n_qubits: int,
@@ -200,32 +179,20 @@ def exact_ground_energy(h: QubitOperator, n_qubits: int,
     occupation block, which matches the full minimum for particle-conserving
     Hamiltonians whose ground state lies in the sector.  A basis (the
     sector, else the full space) of at most 2**DENSE_QUBIT_LIMIT states is
-    diagonalized densely; a larger one runs Lanczos on h restricted to it.
+    diagonalized densely; a larger one runs Lanczos on h's sparse matrix.
     """
     if not hermiticity_check(h, 1e-9):
         raise ValueError("Hamiltonian is not Hermitian")
     if n_qubits > ITERATIVE_QUBIT_LIMIT:
         raise ValueError(f"dimension overflow: {n_qubits} qubits")
-    if sector is None:
-        basis = np.arange(1 << n_qubits, dtype=np.int64)
-    else:
-        basis = sector_indices(n_qubits, sector[0],
-                               sector[1] if len(sector) > 1 else None)
+    basis = (np.arange(1 << n_qubits, dtype=np.int64) if sector is None
+             else sector_indices(n_qubits, *sector))
     if len(basis) == 0:
         raise ValueError("empty sector")
     if len(basis) <= 1 << DENSE_QUBIT_LIMIT:
-        mat = operator_matrix(h, n_qubits, basis)
-        return float(np.linalg.eigvalsh(mat)[0])
-    full = np.zeros(1 << n_qubits, dtype=complex)
-
-    def matvec(v):
-        full[basis] = v.ravel()
-        return apply_qubit_operator(h, full)[basis]
-
-    action = scipy.sparse.linalg.LinearOperator(
-        (len(basis), len(basis)), matvec=matvec, dtype=complex)
-    vals = scipy.sparse.linalg.eigsh(action, k=1, which="SA",
-                                     tol=LANCZOS_TOLERANCE,
+        return float(np.linalg.eigvalsh(operator_matrix(h, n_qubits, basis))[0])
+    vals = scipy.sparse.linalg.eigsh(pauli_sum_matrix(h, n_qubits, basis),
+                                     k=1, which="SA", tol=LANCZOS_TOLERANCE,
                                      return_eigenvectors=False)
     return float(vals[0])
 

@@ -5,6 +5,8 @@ Bit convention: qubit i is bit i of the basis index (qubit 0 least
 significant).  Rotation conventions: RY(t) = exp(-i t Y / 2), likewise RX
 and RZ; PauliEvolution applies exp(+i t P).  A StateVector is exclusively
 owned while gates mutate it; all public entry points hand out fresh copies.
+A Pauli sum acts through one form: its sparse matrix over a basis
+(pauli_sum_matrix), compiled once per operator for the full space.
 """
 
 from __future__ import annotations
@@ -13,10 +15,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .operators import PauliString, QubitOperator
 
 IMAG_RESIDUE_TOLERANCE = 1e-9
+# 20 bytes per compiled entry (complex128, int32 column): 168 MB; a 14-qubit
+# molecular Hamiltonian with dense integrals needs 2.7M over its full space
+MAX_COMPILED_ENTRIES = 1 << 23
 
 PARAMETERIZED_KINDS = frozenset(
     {"RX", "RY", "RZ", "PauliEvolution", "GivensRotation"})
@@ -194,43 +200,76 @@ def _apply_two(amps: np.ndarray, n_qubits: int, qa: int, qb: int,
     moved[...] = (u @ flat).reshape(moved.shape)
 
 
-def pauli_masks(string: PauliString) -> tuple[int, int, int]:
-    """Bit masks (x, y, z) of the qubits the string acts on with each axis."""
-    x = y = z = 0
+def pauli_masks(string: PauliString) -> tuple[int, int, complex]:
+    """(flip, yz, phase) with P|s> = phase (-1)^popcount(s & yz) |s ^ flip>:
+    flip marks X and Y factors, yz marks Y and Z, phase is i^(Y count)."""
+    flip = yz = 0
     for qubit, axis in string.ops:
-        bit = 1 << qubit
-        if axis == "X":
-            x |= bit
-        elif axis == "Y":
-            y |= bit
-        else:
-            z |= bit
-    return x, y, z
+        if axis != "Z":
+            flip |= 1 << qubit
+        if axis != "X":
+            yz |= 1 << qubit
+    return flip, yz, (1j) ** ((flip & yz).bit_count() % 4)
+
+
+def _parity_signs(states: np.ndarray, yz: int) -> np.ndarray | float:
+    """(-1)^popcount(s & yz) for each state s."""
+    return 1.0 - 2.0 * (np.bitwise_count(states & yz) & 1) if yz else 1.0
 
 
 def apply_pauli_string(string: PauliString, amps: np.ndarray) -> np.ndarray:
     """Return P|amps> (new array)."""
-    x, y, z = pauli_masks(string)
-    flip = x | y
-    yz = y | z
-    idx = _indices(len(amps))
-    src = idx ^ flip if flip else idx
-    if yz:
-        sign = 1.0 - 2.0 * (np.bitwise_count(src & yz) & 1)
-    else:
-        sign = 1.0
-    phase = (1j) ** (string.y_count() % 4)
+    flip, yz, phase = pauli_masks(string)
+    src = _indices(len(amps)) ^ flip if flip else _indices(len(amps))
     out = amps[src] if flip else amps.copy()
-    out *= phase * sign
+    out *= phase * _parity_signs(src, yz)
     return out
+
+
+def pauli_sum_matrix(op: QubitOperator, n_qubits: int,
+                     basis: np.ndarray | None = None) -> scipy.sparse.csr_array:
+    """op over a sorted list of basis states (default: all 2**n_qubits) as a
+    CSR matrix.  The terms of one flip mask fold into one weight per row r,
+    at the column of r ^ flip; zero weights and columns outside the basis
+    are dropped.  Past MAX_COMPILED_ENTRIES it raises before allocating."""
+    rows = _indices(1 << n_qubits) if basis is None else np.asarray(basis)
+    position = np.full(1 << n_qubits, -1, dtype=np.int32)
+    position[rows] = np.arange(len(rows), dtype=np.int32)
+    masks: dict[int, list[tuple[int, complex]]] = {}
+    for string, coeff in op.terms.items():
+        flip, yz, phase = pauli_masks(string)
+        masks.setdefault(flip, []).append((yz, coeff * phase))
+
+    def entries():  # per mask: rows kept, their columns and weights
+        for flip, terms in masks.items():
+            states = rows ^ flip
+            weights = np.zeros(len(rows), dtype=complex)
+            for yz, coeff in terms:
+                weights += coeff * _parity_signs(states, yz)
+            cols = position[states]
+            keep = (weights != 0) & (cols >= 0)
+            yield keep, cols[keep], weights[keep]
+
+    # count, then fill in place, so the peak stays at the final size
+    counts = sum((keep for keep, _, _ in entries()),
+                 np.zeros(len(rows), dtype=np.int64))
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    if indptr[-1] > MAX_COMPILED_ENTRIES:
+        raise ValueError(f"{indptr[-1]} entries exceed MAX_COMPILED_ENTRIES")
+    indices, data = np.empty(indptr[-1], np.int32), np.empty(indptr[-1], complex)
+    cursor = indptr[:-1].copy()
+    for keep, cols, weights in entries():
+        indices[cursor[keep]], data[cursor[keep]] = cols, weights
+        cursor[keep] += 1
+    return scipy.sparse.csr_array((data, indices, indptr.astype(np.int32)),
+                                  shape=(len(rows), len(rows)))
 
 
 def apply_qubit_operator(op: QubitOperator, amps: np.ndarray) -> np.ndarray:
-    """Return (sum_i c_i P_i)|amps>."""
-    out = np.zeros_like(amps)
-    for string, coeff in op.terms.items():
-        out += coeff * apply_pauli_string(string, amps)
-    return out
+    """Return (sum_i c_i P_i)|amps> through op's cached full-space matrix."""
+    if getattr(op, "_matrix", None) is None or op._matrix.shape[0] != len(amps):
+        op._matrix = pauli_sum_matrix(op, len(amps).bit_length() - 1)
+    return op._matrix @ amps
 
 
 def _evolve_pauli_inplace(amps: np.ndarray, string: PauliString,
@@ -341,13 +380,18 @@ def apply_gates(state: StateVector, gates, values: dict[str, float]) -> StateVec
     return out
 
 
-def expectation(h: QubitOperator, state: StateVector) -> float:
-    """<s|h|s>; raises if the imaginary residue betrays a non-Hermitian h."""
-    value = complex(np.vdot(state.amplitudes,
-                            apply_qubit_operator(h, state.amplitudes)))
+def _energy(h: QubitOperator, amps: np.ndarray) -> tuple[float, np.ndarray]:
+    """<amps|h|amps> and h|amps>, raising on an imaginary residue."""
+    h_amps = apply_qubit_operator(h, amps)
+    value = complex(np.vdot(amps, h_amps))
     if abs(value.imag) > IMAG_RESIDUE_TOLERANCE:
         raise ValueError(f"expectation has imaginary residue {value.imag:g}")
-    return value.real
+    return value.real, h_amps
+
+
+def expectation(h: QubitOperator, state: StateVector) -> float:
+    """<s|h|s>; raises if the imaginary residue betrays a non-Hermitian h."""
+    return _energy(h, state.amplitudes)[0]
 
 
 def adjoint_gradient(circuit: ParamCircuit, h: QubitOperator,
@@ -356,10 +400,7 @@ def adjoint_gradient(circuit: ParamCircuit, h: QubitOperator,
     """Energy and dE/d(parameter) via one forward and one reverse sweep."""
     n = circuit.n_qubits
     psi = apply_circuit(circuit, values, initial).amplitudes
-    lam = apply_qubit_operator(h, psi)
-    value = complex(np.vdot(psi, lam))
-    if abs(value.imag) > IMAG_RESIDUE_TOLERANCE:
-        raise ValueError(f"expectation has imaginary residue {value.imag:g}")
+    energy, lam = _energy(h, psi)
     grad = {name: 0.0 for name in circuit.param_names}
     for gate in reversed(circuit.gates):
         theta = gate.resolve_angle(values) if (
@@ -370,7 +411,7 @@ def adjoint_gradient(circuit: ParamCircuit, h: QubitOperator,
             grad[name] += prefactor * 2.0 * float(np.real(np.vdot(lam, moved)))
         _apply_gate(psi, n, gate, theta, inverse=True)
         _apply_gate(lam, n, gate, theta, inverse=True)
-    return value.real, grad
+    return energy, grad
 
 
 def parameter_shift_gradient(circuit: ParamCircuit, h: QubitOperator,

@@ -224,6 +224,23 @@ class TestRunSweep:
         assert record.energies["UCCSD"][0] is not None
         assert not lock.exists()
 
+    def test_lock_released_between_open_and_read_is_free(
+            self, tmp_path, monkeypatch):
+        real_open = os.open
+        raised = []
+
+        def released_meanwhile(*args, **kwargs):
+            if not raised:  # the owner released the lock after this failed
+                raised.append(True)
+                raise FileExistsError(args[0])
+            return real_open(*args, **kwargs)
+
+        monkeypatch.setattr(bench.os, "open", released_meanwhile)
+        path = record_path(tmp_path, "H2")
+        with bench._SweepLock(path) as lock:
+            assert lock.lock_path.read_text().startswith(f"{os.getpid()} ")
+        assert raised and not lock.lock_path.exists()
+
     def test_points_run_on_the_calling_thread(self, tmp_path, monkeypatch):
         idents = []
 
@@ -360,6 +377,19 @@ class TestCli:
         data_dir = str(tmp_path / "data")
         main(["init", "--molecule", "H2", "--data-dir", data_dir])
         assert main(["init", "--molecule", "H2", "--data-dir", data_dir]) == 2
+
+    def test_non_finite_data_file_refused(self, tmp_path):
+        data_dir = tmp_path / "data"
+        main(["init", "--molecule", "H2", "--data-dir", str(data_dir)])
+        path = record_path(data_dir, "H2")
+        payload = json.loads(path.read_text())
+        payload["energies"] = {"UCCSD": [float("nan")]}
+        payload["fci"] = [float("-inf")]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataFileError, match="non-finite number NaN"):
+            load_record(path)
+        assert main(["compare", "--molecule", "H2", "--format", "json",
+                     "--data-dir", str(data_dir)]) == 2
 
     def test_record_bad_bond_length_is_usage_error(self, tmp_path):
         data_dir = str(tmp_path / "data")

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from vqe_bench import hamiltonian
+from vqe_bench import hamiltonian, simulator
 from vqe_bench.hamiltonian import (
     IntegralData,
     build_fermionic_hamiltonian,
@@ -222,6 +224,27 @@ class TestExactGroundEnergy:
         expected = w.sum() - 2.0 * np.sort(w)[-7:].sum()
         assert exact_ground_energy(h, n, sector=(7, None)) == pytest.approx(
             expected, abs=1e-7)
+
+    def test_oversized_compiled_form_refused_before_allocating(
+            self, monkeypatch):
+        # 14 qubits, 27 flip masks: the full-space matrix holds 27 * 2**14
+        # entries, 8.8 MB of values and columns
+        n = 14
+        h = QubitOperator({parse_pauli_string(f"X{q}"): 1.0 for q in range(n)})
+        h = h + QubitOperator({parse_pauli_string(f"X{q} X{q + 1}"): 0.5
+                               for q in range(n - 1)})
+        entries = 27 << n
+        monkeypatch.setattr(simulator, "MAX_COMPILED_ENTRIES", entries - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceed MAX_COMPILED_ENTRIES"):
+                exact_ground_energy(h, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < entries * 20 // 4
+        monkeypatch.setattr(simulator, "MAX_COMPILED_ENTRIES", entries)
+        assert simulator.pauli_sum_matrix(h, n).nnz == entries
 
     def test_sector_indices_filter(self):
         sel = sector_indices(4, 2, 0)

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
+from vqe_bench import simulator
 from vqe_bench.ansatz.adaptive import build_fermionic_pool, build_qubit_pool
 from vqe_bench.operators import PauliString, QubitOperator, parse_pauli_string
 from vqe_bench.simulator import (
@@ -18,6 +20,7 @@ from vqe_bench.simulator import (
     number_expectation,
     parameter_shift_gradient,
     pauli_evolution,
+    pauli_sum_matrix,
     ry,
 )
 from oracles import (
@@ -117,6 +120,55 @@ class TestExpectation:
         assert abs(lhs - expectation(a, state) - expectation(b, state)) < 1e-10
         phased = StateVector(3, np.exp(0.77j) * state.amplitudes)
         assert abs(expectation(a, phased) - expectation(a, state)) < 1e-10
+
+
+class TestPauliSumMatrix:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_equals_dense_oracle_over_any_basis(self, data):
+        n = data.draw(st.integers(1, 4))
+        axes = st.dictionaries(st.integers(0, n - 1), st.sampled_from("XYZ"))
+        coeffs = st.complex_numbers(max_magnitude=10, allow_nan=False,
+                                    allow_infinity=False)
+        pairs = [(PauliString.from_mapping(ops), c) for ops, c in data.draw(
+            st.lists(st.tuples(axes, coeffs), max_size=8))]
+        # P - P Z_q shares P's flip mask and cancels on half the rows
+        for ops, c in data.draw(st.lists(st.tuples(axes, coeffs), max_size=2)):
+            free = [q for q in range(n) if q not in ops]
+            if free:
+                pairs.append((PauliString.from_mapping(ops), c))
+                pairs.append((PauliString.from_mapping(
+                    {**ops, free[0]: "Z"}), -c))
+        op = QubitOperator.summed(pairs)
+        basis = data.draw(st.none() | st.sets(st.integers(0, (1 << n) - 1),
+                                               min_size=1))
+        oracle = qubit_operator_matrix(op, n)
+        if basis is not None:
+            basis = np.array(sorted(basis), dtype=np.int64)
+            oracle = oracle[np.ix_(basis, basis)]
+        matrix = pauli_sum_matrix(op, n, basis)
+        assert np.all(matrix.data != 0)
+        np.testing.assert_allclose(matrix.toarray(), oracle, rtol=0,
+                                   atol=1e-12)
+
+    def test_second_expectation_reuses_compiled_matrix(self, monkeypatch):
+        compiled = []
+
+        def counting(op, n_qubits, basis=None):
+            compiled.append(n_qubits)
+            return pauli_sum_matrix(op, n_qubits, basis)
+
+        monkeypatch.setattr(simulator, "pauli_sum_matrix", counting)
+        h = qo("Z0") + qo("X0 X1", 0.5)
+        state = apply_circuit(ParamCircuit(2, (Gate("H", (0,)),), ()), {}, 0)
+        assert expectation(h, state) == expectation(h, state)
+        assert compiled == [2]
+
+    def test_cached_matrix_follows_the_state_size(self):
+        h = qo("Z0", 2.0)
+        assert expectation(h, StateVector.basis_state(1, 1)) == -2.0
+        assert expectation(h, StateVector.basis_state(3, 0b110)) == 2.0
+        assert expectation(h, StateVector.basis_state(1, 1)) == -2.0
 
 
 class TestAdjointGradient:
