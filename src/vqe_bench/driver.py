@@ -13,7 +13,7 @@ import numpy as np
 from .ansatz.core import AnsatzBuild
 from .ansatz.layered import build_hea
 from .operators import QubitOperator
-from .simulator import adjoint_gradient
+from .simulator import adjoint_gradient, runs_in_sector
 
 
 class NumericalError(RuntimeError):
@@ -244,9 +244,17 @@ def circuit_objective(circuit, h: QubitOperator, initial_state: int):
 
 def run_vqe(ansatz: AnsatzBuild, h: QubitOperator, initial_state: int,
             cfg: OptimizerConfig | None = None, seed: int = 0) -> VqeResult:
-    """Optimize one ansatz, best-of over seeded restarts for random inits."""
+    """Optimize one ansatz, best-of over seeded restarts for random inits.
+
+    A build labelled particle-conserving whose circuit leaves the (N, 2Sz)
+    sector of the initial state is refused.
+    """
     cfg = cfg or OptimizerConfig()
     circuit = ansatz.circuit
+    if ansatz.particle_conserving and not runs_in_sector(circuit,
+                                                         initial_state):
+        raise ValueError("ansatz is labelled particle-conserving but its "
+                         "circuit leaves the sector of the initial state")
     names = circuit.param_names
     start = time.perf_counter()
     restarts = (ansatz.restarts

@@ -23,7 +23,11 @@ from .operators import (
     hermiticity_check,
     jordan_wigner,
 )
-from .simulator import StateVector, expectation, pauli_sum_matrix
+from .simulator import (
+    basis_expectation,
+    compiled_sum,
+    sector_indices,
+)
 
 SYMMETRY_TOLERANCE = 1e-10
 # references over more than 2**DENSE_QUBIT_LIMIT basis states run Lanczos:
@@ -152,23 +156,10 @@ def hf_state_index(n_qubits: int, n_electrons: int) -> int:
     return (1 << n_electrons) - 1
 
 
-def sector_indices(n_qubits: int, n_electrons: int,
-                   ms2: int | None = None) -> np.ndarray:
-    """Basis indices with the given electron count (and optionally 2*Sz)."""
-    indices = np.arange(1 << n_qubits, dtype=np.int64)
-    counts = np.bitwise_count(indices)
-    mask = counts == n_electrons
-    if ms2 is not None:
-        alpha_mask = np.int64(sum(1 << q for q in range(0, n_qubits, 2)))
-        n_alpha = np.bitwise_count(indices & alpha_mask)
-        mask &= (2 * n_alpha - counts) == ms2
-    return indices[mask]
-
-
 def operator_matrix(h: QubitOperator, n_qubits: int,
                     basis: np.ndarray | None = None) -> np.ndarray:
     """Dense matrix of h, optionally restricted to a list of basis states."""
-    return pauli_sum_matrix(h, n_qubits, basis).toarray()
+    return compiled_sum(h, n_qubits, basis).toarray()
 
 
 def exact_ground_energy(h: QubitOperator, n_qubits: int,
@@ -185,23 +176,24 @@ def exact_ground_energy(h: QubitOperator, n_qubits: int,
         raise ValueError("Hamiltonian is not Hermitian")
     if n_qubits > ITERATIVE_QUBIT_LIMIT:
         raise ValueError(f"dimension overflow: {n_qubits} qubits")
-    basis = (np.arange(1 << n_qubits, dtype=np.int64) if sector is None
-             else sector_indices(n_qubits, *sector))
-    if len(basis) == 0:
+    basis = None if sector is None else sector_indices(n_qubits, *sector)
+    size = 1 << n_qubits if basis is None else len(basis)
+    if size == 0:
         raise ValueError("empty sector")
-    if len(basis) <= 1 << DENSE_QUBIT_LIMIT:
+    if size <= 1 << DENSE_QUBIT_LIMIT:
         return float(np.linalg.eigvalsh(operator_matrix(h, n_qubits, basis))[0])
-    vals = scipy.sparse.linalg.eigsh(pauli_sum_matrix(h, n_qubits, basis),
+    vals = scipy.sparse.linalg.eigsh(compiled_sum(h, n_qubits, basis),
                                      k=1, which="SA", tol=LANCZOS_TOLERANCE,
                                      return_eigenvectors=False)
     return float(vals[0])
 
 
 def hf_energy(h: QubitOperator, n_qubits: int, n_electrons: int) -> float:
-    """Energy of the Hartree-Fock determinant under h."""
-    state = StateVector.basis_state(n_qubits, hf_state_index(n_qubits,
-                                                             n_electrons))
-    return expectation(h, state)
+    """Energy of the Hartree-Fock determinant under h: the diagonal entry
+    of h's matrix over the determinant's sector, shared with the exact
+    reference and with circuit plans starting there."""
+    return basis_expectation(h, n_qubits, hf_state_index(n_qubits,
+                                                         n_electrons))
 
 
 # ---------------------------------------------------------------------------

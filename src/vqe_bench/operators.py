@@ -178,7 +178,7 @@ class _LinearCombination:
 class QubitOperator(_LinearCombination):
     """Linear combination of Pauli strings."""
 
-    __slots__ = ("_matrix",)  # cached by simulator; terms never change
+    __slots__ = ("_compiled",)  # cached by simulator; terms never change
     _IDENTITY_KEY = PauliString()
 
     @classmethod

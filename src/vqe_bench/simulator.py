@@ -5,14 +5,28 @@ Bit convention: qubit i is bit i of the basis index (qubit 0 least
 significant).  Rotation conventions: RY(t) = exp(-i t Y / 2), likewise RX
 and RZ; PauliEvolution applies exp(+i t P).  A StateVector is exclusively
 owned while gates mutate it; all public entry points hand out fresh copies.
+
 A Pauli sum acts through one form: its sparse matrix over a basis
-(pauli_sum_matrix), compiled once per operator for the full space.
+(pauli_sum_matrix), compiled once per operator and basis (compiled_sum).
+A circuit runs through one form too: a plan compiled once per circuit and
+initial (N, 2Sz) sector, which one kernel runs forward, in reverse and
+as generators for the adjoint gradient.  Every parameterized gate is a
+step exp(angle * M) with M|c> = w_r |r>, r = c ^ flip, and consecutive
+gates of one parameter, one flip mask and pairwise commuting strings
+(the 2 or 8 evolutions of one excitation) fuse into one step; fixed
+gates stay full-space matrices.  When every step maps the initial
+state's sector into itself the plan runs over that sector alone, with
+each step's index pairs and weights stored, and h acts through its
+matrix over the sector, exact since the state never leaves it.
+Otherwise the plan runs over all 2**n states and its steps act through
+the Pauli-string kernel per application, so it holds no 2**n arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -27,6 +41,9 @@ MAX_COMPILED_ENTRIES = 1 << 23
 PARAMETERIZED_KINDS = frozenset(
     {"RX", "RY", "RZ", "PauliEvolution", "GivensRotation"})
 FIXED_KINDS = frozenset({"CNOT", "SqrtISwap", "X", "H"})
+_ARITY = {"RX": 1, "RY": 1, "RZ": 1, "X": 1, "H": 1,
+          "CNOT": 2, "SqrtISwap": 2, "GivensRotation": 2}
+_ALPHA_BITS = int("01" * 32, 2)  # spin orbitals on even qubits are alpha
 
 _SQRT_ISWAP = np.array([
     [1, 0, 0, 0],
@@ -42,6 +59,7 @@ _CNOT = np.array([
 ], dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+_FIXED_MATRICES = {"CNOT": _CNOT, "SqrtISwap": _SQRT_ISWAP, "X": _X, "H": _H}
 
 
 @dataclass
@@ -89,6 +107,10 @@ class Gate:
                 raise ValueError(f"{self.kind} takes no binding")
         else:
             raise ValueError(f"unknown gate kind {self.kind}")
+        arity = _ARITY.get(self.kind)
+        if arity is not None and len(self.targets) != arity:
+            raise ValueError(f"{self.kind} takes {arity} target(s), got "
+                             f"{len(self.targets)}")
         if len(set(self.targets)) != len(self.targets):
             raise ValueError(f"{self.kind} targets must be distinct")
         if self.kind == "PauliEvolution":
@@ -129,16 +151,19 @@ def pauli_evolution(string: PauliString, name: str,
                 param=(name, prefactor))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParamCircuit:
-    """Ordered gate list over named parameters; treat as immutable."""
+    """Ordered gate list over named parameters; immutable, so the plans
+    cached on it (one per initial sector) never go stale."""
 
     n_qubits: int
     gates: tuple[Gate, ...]
     param_names: tuple[str, ...]
+    _plans: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
-        self.gates = tuple(self.gates)
+        object.__setattr__(self, "gates", tuple(self.gates))
         names = set(self.param_names)
         if len(names) != len(self.param_names):
             raise ValueError("duplicate parameter names")
@@ -156,16 +181,18 @@ class ParamCircuit:
 
     @classmethod
     def from_gates(cls, n_qubits: int, gates) -> "ParamCircuit":
-        names, seen = [], set()
-        for gate in gates:
-            if gate.param is not None and gate.param[0] not in seen:
-                seen.add(gate.param[0])
-                names.append(gate.param[0])
-        return cls(n_qubits, tuple(gates), tuple(names))
+        gates = tuple(gates)
+        return cls(n_qubits, gates, _param_names(gates))
 
     @property
     def n_params(self) -> int:
         return len(self.param_names)
+
+
+def _param_names(gates) -> tuple[str, ...]:
+    """Parameter names in order of first binding."""
+    return tuple(dict.fromkeys(
+        gate.param[0] for gate in gates if gate.param is not None))
 
 
 # ---------------------------------------------------------------------------
@@ -226,19 +253,40 @@ def apply_pauli_string(string: PauliString, amps: np.ndarray) -> np.ndarray:
     return out
 
 
+def sector_indices(n_qubits: int, n_electrons: int,
+                   ms2: int | None = None) -> np.ndarray:
+    """Basis indices with the given electron count (and optionally 2*Sz)."""
+    indices = np.arange(1 << n_qubits, dtype=np.int64)
+    counts = np.bitwise_count(indices).astype(np.int64)  # signed: ms2 < 0
+    mask = counts == n_electrons
+    if ms2 is not None:
+        n_alpha = np.bitwise_count(indices & np.int64(_ALPHA_BITS))
+        mask &= (2 * n_alpha - counts) == ms2
+    return indices[mask]
+
+
+def _state_sector(index: int) -> tuple[int, int]:
+    """(N, 2Sz) of a basis state: its set bits, alpha ones minus beta ones."""
+    index = int(index)
+    n = index.bit_count()
+    return n, 2 * (index & _ALPHA_BITS).bit_count() - n
+
+
 def pauli_sum_matrix(op: QubitOperator, n_qubits: int,
                      basis: np.ndarray | None = None) -> scipy.sparse.csr_array:
     """op over a sorted list of basis states (default: all 2**n_qubits) as a
     CSR matrix.  The terms of one flip mask fold into one weight per row r,
     at the column of r ^ flip; zero weights and columns outside the basis
     are dropped.  Past MAX_COMPILED_ENTRIES it raises before allocating."""
-    rows = _indices(1 << n_qubits) if basis is None else np.asarray(basis)
-    position = np.full(1 << n_qubits, -1, dtype=np.int32)
-    position[rows] = np.arange(len(rows), dtype=np.int32)
     masks: dict[int, list[tuple[int, complex]]] = {}
     for string, coeff in op.terms.items():
         flip, yz, phase = pauli_masks(string)
+        if (flip | yz) >> n_qubits:
+            raise ValueError(f"{string} acts outside a {n_qubits}-qubit state")
         masks.setdefault(flip, []).append((yz, coeff * phase))
+    rows = _indices(1 << n_qubits) if basis is None else np.asarray(basis)
+    position = np.full(1 << n_qubits, -1, dtype=np.int32)
+    position[rows] = np.arange(len(rows), dtype=np.int32)
 
     def entries():  # per mask: rows kept, their columns and weights
         for flip, terms in masks.items():
@@ -265,84 +313,221 @@ def pauli_sum_matrix(op: QubitOperator, n_qubits: int,
                                   shape=(len(rows), len(rows)))
 
 
+def compiled_sum(op: QubitOperator, n_qubits: int,
+                 basis: np.ndarray | None = None) -> scipy.sparse.csr_array:
+    """pauli_sum_matrix(op, n_qubits, basis), compiled once per (n_qubits,
+    basis) and kept on op, whose terms never change."""
+    key = (n_qubits, None if basis is None
+           else np.asarray(basis, dtype=np.int64).tobytes())
+    cache = getattr(op, "_compiled", None)
+    if cache is None:
+        cache = op._compiled = {}
+    matrix = cache.get(key)
+    if matrix is None:
+        matrix = cache[key] = pauli_sum_matrix(op, n_qubits, basis)
+    return matrix
+
+
 def apply_qubit_operator(op: QubitOperator, amps: np.ndarray) -> np.ndarray:
     """Return (sum_i c_i P_i)|amps> through op's cached full-space matrix."""
-    if getattr(op, "_matrix", None) is None or op._matrix.shape[0] != len(amps):
-        op._matrix = pauli_sum_matrix(op, len(amps).bit_length() - 1)
-    return op._matrix @ amps
+    return compiled_sum(op, len(amps).bit_length() - 1) @ amps
 
 
-def _evolve_pauli_inplace(amps: np.ndarray, string: PauliString,
-                          theta: float) -> None:
-    # exp(i t P)|s> = cos t |s> + i sin t P|s>, valid since P^2 = I
-    rotated = apply_pauli_string(string, amps)
-    amps *= math.cos(theta)
-    amps += 1j * math.sin(theta) * rotated
+# ---------------------------------------------------------------------------
+# Plans: compiled circuits and the one kernel that runs them
+# ---------------------------------------------------------------------------
 
 
-def _givens_matrix(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([
-        [1, 0, 0, 0],
-        [0, c, -s, 0],
-        [0, s, c, 0],
-        [0, 0, 0, 1],
-    ], dtype=complex)
+class _Step(NamedTuple):
+    """exp(angle * M) for M = sum of coeff * P over `terms`, Pauli strings
+    of one flip mask (_flip) that commute pairwise, so M|c> = w_r |r> with
+    r = c ^ flip and M anti-Hermitian.  angle is the value of parameter
+    number `param`, or `angle` when param is -1.  A fixed gate carries
+    `matrix` = (targets, U, U^dagger) instead.  Over a sector, `pairs`
+    holds (rows, cols, |w|, w) for the rows with w != 0; a full-space
+    step acts through the Pauli-string kernel per application."""
+
+    param: int
+    angle: float = 0.0
+    terms: tuple[tuple[PauliString, complex], ...] = ()
+    matrix: tuple | None = None
+    pairs: tuple | None = None
 
 
-def _rotation_matrix(kind: str, theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    if kind == "RX":
-        return np.array([[c, -1j * s], [-1j * s, c]])
-    if kind == "RY":
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    return np.array([[c - 1j * s, 0], [0, c + 1j * s]])  # RZ
+@dataclass(frozen=True)
+class _Plan:
+    """Steps over a sorted sector basis, or over all 2**n states (None)."""
+
+    n_qubits: int
+    steps: tuple[_Step, ...]
+    basis: np.ndarray | None = None
 
 
-def _apply_gate(amps: np.ndarray, n_qubits: int, gate: Gate,
-                theta: float | None, inverse: bool = False) -> None:
-    kind = gate.kind
-    if kind == "PauliEvolution":
-        _evolve_pauli_inplace(amps, gate.generator, -theta if inverse else theta)
-    elif kind in ("RX", "RY", "RZ"):
-        _apply_single(amps, gate.targets[0],
-                      _rotation_matrix(kind, -theta if inverse else theta))
-    elif kind == "GivensRotation":
-        _apply_two(amps, n_qubits, *gate.targets,
-                   _givens_matrix(-theta if inverse else theta))
-    elif kind == "CNOT":
-        _apply_two(amps, n_qubits, *gate.targets, _CNOT)
-    elif kind == "SqrtISwap":
-        u = _SQRT_ISWAP.conj().T if inverse else _SQRT_ISWAP
-        _apply_two(amps, n_qubits, *gate.targets, u)
-    elif kind == "X":
-        _apply_single(amps, gate.targets[0], _X)
-    elif kind == "H":
-        _apply_single(amps, gate.targets[0], _H)
-    else:  # pragma: no cover - Gate.__post_init__ rejects unknown kinds
-        raise ValueError(f"unknown gate kind {kind}")
+def _generator(gate: Gate) -> dict[PauliString, complex]:
+    """M as {string: coeff}, the gate being exp(angle * M)."""
+    if gate.kind == "PauliEvolution":
+        return {gate.generator: 1j}
+    if gate.kind == "GivensRotation":
+        # M = i (X_a Y_b - Y_a X_b) / 2: |b set> -> |a set> -> -|b set>
+        a, b = gate.targets
+        return {PauliString.from_mapping({a: "X", b: "Y"}): 0.5j,
+                PauliString.from_mapping({a: "Y", b: "X"}): -0.5j}
+    # RX, RY, RZ: exp(-i angle P / 2)
+    return {PauliString(((gate.targets[0], gate.kind[1]),)): -0.5j}
 
 
-def _apply_generator(amps: np.ndarray, n_qubits: int, gate: Gate) -> np.ndarray:
-    """Return G|amps> where dU/dtheta = G U for the gate's own angle."""
-    kind = gate.kind
-    if kind == "PauliEvolution":
-        return 1j * apply_pauli_string(gate.generator, amps)
-    if kind in ("RX", "RY", "RZ"):
-        axis = {"RX": "X", "RY": "Y", "RZ": "Z"}[kind]
-        string = PauliString(((gate.targets[0], axis),))
-        return -0.5j * apply_pauli_string(string, amps)
-    if kind == "GivensRotation":
-        out = amps.copy()
-        jgen = np.array([
-            [0, 0, 0, 0],
-            [0, 0, -1, 0],
-            [0, 1, 0, 0],
-            [0, 0, 0, 0],
-        ], dtype=complex)
-        _apply_two(out, n_qubits, *gate.targets, jgen)
-        return out
-    raise ValueError(f"gate kind {kind} has no angle")
+def _commute(strings, others) -> bool:
+    """Pauli strings commute when their symplectic product is even."""
+    masks = [pauli_masks(s)[:2] for s in others]
+    for string in strings:
+        flip, yz, _ = pauli_masks(string)
+        if any(((flip & z) ^ (yz & f)).bit_count() % 2 for f, z in masks):
+            return False
+    return True
+
+
+def _flip(step: _Step) -> int:
+    return pauli_masks(step.terms[0][0])[0]
+
+
+def _steps(gates, param_names) -> tuple[_Step, ...]:
+    """Compile gates into steps, fusing runs of one parameter and one flip
+    mask whose strings commute pairwise; identity steps are dropped."""
+    index = {name: k for k, name in enumerate(param_names)}
+    steps: list[_Step] = []
+    for gate in gates:
+        if gate.kind in FIXED_KINDS:
+            u = _FIXED_MATRICES[gate.kind]
+            steps.append(_Step(-1, matrix=(gate.targets, u, u.conj().T)))
+            continue
+        terms = _generator(gate)
+        if gate.param is None:
+            steps.append(_Step(-1, gate.angle, tuple(terms.items())))
+            continue
+        name, prefactor = gate.param
+        terms = {string: prefactor * coeff for string, coeff in terms.items()}
+        last = steps[-1] if steps else None
+        if (last is not None and last.param == index[name]
+                and _flip(last) == pauli_masks(next(iter(terms)))[0]
+                and _commute(terms, [string for string, _ in last.terms])):
+            fused = dict(last.terms)
+            for string, coeff in terms.items():
+                fused[string] = fused.get(string, 0.0) + coeff
+            terms = fused
+            steps.pop()
+        terms = tuple((string, coeff) for string, coeff in terms.items()
+                      if coeff != 0)
+        if terms:
+            steps.append(_Step(index[name], 0.0, terms))
+    return tuple(steps)
+
+
+def _weights(step: _Step, n_amps: int) -> np.ndarray:
+    """M's entry in every row of the full space, (M 1)_r, read off the
+    Pauli-string kernel."""
+    ones = np.ones(n_amps, dtype=complex)
+    return sum(coeff * apply_pauli_string(string, ones)
+               for string, coeff in step.terms)
+
+
+def _restrict(plan: _Plan, sector: tuple[int, int]) -> _Plan:
+    """plan over the sector's states when every step maps them into
+    themselves (read off the flip masks and weights), else plan unchanged."""
+    n = plan.n_qubits
+    basis = sector_indices(n, *sector)
+    position = np.full(1 << n, -1, dtype=np.int64)
+    position[basis] = np.arange(len(basis))
+    steps = []
+    for step in plan.steps:
+        if step.matrix is not None:
+            return plan
+        weights = _weights(step, 1 << n)[basis]
+        rows = np.flatnonzero(weights)
+        cols = position[basis[rows] ^ _flip(step)]
+        if np.any(cols < 0):
+            return plan
+        w = weights[rows]
+        steps.append(step._replace(pairs=(rows, cols, np.abs(w), w)))
+    return _Plan(n, tuple(steps), basis)
+
+
+def _circuit_plan(circuit: ParamCircuit, initial: int) -> _Plan:
+    """The circuit's plan from basis state `initial`, cached per sector."""
+    if not 0 <= initial < (1 << circuit.n_qubits):
+        raise ValueError(f"basis index {initial} out of range")
+    sector = _state_sector(initial)
+    plans = circuit._plans
+    plan = plans.get(sector)
+    if plan is None:
+        full = plans.get(None)
+        if full is None:
+            full = plans[None] = _Plan(
+                circuit.n_qubits, _steps(circuit.gates, circuit.param_names))
+        plan = plans[sector] = _restrict(full, sector)
+    return plan
+
+
+def _act(step: _Step, amps: np.ndarray) -> tuple:
+    """(rows, |w| on them, c, v) with (M amps)[rows] = c v: from the pairs
+    stored over a sector, else through the Pauli-string kernel."""
+    if step.pairs is not None:
+        rows, cols, r, w = step.pairs
+        return rows, r, 1.0, w * amps[cols]
+    if len(step.terms) == 1:  # |w| is |coeff| on every row
+        (string, coeff), = step.terms
+        return slice(None), abs(coeff), coeff, apply_pauli_string(string,
+                                                                  amps)
+    weights = _weights(step, len(amps))
+    rows = np.flatnonzero(weights)
+    w = weights[rows]
+    return rows, np.abs(w), 1.0, w * amps[rows ^ _flip(step)]
+
+
+def _rotate(amps: np.ndarray, acted: tuple, angle: float) -> None:
+    """exp(angle M) in place, given M amps from _act: on each row with
+    w != 0, amp becomes cos(angle |w|) amp + sin(angle |w|) (M amp) / |w|."""
+    rows, r, coeff, moved = acted
+    turn = angle * r
+    amps[rows] = amps[rows] * np.cos(turn) + moved * (coeff * np.sin(turn)
+                                                      / r)
+
+
+def _apply_matrix(amps: np.ndarray, n_qubits: int, targets, u) -> None:
+    if len(targets) == 1:
+        _apply_single(amps, targets[0], u)
+    else:
+        _apply_two(amps, n_qubits, *targets, u)
+
+
+def _forward(plan: _Plan, amps: np.ndarray, angles) -> None:
+    for step in plan.steps:
+        if step.matrix is not None:
+            _apply_matrix(amps, plan.n_qubits, *step.matrix[:2])
+        else:
+            _rotate(amps, _act(step, amps),
+                    angles[step.param] if step.param >= 0 else step.angle)
+
+
+def _angles(param_names, values: dict[str, float]) -> list[float]:
+    missing = [name for name in param_names if name not in values]
+    if missing:
+        raise ValueError(f"missing parameter value for {missing[0]!r}")
+    return [values[name] for name in param_names]
+
+
+def _run(circuit: ParamCircuit, values: dict[str, float],
+         initial: int) -> tuple[_Plan, np.ndarray, list[float]]:
+    """The circuit's plan from `initial`, the state it prepares over the
+    plan's basis, and the parameter values in parameter order."""
+    plan = _circuit_plan(circuit, initial)
+    angles = _angles(circuit.param_names, values)
+    if plan.basis is None:
+        amps = StateVector.basis_state(circuit.n_qubits, initial).amplitudes
+    else:
+        amps = np.zeros(len(plan.basis), dtype=complex)
+        amps[np.searchsorted(plan.basis, initial)] = 1.0
+    _forward(plan, amps, angles)
+    return plan, amps, angles
 
 
 # ---------------------------------------------------------------------------
@@ -350,68 +535,87 @@ def _apply_generator(amps: np.ndarray, n_qubits: int, gate: Gate) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def runs_in_sector(circuit: ParamCircuit, initial: int) -> bool:
+    """True when every step of the circuit maps the (N, 2Sz) sector of
+    basis state `initial` into itself, so its plan runs in that sector."""
+    return _circuit_plan(circuit, initial).basis is not None
+
+
 def apply_circuit(circuit: ParamCircuit, values: dict[str, float],
                   initial: int = 0) -> StateVector:
     """Run the circuit on a computational basis state."""
-    state = StateVector.basis_state(circuit.n_qubits, initial)
-    amps = state.amplitudes
-    for gate in circuit.gates:
-        theta = gate.resolve_angle(values) if (
-            gate.kind in PARAMETERIZED_KINDS) else None
-        _apply_gate(amps, circuit.n_qubits, gate, theta)
-    return state
+    plan, amps, _ = _run(circuit, values, initial)
+    if plan.basis is not None:
+        full = np.zeros(1 << circuit.n_qubits, dtype=complex)
+        full[plan.basis] = amps
+        amps = full
+    return StateVector(circuit.n_qubits, amps)
 
 
 def apply_pauli_evolution(state: StateVector, string: PauliString,
                           theta: float) -> StateVector:
     """exp(i theta P) applied to a copy of the state."""
     out = state.copy()
-    _evolve_pauli_inplace(out.amplitudes, string, theta)
+    step = _Step(-1, theta, ((string, 1j),))
+    _rotate(out.amplitudes, _act(step, out.amplitudes), theta)
     return out
 
 
 def apply_gates(state: StateVector, gates, values: dict[str, float]) -> StateVector:
     """Run a gate sequence on a copy of an already-prepared state."""
+    gates = tuple(gates)
+    names = _param_names(gates)
+    plan = _Plan(state.n_qubits, _steps(gates, names))
     out = state.copy()
-    for gate in gates:
-        theta = gate.resolve_angle(values) if (
-            gate.kind in PARAMETERIZED_KINDS) else None
-        _apply_gate(out.amplitudes, out.n_qubits, gate, theta)
+    _forward(plan, out.amplitudes, _angles(names, values))
     return out
 
 
-def _energy(h: QubitOperator, amps: np.ndarray) -> tuple[float, np.ndarray]:
-    """<amps|h|amps> and h|amps>, raising on an imaginary residue."""
-    h_amps = apply_qubit_operator(h, amps)
-    value = complex(np.vdot(amps, h_amps))
+def _real(value: complex) -> float:
+    """The real part of an expectation, raising on an imaginary residue."""
+    value = complex(value)
     if abs(value.imag) > IMAG_RESIDUE_TOLERANCE:
         raise ValueError(f"expectation has imaginary residue {value.imag:g}")
-    return value.real, h_amps
+    return value.real
 
 
 def expectation(h: QubitOperator, state: StateVector) -> float:
     """<s|h|s>; raises if the imaginary residue betrays a non-Hermitian h."""
-    return _energy(h, state.amplitudes)[0]
+    return _real(np.vdot(state.amplitudes,
+                         apply_qubit_operator(h, state.amplitudes)))
+
+
+def basis_expectation(h: QubitOperator, n_qubits: int, index: int) -> float:
+    """<index|h|index>, read off h's matrix over the state's (N, 2Sz)
+    sector, the one a plan from that state compiles h over."""
+    basis = sector_indices(n_qubits, *_state_sector(index))
+    diagonal = compiled_sum(h, n_qubits, basis).diagonal()
+    return _real(diagonal[np.searchsorted(basis, index)])
 
 
 def adjoint_gradient(circuit: ParamCircuit, h: QubitOperator,
                      values: dict[str, float],
                      initial: int = 0) -> tuple[float, dict[str, float]]:
-    """Energy and dE/d(parameter) via one forward and one reverse sweep."""
-    n = circuit.n_qubits
-    psi = apply_circuit(circuit, values, initial).amplitudes
-    energy, lam = _energy(h, psi)
-    grad = {name: 0.0 for name in circuit.param_names}
-    for gate in reversed(circuit.gates):
-        theta = gate.resolve_angle(values) if (
-            gate.kind in PARAMETERIZED_KINDS) else None
-        if gate.param is not None:
-            name, prefactor = gate.param
-            moved = _apply_generator(psi, n, gate)
-            grad[name] += prefactor * 2.0 * float(np.real(np.vdot(lam, moved)))
-        _apply_gate(psi, n, gate, theta, inverse=True)
-        _apply_gate(lam, n, gate, theta, inverse=True)
-    return energy, grad
+    """Energy and dE/d(parameter) via one forward and one reverse sweep of
+    the circuit's plan; h acts through its matrix over the plan's basis."""
+    plan, psi, angles = _run(circuit, values, initial)
+    lam = compiled_sum(h, circuit.n_qubits, plan.basis) @ psi
+    energy = _real(np.vdot(psi, lam))
+    grad = np.zeros(len(angles))
+    for step in reversed(plan.steps):
+        if step.matrix is not None:
+            for amps in (psi, lam):
+                _apply_matrix(amps, plan.n_qubits, step.matrix[0],
+                              step.matrix[2])
+            continue
+        on_psi, on_lam = _act(step, psi), _act(step, lam)
+        angle = angles[step.param] if step.param >= 0 else step.angle
+        if step.param >= 0:  # <lam| M |psi>, M the step's generator
+            rows, _, coeff, moved = on_psi
+            grad[step.param] += 2.0 * (coeff * np.vdot(lam[rows], moved)).real
+        _rotate(psi, on_psi, -angle)
+        _rotate(lam, on_lam, -angle)
+    return energy, dict(zip(circuit.param_names, grad.tolist()))
 
 
 def parameter_shift_gradient(circuit: ParamCircuit, h: QubitOperator,

@@ -155,3 +155,93 @@ def random_hermitian_operator(rng, n_qubits, n_terms):
         string = PauliString(ops)
         terms[string] = terms.get(string, 0.0) + float(rng.normal())
     return QubitOperator(terms)
+
+
+_FIXED_GATES = {
+    "X": _SINGLE["X"],
+    "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+    "CNOT": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1],
+                      [0, 0, 1, 0]], dtype=complex),
+    "SqrtISwap": np.array([[np.sqrt(2), 0, 0, 0], [0, 1, 1j, 0],
+                           [0, 1j, 1, 0], [0, 0, 0, np.sqrt(2)]],
+                          dtype=complex) / np.sqrt(2),
+}
+_GIVENS_GENERATOR = np.array([[0, 0, 0, 0], [0, 0, -1, 0], [0, 1, 0, 0],
+                              [0, 0, 0, 0]], dtype=complex)
+
+
+def apply_local(psi, n_qubits, targets, matrix):
+    """A matrix over the target qubits (the first target the high bit of
+    its row index) applied to a 2**n state, by tensor contraction."""
+    axes = [n_qubits - 1 - q for q in targets]
+    moved = np.moveaxis(psi.reshape((2,) * n_qubits), axes,
+                        range(len(targets)))
+    out = (matrix @ moved.reshape(len(matrix), -1)).reshape(moved.shape)
+    return np.moveaxis(out, range(len(targets)), axes).reshape(-1)
+
+
+def apply_pauli(string, psi, n_qubits):
+    for qubit, axis in string.ops:
+        psi = apply_local(psi, n_qubits, (qubit,), _SINGLE[axis])
+    return psi
+
+
+def apply_gate(gate, angle, psi, n_qubits, inverse=False):
+    """U psi (U^dagger psi if inverse) for one gate at a resolved angle."""
+    if gate.kind in _FIXED_GATES:
+        u = _FIXED_GATES[gate.kind]
+        return apply_local(psi, n_qubits, gate.targets,
+                           u.conj().T if inverse else u)
+    if inverse:
+        angle = -angle
+    if gate.kind == "PauliEvolution":  # exp(i a P) = cos a + i sin a P
+        return (np.cos(angle) * psi + 1j * np.sin(angle)
+                * apply_pauli(gate.generator, psi, n_qubits))
+    if gate.kind == "GivensRotation":
+        c, s = np.cos(angle), np.sin(angle)
+        u = np.eye(4, dtype=complex) + s * _GIVENS_GENERATOR
+        u[1, 1] = u[2, 2] = c
+        return apply_local(psi, n_qubits, gate.targets, u)
+    sigma = _SINGLE[gate.kind[1]]  # exp(-i a sigma / 2)
+    u = np.cos(angle / 2) * np.eye(2) - 1j * np.sin(angle / 2) * sigma
+    return apply_local(psi, n_qubits, gate.targets, u)
+
+
+def apply_generator(gate, psi, n_qubits):
+    """G psi with dU/d(angle) = G U."""
+    if gate.kind == "PauliEvolution":
+        return 1j * apply_pauli(gate.generator, psi, n_qubits)
+    if gate.kind == "GivensRotation":
+        return apply_local(psi, n_qubits, gate.targets, _GIVENS_GENERATOR)
+    return -0.5j * apply_local(psi, n_qubits, gate.targets,
+                               _SINGLE[gate.kind[1]])
+
+
+def energy_gradient(circuit, h, values, initial):
+    """Energy and dE/d(parameter) gate by gate over the full space: no
+    fusion, no sector, h applied term by term; the gradient is the
+    textbook adjoint sweep over these per-gate actions."""
+    n = circuit.n_qubits
+
+    def angle(gate):
+        if gate.param is None:
+            return gate.angle
+        return gate.param[1] * values[gate.param[0]]
+
+    psi = np.zeros(2 ** n, dtype=complex)
+    psi[initial] = 1.0
+    for gate in circuit.gates:
+        psi = apply_gate(gate, angle(gate), psi, n)
+    lam = sum(coeff * apply_pauli(string, psi, n)
+              for string, coeff in h.terms.items())
+    energy = np.vdot(psi, lam).real
+    grad = {name: 0.0 for name in circuit.param_names}
+    for gate in reversed(circuit.gates):
+        a = angle(gate)
+        if gate.param is not None:
+            name, prefactor = gate.param
+            grad[name] += prefactor * 2.0 * np.vdot(
+                lam, apply_generator(gate, psi, n)).real
+        psi = apply_gate(gate, a, psi, n, inverse=True)
+        lam = apply_gate(gate, a, lam, n, inverse=True)
+    return energy, grad

@@ -250,6 +250,22 @@ class TestExactGroundEnergy:
         sel = sector_indices(4, 2, 0)
         assert set(sel) == {0b0011, 0b0110, 0b1001, 0b1100}
 
+    def test_sector_indices_negative_spin(self):
+        # beta excess: 2Sz < 0 must not wrap around an unsigned count
+        assert set(sector_indices(4, 2, -2)) == {0b1010}
+        assert set(sector_indices(3, 1, -1)) == {0b010}
+        assert exact_ground_energy(QubitOperator.from_term(
+            parse_pauli_string("Z1"), 2.0), 4, sector=(1, -1)) == -2.0
+
+    def test_operator_beyond_the_state_refused(self):
+        # Z5 on two qubits was read as the identity; X5 failed deep inside
+        for text in ("Z5", "X5"):
+            h = QubitOperator.from_term(parse_pauli_string(text), 1.0)
+            with pytest.raises(ValueError, match="outside"):
+                exact_ground_energy(h, 2)
+            with pytest.raises(ValueError, match="outside"):
+                hf_energy(h, 2, 1)
+
 
 class TestHfEnergy:
     def test_zero_hamiltonian(self):
@@ -263,6 +279,39 @@ class TestHfEnergy:
         ehf = hf_energy(h, 4, 2)
         assert ehf == pytest.approx(H2_HF, abs=1e-9)
         assert ehf > H2_FCI
+
+    def test_fixture_values_equal_the_full_space_expectation(self):
+        for name, r in (("H4", 1.0), ("LiH", 1.6)):
+            data = bundled_molecule(name).integrals(r)
+            h = qubit_hamiltonian(data)
+            index = hf_state_index(data.n_qubits, data.n_electrons)
+            full = simulator.expectation(h, simulator.StateVector.basis_state(
+                data.n_qubits, index))
+            assert hf_energy(h, data.n_qubits, data.n_electrons) == full
+
+    def test_sectored_point_compiles_h_once_and_never_full_space(
+            self, monkeypatch):
+        from vqe_bench.ansatz import build_uccsd_singlet
+
+        data = bundled_molecule("LiH").integrals(1.6)
+        h = qubit_hamiltonian(data)
+        n, n_electrons = data.n_qubits, data.n_electrons
+        compiled = []
+
+        def counting(op, n_qubits, basis=None):
+            if op is h:
+                compiled.append(None if basis is None else len(basis))
+            return real(op, n_qubits, basis)
+
+        real = simulator.pauli_sum_matrix
+        monkeypatch.setattr(simulator, "pauli_sum_matrix", counting)
+        exact_ground_energy(h, n, sector=(n_electrons, data.ms2))
+        hf_energy(h, n, n_electrons)
+        circuit = build_uccsd_singlet(n, n_electrons).circuit
+        values = dict.fromkeys(circuit.param_names, 0.01)
+        simulator.adjoint_gradient(circuit, h, values,
+                                   hf_state_index(n, n_electrons))
+        assert compiled == [225]
 
     def test_hf_above_fci_on_every_fixture(self):
         for name in bundled_molecules():

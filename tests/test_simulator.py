@@ -77,6 +77,20 @@ class TestApplyCircuit:
             Gate("PauliEvolution", (0, 2),
                  generator=parse_pauli_string("X0 Y1"), param=("t", 1.0))
 
+    def test_gate_arity_checked_per_kind(self):
+        # both used to pass and act on qubit 0 alone
+        with pytest.raises(ValueError, match="takes 1 target"):
+            Gate("RX", (0, 1), param=("t", 1.0))
+        with pytest.raises(ValueError, match="takes 1 target"):
+            Gate("H", (0, 1))
+        # used to fail late, inside the two-qubit kernel
+        with pytest.raises(ValueError, match="takes 2 target"):
+            Gate("CNOT", (0,))
+        with pytest.raises(ValueError, match="takes 2 target"):
+            Gate("GivensRotation", (0, 1, 2), angle=0.1)
+        with pytest.raises(ValueError, match="takes 2 target"):
+            Gate("SqrtISwap", (3,))
+
     def test_norm_preserved_on_random_circuits(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
@@ -163,6 +177,14 @@ class TestPauliSumMatrix:
         state = apply_circuit(ParamCircuit(2, (Gate("H", (0,)),), ()), {}, 0)
         assert expectation(h, state) == expectation(h, state)
         assert compiled == [2]
+
+    def test_operator_beyond_the_state_refused(self):
+        state = StateVector.basis_state(2, 0)
+        for text in ("Z5", "X5"):
+            with pytest.raises(ValueError, match="outside"):
+                pauli_sum_matrix(qo(text), 2)
+            with pytest.raises(ValueError, match="outside"):
+                expectation(qo(text), state)
 
     def test_cached_matrix_follows_the_state_size(self):
         h = qo("Z0", 2.0)
