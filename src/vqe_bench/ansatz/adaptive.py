@@ -58,6 +58,17 @@ class OperatorPool:
     def __len__(self) -> int:
         return len(self.entries)
 
+    def candidate_circuit(self, n_qubits: int) -> ParamCircuit:
+        """The pool as one circuit, entry k's gates bound to parameter "k"."""
+        gates = []
+        for k, entry in enumerate(self.entries):
+            if entry.string is not None:
+                gates.append(pauli_evolution(entry.string, str(k)))
+            for gen in entry.generators:
+                gates.extend(generator_gates(replace(gen, param_name=str(k)),
+                                             n_qubits))
+        return ParamCircuit.from_gates(n_qubits, gates)
+
 
 @dataclass
 class AdaptiveIteration:
@@ -132,32 +143,37 @@ def _pick(scores: np.ndarray) -> int:
 def _adapt(h, n_qubits, pool, epsilon, initial_state, max_iters, cfg
            ) -> tuple[AnsatzBuild, AdaptiveTrace]:
     """Both flavours' growth loop: append the entry of largest commutator
-    gradient, re-optimize all parameters with adjoint gradients."""
+    gradient (the pool compiled once, as one circuit), re-optimize all
+    parameters with adjoint gradients."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     cfg = cfg or OptimizerConfig()
-    taus = [entry.antihermitian_operator(n_qubits) for entry in pool.entries]
+    screen = pool.candidate_circuit(n_qubits)
     chosen: list[ExcitationGenerator] = []
     gates: list[Gate] = []
     values: dict[str, float] = {}
     trace = AdaptiveTrace([], converged=False, final_energy=math.nan)
     circuit = ParamCircuit.from_gates(n_qubits, gates)
-    state = apply_circuit(circuit, values, initial_state)
-    energy = expectation(h, state)
+    tick = time.perf_counter()  # the first screening also gives E(reference)
+    energy, slopes = commutator_gradient(circuit, h, values, initial_state,
+                                         screen)
     for iteration in range(max_iters):
-        tick = time.perf_counter()
-        grads = commutator_gradient(h, taus, state)
+        if iteration:
+            tick = time.perf_counter()
+            slopes = commutator_gradient(circuit, h, values, initial_state,
+                                         screen)[1]
+        grads = np.array([slopes.get(str(k), 0.0) for k in range(len(pool))])
         norm = float(np.linalg.norm(grads))
         if norm < epsilon:
             trace.converged = True
             break
-        entry = pool.entries[_pick(np.abs(grads))]
+        pick = _pick(np.abs(grads))
+        entry = pool.entries[pick]
         name = f"adapt{iteration}"
-        if entry.string is not None:
-            gates.append(pauli_evolution(entry.string, name))
-        for gen in entry.generators:
-            chosen.append(replace(gen, param_name=name))
-            gates.extend(generator_gates(chosen[-1], n_qubits))
+        chosen.extend(replace(gen, param_name=name)
+                      for gen in entry.generators)
+        gates.extend(replace(gate, param=(name, gate.param[1]))
+                     for gate in screen.gates if gate.param[0] == str(pick))
         values[name] = 0.0
         circuit = ParamCircuit.from_gates(n_qubits, gates)
         outcome = minimize_bfgs(
@@ -166,7 +182,6 @@ def _adapt(h, n_qubits, pool, epsilon, initial_state, max_iters, cfg
             param_names=circuit.param_names)
         values = outcome.parameters
         energy = outcome.energy
-        state = apply_circuit(circuit, values, initial_state)
         trace.iterations.append(AdaptiveIteration(
             chosen_label=entry.label, gradient_norm=norm,
             energy_after_reopt=energy, n_params=circuit.n_params,
@@ -260,8 +275,7 @@ def qcc_optimize(h: QubitOperator, n_qubits: int, pool: OperatorPool,
     for iteration in range(max_entanglers):
         tick = time.perf_counter()
         state = apply_circuit(circuit, values, 0)
-        base = expectation(h, state)
-        rankings = [_rank_entangler(h, state, entry.string, base)
+        rankings = [_rank_entangler(h, state, entry.string, energy)
                     for entry in pool.entries]
         best = _pick(-np.array([r[0] for r in rankings]))
         delta, tau = rankings[best]

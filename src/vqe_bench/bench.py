@@ -309,24 +309,17 @@ def run_ansatz_point(name: str, h, n_qubits: int, n_electrons: int,
             h, n_qubits, hf_idx, reference_energy=fci, cfg=cfg, seed=seed)
         return PointResult(result.energy, build.n_params,
                            time.perf_counter() - tick)
-    elif name == "ADAPT":
+    elif name in ("ADAPT", "qubit-ADAPT", "QCC"):
         pool = build_fermionic_pool(n_qubits, n_electrons)
-        build, trace = adapt_vqe(h, n_qubits, pool, initial_state=hf_idx,
-                                 cfg=cfg)
-        return PointResult(trace.final_energy, build.n_params,
-                           time.perf_counter() - tick, trace.to_dict())
-    elif name == "qubit-ADAPT":
-        pool = build_qubit_pool(build_fermionic_pool(n_qubits, n_electrons),
-                                n_qubits)
-        build, trace = qubit_adapt_vqe(h, n_qubits, pool,
-                                       initial_state=hf_idx, cfg=cfg)
-        return PointResult(trace.final_energy, build.n_params,
-                           time.perf_counter() - tick, trace.to_dict())
-    elif name == "QCC":
-        pool = build_qubit_pool(build_fermionic_pool(n_qubits, n_electrons),
-                                n_qubits)
-        build, trace = qcc_optimize(h, n_qubits, pool, initial_state=hf_idx,
-                                    reference_energy=fci, cfg=cfg)
+        if name != "ADAPT":
+            pool = build_qubit_pool(pool, n_qubits)
+        if name == "QCC":
+            build, trace = qcc_optimize(h, n_qubits, pool, initial_state=hf_idx,
+                                        reference_energy=fci, cfg=cfg)
+        else:
+            grow = adapt_vqe if name == "ADAPT" else qubit_adapt_vqe
+            build, trace = grow(h, n_qubits, pool, initial_state=hf_idx,
+                                cfg=cfg)
         return PointResult(trace.final_energy, build.n_params,
                            time.perf_counter() - tick, trace.to_dict())
     else:
@@ -385,6 +378,24 @@ class _SweepLock:
         return False
 
 
+def reference_points(spec: MoleculeSpec, bond_lengths=None):
+    """Lazy (r, integrals, h, FCI in the (N, 2Sz) sector, HF) per bond
+    length (default: the spec's), all checked for a fixture up front."""
+    points = list(bond_lengths) if bond_lengths else list(spec.bond_lengths)
+    for r in points:
+        if r not in spec.fcidump_paths:
+            raise DataFileError(f"no fixture for {spec.name} at r={r}")
+
+    def reference(r):
+        data = spec.integrals(r)
+        h = qubit_hamiltonian(data)
+        fci = exact_ground_energy(h, data.n_qubits,
+                                  sector=(data.n_electrons, data.ms2))
+        return r, data, h, fci, hf_energy(h, data.n_qubits, data.n_electrons)
+
+    return map(reference, points)
+
+
 def run_sweep(spec: MoleculeSpec, ansatz_names, cfg: OptimizerConfig | None,
               seed: int, data_dir: str | Path, bond_lengths=None,
               threads: int = 4) -> BenchRecord:
@@ -394,10 +405,7 @@ def run_sweep(spec: MoleculeSpec, ansatz_names, cfg: OptimizerConfig | None,
     Per-point failures are logged and stay null; the sweep continues.
     """
     cfg = cfg or OptimizerConfig()
-    points = list(bond_lengths) if bond_lengths else list(spec.bond_lengths)
-    for r in points:
-        if r not in spec.fcidump_paths:
-            raise DataFileError(f"no fixture for {spec.name} at r={r}")
+    references = reference_points(spec, bond_lengths)
     path = record_path(data_dir, spec.name)
     path.parent.mkdir(parents=True, exist_ok=True)
     with _SweepLock(path):
@@ -410,14 +418,9 @@ def run_sweep(spec: MoleculeSpec, ansatz_names, cfg: OptimizerConfig | None,
                 f"{path} bond lengths disagree with the molecule spec")
         record.metadata.update({"seed": seed, "threads": threads})
         save_record(record, path)
-        for r in points:
-            data = spec.integrals(r)
-            h = qubit_hamiltonian(data)
-            fci = exact_ground_energy(h, data.n_qubits,
-                                      sector=(data.n_electrons, data.ms2))
+        for r, data, h, fci, ehf in references:
             save_reference(path, "fci", r, fci)
-            save_reference(path, "hf", r,
-                           hf_energy(h, data.n_qubits, data.n_electrons))
+            save_reference(path, "hf", r, ehf)
             idx = record.point_index(r)
             for name in ansatz_names:
                 try:

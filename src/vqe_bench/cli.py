@@ -21,6 +21,7 @@ from .bench import (
     known_ansatz,
     load_record,
     record_path,
+    reference_points,
     run_sweep,
     save_reference,
     savedata,
@@ -29,8 +30,6 @@ from .driver import NumericalError, OptimizerConfig
 from .hamiltonian import (
     bundled_molecule,
     bundled_molecules,
-    exact_ground_energy,
-    hf_energy,
     molecule_from_dir,
     qubit_hamiltonian,
 )
@@ -182,16 +181,11 @@ def cmd_compare(molecule, kind, fmt, data_dir, output):
 def cmd_fci(molecule, bond_lengths, data_dir, fixtures_dir, no_save):
     """Compute and store exact (FCI) and mean-field reference energies."""
     spec = resolve_molecule(molecule, fixtures_dir)
-    points = parse_bond_lengths(bond_lengths) or list(spec.bond_lengths)
+    references = reference_points(spec, parse_bond_lengths(bond_lengths))
     path = record_path(data_dir, molecule)
     if not no_save and not path.exists():
         initdata(molecule, spec.bond_lengths, data_dir)
-    for r in points:
-        data = spec.integrals(r)
-        h = qubit_hamiltonian(data)
-        fci = exact_ground_energy(h, data.n_qubits,
-                                  sector=(data.n_electrons, data.ms2))
-        ehf = hf_energy(h, data.n_qubits, data.n_electrons)
+    for r, _, _, fci, ehf in references:
         if not no_save:
             save_reference(path, "fci", r, fci)
             save_reference(path, "hf", r, ehf)

@@ -15,6 +15,8 @@ from .ansatz.layered import build_hea
 from .operators import QubitOperator
 from .simulator import adjoint_gradient, runs_in_sector
 
+WOLFE_C1, WOLFE_C2 = 1e-4, 0.9  # sufficient decrease, curvature
+
 
 class NumericalError(RuntimeError):
     """Objective returned a non-finite value, or sweep points failed."""
@@ -28,12 +30,8 @@ class _BudgetExhausted(Exception):
 class OptimizerConfig:
     gradient_tolerance: float = 1e-5
     max_energy_evaluations: int = 10000
-    c1: float = 1e-4
-    c2: float = 0.9
 
     def __post_init__(self):
-        if not 0.0 < self.c1 < self.c2 < 1.0:
-            raise ValueError("need 0 < c1 < c2 < 1")
         if self.max_energy_evaluations < 1:
             raise ValueError("max_energy_evaluations must be at least 1")
         if not 0.0 <= self.gradient_tolerance < math.inf:
@@ -90,7 +88,7 @@ def _cubic_minimizer(a0, f0, d0, a1, f1, d1):
     return a1 - (a1 - a0) * (d1 + root - g) / denom
 
 
-def _wolfe_line_search(phi, f0, d0, c1, c2, max_trials=25):
+def _wolfe_line_search(phi, f0, d0, max_trials=25):
     """Strong-Wolfe search along a ray; returns (alpha, f, grad, aux).
 
     A cubic refinement is evaluated even when the first trial already
@@ -101,7 +99,7 @@ def _wolfe_line_search(phi, f0, d0, c1, c2, max_trials=25):
         return None
 
     def wolfe(a, f, d):
-        return f <= f0 + c1 * a * d0 and abs(d) <= -c2 * d0
+        return f <= f0 + WOLFE_C1 * a * d0 and abs(d) <= -WOLFE_C2 * d0
 
     best = None  # lowest-f Wolfe-satisfying trial
 
@@ -115,7 +113,7 @@ def _wolfe_line_search(phi, f0, d0, c1, c2, max_trials=25):
     for trial in range(max_trials):
         f, d, aux = phi(a)
         consider(a, f, d, aux)
-        if f > f0 + c1 * a * d0 or (trial > 0 and f >= f_prev):
+        if f > f0 + WOLFE_C1 * a * d0 or (trial > 0 and f >= f_prev):
             lo, hi = (a_prev, f_prev, d_prev), (a, f, d)
             break
         refined = _cubic_minimizer(a_prev, f_prev, d_prev, a, f, d)
@@ -147,7 +145,7 @@ def _wolfe_line_search(phi, f0, d0, c1, c2, max_trials=25):
         consider(a_j, f_j, d_j, aux_j)
         if best is not None:
             return best
-        if f_j > f0 + c1 * a_j * d0 or f_j >= f_lo:
+        if f_j > f0 + WOLFE_C1 * a_j * d0 or f_j >= f_lo:
             hi = (a_j, f_j, d_j)
         else:
             if d_j * (a_hi - a_lo) >= 0.0:
@@ -200,7 +198,7 @@ def minimize_bfgs(objective, x0, cfg: OptimizerConfig | None = None,
                 fx, gx = counted(x + alpha * _p)
                 return fx, float(gx @ _p), (fx, gx)
 
-            hit = _wolfe_line_search(phi, f, float(g @ p), cfg.c1, cfg.c2)
+            hit = _wolfe_line_search(phi, f, float(g @ p))
             if hit is None:
                 if np.allclose(p, -g):
                     break  # steepest descent stalled: local flatness

@@ -20,6 +20,7 @@ each step's index pairs and weights stored, and h acts through its
 matrix over the sector, exact since the state never leaves it.
 Otherwise the plan runs over all 2**n states and its steps act through
 the Pauli-string kernel per application, so it holds no 2**n arrays.
+Screening pools are circuits too; only h is ever compiled as a matrix.
 """
 
 from __future__ import annotations
@@ -129,16 +130,8 @@ class Gate:
         return prefactor * values[name]
 
 
-def rx(q: int, name: str, prefactor: float = 1.0) -> Gate:
-    return Gate("RX", (q,), param=(name, prefactor))
-
-
 def ry(q: int, name: str, prefactor: float = 1.0) -> Gate:
     return Gate("RY", (q,), param=(name, prefactor))
-
-
-def rz(q: int, name: str, prefactor: float = 1.0) -> Gate:
-    return Gate("RZ", (q,), param=(name, prefactor))
 
 
 def cnot(control: int, target: int) -> Gate:
@@ -328,11 +321,6 @@ def compiled_sum(op: QubitOperator, n_qubits: int,
     return matrix
 
 
-def apply_qubit_operator(op: QubitOperator, amps: np.ndarray) -> np.ndarray:
-    """Return (sum_i c_i P_i)|amps> through op's cached full-space matrix."""
-    return compiled_sum(op, len(amps).bit_length() - 1) @ amps
-
-
 # ---------------------------------------------------------------------------
 # Plans: compiled circuits and the one kernel that runs them
 # ---------------------------------------------------------------------------
@@ -451,20 +439,19 @@ def _restrict(plan: _Plan, sector: tuple[int, int]) -> _Plan:
     return _Plan(n, tuple(steps), basis)
 
 
-def _circuit_plan(circuit: ParamCircuit, initial: int) -> _Plan:
-    """The circuit's plan from basis state `initial`, cached per sector."""
-    if not 0 <= initial < (1 << circuit.n_qubits):
+def _circuit_plan(circuit: ParamCircuit, initial: int | None) -> _Plan:
+    """The circuit's plan from basis state `initial`, cached per sector;
+    for None, its plan over all 2**n states."""
+    if initial is not None and not 0 <= initial < (1 << circuit.n_qubits):
         raise ValueError(f"basis index {initial} out of range")
-    sector = _state_sector(initial)
     plans = circuit._plans
-    plan = plans.get(sector)
-    if plan is None:
-        full = plans.get(None)
-        if full is None:
-            full = plans[None] = _Plan(
-                circuit.n_qubits, _steps(circuit.gates, circuit.param_names))
-        plan = plans[sector] = _restrict(full, sector)
-    return plan
+    if None not in plans:
+        plans[None] = _Plan(circuit.n_qubits,
+                            _steps(circuit.gates, circuit.param_names))
+    sector = None if initial is None else _state_sector(initial)
+    if sector not in plans:
+        plans[sector] = _restrict(plans[None], sector)
+    return plans[sector]
 
 
 def _act(step: _Step, amps: np.ndarray) -> tuple:
@@ -481,6 +468,12 @@ def _act(step: _Step, amps: np.ndarray) -> tuple:
     rows = np.flatnonzero(weights)
     w = weights[rows]
     return rows, np.abs(w), 1.0, w * amps[rows ^ _flip(step)]
+
+
+def _slope(acted: tuple, lam: np.ndarray) -> float:
+    """2 Re<lam|M psi>, given M psi from _act."""
+    rows, _, coeff, moved = acted
+    return 2.0 * (coeff * np.vdot(lam[rows], moved)).real
 
 
 def _rotate(amps: np.ndarray, acted: tuple, angle: float) -> None:
@@ -530,6 +523,15 @@ def _run(circuit: ParamCircuit, values: dict[str, float],
     return plan, amps, angles
 
 
+def _scatter(plan: _Plan, amps: np.ndarray) -> np.ndarray:
+    """Amplitudes over the plan's basis as all 2**n amplitudes."""
+    if plan.basis is None:
+        return amps
+    full = np.zeros(1 << plan.n_qubits, dtype=complex)
+    full[plan.basis] = amps
+    return full
+
+
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
@@ -545,11 +547,7 @@ def apply_circuit(circuit: ParamCircuit, values: dict[str, float],
                   initial: int = 0) -> StateVector:
     """Run the circuit on a computational basis state."""
     plan, amps, _ = _run(circuit, values, initial)
-    if plan.basis is not None:
-        full = np.zeros(1 << circuit.n_qubits, dtype=complex)
-        full[plan.basis] = amps
-        amps = full
-    return StateVector(circuit.n_qubits, amps)
+    return StateVector(circuit.n_qubits, _scatter(plan, amps))
 
 
 def apply_pauli_evolution(state: StateVector, string: PauliString,
@@ -581,8 +579,8 @@ def _real(value: complex) -> float:
 
 def expectation(h: QubitOperator, state: StateVector) -> float:
     """<s|h|s>; raises if the imaginary residue betrays a non-Hermitian h."""
-    return _real(np.vdot(state.amplitudes,
-                         apply_qubit_operator(h, state.amplitudes)))
+    amps = state.amplitudes
+    return _real(np.vdot(amps, compiled_sum(h, state.n_qubits) @ amps))
 
 
 def basis_expectation(h: QubitOperator, n_qubits: int, index: int) -> float:
@@ -611,8 +609,7 @@ def adjoint_gradient(circuit: ParamCircuit, h: QubitOperator,
         on_psi, on_lam = _act(step, psi), _act(step, lam)
         angle = angles[step.param] if step.param >= 0 else step.angle
         if step.param >= 0:  # <lam| M |psi>, M the step's generator
-            rows, _, coeff, moved = on_psi
-            grad[step.param] += 2.0 * (coeff * np.vdot(lam[rows], moved)).real
+            grad[step.param] += _slope(on_psi, lam)
         _rotate(psi, on_psi, -angle)
         _rotate(lam, on_lam, -angle)
     return energy, dict(zip(circuit.param_names, grad.tolist()))
@@ -637,16 +634,23 @@ def parameter_shift_gradient(circuit: ParamCircuit, h: QubitOperator,
     return plus - minus
 
 
-def commutator_gradient(h: QubitOperator, taus, state: StateVector
-                        ) -> np.ndarray:
-    """Slopes 2 Re<h psi|tau psi> at theta=0 of appending exp(theta tau),
-    one per anti-Hermitian generator tau; h|psi> is applied once.
-
-    A Pauli-string gate exp(i theta P) is the generator tau = iP.
-    """
-    h_psi = apply_qubit_operator(h, state.amplitudes)
-    return np.array([2.0 * np.vdot(h_psi, apply_qubit_operator(
-        tau, state.amplitudes)).real for tau in taus])
+def commutator_gradient(circuit: ParamCircuit, h: QubitOperator,
+                        values: dict[str, float], initial: int,
+                        pool: ParamCircuit) -> tuple[float, dict[str, float]]:
+    """Energy of the circuit's state psi and, per pool parameter, the slope
+    2 Re<h psi|M psi> of appending its gates at zero, h applied once over
+    the pool plan's basis: the sector when both keep it, else all 2**n.
+    Every pool gate must bind a parameter."""
+    plan, psi, _ = _run(circuit, values, initial)
+    screen = _circuit_plan(pool, None if plan.basis is None else initial)
+    if screen.basis is None:
+        psi = _scatter(plan, psi)
+    lam = compiled_sum(h, circuit.n_qubits, screen.basis) @ psi
+    slopes = np.zeros(pool.n_params)
+    for step in screen.steps:
+        slopes[step.param] += _slope(_act(step, psi), lam)
+    return (_real(np.vdot(psi, lam)),
+            dict(zip(pool.param_names, slopes.tolist())))
 
 
 def number_expectation(state: StateVector) -> float:

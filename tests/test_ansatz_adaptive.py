@@ -1,10 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import pool_entry_finite_difference, qubit_operator_matrix
+from vqe_bench import simulator
 from vqe_bench.ansatz import ExcitationGenerator, adaptive, build_uccsd_singlet
+from vqe_bench.ansatz.core import generator_gates
 from vqe_bench.ansatz.adaptive import (
     OperatorPool,
     PoolEntry,
@@ -32,6 +36,8 @@ from vqe_bench.simulator import (
     expectation,
     parameter_shift_gradient,
     pauli_evolution,
+    ry,
+    runs_in_sector,
 )
 
 
@@ -88,6 +94,96 @@ class TestQubitPool:
             build_qubit_pool(OperatorPool("qubit-pauli", ()), 4)
 
 
+def lih_problem():
+    data = bundled_molecule("LiH").integrals(1.6)
+    fermionic = build_fermionic_pool(12, 4)
+    return (qubit_hamiltonian(data), fermionic,
+            build_qubit_pool(fermionic, 12), hf_state_index(12, 4))
+
+
+class TestPoolScreening:
+    H4 = qubit_hamiltonian(bundled_molecule("H4").integrals(1.0))
+    FERMIONIC = build_fermionic_pool(8, 4)
+    UCCSD = build_uccsd_singlet(8, 4).circuit
+
+    @pytest.mark.parametrize("case", ["sector pool, sector circuit",
+                                      "qubit pool from HF",
+                                      "sector pool, circuit leaves sector"])
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_slopes_equal_adjoint_gradient_of_appended_pool(self, case,
+                                                            seed):
+        # appending the pool at zero angles and differentiating must give
+        # the screening slopes, whichever basis each plan runs over
+        hf_idx = hf_state_index(8, 4)
+        if case == "qubit pool from HF":
+            circuit = ParamCircuit(8, (), ())
+            pool = build_qubit_pool(self.FERMIONIC, 8).candidate_circuit(8)
+            assert not runs_in_sector(pool, hf_idx)
+        else:
+            circuit = self.UCCSD
+            if case == "sector pool, circuit leaves sector":
+                circuit = ParamCircuit.from_gates(
+                    8, circuit.gates + (ry(3, "leak"),))
+            pool = self.FERMIONIC.candidate_circuit(8)
+            assert runs_in_sector(pool, hf_idx)
+        assert runs_in_sector(circuit, hf_idx) == ("leaves" not in case)
+        rng = np.random.default_rng(seed)
+        values = {name: float(rng.uniform(-0.5, 0.5))
+                  for name in circuit.param_names}
+        energy, slopes = commutator_gradient(circuit, self.H4, values,
+                                             hf_idx, pool)
+        appended = ParamCircuit.from_gates(8, circuit.gates + pool.gates)
+        expected_energy, grad = adjoint_gradient(
+            appended, self.H4, values | dict.fromkeys(pool.param_names, 0.0),
+            hf_idx)
+        assert energy == pytest.approx(expected_energy, abs=1e-12)
+        assert list(slopes) == list(pool.param_names)
+        for name in pool.param_names:
+            assert slopes[name] == pytest.approx(grad[name], abs=1e-12)
+
+    def test_equal_labels_stay_separate_candidates(self):
+        string = parse_pauli_string("Y0 X1")
+        pool = OperatorPool("qubit-pauli", (PoolEntry("same", string=string),
+                                            PoolEntry("same", string=string)))
+        assert pool.candidate_circuit(2).param_names == ("0", "1")
+
+    def test_fermionic_adapt_compiles_only_h_over_its_sector(self,
+                                                              monkeypatch):
+        h, fermionic, _, hf_idx = lih_problem()
+        compiled = []
+
+        def recording(op, n_qubits, basis=None):
+            compiled.append((op is h, None if basis is None else len(basis)))
+            return real(op, n_qubits, basis)
+
+        real = simulator.pauli_sum_matrix
+        monkeypatch.setattr(simulator, "pauli_sum_matrix", recording)
+        build, trace = adapt_vqe(h, 12, fermionic, initial_state=hf_idx,
+                                 max_iters=2)
+        assert len(trace.iterations) == 2
+        assert compiled == [(True, 225)]
+        # a pick appends the same gates its generators compile to
+        assert build.circuit.gates == tuple(
+            gate for gen in build.generators
+            for gate in generator_gates(gen, 12))
+
+    def test_qubit_adapt_screening_memory_is_bounded(self):
+        # a 2**12-row CSR matrix per candidate of the 640-string pool would
+        # peak near 64 MB; the pool's plan holds no per-candidate array
+        h, _, qubit, hf_idx = lih_problem()
+        simulator.compiled_sum(h, 12)
+        tracemalloc.start()
+        try:
+            _, trace = qubit_adapt_vqe(h, 12, qubit, initial_state=hf_idx,
+                                       max_iters=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trace.iterations) == 1
+        assert peak < 8e6
+
+
 class TestAdaptVqe:
     def test_huge_epsilon_stops_at_hf(self):
         h, _, hf_idx = h2_problem()
@@ -128,14 +224,17 @@ class TestAdaptVqe:
         data = bundled_molecule("H4").integrals(1.2)
         h = qubit_hamiltonian(data)
         pool = build_fermionic_pool(8, 4)
-        state = apply_circuit(
-            build_uccsd_singlet(8, 4).circuit,
-            {p: 0.0 for p in build_uccsd_singlet(8, 4).circuit.param_names},
-            hf_state_index(8, 4))
+        circuit = build_uccsd_singlet(8, 4).circuit
+        values = {p: 0.0 for p in circuit.param_names}
+        state = apply_circuit(circuit, values, hf_state_index(8, 4))
         for entry in pool.entries:
             fd = pool_entry_finite_difference(h, state, entry, 8)
+            tau = entry.antihermitian_operator(8)  # i sum_j c_j P_j
+            gates = ParamCircuit.from_gates(8, [
+                pauli_evolution(string, "tau", coeff.imag)
+                for string, coeff in tau.terms.items()])
             analytic = commutator_gradient(
-                h, [entry.antihermitian_operator(8)], state)[0]
+                circuit, h, values, hf_state_index(8, 4), gates)[1]["tau"]
             assert fd == pytest.approx(analytic, abs=1e-4)
 
     def test_epsilon_validation(self):
@@ -154,8 +253,10 @@ class TestAdaptVqe:
         h, _, hf_idx = h2_problem()
         pool = build_fermionic_pool(4, 2)
         scores = np.array([1.0, 1.0 + 1e-13])
-        monkeypatch.setattr(adaptive, "commutator_gradient",
-                            lambda h, taus, state: scores)
+        monkeypatch.setattr(
+            adaptive, "commutator_gradient",
+            lambda circuit, h, values, initial, pool: (
+                0.0, dict(zip(pool.param_names, scores))))
         _, trace = adapt_vqe(h, 4, pool, initial_state=hf_idx, max_iters=1)
         assert trace.iterations[0].chosen_label == pool.entries[0].label
 

@@ -378,6 +378,14 @@ class TestCli:
         main(["init", "--molecule", "H2", "--data-dir", data_dir])
         assert main(["init", "--molecule", "H2", "--data-dir", data_dir]) == 2
 
+    def test_fci_without_fixture_refused_before_writing(self, tmp_path,
+                                                        capsys):
+        data_dir = tmp_path / "data"
+        assert main(["fci", "--molecule", "H2", "--bond-lengths", "0.9",
+                     "--data-dir", str(data_dir)]) == 2
+        assert "no fixture for H2 at r=0.9" in capsys.readouterr().err
+        assert not data_dir.exists()
+
     def test_non_finite_data_file_refused(self, tmp_path):
         data_dir = tmp_path / "data"
         main(["init", "--molecule", "H2", "--data-dir", str(data_dir)])

@@ -101,10 +101,6 @@ class TestMinimizeBfgs:
         assert len(history) > 5
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
 
-    def test_wolfe_constant_validation(self):
-        with pytest.raises(ValueError):
-            OptimizerConfig(c1=0.5, c2=0.1)
-
 
 class TestRunVqe:
     def setup_method(self):

@@ -264,21 +264,33 @@ class TestParameterShift:
             parameter_shift_gradient(circuit, qo("Z0"), {"t": 0.1}, 0, "t")
 
 
+def tau_pool(n_qubits, taus):
+    """Generators tau_k = i sum_j c_j P_j as one pool circuit: tau_k's
+    strings evolve under parameter "k" with prefactors c_j."""
+    return ParamCircuit.from_gates(n_qubits, [
+        pauli_evolution(string, str(k), coeff.imag)
+        for k, tau in enumerate(taus) for string, coeff in tau.terms.items()])
+
+
 class TestCommutatorGradient:
     def test_commuting_generator_gives_zero(self):
-        state = apply_circuit(ParamCircuit(1, (Gate("H", (0,)),), ()), {}, 0)
-        grads = commutator_gradient(qo("Z0"), [qo("Z0", 1j)], state)
-        assert abs(grads[0]) < 1e-14
+        circuit = ParamCircuit(1, (Gate("H", (0,)),), ())
+        _, grads = commutator_gradient(circuit, qo("Z0"), {}, 0,
+                                       tau_pool(1, [qo("Z0", 1j)]))
+        assert abs(grads["0"]) < 1e-14
 
     def test_analytic_one_qubit_values(self):
-        zero = StateVector.basis_state(1, 0)
-        plus = apply_circuit(ParamCircuit(1, (Gate("H", (0,)),), ()), {}, 0)
+        zero = ParamCircuit(1, (), ())
+        plus = ParamCircuit(1, (Gate("H", (0,)),), ())
         # d/dt <e^{-itX} Z e^{itX}> = -2 sin(2t) -> 0 at t=0
-        ix = [qo("X0", 1j)]
-        assert abs(commutator_gradient(qo("Z0"), ix, zero)[0]) < 1e-14
-        assert abs(commutator_gradient(qo("Z0"), ix, plus)[0]) < 1e-14
+        ix = tau_pool(1, [qo("X0", 1j)])
+        assert abs(commutator_gradient(zero, qo("Z0"), {}, 0, ix)[1]["0"]
+                   ) < 1e-14
+        assert abs(commutator_gradient(plus, qo("Z0"), {}, 0, ix)[1]["0"]
+                   ) < 1e-14
         # Y generator moves |+> along the Z meridian with slope 2
-        assert abs(commutator_gradient(qo("Z0"), [qo("Y0", 1j)], plus)[0]
+        iy = tau_pool(1, [qo("Y0", 1j)])
+        assert abs(commutator_gradient(plus, qo("Z0"), {}, 0, iy)[1]["0"]
                    - 2.0) < 1e-12
 
     def test_pauli_form_matches_finite_differences(self):
@@ -286,26 +298,29 @@ class TestCommutatorGradient:
         n = 3
         for _ in range(10):
             circuit = random_circuit(rng, n, 3, 8)
-            state = apply_circuit(circuit, random_values(rng, circuit), 1)
+            values = random_values(rng, circuit)
+            state = apply_circuit(circuit, values, 1)
             h = random_hermitian_operator(rng, n, 5)
             size = int(rng.integers(1, n + 1))
             qubits = rng.choice(n, size=size, replace=False)
             string = PauliString(tuple(sorted(
                 (int(q), str(rng.choice(list("XYZ")))) for q in qubits)))
-            tau = QubitOperator.from_term(string, 1j)  # gate exp(i t P)
+            pool = ParamCircuit.from_gates(n, [pauli_evolution(string, "p")])
             delta = 1e-5
             plus = expectation(h, apply_pauli_evolution(state, string, delta))
             minus = expectation(h, apply_pauli_evolution(state, string,
                                                          -delta))
             fd = (plus - minus) / (2 * delta)
-            assert abs(commutator_gradient(h, [tau], state)[0] - fd) < 1e-4
+            _, grads = commutator_gradient(circuit, h, values, 1, pool)
+            assert abs(grads["p"] - fd) < 1e-4
 
     def test_fermionic_form_matches_dense_expm(self):
         rng = np.random.default_rng(33)
         n = 3
         for _ in range(6):
             circuit = random_circuit(rng, n, 3, 8)
-            state = apply_circuit(circuit, random_values(rng, circuit), 2)
+            values = random_values(rng, circuit)
+            state = apply_circuit(circuit, values, 2)
             h = random_hermitian_operator(rng, n, 5)
             herm = random_hermitian_operator(rng, n, 3)
             tau = 1j * herm  # anti-Hermitian generator
@@ -316,8 +331,9 @@ class TestCommutatorGradient:
                          for s in (delta, -delta)]
             fd = (np.vdot(fd_states[0], hmat @ fd_states[0]).real
                   - np.vdot(fd_states[1], hmat @ fd_states[1]).real) / (2 * delta)
-            grad = commutator_gradient(h, [tau], state)[0]
-            assert abs(grad - fd) < 1e-4
+            _, grads = commutator_gradient(circuit, h, values, 2,
+                                           tau_pool(n, [tau]))
+            assert abs(grads["0"] - fd) < 1e-4
 
     def test_mixed_batch_matches_dense_oracle(self):
         # fermionic JW images and 1j*P strings in one call, each against
@@ -328,12 +344,15 @@ class TestCommutatorGradient:
         taus = [entry.antihermitian_operator(n) for entry in
                 fermionic.entries + build_qubit_pool(fermionic, n).entries]
         circuit = random_circuit(rng, n, 4, 10)
-        state = apply_circuit(circuit, random_values(rng, circuit), 3)
+        values = random_values(rng, circuit)
+        state = apply_circuit(circuit, values, 3)
         h = random_hermitian_operator(rng, n, 8)
         h_psi = qubit_operator_matrix(h, n) @ state.amplitudes
         expected = [2.0 * np.vdot(h_psi, qubit_operator_matrix(tau, n)
                                   @ state.amplitudes).real for tau in taus]
-        grads = commutator_gradient(h, taus, state)
+        _, slopes = commutator_gradient(circuit, h, values, 3,
+                                        tau_pool(n, taus))
+        grads = [slopes[str(k)] for k in range(len(taus))]
         assert len(grads) == len(taus)
         np.testing.assert_allclose(grads, expected, rtol=0, atol=1e-12)
 
