@@ -4,88 +4,116 @@ Both operator types are linear combinations of keyed terms sharing one
 rule: like keys are summed, then coefficients at or below
 COEFF_TOLERANCE are pruned once per constructed operator.
 FermionOperator keys are normal-ordered products of creation/annihilation
-factors; QubitOperator keys are Pauli strings.  The Jordan-Wigner
-transform maps between the two.  All values are immutable after
-construction and all operations are pure functions.
+factors; QubitOperator keys are Pauli strings.
+
+A Pauli string is held in the symplectic form of Aaronson & Gottesman
+(2004): two integer bit masks, x marking its X and Y factors and z its
+Y and Z factors, bit q for qubit q.  With S(x, z) = i^|x&z| X^x Z^z
+(|m| the popcount of m), a product of strings is
+
+    S(x1, z1) S(x2, z2) = i^(|x1&z1| + |x2&z2| - |x3&z3| + 2|z1&x2|) S(x3, z3)
+
+with x3 = x1 ^ x2 and z3 = z1 ^ z2.  String products, operator products
+and the Jordan-Wigner transform between the two operator types all run
+on (x, z) integer keys through that one rule.  All values are immutable
+after construction and all operations are pure functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from numbers import Integral
+from operator import index
 from typing import Iterable, Iterator, Mapping
 
 COEFF_TOLERANCE = 1e-12
 
-# Single-qubit products: (left, right) -> (power of i, result axis or None).
-_PAULI_TABLE = {
-    ("X", "X"): (0, None), ("Y", "Y"): (0, None), ("Z", "Z"): (0, None),
-    ("X", "Y"): (1, "Z"), ("Y", "X"): (3, "Z"),
-    ("Y", "Z"): (1, "X"), ("Z", "Y"): (3, "X"),
-    ("Z", "X"): (1, "Y"), ("X", "Z"): (3, "Y"),
-}
+_AXES = ("X", "Y", "Z")
+_AXIS_OF_BITS = (None, "X", "Z", "Y")  # indexed by x bit + 2 * z bit
 _I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PauliString:
-    """Product of X/Y/Z factors on distinct qubits; the empty product is I."""
+    """Product of X/Y/Z factors on distinct qubits; the empty product is I.
 
-    ops: tuple[tuple[int, str], ...] = ()
+    Built from (qubit, axis) factors and stored as the masks x and z.
+    """
 
-    def __post_init__(self):
-        seen = set()
-        for qubit, axis in self.ops:
-            if qubit < 0 or axis not in "XYZ":
-                raise ValueError(f"bad Pauli factor ({qubit}, {axis})")
-            if qubit in seen:
+    x: int = 0
+    z: int = 0
+
+    def __init__(self, ops: Iterable[tuple[int, str]] = ()):
+        x = z = 0
+        for qubit, axis in ops:
+            if (isinstance(qubit, bool) or not isinstance(qubit, Integral)
+                    or qubit < 0 or axis not in _AXES):
+                raise ValueError(f"bad Pauli factor ({qubit!r}, {axis!r})")
+            bit = 1 << int(qubit)
+            if (x | z) & bit:
                 raise ValueError(f"duplicate qubit index {qubit}")
-            seen.add(qubit)
-        if any(self.ops[i][0] >= self.ops[i + 1][0]
-               for i in range(len(self.ops) - 1)):
-            object.__setattr__(self, "ops", tuple(sorted(self.ops)))
+            if axis != "Z":
+                x |= bit
+            if axis != "X":
+                z |= bit
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "z", z)
+
+    @classmethod
+    def from_masks(cls, x: int, z: int) -> "PauliString":
+        """The string with masks x and z, unvalidated."""
+        string = object.__new__(cls)
+        object.__setattr__(string, "x", x)
+        object.__setattr__(string, "z", z)
+        return string
 
     @classmethod
     def from_mapping(cls, ops: Mapping[int, str]) -> "PauliString":
-        return cls(tuple(sorted(ops.items())))
+        return cls(ops.items())
 
     def axis_on(self, qubit: int) -> str | None:
-        for q, axis in self.ops:
-            if q == qubit:
-                return axis
-        return None
+        return _AXIS_OF_BITS[(self.x >> qubit & 1) | (self.z >> qubit & 1) << 1]
 
     @property
     def qubits(self) -> tuple[int, ...]:
-        return tuple(q for q, _ in self.ops)
+        """Qubits carrying a factor, ascending."""
+        mask = self.x | self.z
+        return tuple(q for q in range(mask.bit_length()) if mask >> q & 1)
+
+    @property
+    def ops(self) -> tuple[tuple[int, str], ...]:
+        """(qubit, axis) factors, ascending by qubit."""
+        return tuple((q, self.axis_on(q)) for q in self.qubits)
 
     def max_qubit(self) -> int:
-        return self.ops[-1][0] if self.ops else -1
+        return (self.x | self.z).bit_length() - 1
 
     def y_count(self) -> int:
-        return sum(1 for _, axis in self.ops if axis == "Y")
+        return (self.x & self.z).bit_count()
 
     def strip_z(self) -> "PauliString":
-        return PauliString(tuple(f for f in self.ops if f[1] != "Z"))
+        return PauliString.from_masks(self.x, self.z & self.x)
+
+    def __repr__(self) -> str:
+        return f"PauliString({self.ops!r})"
 
     def __str__(self) -> str:
         return serialize_pauli_string(self)
 
 
+def _mask_product(x1: int, z1: int, x2: int, z2: int) -> tuple[int, int, int]:
+    """S(x1, z1) S(x2, z2) as (power of i, x, z), by the module's phase rule."""
+    x, z = x1 ^ x2, z1 ^ z2
+    power = ((x1 & z1).bit_count() + (x2 & z2).bit_count()
+             - (x & z).bit_count() + 2 * (z1 & x2).bit_count()) % 4
+    return power, x, z
+
+
 def multiply_strings(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
     """Product of two Pauli strings as (exact phase in {1,i,-1,-i}, string)."""
-    phase_power = 0
-    ops = dict(a.ops)
-    for qubit, axis in b.ops:
-        left = ops.pop(qubit, None)
-        if left is None:
-            ops[qubit] = axis
-            continue
-        power, result = _PAULI_TABLE[(left, axis)]
-        phase_power = (phase_power + power) % 4
-        if result is not None:
-            ops[qubit] = result
-    return _I_POWERS[phase_power], PauliString.from_mapping(ops)
+    power, x, z = _mask_product(a.x, a.z, b.x, b.z)
+    return _I_POWERS[power], PauliString.from_masks(x, z)
 
 
 def parse_pauli_string(text: str) -> PauliString:
@@ -95,10 +123,10 @@ def parse_pauli_string(text: str) -> PauliString:
         return PauliString()
     ops = {}
     for token in tokens:
-        axis, index = token[:1], token[1:]
-        if axis not in "XYZ" or not index.isdigit():
+        axis, digits = token[:1], token[1:]
+        if axis not in "XYZ" or not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"malformed Pauli token {token!r}")
-        qubit = int(index)
+        qubit = int(digits)
         if qubit in ops:
             raise ValueError(f"duplicate qubit index {qubit}")
         ops[qubit] = axis
@@ -106,9 +134,21 @@ def parse_pauli_string(text: str) -> PauliString:
 
 
 def serialize_pauli_string(p: PauliString) -> str:
-    if not p.ops:
-        return "I"
-    return " ".join(f"{axis}{qubit}" for qubit, axis in p.ops)
+    return " ".join(f"{axis}{qubit}" for qubit, axis in p.ops) or "I"
+
+
+def _added(pairs: Iterable[tuple[object, complex]]) -> dict:
+    """Add (key, coeff) pairs in order."""
+    out: dict = {}
+    for key, coeff in pairs:
+        out[key] = out.get(key, 0.0) + coeff
+    return out
+
+
+def _pruned(terms: Mapping) -> dict:
+    """Drop coefficients at or below COEFF_TOLERANCE; keep the rest complex."""
+    return {key: complex(coeff) for key, coeff in terms.items()
+            if abs(coeff) > COEFF_TOLERANCE}
 
 
 class _LinearCombination:
@@ -119,19 +159,12 @@ class _LinearCombination:
     _IDENTITY_KEY: object = None
 
     def __init__(self, terms: Mapping | None = None):
-        self.terms: dict = {}
-        if terms:
-            for key, coeff in terms.items():
-                if abs(coeff) > COEFF_TOLERANCE:
-                    self.terms[key] = complex(coeff)
+        self.terms: dict = _pruned(terms) if terms else {}
 
     @classmethod
     def summed(cls, pairs: Iterable[tuple[object, complex]]):
         """Add (key, coeff) pairs in order, then prune once."""
-        out: dict = {}
-        for key, coeff in pairs:
-            out[key] = out.get(key, 0.0) + coeff
-        return cls(out)
+        return cls(_added(pairs))
 
     @classmethod
     def identity(cls, coeff: complex = 1.0):
@@ -204,12 +237,26 @@ class QubitOperator(_LinearCombination):
 
 def pauli_multiply(a: QubitOperator, b: QubitOperator) -> QubitOperator:
     """Operator product with Pauli-group phase tracking."""
-    def products():
-        for sa, ca in a.terms.items():
-            for sb, cb in b.terms.items():
-                phase, string = multiply_strings(sa, sb)
-                yield string, phase * ca * cb
-    return QubitOperator.summed(products())
+    return _qubit_operator(_mask_multiply(
+        {(s.x, s.z): c for s, c in a.terms.items()},
+        {(s.x, s.z): c for s, c in b.terms.items()}))
+
+
+def _mask_multiply(a: dict, b: dict) -> dict:
+    """Product of two {(x, z): coeff} sums, summed and pruned like an
+    operator product."""
+    out: dict = {}
+    for (x1, z1), ca in a.items():
+        for (x2, z2), cb in b.items():
+            power, x, z = _mask_product(x1, z1, x2, z2)
+            out[x, z] = out.get((x, z), 0.0) + _I_POWERS[power] * ca * cb
+    return _pruned(out)
+
+
+def _qubit_operator(terms: dict) -> QubitOperator:
+    """Wrap summed {(x, z): coeff} terms as an operator (which prunes)."""
+    return QubitOperator({PauliString.from_masks(x, z): coeff
+                          for (x, z), coeff in terms.items()})
 
 
 def commutator(a: QubitOperator, b: QubitOperator) -> QubitOperator:
@@ -342,6 +389,22 @@ def number_operator(n_modes: int) -> FermionOperator:
 # ---------------------------------------------------------------------------
 
 
+def _ladder_terms(factors: Iterable[tuple[int, bool]], coeff: complex,
+                  z_chain: bool) -> dict:
+    """ladder_product as {(x, z): coeff}: the identity times one image per
+    factor, each product summed and pruned."""
+    product = _pruned({(0, 0): coeff})
+    for mode, dagger in factors:
+        mode = index(mode)
+        if mode < 0:
+            raise ValueError(f"mode index {mode} is negative")
+        bit = 1 << mode
+        z = bit - 1 if z_chain else 0
+        product = _mask_multiply(product, {
+            (bit, z): 0.5 + 0.0j, (bit, z | bit): -0.5j if dagger else 0.5j})
+    return product
+
+
 def ladder_product(factors: Iterable[tuple[int, bool]], coeff: complex = 1.0,
                    z_chain: bool = True) -> QubitOperator:
     """coeff times the product of (mode, is_creation) ladder images.
@@ -350,13 +413,7 @@ def ladder_product(factors: Iterable[tuple[int, bool]], coeff: complex = 1.0,
     qubit below i when z_chain (the Jordan-Wigner image) and bare otherwise
     (qubit excitations).
     """
-    product = QubitOperator.identity(coeff)
-    for mode, dagger in factors:
-        chain_ops = tuple((q, "Z") for q in range(mode)) if z_chain else ()
-        product = product * QubitOperator({
-            PauliString(chain_ops + ((mode, "X"),)): 0.5,
-            PauliString(chain_ops + ((mode, "Y"),)): -0.5j if dagger else 0.5j})
-    return product
+    return _qubit_operator(_ladder_terms(factors, coeff, z_chain))
 
 
 def jordan_wigner(f: FermionOperator, n_qubits: int) -> QubitOperator:
@@ -364,5 +421,6 @@ def jordan_wigner(f: FermionOperator, n_qubits: int) -> QubitOperator:
     if f.max_mode() >= n_qubits:
         raise ValueError(
             f"mode index {f.max_mode()} out of range for {n_qubits} qubits")
-    return QubitOperator.summed(pair for key, coeff in f.terms.items()
-                                for pair in ladder_product(key, coeff))
+    return _qubit_operator(_added(
+        pair for key, coeff in f.terms.items()
+        for pair in _ladder_terms(key, coeff, True).items()))

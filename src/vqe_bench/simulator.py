@@ -222,13 +222,8 @@ def _apply_two(amps: np.ndarray, n_qubits: int, qa: int, qb: int,
 
 def pauli_masks(string: PauliString) -> tuple[int, int, complex]:
     """(flip, yz, phase) with P|s> = phase (-1)^popcount(s & yz) |s ^ flip>:
-    flip marks X and Y factors, yz marks Y and Z, phase is i^(Y count)."""
-    flip = yz = 0
-    for qubit, axis in string.ops:
-        if axis != "Z":
-            flip |= 1 << qubit
-        if axis != "X":
-            yz |= 1 << qubit
+    the string's x and z masks, and i^(Y count)."""
+    flip, yz = string.x, string.z
     return flip, yz, (1j) ** ((flip & yz).bit_count() % 4)
 
 
@@ -366,16 +361,16 @@ def _generator(gate: Gate) -> dict[PauliString, complex]:
 
 def _commute(strings, others) -> bool:
     """Pauli strings commute when their symplectic product is even."""
-    masks = [pauli_masks(s)[:2] for s in others]
+    masks = [(s.x, s.z) for s in others]
     for string in strings:
-        flip, yz, _ = pauli_masks(string)
-        if any(((flip & z) ^ (yz & f)).bit_count() % 2 for f, z in masks):
+        if any(((string.x & z) ^ (string.z & x)).bit_count() % 2
+               for x, z in masks):
             return False
     return True
 
 
 def _flip(step: _Step) -> int:
-    return pauli_masks(step.terms[0][0])[0]
+    return step.terms[0][0].x
 
 
 def _steps(gates, param_names) -> tuple[_Step, ...]:
@@ -396,7 +391,7 @@ def _steps(gates, param_names) -> tuple[_Step, ...]:
         terms = {string: prefactor * coeff for string, coeff in terms.items()}
         last = steps[-1] if steps else None
         if (last is not None and last.param == index[name]
-                and _flip(last) == pauli_masks(next(iter(terms)))[0]
+                and _flip(last) == next(iter(terms)).x
                 and _commute(terms, [string for string, _ in last.terms])):
             fused = dict(last.terms)
             for string, coeff in terms.items():

@@ -33,17 +33,18 @@ def qubit_operator_matrix(op: QubitOperator, n_qubits: int) -> np.ndarray:
     return mat
 
 
-def ladder_matrix(mode: int, dagger: bool, n_modes: int) -> np.ndarray:
-    """Fock-space matrix of a_mode / a†_mode with bit i = occupation of mode i."""
+def ladder_matrix(mode: int, dagger: bool, n_modes: int,
+                  z_chain: bool = True) -> np.ndarray:
+    """Fock-space matrix of a_mode / a†_mode with bit i = occupation of mode i;
+    without z_chain, the bare qubit ladder |1><0| / |0><1| on that bit."""
     dim = 2 ** n_modes
     mat = np.zeros((dim, dim), dtype=complex)
     for state in range(dim):
         occupied = (state >> mode) & 1
+        sign = (-1) ** bin(state & ((1 << mode) - 1)).count("1") if z_chain else 1
         if dagger and not occupied:
-            sign = (-1) ** bin(state & ((1 << mode) - 1)).count("1")
             mat[state | (1 << mode), state] = sign
         elif not dagger and occupied:
-            sign = (-1) ** bin(state & ((1 << mode) - 1)).count("1")
             mat[state & ~(1 << mode), state] = sign
     return mat
 

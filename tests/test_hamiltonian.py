@@ -1,9 +1,14 @@
+import hashlib
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vqe_bench import hamiltonian, simulator
+from vqe_bench.ansatz.adaptive import build_fermionic_pool, build_qubit_pool
 from vqe_bench.hamiltonian import (
     IntegralData,
     build_fermionic_hamiltonian,
@@ -25,8 +30,11 @@ from vqe_bench.operators import (
     jordan_wigner,
     number_operator,
     parse_pauli_string,
+    serialize_pauli_string,
 )
 from oracles import fermion_operator_matrix
+
+REPO = Path(__file__).resolve().parents[1]
 
 # Frozen references, computed with the dense diagonalization oracle below
 # and cross-checked against the SCF energies of the integral generator.
@@ -340,3 +348,81 @@ class TestMoleculeSpec:
         mol = bundled_molecule("H2")
         data = load_fcidump(mol.fcidump_paths[0.7414])
         assert data.n_spatial == 2
+
+
+# SHA-256 over "<string> <repr(re)> <repr(im)>" lines in term order, taken
+# from the string-keyed implementation before Pauli strings became masks:
+# any change of a term, its order or the last bit of a coefficient shows.
+GOLDEN_HAMILTONIANS = {
+    ("H2", 0.7414): "f31e91c5659a220dad484d02a3ecc59289962ceb52aa43a61f17285191aac6c2",
+    ("H4", 0.8): "4cc807e53dc2c154d51d99492c4c4fb6924a79da62f29b9fa5e81b3b4ca164f7",
+    ("H4", 1.0): "f87e10e5c4cbd8cca591301a3aa9a3d78ddb35b8e073641882dc83dc558f561c",
+    ("H4", 1.2): "e8d0c339f9b02ff01c12a99d18d5e839b819c009071ef65b5f9b0bc7185f2ef5",
+    ("H4", 1.5): "ceea4fcfb4347ab60d08dfd3dbb6d229a96d189ee05565c765f33f94f669a85e",
+    ("H4", 1.8): "8e2eab7b46913457998edf1b91f55925313c1a0da5655701c3c7cf4afb5512c8",
+    ("LiH", 1.2): "973744e893e36b9d6cd6d93a12ff1739dd139bd89a6a7b6deddb4a312ae74e3f",
+    ("LiH", 1.6): "06455d61a52bc60c87c458c2a63ad8d7eca8db9473e0c26ae1b5104d4cfc7c90",
+    ("LiH", 2.0): "c47a2a32c4b8ebee2d8597f14c8cf990aed2d0f02fc920d6b5b08bbe399495f6",
+}
+# per molecule: fermionic pool (label, then its image's term lines, per
+# entry) and qubit pool (labels)
+GOLDEN_POOLS = {
+    ("H4", 1.0): ("851fe776bc5db61413e31b0cfd08dd9b1dfd74c82ecb145fcd4a025d01632ad5",
+                  "1efc119f9becea57a46ca938bcc11170cca102b86a46c2ac2deb6f46713c9dc5"),
+    ("LiH", 1.6): ("445a6676e8ecfea52a729b87de432b8fb5075c3152c8cf377af26f36bda05b06",
+                   "0db44a72bb9007518c487fa181bc7f4dbcd9f9d8a6e90a729e68a0b43d9cc2f0"),
+}
+
+
+def _digest(lines) -> str:
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode() + b"\n")
+    return h.hexdigest()
+
+
+def _term_lines(op: QubitOperator):
+    for string, coeff in op.terms.items():
+        yield f"{serialize_pauli_string(string)} {coeff.real!r} {coeff.imag!r}"
+
+
+class TestGoldenMapping:
+    def test_every_fixture_hamiltonian_is_bit_identical(self):
+        assert set(GOLDEN_HAMILTONIANS) == {
+            (name, r) for name in bundled_molecules()
+            for r in bundled_molecule(name).bond_lengths}
+        diverged = [f"{name}@{r}" for (name, r), digest
+                    in GOLDEN_HAMILTONIANS.items()
+                    if _digest(_term_lines(qubit_hamiltonian(
+                        bundled_molecule(name).integrals(r)))) != digest]
+        assert not diverged, f"qubit Hamiltonian changed: {diverged}"
+
+    @pytest.mark.parametrize("name, r", sorted(GOLDEN_POOLS))
+    def test_pool_images_are_bit_identical(self, name, r):
+        data = bundled_molecule(name).integrals(r)
+        pool = build_fermionic_pool(data.n_qubits, data.n_electrons)
+        images = [line for entry in pool.entries for line in (
+            entry.label,
+            *_term_lines(entry.antihermitian_operator(data.n_qubits)))]
+        strings = [entry.label for entry in
+                   build_qubit_pool(pool, data.n_qubits).entries]
+        fermionic, qubit = GOLDEN_POOLS[name, r]
+        assert _digest(images) == fermionic, f"{name}@{r} fermionic pool"
+        assert _digest(strings) == qubit, f"{name}@{r} qubit pool"
+
+
+class TestFixtureTool:
+    def test_check_agrees_with_bundled_files_and_writes_nothing(self):
+        root = REPO / "src" / "vqe_bench" / "fixtures"
+
+        def snapshot():
+            return {p: (p.read_bytes(), p.stat().st_mtime_ns)
+                    for p in sorted(root.rglob("*")) if p.is_file()}
+
+        before = snapshot()
+        done = subprocess.run(
+            [sys.executable, str(REPO / "tools" / "make_fixtures.py"),
+             "--check"], capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert "MISMATCH" not in done.stdout
+        assert snapshot() == before

@@ -1,3 +1,4 @@
+import pickle
 from functools import reduce
 from operator import add
 
@@ -16,13 +17,20 @@ from vqe_bench.operators import (
     fermion_multiply,
     hermiticity_check,
     jordan_wigner,
+    ladder_product,
     load_qubit_operator,
+    multiply_strings,
     number_operator,
     parse_pauli_string,
     pauli_multiply,
     serialize_pauli_string,
 )
-from oracles import fermion_operator_matrix, qubit_operator_matrix
+from oracles import (
+    fermion_operator_matrix,
+    ladder_matrix,
+    pauli_matrix,
+    qubit_operator_matrix,
+)
 
 
 def qo(text: str, coeff: complex = 1.0) -> QubitOperator:
@@ -33,6 +41,12 @@ QUBIT_KEYS = [parse_pauli_string(t) for t in ("I", "X0", "Y0 Z2", "Z1", "X1 X3")
 FERMION_KEYS = [(), ((0, True),), ((1, False),), ((1, True), (0, False)),
                 ((2, True), (1, True), (1, False), (0, False))]
 INTEGER_COMPLEX = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3))
+# qubits past 63 exercise masks wider than a machine word
+PAULI_STRINGS = st.dictionaries(
+    st.integers(0, 70), st.sampled_from("XYZ"), max_size=6).map(
+        PauliString.from_mapping)
+LADDER_FACTORS = st.lists(st.tuples(st.integers(0, 3), st.booleans()),
+                          max_size=4)
 
 
 class TestLinearCombination:
@@ -120,6 +134,39 @@ class TestJordanWigner:
         with pytest.raises(ValueError):
             jordan_wigner(creation(4), 4)
 
+    def test_negative_mode_named(self):
+        with pytest.raises(ValueError, match="mode index -1 is negative"):
+            jordan_wigner(creation(-1), 4)
+        with pytest.raises(ValueError, match="mode index -2 is negative"):
+            ladder_product(((-2, True),), z_chain=False)
+
+    @settings(max_examples=60, deadline=None)
+    @given(LADDER_FACTORS, st.booleans(), INTEGER_COMPLEX)
+    def test_ladder_product_matches_dense_product(self, factors, z_chain,
+                                                  coeff):
+        expected = coeff * np.eye(16, dtype=complex)
+        for mode, dagger in factors:
+            expected = expected @ ladder_matrix(mode, dagger, 4, z_chain)
+        image = ladder_product(factors, coeff, z_chain)
+        np.testing.assert_allclose(qubit_operator_matrix(image, 4), expected,
+                                   atol=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(LADDER_FACTORS, min_size=1, max_size=3),
+           st.lists(INTEGER_COMPLEX, min_size=3, max_size=3))
+    def test_raw_products_match_fock_space(self, products, coeffs):
+        # raw factor products, repeated modes included (a†_i a_i, a_i a_i)
+        f = FermionOperator.zero()
+        expected = np.zeros((16, 16), dtype=complex)
+        for factors, coeff in zip(products, coeffs):
+            f = f + FermionOperator.from_term(factors, coeff)
+            term = coeff * np.eye(16, dtype=complex)
+            for mode, dagger in factors:
+                term = term @ ladder_matrix(mode, dagger, 4)
+            expected += term
+        np.testing.assert_allclose(qubit_operator_matrix(jordan_wigner(f, 4), 4),
+                                   expected, atol=1e-13)
+
     def test_anticommutation_preserved_exactly(self):
         n = 6
         images = {(i, d): jordan_wigner(creation(i) if d else annihilation(i), n)
@@ -194,6 +241,58 @@ class TestPauliMultiply:
                                    expected, atol=1e-13)
 
 
+class TestPauliStringMasks:
+    @settings(max_examples=80, deadline=None)
+    @given(PAULI_STRINGS)
+    def test_ops_and_text_round_trip(self, string):
+        again = PauliString(string.ops)
+        assert again == string and hash(again) == hash(string)
+        assert parse_pauli_string(str(string)) == string
+        assert pickle.loads(pickle.dumps(string)) == string
+        assert string.qubits == tuple(q for q, _ in string.ops)
+
+    @settings(max_examples=80, deadline=None)
+    @given(PAULI_STRINGS)
+    def test_mask_queries_match_factor_definitions(self, string):
+        ops = string.ops
+        assert string.y_count() == sum(axis == "Y" for _, axis in ops)
+        assert string.strip_z() == PauliString(
+            tuple(f for f in ops if f[1] != "Z"))
+        assert string.max_qubit() == (ops[-1][0] if ops else -1)
+        assert all(string.axis_on(q) == axis for q, axis in ops)
+
+    @settings(max_examples=60, deadline=None)
+    @given(PAULI_STRINGS.filter(lambda s: s.max_qubit() < 4),
+           PAULI_STRINGS.filter(lambda s: s.max_qubit() < 4))
+    def test_string_product_matches_dense(self, a, b):
+        phase, string = multiply_strings(a, b)
+        np.testing.assert_allclose(
+            phase * pauli_matrix(string, 4),
+            pauli_matrix(a, 4) @ pauli_matrix(b, 4), atol=1e-15)
+
+    @pytest.mark.parametrize("factor", [
+        (0, "XY"), (0, ""), (0, "YZ"), (0, "x"), (0, 1), (True, "X"),
+        (1.5, "X"), (-1, "Z"), ("0", "X"), (np.float64(2.0), "Y")], ids=repr)
+    def test_malformed_factor_rejected(self, factor):
+        with pytest.raises(ValueError, match="bad Pauli factor"):
+            PauliString((factor,))
+
+    def test_numpy_integer_qubits_accepted(self):
+        string = PauliString(((np.int64(3), "X"), (np.uint8(1), "Y")))
+        assert string == PauliString(((1, "Y"), (3, "X")))
+        assert str(string) == "Y1 X3"
+
+    def test_duplicate_qubit_rejected(self):
+        with pytest.raises(ValueError, match="duplicate qubit index 2"):
+            PauliString(((2, "X"), (2, "Z")))
+
+    def test_immutable(self):
+        string = parse_pauli_string("X0 Y2")
+        with pytest.raises(AttributeError):
+            string.x = 0
+        assert string == parse_pauli_string("X0 Y2")
+
+
 class TestCommutator:
     def test_self_commutator_vanishes(self):
         assert commutator(qo("Z0"), qo("Z0")) == QubitOperator.zero()
@@ -229,7 +328,8 @@ class TestPauliStringText:
     def test_identity_serializes_as_i(self):
         assert serialize_pauli_string(PauliString()) == "I"
 
-    @pytest.mark.parametrize("bad", ["A0", "X", "X0 X0", "Xq", "Z0 Y0"])
+    @pytest.mark.parametrize("bad", ["A0", "X", "X0 X0", "Xq", "Z0 Y0",
+                                     "X\u0663", "Z\uff11", "X\u00b2"])
     def test_malformed_tokens_rejected(self, bad):
         with pytest.raises(ValueError):
             parse_pauli_string(bad)

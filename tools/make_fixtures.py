@@ -5,18 +5,27 @@ scheme, runs a closed-shell RHF, transforms the integrals to the MO basis
 and writes FCIDUMP files under src/vqe_bench/fixtures/.  The package never
 imports this module; it only reads the emitted files.
 
+With --check nothing is written: each bundled FCIDUMP is read back with
+the package's parser, and its core energy and the closed-shell HF energy
+of its integrals, E_core + sum_i 2 h_ii + sum_ij (2 (ii|jj) - (ij|ji))
+over occupied orbitals, are compared with E_nuc and E_HF of a fresh SCF.
+The exit status is 1 when any of them differs by more than
+CHECK_TOLERANCE.
+
 Usage: python3 tools/make_fixtures.py [--check]
 """
 
 import argparse
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import hyp1f1
 
 ANGSTROM_TO_BOHR = 1.8897259886
+CHECK_TOLERANCE = 1e-7  # Hartree
 
 # STO-3G exponents/contractions (Basis Set Exchange).
 STO3G = {
@@ -345,28 +354,53 @@ MOLECULES = {
 }
 
 
+def fcidump_hf_energy(data):
+    """Closed-shell determinant energy of an FCIDUMP's own integrals."""
+    occ = range(data.n_electrons // 2)
+    return (data.core_energy + sum(2.0 * data.h1[i, i] for i in occ)
+            + sum(2.0 * data.g2[i, i, j, j] - data.g2[i, j, j, i]
+                  for i in occ for j in occ))
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--check", action="store_true",
-                        help="print SCF sanity values, write nothing")
+                        help="compare the bundled FCIDUMPs with a fresh SCF, "
+                             "write nothing; exit 1 on a mismatch")
     args = parser.parse_args()
-    root = os.path.join(os.path.dirname(__file__), "..",
-                        "src", "vqe_bench", "fixtures")
+    repo = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+    root = os.path.join(repo, "src", "vqe_bench", "fixtures")
+    if args.check:
+        sys.path.insert(0, os.path.join(repo, "src"))
+        from vqe_bench.hamiltonian import load_fcidump
+    mismatches = 0
     for name, (bonds, geom, nelec) in MOLECULES.items():
         outdir = os.path.join(root, name)
-        os.makedirs(outdir, exist_ok=True)
         for r in bonds:
             atoms = geom(r)
             s, hcore, eri, e_nuc = integrals(atoms)
             e_hf, c = rhf(s, hcore, eri, e_nuc, nelec)
+            path = os.path.join(outdir, f"{r}.fcidump")
             print(f"{name} r={r}: E_nuc={e_nuc:.6f}  E_HF={e_hf:.8f}")
             if args.check:
+                data = load_fcidump(path)
+                stored = (data.core_energy, fcidump_hf_energy(data))
+                for label, fresh, value in zip(("E_nuc", "E_HF"),
+                                               (e_nuc, e_hf), stored):
+                    if abs(fresh - value) > CHECK_TOLERANCE:
+                        mismatches += 1
+                        print(f"  MISMATCH {label}: SCF {fresh:.10f}, "
+                              f"{os.path.relpath(path)} {value:.10f}")
                 continue
             h1, g2 = mo_integrals(hcore, eri, c)
-            path = os.path.join(outdir, f"{r}.fcidump")
+            os.makedirs(outdir, exist_ok=True)
             write_fcidump(path, h1, g2, e_nuc, nelec)
             print(f"  wrote {os.path.relpath(path)}")
+    if mismatches:
+        print(f"{mismatches} value(s) differ by more than {CHECK_TOLERANCE} Ha")
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
