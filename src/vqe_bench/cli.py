@@ -103,8 +103,11 @@ def cmd_run(molecule, ansatzes, bond_lengths, seed, threads, data_dir,
         if not known_ansatz(name):
             raise click.UsageError(f"unknown ansatz {name!r}")
     spec = resolve_molecule(molecule, fixtures_dir)
-    cfg = OptimizerConfig(gradient_tolerance=gradient_tolerance,
-                          max_energy_evaluations=max_evaluations)
+    try:
+        cfg = OptimizerConfig(gradient_tolerance=gradient_tolerance,
+                              max_energy_evaluations=max_evaluations)
+    except ValueError as exc:  # a bad option, not a numerical failure
+        raise click.UsageError(str(exc)) from exc
     points = parse_bond_lengths(bond_lengths)
     record = run_sweep(spec, list(ansatzes), cfg, seed, data_dir,
                        bond_lengths=points, threads=resolve_threads(threads))

@@ -1,6 +1,16 @@
 """Classical optimization loop: BFGS with a strong-Wolfe line search,
 restart orchestration, and the layer-growth protocol for the
-hardware-efficient ansatz."""
+hardware-efficient ansatz.
+
+BFGS is one ask/tell generator, bfgs_steps: it yields the points it needs
+evaluated and is sent back (energy, gradient).  minimize_bfgs drives it
+with one objective, point by point.  The random-init restarts of run_vqe
+advance in lockstep instead: every pending point of every live restart is
+evaluated in one batched adjoint sweep (simulator.batch_adjoint_gradient),
+and a restart leaves the batch when it converges or spends its budget.
+Each restart sees the same points and bits as it would alone.  HEA layer
+growth stays serial, since each restart's budget is what the ones before
+it left."""
 
 from __future__ import annotations
 
@@ -13,7 +23,11 @@ import numpy as np
 from .ansatz.core import AnsatzBuild
 from .ansatz.layered import build_hea
 from .operators import QubitOperator
-from .simulator import adjoint_gradient, runs_in_sector
+from .simulator import (
+    adjoint_gradient,
+    batch_adjoint_gradient,
+    runs_in_sector,
+)
 
 WOLFE_C1, WOLFE_C2 = 1e-4, 0.9  # sufficient decrease, curvature
 
@@ -50,20 +64,21 @@ class VqeResult:
     restarts_used: int = 1
 
 
-class _CountingObjective:
-    """Wraps (x -> energy, gradient) with budget accounting and best tracking."""
+class _Evaluations:
+    """Budget accounting, the non-finite check and best tracking for the
+    points one run asks to have evaluated."""
 
-    def __init__(self, objective, budget: int):
-        self.objective = objective
+    def __init__(self, budget: int):
         self.budget = budget
-        self.evaluations = 0
+        self.count = 0
         self.best: tuple[float, np.ndarray, np.ndarray] | None = None
 
-    def __call__(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        if self.evaluations >= self.budget:
+    def __call__(self, x: np.ndarray):
+        """Yield x, take (energy, gradient) back, return them as floats."""
+        if self.count >= self.budget:
             raise _BudgetExhausted()
-        self.evaluations += 1
-        energy, grad = self.objective(x)
+        self.count += 1
+        energy, grad = yield x
         if not math.isfinite(energy) or not np.all(np.isfinite(grad)):
             raise NumericalError(
                 f"objective returned a non-finite value at x={x!r}")
@@ -91,6 +106,8 @@ def _cubic_minimizer(a0, f0, d0, a1, f1, d1):
 def _wolfe_line_search(phi, f0, d0, max_trials=25):
     """Strong-Wolfe search along a ray; returns (alpha, f, grad, aux).
 
+    phi(alpha) is a generator returning (f, slope, aux), so the search
+    yields what phi yields: the points it needs evaluated.
     A cubic refinement is evaluated even when the first trial already
     satisfies Wolfe and the lowest-energy Wolfe point wins, so quadratic
     restrictions get their exact 1-D minimizer.
@@ -111,7 +128,7 @@ def _wolfe_line_search(phi, f0, d0, max_trials=25):
     a_prev, f_prev, d_prev = 0.0, f0, d0
     a = 1.0
     for trial in range(max_trials):
-        f, d, aux = phi(a)
+        f, d, aux = yield from phi(a)
         consider(a, f, d, aux)
         if f > f0 + WOLFE_C1 * a * d0 or (trial > 0 and f >= f_prev):
             lo, hi = (a_prev, f_prev, d_prev), (a, f, d)
@@ -121,7 +138,7 @@ def _wolfe_line_search(phi, f0, d0, max_trials=25):
             # one refinement even after acceptance: exact on quadratic rays
             if (refined is not None and refined > 1e-12
                     and refined != a and refined < 100.0 * max(a, 1.0)):
-                fr, dr, auxr = phi(refined)
+                fr, dr, auxr = yield from phi(refined)
                 consider(refined, fr, dr, auxr)
             return best
         if d >= 0.0:
@@ -141,7 +158,7 @@ def _wolfe_line_search(phi, f0, d0, max_trials=25):
         if (a_j is None or not (min(a_lo, a_hi) + 1e-3 * width
                                 <= a_j <= max(a_lo, a_hi) - 1e-3 * width)):
             a_j = 0.5 * (a_lo + a_hi)
-        f_j, d_j, aux_j = phi(a_j)
+        f_j, d_j, aux_j = yield from phi(a_j)
         consider(a_j, f_j, d_j, aux_j)
         if best is not None:
             return best
@@ -156,31 +173,29 @@ def _wolfe_line_search(phi, f0, d0, max_trials=25):
     return best
 
 
-def minimize_bfgs(objective, x0, cfg: OptimizerConfig | None = None,
-                  param_names=None, callback=None) -> VqeResult:
-    """Quasi-Newton minimization of objective(x) -> (value, gradient).
-
-    Stops when the gradient infinity-norm drops below the configured
-    tolerance or the evaluation budget runs out (converged=False then).
-    `callback(x, value)` fires after every accepted step.
-    """
+def bfgs_steps(x0, cfg: OptimizerConfig | None = None, param_names=None,
+               callback=None):
+    """minimize_bfgs as an ask/tell generator: it yields each point to
+    evaluate, takes its (value, gradient) back through send(), and
+    returns the VqeResult.  Nocedal & Wright Alg. 6.1 with the strong-Wolfe
+    search of Alg. 3.5/3.6."""
     cfg = cfg or OptimizerConfig()
     start = time.perf_counter()
     x = np.array(x0, dtype=float)
     n = len(x)
     names = list(param_names) if param_names is not None else [
         f"x{i}" for i in range(n)]
-    counted = _CountingObjective(objective, cfg.max_energy_evaluations)
+    evaluate = _Evaluations(cfg.max_energy_evaluations)
 
     def result(energy, xs, n_iter, converged):
         return VqeResult(energy=float(energy),
                          parameters=dict(zip(names, (float(v) for v in xs))),
-                         n_evaluations=counted.evaluations,
+                         n_evaluations=evaluate.count,
                          n_iterations=n_iter,
                          wall_time=time.perf_counter() - start,
                          converged=converged)
 
-    f, g = counted(x)  # the budget is at least one evaluation
+    f, g = yield from evaluate(x)  # the budget is at least one evaluation
     if n == 0:
         return result(f, x, 0, True)
     h = np.eye(n)
@@ -195,10 +210,10 @@ def minimize_bfgs(objective, x0, cfg: OptimizerConfig | None = None,
                 p = -g
 
             def phi(alpha, _p=p):
-                fx, gx = counted(x + alpha * _p)
+                fx, gx = yield from evaluate(x + alpha * _p)
                 return fx, float(gx @ _p), (fx, gx)
 
-            hit = _wolfe_line_search(phi, f, float(g @ p))
+            hit = yield from _wolfe_line_search(phi, f, float(g @ p))
             if hit is None:
                 if np.allclose(p, -g):
                     break  # steepest descent stalled: local flatness
@@ -222,10 +237,27 @@ def minimize_bfgs(objective, x0, cfg: OptimizerConfig | None = None,
                      + rho * rho * float(y @ hs) * np.outer(s, s)
                      + rho * np.outer(s, s))
     except _BudgetExhausted:
-        energy, xs, _ = counted.best
+        energy, xs, _ = evaluate.best
         return result(energy, xs, iteration, False)
     converged = bool(np.max(np.abs(g)) <= cfg.gradient_tolerance)
     return result(f, x, iteration, converged)
+
+
+def minimize_bfgs(objective, x0, cfg: OptimizerConfig | None = None,
+                  param_names=None, callback=None) -> VqeResult:
+    """Quasi-Newton minimization of objective(x) -> (value, gradient).
+
+    Stops when the gradient infinity-norm drops below the configured
+    tolerance or the evaluation budget runs out (converged=False then).
+    `callback(x, value)` fires after every accepted step.
+    """
+    run = bfgs_steps(x0, cfg, param_names, callback)
+    try:
+        x = next(run)
+        while True:
+            x = run.send(objective(x))
+    except StopIteration as done:
+        return done.value
 
 
 def circuit_objective(circuit, h: QubitOperator, initial_state: int):
@@ -240,9 +272,34 @@ def circuit_objective(circuit, h: QubitOperator, initial_state: int):
     return objective
 
 
+def minimize_in_lockstep(circuit, h: QubitOperator, initial_state: int,
+                         starts, cfg: OptimizerConfig | None = None
+                         ) -> list[VqeResult]:
+    """minimize_bfgs of the circuit's energy from each start, with the
+    points every pending run asks for evaluated as one batch.  A run
+    leaves the batch when it converges or spends its budget; each result
+    is bit-identical to that start's own minimize_bfgs."""
+    names = circuit.param_names
+    runs = [bfgs_steps(x0, cfg, names) for x0 in starts]
+    pending = {k: next(run) for k, run in enumerate(runs)}
+    results: list[VqeResult | None] = [None] * len(runs)
+    while pending:
+        order = list(pending)
+        energies, grads = batch_adjoint_gradient(
+            circuit, h, np.array([pending[k] for k in order]), initial_state)
+        for k, energy, grad in zip(order, energies, grads):
+            try:
+                pending[k] = runs[k].send((energy, grad))
+            except StopIteration as done:
+                results[k] = done.value
+                del pending[k]
+    return results
+
+
 def run_vqe(ansatz: AnsatzBuild, h: QubitOperator, initial_state: int,
             cfg: OptimizerConfig | None = None, seed: int = 0) -> VqeResult:
-    """Optimize one ansatz, best-of over seeded restarts for random inits.
+    """Optimize one ansatz, best-of over seeded restarts for random inits;
+    restarts run in lockstep, and ties go to the lowest restart.
 
     A build labelled particle-conserving whose circuit leaves the (N, 2Sz)
     sector of the initial state is refused.
@@ -257,19 +314,23 @@ def run_vqe(ansatz: AnsatzBuild, h: QubitOperator, initial_state: int,
     start = time.perf_counter()
     restarts = (ansatz.restarts
                 if names and ansatz.init_policy.kind != "zeros" else 1)
-    objective = circuit_objective(circuit, h, initial_state)
-    best: VqeResult | None = None
-    total_evals = 0
+    starts = []
     for restart in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence([seed, restart]))
         values = ansatz.init_policy.draw(names, rng)
-        x0 = np.array([values[name] for name in names])
-        outcome = minimize_bfgs(objective, x0, cfg, param_names=names)
-        total_evals += outcome.n_evaluations
-        if best is None or outcome.energy < best.energy:
+        starts.append(np.array([values[name] for name in names]))
+    if restarts == 1:
+        outcomes = [minimize_bfgs(circuit_objective(circuit, h, initial_state),
+                                  starts[0], cfg, param_names=names)]
+    else:
+        outcomes = minimize_in_lockstep(circuit, h, initial_state, starts,
+                                        cfg)
+    best = outcomes[0]
+    for outcome in outcomes[1:]:
+        if outcome.energy < best.energy:
             best = outcome
     best.restarts_used = restarts
-    best.n_evaluations = total_evals
+    best.n_evaluations = sum(outcome.n_evaluations for outcome in outcomes)
     best.wall_time = time.perf_counter() - start
     return best
 
@@ -286,7 +347,10 @@ def run_hea_layer_growth(h: QubitOperator, n_qubits: int, initial_state: int,
     Each depth gets `s_restarts` independently initialized optimizations;
     growth stops once the best energy is within chem_tol of the reference,
     the cumulative evaluation budget n_budget is spent, or max_depth is
-    done.  `converged` is True only when chem_tol was reached.
+    done.  `converged` is True only when chem_tol was reached;
+    `n_evaluations` and `restarts_used` count every optimization run.
+    Restarts run one after another: each one's budget is what the ones
+    before it left.
     """
     cfg = cfg or OptimizerConfig()
     if n_budget < 1 or s_restarts < 1 or max_depth < 1:
@@ -294,7 +358,7 @@ def run_hea_layer_growth(h: QubitOperator, n_qubits: int, initial_state: int,
     start = time.perf_counter()
     best: VqeResult | None = None
     best_build: AnsatzBuild | None = None
-    total_evals = 0
+    total_evals = total_runs = 0
     for depth in range(1, max_depth + 1):
         build = build_hea(n_qubits, depth)
         objective = circuit_objective(build.circuit, h, initial_state)
@@ -313,6 +377,7 @@ def run_hea_layer_growth(h: QubitOperator, n_qubits: int, initial_state: int,
                     cfg.max_energy_evaluations, remaining)),
                 param_names=names)
             total_evals += outcome.n_evaluations
+            total_runs += 1
             if best is None or outcome.energy < best.energy:
                 best = outcome
                 best_build = build
@@ -322,5 +387,5 @@ def run_hea_layer_growth(h: QubitOperator, n_qubits: int, initial_state: int,
     best.converged = best.energy - reference_energy <= chem_tol
     best.n_evaluations = total_evals
     best.wall_time = time.perf_counter() - start
-    best.restarts_used = s_restarts
+    best.restarts_used = total_runs
     return best_build, best

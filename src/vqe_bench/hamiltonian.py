@@ -15,7 +15,6 @@ from itertools import product
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .operators import (
     FermionOperator,
@@ -182,6 +181,8 @@ def exact_ground_energy(h: QubitOperator, n_qubits: int,
         raise ValueError("empty sector")
     if size <= 1 << DENSE_QUBIT_LIMIT:
         return float(np.linalg.eigvalsh(operator_matrix(h, n_qubits, basis))[0])
+    import scipy.sparse.linalg  # only here: it adds 10 MB and 0.15 s to import
+
     vals = scipy.sparse.linalg.eigsh(compiled_sum(h, n_qubits, basis),
                                      k=1, which="SA", tol=LANCZOS_TOLERANCE,
                                      return_eigenvectors=False)

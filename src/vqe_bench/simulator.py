@@ -21,6 +21,13 @@ matrix over the sector, exact since the state never leaves it.
 Otherwise the plan runs over all 2**n states and its steps act through
 the Pauli-string kernel per application, so it holds no 2**n arrays.
 Screening pools are circuits too; only h is ever compiled as a matrix.
+
+The kernel takes a leading batch axis: batch_adjoint_gradient runs one
+forward and one reverse sweep over an (R, D) array of states, one row per
+row of an (R, n_params) array of parameter values, with h applied as one
+sparse product and the row reductions as stacked matmuls.  Every
+operation acts row by row with the arithmetic of the one-vector path, so
+each row gets the bits adjoint_gradient gives it alone.
 """
 
 from __future__ import annotations
@@ -233,10 +240,11 @@ def _parity_signs(states: np.ndarray, yz: int) -> np.ndarray | float:
 
 
 def apply_pauli_string(string: PauliString, amps: np.ndarray) -> np.ndarray:
-    """Return P|amps> (new array)."""
+    """Return P|amps> (new array), over the last axis of a batch too."""
     flip, yz, phase = pauli_masks(string)
-    src = _indices(len(amps)) ^ flip if flip else _indices(len(amps))
-    out = amps[src] if flip else amps.copy()
+    states = _indices(amps.shape[-1])
+    src = states ^ flip if flip else states
+    out = _take(amps, src) if flip else amps.copy()
     out *= phase * _parity_signs(src, yz)
     return out
 
@@ -449,51 +457,111 @@ def _circuit_plan(circuit: ParamCircuit, initial: int | None) -> _Plan:
     return plans[sector]
 
 
+def _take(amps: np.ndarray, rows) -> np.ndarray:
+    """amps[..., rows], C-ordered: plain indexing for one vector, else a
+    take, since fancy indexing after an Ellipsis is slow."""
+    if amps.ndim == 1:
+        return amps[rows]
+    if isinstance(rows, slice):
+        return amps[..., rows]
+    return amps.take(rows, axis=-1)
+
+
 def _act(step: _Step, amps: np.ndarray) -> tuple:
-    """(rows, |w| on them, c, v) with (M amps)[rows] = c v: from the pairs
-    stored over a sector, else through the Pauli-string kernel."""
+    """(rows, |w| on them, c, v) with (M amps)[..., rows] = c v: from the
+    pairs stored over a sector, else through the Pauli-string kernel."""
     if step.pairs is not None:
         rows, cols, r, w = step.pairs
-        return rows, r, 1.0, w * amps[cols]
+        return rows, r, 1.0, w * _take(amps, cols)
     if len(step.terms) == 1:  # |w| is |coeff| on every row
         (string, coeff), = step.terms
         return slice(None), abs(coeff), coeff, apply_pauli_string(string,
                                                                   amps)
-    weights = _weights(step, len(amps))
+    weights = _weights(step, amps.shape[-1])
     rows = np.flatnonzero(weights)
     w = weights[rows]
-    return rows, np.abs(w), 1.0, w * amps[rows ^ _flip(step)]
+    return rows, np.abs(w), 1.0, w * _take(amps, rows ^ _flip(step))
 
 
-def _slope(acted: tuple, lam: np.ndarray) -> float:
+def _dot(a: np.ndarray, b: np.ndarray):
+    """<a|b> over the last axis: np.vdot for one vector, else one stacked
+    matmul over C-ordered rows, which gives each row the bits np.vdot
+    gives it alone (strided rows would not)."""
+    if a.ndim == 1:
+        return np.vdot(a, b)
+    a, b = np.ascontiguousarray(a.conj()), np.ascontiguousarray(b)
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _slope(acted: tuple, lam: np.ndarray):
     """2 Re<lam|M psi>, given M psi from _act."""
     rows, _, coeff, moved = acted
-    return 2.0 * (coeff * np.vdot(lam[rows], moved)).real
+    return 2.0 * (coeff * _dot(_take(lam, rows), moved)).real
 
 
-def _rotate(amps: np.ndarray, acted: tuple, angle: float) -> None:
-    """exp(angle M) in place, given M amps from _act: on each row with
-    w != 0, amp becomes cos(angle |w|) amp + sin(angle |w|) (M amp) / |w|."""
-    rows, r, coeff, moved = acted
+def _trig(acted: tuple, angle) -> tuple:
+    """(cos(angle |w|), c sin(angle |w|) / |w|) on the rows of M from _act;
+    a batch's angle is an (R, 1) column."""
+    _, r, coeff, _ = acted
     turn = angle * r
-    amps[rows] = amps[rows] * np.cos(turn) + moved * (coeff * np.sin(turn)
-                                                      / r)
+    return np.cos(turn), coeff * np.sin(turn) / r
+
+
+def _rotate(amps: np.ndarray, acted: tuple, trig: tuple) -> None:
+    """exp(angle M) in place, given M amps from _act and _trig's factors:
+    on each row with w != 0, amp becomes cos(angle |w|) amp +
+    sin(angle |w|) (M amp) / |w|."""
+    rows, _, _, moved = acted
+    cos, sin = trig
+    new = _take(amps, rows) * cos + moved * sin
+    if amps.ndim == 1:
+        amps[rows] = new
+    else:
+        amps[..., rows] = new
 
 
 def _apply_matrix(amps: np.ndarray, n_qubits: int, targets, u) -> None:
-    if len(targets) == 1:
-        _apply_single(amps, targets[0], u)
-    else:
-        _apply_two(amps, n_qubits, *targets, u)
+    for row in amps.reshape(-1, amps.shape[-1]):  # one vector at a time
+        if len(targets) == 1:
+            _apply_single(row, targets[0], u)
+        else:
+            _apply_two(row, n_qubits, *targets, u)
+
+
+def _angle(step: _Step, angles):
+    return angles[step.param] if step.param >= 0 else step.angle
 
 
 def _forward(plan: _Plan, amps: np.ndarray, angles) -> None:
+    """Run the plan on amps, one vector or an (R, D) batch, whose angles
+    by parameter number are scalars or (R, 1) columns."""
     for step in plan.steps:
         if step.matrix is not None:
             _apply_matrix(amps, plan.n_qubits, *step.matrix[:2])
         else:
-            _rotate(amps, _act(step, amps),
-                    angles[step.param] if step.param >= 0 else step.angle)
+            acted = _act(step, amps)
+            _rotate(amps, acted, _trig(acted, _angle(step, angles)))
+
+
+def _reverse(plan: _Plan, psi: np.ndarray, lam: np.ndarray,
+             angles) -> np.ndarray:
+    """Undo the plan on psi and lam together, summing the slope
+    2 Re<lam|M psi> of each parameterized step into its parameter's
+    gradient; one vector each or a batch each, as in _forward."""
+    grad = np.zeros(psi.shape[:-1] + (len(angles),))
+    for step in reversed(plan.steps):
+        if step.matrix is not None:
+            for amps in (psi, lam):
+                _apply_matrix(amps, plan.n_qubits, step.matrix[0],
+                              step.matrix[2])
+            continue
+        on_psi, on_lam = _act(step, psi), _act(step, lam)
+        if step.param >= 0:  # <lam| M |psi>, M the step's generator
+            grad[..., step.param] += _slope(on_psi, lam)
+        trig = _trig(on_psi, -_angle(step, angles))  # one cos/sin for both
+        _rotate(psi, on_psi, trig)
+        _rotate(lam, on_lam, trig)
+    return grad
 
 
 def _angles(param_names, values: dict[str, float]) -> list[float]:
@@ -503,19 +571,39 @@ def _angles(param_names, values: dict[str, float]) -> list[float]:
     return [values[name] for name in param_names]
 
 
+def _start(plan: _Plan, initial: int, batch: tuple = ()) -> np.ndarray:
+    """Basis state `initial` over the plan's basis, once per batch row."""
+    if plan.basis is None:
+        amps = np.zeros(batch + (1 << plan.n_qubits,), dtype=complex)
+        amps[..., initial] = 1.0
+    else:
+        amps = np.zeros(batch + (len(plan.basis),), dtype=complex)
+        amps[..., np.searchsorted(plan.basis, initial)] = 1.0
+    return amps
+
+
 def _run(circuit: ParamCircuit, values: dict[str, float],
          initial: int) -> tuple[_Plan, np.ndarray, list[float]]:
     """The circuit's plan from `initial`, the state it prepares over the
     plan's basis, and the parameter values in parameter order."""
     plan = _circuit_plan(circuit, initial)
     angles = _angles(circuit.param_names, values)
-    if plan.basis is None:
-        amps = StateVector.basis_state(circuit.n_qubits, initial).amplitudes
-    else:
-        amps = np.zeros(len(plan.basis), dtype=complex)
-        amps[np.searchsorted(plan.basis, initial)] = 1.0
+    amps = _start(plan, initial)
     _forward(plan, amps, angles)
     return plan, amps, angles
+
+
+def _adjoint(plan: _Plan, h: QubitOperator, psi: np.ndarray, angles):
+    """<h> and its gradient at the prepared state psi, one vector or an
+    (R, D) batch: h acts once, as one sparse product, then one reverse
+    sweep of the plan."""
+    matrix = compiled_sum(h, plan.n_qubits, plan.basis)
+    if psi.ndim == 1:
+        lam = matrix @ psi
+    else:  # rows as columns, so each row gets its own matvec's bits
+        lam = np.ascontiguousarray((matrix @ psi.T).T)
+    energy = _dot(psi, lam)
+    return energy, _reverse(plan, psi, lam, angles)
 
 
 def _scatter(plan: _Plan, amps: np.ndarray) -> np.ndarray:
@@ -549,8 +637,8 @@ def apply_pauli_evolution(state: StateVector, string: PauliString,
                           theta: float) -> StateVector:
     """exp(i theta P) applied to a copy of the state."""
     out = state.copy()
-    step = _Step(-1, theta, ((string, 1j),))
-    _rotate(out.amplitudes, _act(step, out.amplitudes), theta)
+    acted = _act(_Step(-1, theta, ((string, 1j),)), out.amplitudes)
+    _rotate(out.amplitudes, acted, _trig(acted, theta))
     return out
 
 
@@ -592,22 +680,31 @@ def adjoint_gradient(circuit: ParamCircuit, h: QubitOperator,
     """Energy and dE/d(parameter) via one forward and one reverse sweep of
     the circuit's plan; h acts through its matrix over the plan's basis."""
     plan, psi, angles = _run(circuit, values, initial)
-    lam = compiled_sum(h, circuit.n_qubits, plan.basis) @ psi
-    energy = _real(np.vdot(psi, lam))
-    grad = np.zeros(len(angles))
-    for step in reversed(plan.steps):
-        if step.matrix is not None:
-            for amps in (psi, lam):
-                _apply_matrix(amps, plan.n_qubits, step.matrix[0],
-                              step.matrix[2])
-            continue
-        on_psi, on_lam = _act(step, psi), _act(step, lam)
-        angle = angles[step.param] if step.param >= 0 else step.angle
-        if step.param >= 0:  # <lam| M |psi>, M the step's generator
-            grad[step.param] += _slope(on_psi, lam)
-        _rotate(psi, on_psi, -angle)
-        _rotate(lam, on_lam, -angle)
-    return energy, dict(zip(circuit.param_names, grad.tolist()))
+    energy, grad = _adjoint(plan, h, psi, angles)
+    return _real(energy), dict(zip(circuit.param_names, grad.tolist()))
+
+
+def batch_adjoint_gradient(circuit: ParamCircuit, h: QubitOperator,
+                           angles: np.ndarray, initial: int = 0
+                           ) -> tuple[list[float], np.ndarray]:
+    """adjoint_gradient at each row of an (R, n_params) array of parameter
+    values, in parameter order: energies and an (R, n_params) gradient.
+    The plan's sweeps run once over the (R, D) batch of states, and each
+    row gets the bits adjoint_gradient gives it alone."""
+    plan = _circuit_plan(circuit, initial)
+    angles = np.asarray(angles, dtype=float)
+    if angles.ndim != 2 or angles.shape[1] != circuit.n_params:
+        raise ValueError(f"angles of shape {angles.shape} for "
+                         f"{circuit.n_params} parameters")
+    # one row runs faster as a plain vector; in a batch, parameter p's
+    # values are an (R, 1) column
+    batch = angles.shape[:1] if len(angles) > 1 else ()
+    columns = angles.T[:, :, None] if batch else list(angles[0])
+    psi = _start(plan, initial, batch)
+    _forward(plan, psi, columns)
+    energies, grad = _adjoint(plan, h, psi, columns)
+    energies = [_real(energy) for energy in np.atleast_1d(energies)]
+    return energies, grad.reshape(angles.shape)
 
 
 def parameter_shift_gradient(circuit: ParamCircuit, h: QubitOperator,

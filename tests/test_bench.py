@@ -371,6 +371,15 @@ class TestCli:
                      "--data-dir", str(tmp_path)]) == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("option, value", [
+        ("--max-evaluations", "0"), ("--gradient-tolerance", "-1")])
+    def test_bad_optimizer_option_is_a_usage_error(self, tmp_path, capsys,
+                                                   option, value):
+        assert main(["run", "--molecule", "H2", "--ansatz", "UCCSD",
+                     option, value, "--data-dir", str(tmp_path)]) == 1
+        assert "numerical failure" not in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_data_file_error_exit_code(self, tmp_path):
         assert main(["compare", "--molecule", "H2",
                      "--data-dir", str(tmp_path / "void")]) == 2
@@ -422,7 +431,7 @@ class TestCli:
     def test_nan_gradient_tolerance_fails_without_writing(self, tmp_path):
         assert main(["run", "--molecule", "H2", "--ansatz", "UCCSD",
                      "--gradient-tolerance", "nan",
-                     "--data-dir", str(tmp_path)]) == 3
+                     "--data-dir", str(tmp_path)]) == 1  # a usage error
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_point_exits_three_and_keeps_good_points(

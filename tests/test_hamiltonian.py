@@ -148,6 +148,16 @@ class TestHfStateIndex:
 
 
 class TestExactGroundEnergy:
+    def test_cli_import_leaves_out_the_lanczos_module(self):
+        paths = [str(REPO / "src")] + sys.path
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; sys.path[:0] = sys.argv[1:]; import vqe_bench.cli; "
+             "print('scipy.sparse.linalg' in sys.modules)", *paths],
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
     def test_scaled_identity(self):
         h = QubitOperator.identity(0.75)
         assert exact_ground_energy(h, 2) == pytest.approx(0.75)

@@ -46,6 +46,7 @@ from vqe_bench.simulator import (
 from oracles import (
     apply_gate,
     energy_gradient,
+    random_circuit,
     random_hermitian_operator,
     random_values,
 )
@@ -107,6 +108,38 @@ def test_family_matches_oracle_on_h4(family, h4, h4_families):
     rng = np.random.default_rng(sum(map(ord, family)))
     for _ in range(2):
         assert_matches_oracle(circuit, h, random_values(rng, circuit), hf)
+
+
+def assert_batch_rows_match(circuit, h, initial, rng):
+    """Each row of batch_adjoint_gradient, alone or among others, carries
+    the bits adjoint_gradient gives it."""
+    names = circuit.param_names
+    for n_rows in (1, 3):
+        rows = [random_values(rng, circuit) for _ in range(n_rows)]
+        energies, grads = simulator.batch_adjoint_gradient(
+            circuit, h, np.array([[row[p] for p in names] for row in rows]),
+            initial)
+        for row, energy, grad in zip(rows, energies, grads):
+            alone, alone_grad = adjoint_gradient(circuit, h, row, initial)
+            assert repr(energy) == repr(alone)
+            assert ([repr(g) for g in grad.tolist()]
+                    == [repr(alone_grad[p]) for p in names])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_batch_rows_are_bit_identical_on_h4(family, h4, h4_families):
+    h, _, hf, _ = h4
+    assert_batch_rows_match(h4_families[family].circuit, h, hf,
+                            np.random.default_rng(len(family)))
+
+
+def test_batch_rows_are_bit_identical_on_mixed_gates():
+    # fixed gates and multi-term steps over the full space
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        circuit = random_circuit(rng, 4, 4, 24)
+        h = random_hermitian_operator(rng, 4, 12)
+        assert_batch_rows_match(circuit, h, int(rng.integers(16)), rng)
 
 
 def test_lih_uccsd_matches_oracle():
