@@ -1,29 +1,26 @@
-"""Iterative ansatz construction: gradient-screened operator pools
-(fermionic and Pauli-string flavors) and the entangler-ranking
-mean-field-plus-correlators scheme."""
+"""Iterative ansatz construction in one growth loop: ADAPT and
+qubit-ADAPT (fermionic and Pauli-string pools ranked by commutator
+gradient) and QCC (a mean-field product state plus Pauli-string
+entanglers ranked by exact 1-D energy gain, read off the same screening
+pass and one pass of term expectations)."""
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from ..driver import OptimizerConfig, circuit_objective, minimize_bfgs
-from ..operators import (
-    PauliString,
-    QubitOperator,
-    serialize_pauli_string,
-)
+from ..operators import PauliString, QubitOperator, serialize_pauli_string
 from ..simulator import (
     Gate,
     ParamCircuit,
-    apply_circuit,
-    apply_pauli_evolution,
+    anticommuting,
     commutator_gradient,
-    expectation,
     pauli_evolution,
+    term_expectations,
 )
 from .core import ZEROS, AnsatzBuild, ExcitationGenerator, generator_gates
 from .fixed import build_uccsd_singlet
@@ -52,7 +49,7 @@ class PoolEntry:
 
 @dataclass(frozen=True)
 class OperatorPool:
-    kind: str  # "fermionic-sd" | "qubit-pauli" | "qcc-entangler"
+    kind: str  # "fermionic-sd" | "qubit-pauli"
     entries: tuple[PoolEntry, ...]
 
     def __len__(self) -> int:
@@ -81,37 +78,22 @@ class AdaptiveIteration:
 
 @dataclass
 class AdaptiveTrace:
-    iterations: list[AdaptiveIteration]
     converged: bool
     final_energy: float
+    iterations: list[AdaptiveIteration]
 
     def to_dict(self) -> dict:
-        return {
-            "converged": self.converged,
-            "final_energy": self.final_energy,
-            "iterations": [
-                {"chosen_label": it.chosen_label,
-                 "gradient_norm": it.gradient_norm,
-                 "energy_after_reopt": it.energy_after_reopt,
-                 "n_params": it.n_params,
-                 "wall_time": it.wall_time}
-                for it in self.iterations],
-        }
+        return asdict(self)
 
 
 def build_fermionic_pool(n_qubits: int, n_electrons: int) -> OperatorPool:
     """Spin-adapted single/double generator groups, one entry per parameter."""
-    build = build_uccsd_singlet(n_qubits, n_electrons)
     grouped: dict[str, list[ExcitationGenerator]] = {}
-    order = []
-    for gen in build.generators:
-        if gen.param_name not in grouped:
-            grouped[gen.param_name] = []
-            order.append(gen.param_name)
-        grouped[gen.param_name].append(gen)
-    entries = tuple(PoolEntry(label=name, generators=tuple(grouped[name]))
-                    for name in order)
-    return OperatorPool("fermionic-sd", entries)
+    for gen in build_uccsd_singlet(n_qubits, n_electrons).generators:
+        grouped.setdefault(gen.param_name, []).append(gen)
+    return OperatorPool("fermionic-sd", tuple(
+        PoolEntry(label=name, generators=tuple(gens))
+        for name, gens in grouped.items()))
 
 
 def build_qubit_pool(fermionic: OperatorPool,
@@ -119,19 +101,14 @@ def build_qubit_pool(fermionic: OperatorPool,
     """Split the JW images into individual odd-Y strings, Z chains removed."""
     if fermionic.kind != "fermionic-sd":
         raise ValueError("qubit pool is derived from a fermionic-sd pool")
-    seen = set()
-    entries = []
-    for entry in fermionic.entries:
-        op = entry.antihermitian_operator(n_qubits)
-        for string in sorted(op.terms, key=serialize_pauli_string):
-            if string.y_count() % 2 == 0:
-                continue
-            stripped = string.strip_z()
-            if stripped.ops and stripped not in seen:
-                seen.add(stripped)
-                entries.append(PoolEntry(
-                    label=serialize_pauli_string(stripped), string=stripped))
-    return OperatorPool("qubit-pauli", tuple(entries))
+    stripped = dict.fromkeys(  # first occurrences, in order
+        string.strip_z() for entry in fermionic.entries
+        for string in sorted(entry.antihermitian_operator(n_qubits).terms,
+                             key=serialize_pauli_string)
+        if string.y_count() % 2)
+    return OperatorPool("qubit-pauli", tuple(
+        PoolEntry(label=serialize_pauli_string(string), string=string)
+        for string in stripped if string.ops))
 
 
 def _pick(scores: np.ndarray) -> int:
@@ -140,57 +117,82 @@ def _pick(scores: np.ndarray) -> int:
     return int(np.flatnonzero(scores >= scores.max() - TIE_TOLERANCE)[0])
 
 
-def _adapt(h, n_qubits, pool, epsilon, initial_state, max_iters, cfg
+def _reoptimize(circuit, h, initial, values, cfg):
+    return minimize_bfgs(
+        circuit_objective(circuit, h, initial),
+        np.array([values[n] for n in circuit.param_names]), cfg,
+        param_names=circuit.param_names)
+
+
+def _adapt(h, n_qubits, pool, rank, name, initial, max_iters, cfg,
+           prefix=(), start=None, reached=None
            ) -> tuple[AnsatzBuild, AdaptiveTrace]:
-    """Both flavours' growth loop: append the entry of largest commutator
-    gradient (the pool compiled once, as one circuit), re-optimize all
-    parameters with adjoint gradients."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    """The growth loop, from the gates of `prefix` with their parameters
+    optimized from `start`.  Each iteration screens the pool, compiled
+    once as a circuit, in one commutator_gradient pass; rank(circuit,
+    values, initial, slopes) gives None to stop or (pick, size, angle).
+    The pick's screening gates join under parameter f"{name}{iteration}"
+    at that angle, everything re-optimizes with adjoint gradients, and
+    reached(energy), if given, may stop the growth."""
+    if max_iters < 0:
+        raise ValueError(f"iteration count {max_iters} is negative")
     cfg = cfg or OptimizerConfig()
     screen = pool.candidate_circuit(n_qubits)
     chosen: list[ExcitationGenerator] = []
-    gates: list[Gate] = []
-    values: dict[str, float] = {}
-    trace = AdaptiveTrace([], converged=False, final_energy=math.nan)
+    gates: list[Gate] = list(prefix)
+    values = dict(start or {})
+    trace = AdaptiveTrace(converged=False, final_energy=math.nan,
+                          iterations=[])
     circuit = ParamCircuit.from_gates(n_qubits, gates)
-    tick = time.perf_counter()  # the first screening also gives E(reference)
-    energy, slopes = commutator_gradient(circuit, h, values, initial_state,
-                                         screen)
+    if circuit.n_params:  # QCC's mean field, optimized alone first
+        values = _reoptimize(circuit, h, initial, values, cfg).parameters
+    tick = time.perf_counter()  # the first screening also gives E(start)
+    energy, slopes = commutator_gradient(circuit, h, values, initial, screen)
     for iteration in range(max_iters):
         if iteration:
             tick = time.perf_counter()
-            slopes = commutator_gradient(circuit, h, values, initial_state,
+            slopes = commutator_gradient(circuit, h, values, initial,
                                          screen)[1]
-        grads = np.array([slopes.get(str(k), 0.0) for k in range(len(pool))])
-        norm = float(np.linalg.norm(grads))
-        if norm < epsilon:
+        ranked = rank(circuit, values, initial, np.array(
+            [slopes.get(str(k), 0.0) for k in range(len(pool))]))
+        if ranked is None:
             trace.converged = True
             break
-        pick = _pick(np.abs(grads))
+        pick, size, angle = ranked
         entry = pool.entries[pick]
-        name = f"adapt{iteration}"
-        chosen.extend(replace(gen, param_name=name)
+        param = f"{name}{iteration}"
+        chosen.extend(replace(gen, param_name=param)
                       for gen in entry.generators)
-        gates.extend(replace(gate, param=(name, gate.param[1]))
+        gates.extend(replace(gate, param=(param, gate.param[1]))
                      for gate in screen.gates if gate.param[0] == str(pick))
-        values[name] = 0.0
+        values[param] = angle
         circuit = ParamCircuit.from_gates(n_qubits, gates)
-        outcome = minimize_bfgs(
-            circuit_objective(circuit, h, initial_state),
-            np.array([values[n] for n in circuit.param_names]), cfg,
-            param_names=circuit.param_names)
-        values = outcome.parameters
-        energy = outcome.energy
+        outcome = _reoptimize(circuit, h, initial, values, cfg)
+        values, energy = outcome.parameters, outcome.energy
         trace.iterations.append(AdaptiveIteration(
-            chosen_label=entry.label, gradient_norm=norm,
+            chosen_label=entry.label, gradient_norm=size,
             energy_after_reopt=energy, n_params=circuit.n_params,
             wall_time=time.perf_counter() - tick))
+        if reached is not None and reached(energy):
+            trace.converged = True
+            break
     trace.final_energy = energy
     build = AnsatzBuild(circuit, tuple(chosen),
                         particle_conserving=pool.kind == "fermionic-sd",
                         init_policy=ZEROS, n_params=circuit.n_params)
     return build, trace
+
+
+def _steepest(epsilon: float):
+    """ADAPT's rule: the largest |slope|, at zero, until the norm of the
+    slopes falls below epsilon."""
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+
+    def rank(circuit, values, initial, slopes):
+        norm = float(np.linalg.norm(slopes))
+        return None if norm < epsilon else (_pick(np.abs(slopes)), norm, 0.0)
+    return rank
 
 
 def adapt_vqe(h: QubitOperator, n_qubits: int, pool: OperatorPool,
@@ -203,7 +205,8 @@ def adapt_vqe(h: QubitOperator, n_qubits: int, pool: OperatorPool,
     screening gradient norm falls below epsilon."""
     if pool.kind != "fermionic-sd":
         raise ValueError("adapt_vqe expects a fermionic-sd pool")
-    return _adapt(h, n_qubits, pool, epsilon, initial_state, max_iters, cfg)
+    return _adapt(h, n_qubits, pool, _steepest(epsilon), "adapt",
+                  initial_state, max_iters, cfg)
 
 
 def qubit_adapt_vqe(h: QubitOperator, n_qubits: int, pool: OperatorPool,
@@ -215,22 +218,18 @@ def qubit_adapt_vqe(h: QubitOperator, n_qubits: int, pool: OperatorPool,
     exp(i theta P) gate per pick, screened by tau = iP."""
     if pool.kind != "qubit-pauli":
         raise ValueError("qubit_adapt_vqe expects a qubit-pauli pool")
-    return _adapt(h, n_qubits, pool, epsilon, initial_state, max_iters, cfg)
+    return _adapt(h, n_qubits, pool, _steepest(epsilon), "adapt",
+                  initial_state, max_iters, cfg)
 
 
-def _rank_entangler(h, state, string, base) -> tuple[float, float]:
-    """Exact min over tau of the appended-evolution energy, as
-    (delta_e, tau*); base is the energy of state itself.
-
-    Since P^2 = I, E(tau) = a + b cos 2tau + c sin 2tau, so E(0) and
-    E(+-pi/4) fix the curve and its minimum a - hypot(b, c).
-    """
-    plus = expectation(h, apply_pauli_evolution(state, string, math.pi / 4))
-    minus = expectation(h, apply_pauli_evolution(state, string, -math.pi / 4))
-    a = 0.5 * (plus + minus)
-    b = base - a
-    c = 0.5 * (plus - minus)
-    return -math.hypot(b, c) - b, 0.5 * math.atan2(-c, -b)
+def _entangler_curves(h, anticommutes, circuit, values, initial, slopes
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """(b, c) per pool string P, for E(tau) = <H_c> + b cos 2tau +
+    c sin 2tau with exp(i tau P) appended: b = <H_a> over the terms of h
+    that anticommute with P (P's row of `anticommutes`), c half P's
+    screening slope."""
+    return (anticommutes @ term_expectations(circuit, h, values, initial),
+            0.5 * slopes)
 
 
 def qcc_optimize(h: QubitOperator, n_qubits: int, pool: OperatorPool,
@@ -242,60 +241,37 @@ def qcc_optimize(h: QubitOperator, n_qubits: int, pool: OperatorPool,
                  ) -> tuple[AnsatzBuild, AdaptiveTrace]:
     """Mean-field Bloch product state plus greedily ranked entanglers.
 
-    Candidates are ranked by their exact 1-D energy gain with everything
-    else frozen, read off the closed-form curve a + b cos 2tau + c sin 2tau
-    through E(0) and E(+-pi/4); the winner joins the circuit at its
-    optimal angle and all parameters re-optimize.
-    Stops when the best candidate gains less than improvement_tol, when a
-    supplied reference is matched to chem_tol, or at max_entanglers.
+    ADAPT's growth loop from the optimized mean field.  Each string P is
+    ranked by its exact 1-D energy gain with everything else frozen, read
+    off _entangler_curves: hypot(b, c) + b at tau* = atan2(-c, -b) / 2.
+    The best joins at tau* and all parameters re-optimize; the trace's
+    gradient_norm holds that gain |Delta E|.  Stops when the best gain is
+    below improvement_tol, when a supplied reference is matched to
+    chem_tol, or at max_entanglers.
     """
     if len(pool.entries) == 0:
         raise ValueError("empty entangler pool")
-    cfg = cfg or OptimizerConfig()
-    gates: list[Gate] = []
-    values: dict[str, float] = {}
+    if pool.kind != "qubit-pauli":
+        raise ValueError("qcc_optimize expects a qubit-pauli pool")
     # the Bloch product state is built from the vacuum; initial_state only
     # seeds the mean-field angles to the matching determinant
+    gates, values = [], {}
     for q in range(n_qubits):
-        gates.append(Gate("RY", (q,), param=(f"mf_t{q}", 1.0)))
-        gates.append(Gate("RZ", (q,), param=(f"mf_p{q}", 1.0)))
+        gates += [Gate("RY", (q,), param=(f"mf_t{q}", 1.0)),
+                  Gate("RZ", (q,), param=(f"mf_p{q}", 1.0))]
         values[f"mf_t{q}"] = math.pi if (initial_state >> q) & 1 else 0.0
         values[f"mf_p{q}"] = 0.0
-    circuit = ParamCircuit.from_gates(n_qubits, gates)
-    trace = AdaptiveTrace([], converged=False, final_energy=math.nan)
+    anticommutes = anticommuting([entry.string for entry in pool.entries],
+                                 h.terms)
 
-    def reoptimize():
-        outcome = minimize_bfgs(
-            circuit_objective(circuit, h, 0),
-            np.array([values[n] for n in circuit.param_names]), cfg,
-            param_names=circuit.param_names)
-        return outcome.parameters, outcome.energy
+    def rank(circuit, values, initial, slopes):
+        b, c = _entangler_curves(h, anticommutes, circuit, values, initial,
+                                 slopes)
+        gains = np.hypot(b, c) + b
+        best = _pick(gains)
+        return None if gains[best] < improvement_tol else (
+            best, float(gains[best]), 0.5 * math.atan2(-c[best], -b[best]))
 
-    values, energy = reoptimize()  # mean-field alone first
-    for iteration in range(max_entanglers):
-        tick = time.perf_counter()
-        state = apply_circuit(circuit, values, 0)
-        rankings = [_rank_entangler(h, state, entry.string, energy)
-                    for entry in pool.entries]
-        best = _pick(-np.array([r[0] for r in rankings]))
-        delta, tau = rankings[best]
-        if delta > -improvement_tol:
-            trace.converged = True
-            break
-        name = f"ent{iteration}"
-        gates.append(pauli_evolution(pool.entries[best].string, name))
-        values[name] = tau
-        circuit = ParamCircuit.from_gates(n_qubits, gates)
-        values, energy = reoptimize()
-        trace.iterations.append(AdaptiveIteration(
-            chosen_label=pool.entries[best].label, gradient_norm=abs(delta),
-            energy_after_reopt=energy, n_params=circuit.n_params,
-            wall_time=time.perf_counter() - tick))
-        if (reference_energy is not None
-                and energy - reference_energy <= chem_tol):
-            trace.converged = True
-            break
-    trace.final_energy = energy
-    build = AnsatzBuild(circuit, (), particle_conserving=False,
-                        init_policy=ZEROS, n_params=circuit.n_params)
-    return build, trace
+    return _adapt(h, n_qubits, pool, rank, "ent", 0, max_entanglers, cfg,
+                  gates, values, None if reference_energy is None
+                  else lambda energy: energy - reference_energy <= chem_tol)

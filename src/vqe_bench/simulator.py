@@ -21,6 +21,8 @@ matrix over the sector, exact since the state never leaves it.
 Otherwise the plan runs over all 2**n states and its steps act through
 the Pauli-string kernel per application, so it holds no 2**n arrays.
 Screening pools are circuits too; only h is ever compiled as a matrix.
+Its terms' expectations are read off the state itself, a flip mask at a
+time (term_expectations).
 
 The kernel takes a leading batch axis: batch_adjoint_gradient runs one
 forward and one reverse sweep over an (R, D) array of states, one row per
@@ -128,21 +130,9 @@ class Gate:
                 raise ValueError("PauliEvolution targets must match the "
                                  "generator's qubits")
 
-    def resolve_angle(self, values: dict[str, float]) -> float:
-        if self.angle is not None:
-            return self.angle
-        name, prefactor = self.param
-        if name not in values:
-            raise ValueError(f"missing parameter value for {name!r}")
-        return prefactor * values[name]
-
 
 def ry(q: int, name: str, prefactor: float = 1.0) -> Gate:
     return Gate("RY", (q,), param=(name, prefactor))
-
-
-def cnot(control: int, target: int) -> Gate:
-    return Gate("CNOT", (control, target))
 
 
 def pauli_evolution(string: PauliString, name: str,
@@ -367,14 +357,23 @@ def _generator(gate: Gate) -> dict[PauliString, complex]:
     return {PauliString(((gate.targets[0], gate.kind[1]),)): -0.5j}
 
 
+def _masks(strings) -> tuple[np.ndarray, np.ndarray]:
+    return (np.array([s.x for s in strings], dtype=np.int64),
+            np.array([s.z for s in strings], dtype=np.int64))
+
+
+def anticommuting(strings, others) -> np.ndarray:
+    """Boolean matrix, True at (i, j) when strings[i] and others[j]
+    anticommute: their symplectic product |x_i & z_j| + |z_i & x_j| is
+    odd."""
+    (x, z), (ox, oz) = _masks(strings), _masks(others)
+    return np.bitwise_count((x[:, None] & oz) ^ (z[:, None] & ox)) & 1 == 1
+
+
 def _commute(strings, others) -> bool:
-    """Pauli strings commute when their symplectic product is even."""
-    masks = [(s.x, s.z) for s in others]
-    for string in strings:
-        if any(((string.x & z) ^ (string.z & x)).bit_count() % 2
-               for x, z in masks):
-            return False
-    return True
+    """anticommuting's rule for a few strings, in plain integers."""
+    return not any(((a.x & b.z) ^ (a.z & b.x)).bit_count() % 2
+                   for a in strings for b in others)
 
 
 def _flip(step: _Step) -> int:
@@ -636,10 +635,8 @@ def apply_circuit(circuit: ParamCircuit, values: dict[str, float],
 def apply_pauli_evolution(state: StateVector, string: PauliString,
                           theta: float) -> StateVector:
     """exp(i theta P) applied to a copy of the state."""
-    out = state.copy()
-    acted = _act(_Step(-1, theta, ((string, 1j),)), out.amplitudes)
-    _rotate(out.amplitudes, acted, _trig(acted, theta))
-    return out
+    return apply_gates(state, [Gate("PauliEvolution", string.qubits,
+                                    generator=string, angle=theta)], {})
 
 
 def apply_gates(state: StateVector, gates, values: dict[str, float]) -> StateVector:
@@ -664,6 +661,28 @@ def expectation(h: QubitOperator, state: StateVector) -> float:
     """<s|h|s>; raises if the imaginary residue betrays a non-Hermitian h."""
     amps = state.amplitudes
     return _real(np.vdot(amps, compiled_sum(h, state.n_qubits) @ amps))
+
+
+def term_expectations(circuit: ParamCircuit, h: QubitOperator,
+                      values: dict[str, float],
+                      initial: int = 0) -> np.ndarray:
+    """<c_k Q_k> at the circuit's state for each term of h, in h.terms
+    order, so they sum to <h>.  The terms of one flip mask share the
+    product conj(psi[s ^ flip]) psi[s], summed per term with its signs."""
+    plan, psi, _ = _run(circuit, values, initial)
+    psi, states = _scatter(plan, psi), _indices(1 << circuit.n_qubits)
+    flips, yz = _masks(h.terms)
+    weights = np.fromiter((coeff * pauli_masks(string)[2]
+                           for string, coeff in h.terms.items()), complex)
+    out = np.empty(len(h.terms))
+    for flip in np.unique(flips).tolist():
+        rows = np.flatnonzero(flips == flip)
+        product = (psi[states ^ flip].conj() * psi).view(float)
+        parity = np.bitwise_count(states & yz[rows, None]) & 1
+        sums = ((1 - 2 * parity.view(np.int8)).astype(float)  # one cast
+                @ product.reshape(-1, 2))  # real and imaginary parts
+        out[rows] = (weights[rows] * (sums[:, 0] + 1j * sums[:, 1])).real
+    return out
 
 
 def basis_expectation(h: QubitOperator, n_qubits: int, index: int) -> float:
@@ -732,7 +751,9 @@ def commutator_gradient(circuit: ParamCircuit, h: QubitOperator,
     """Energy of the circuit's state psi and, per pool parameter, the slope
     2 Re<h psi|M psi> of appending its gates at zero, h applied once over
     the pool plan's basis: the sector when both keep it, else all 2**n.
-    Every pool gate must bind a parameter."""
+    A pool with a gate that binds no parameter is refused."""
+    if any(step.param < 0 for step in _circuit_plan(pool, None).steps):
+        raise ValueError("every pool gate must bind a parameter")
     plan, psi, _ = _run(circuit, values, initial)
     screen = _circuit_plan(pool, None if plan.basis is None else initial)
     if screen.basis is None:

@@ -139,21 +139,27 @@ def random_circuit(rng, n_qubits, n_params, n_gates):
     return ParamCircuit.from_gates(n_qubits, gates)
 
 
+def random_string(rng, n_qubits, min_size=0):
+    """A Pauli string on a random set of at least min_size qubits."""
+    from vqe_bench.operators import PauliString
+
+    size = int(rng.integers(min_size, n_qubits + 1))
+    qubits = rng.choice(n_qubits, size=size, replace=False)
+    return PauliString(tuple(sorted(
+        (int(q), str(rng.choice(list("XYZ")))) for q in qubits)))
+
+
 def random_values(rng, circuit):
     return {name: float(rng.uniform(-np.pi, np.pi))
             for name in circuit.param_names}
 
 
 def random_hermitian_operator(rng, n_qubits, n_terms):
-    from vqe_bench.operators import PauliString, QubitOperator
+    from vqe_bench.operators import QubitOperator
 
     terms = {}
     for _ in range(n_terms):
-        size = int(rng.integers(0, n_qubits + 1))
-        qubits = rng.choice(n_qubits, size=size, replace=False)
-        ops = tuple(sorted((int(q), str(rng.choice(list("XYZ"))))
-                           for q in qubits))
-        string = PauliString(ops)
+        string = random_string(rng, n_qubits)
         terms[string] = terms.get(string, 0.0) + float(rng.normal())
     return QubitOperator(terms)
 
@@ -218,27 +224,35 @@ def apply_generator(gate, psi, n_qubits):
                                _SINGLE[gate.kind[1]])
 
 
+def _resolved_angle(gate, values):
+    if gate.param is None:
+        return gate.angle
+    return gate.param[1] * values[gate.param[0]]
+
+
+def circuit_state(circuit, values, initial):
+    """The circuit's state from basis state `initial`, gate by gate over
+    the full space."""
+    psi = np.zeros(2 ** circuit.n_qubits, dtype=complex)
+    psi[initial] = 1.0
+    for gate in circuit.gates:
+        psi = apply_gate(gate, _resolved_angle(gate, values), psi,
+                         circuit.n_qubits)
+    return psi
+
+
 def energy_gradient(circuit, h, values, initial):
     """Energy and dE/d(parameter) gate by gate over the full space: no
     fusion, no sector, h applied term by term; the gradient is the
     textbook adjoint sweep over these per-gate actions."""
     n = circuit.n_qubits
-
-    def angle(gate):
-        if gate.param is None:
-            return gate.angle
-        return gate.param[1] * values[gate.param[0]]
-
-    psi = np.zeros(2 ** n, dtype=complex)
-    psi[initial] = 1.0
-    for gate in circuit.gates:
-        psi = apply_gate(gate, angle(gate), psi, n)
+    psi = circuit_state(circuit, values, initial)
     lam = sum(coeff * apply_pauli(string, psi, n)
               for string, coeff in h.terms.items())
     energy = np.vdot(psi, lam).real
     grad = {name: 0.0 for name in circuit.param_names}
     for gate in reversed(circuit.gates):
-        a = angle(gate)
+        a = _resolved_angle(gate, values)
         if gate.param is not None:
             name, prefactor = gate.param
             grad[name] += prefactor * 2.0 * np.vdot(

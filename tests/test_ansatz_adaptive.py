@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import pool_entry_finite_difference, qubit_operator_matrix
+from oracles import (
+    circuit_state,
+    pauli_matrix,
+    pool_entry_finite_difference,
+    qubit_operator_matrix,
+    random_circuit,
+    random_hermitian_operator,
+    random_string,
+    random_values,
+)
 from vqe_bench import simulator
 from vqe_bench.ansatz import ExcitationGenerator, adaptive, build_uccsd_singlet
 from vqe_bench.ansatz.core import generator_gates
@@ -27,6 +36,7 @@ from vqe_bench.hamiltonian import (
 )
 from vqe_bench.operators import QubitOperator, parse_pauli_string
 from vqe_bench.simulator import (
+    Gate,
     ParamCircuit,
     StateVector,
     adjoint_gradient,
@@ -142,6 +152,20 @@ class TestPoolScreening:
         for name in pool.param_names:
             assert slopes[name] == pytest.approx(grad[name], abs=1e-12)
 
+    @pytest.mark.parametrize("unbound", [
+        Gate("PauliEvolution", (0, 1, 2, 3),
+             generator=parse_pauli_string("X0 X1 X2 Y3"), angle=0.3),
+        Gate("CNOT", (0, 1))], ids=["fixed angle", "CNOT"])
+    def test_pool_gate_binding_no_parameter_refused(self, unbound):
+        # a fixed-angle evolution's slope landed on the last pool
+        # parameter ("a" read -0.36 instead of 0.0); a CNOT raised a
+        # TypeError
+        h, _, hf_idx = h2_problem()
+        pool = ParamCircuit.from_gates(4, [
+            pauli_evolution(parse_pauli_string("X0 Y2"), "a"), unbound])
+        with pytest.raises(ValueError, match="bind a parameter"):
+            commutator_gradient(ParamCircuit(4, (), ()), h, {}, hf_idx, pool)
+
     def test_equal_labels_stay_separate_candidates(self):
         string = parse_pauli_string("Y0 X1")
         pool = OperatorPool("qubit-pauli", (PoolEntry("same", string=string),
@@ -182,6 +206,20 @@ class TestPoolScreening:
             tracemalloc.stop()
         assert len(trace.iterations) == 1
         assert peak < 8e6
+
+
+class TestGrowthLoop:
+    def test_negative_iteration_counts_rejected(self):
+        # they returned the reference energy with converged=False
+        h, _, hf_idx = h2_problem()
+        fermionic = build_fermionic_pool(4, 2)
+        qubit = build_qubit_pool(fermionic, 4)
+        calls = [lambda: adapt_vqe(h, 4, fermionic, max_iters=-1),
+                 lambda: qubit_adapt_vqe(h, 4, qubit, max_iters=-1),
+                 lambda: qcc_optimize(h, 4, qubit, max_entanglers=-1)]
+        for call in calls:
+            with pytest.raises(ValueError, match="is negative"):
+                call()
 
 
 class TestAdaptVqe:
@@ -368,15 +406,100 @@ class TestQcc:
         with pytest.raises(ValueError, match="empty"):
             qcc_optimize(h, 4, OperatorPool("qubit-pauli", ()))
 
+    def test_fermionic_pool_rejected(self):
+        # it died inside the ranking with an AttributeError
+        h, _, hf_idx = h2_problem()
+        with pytest.raises(ValueError, match="qubit-pauli"):
+            qcc_optimize(h, 4, build_fermionic_pool(4, 2),
+                         initial_state=hf_idx)
+
     def test_gain_ties_pick_lowest_index(self, monkeypatch):
         # gains equal up to rounding must not let the later entry win
         h, _, hf_idx = h2_problem()
         qpool = build_qubit_pool(build_fermionic_pool(4, 2), 4)
         pool = OperatorPool("qubit-pauli", qpool.entries[:2])
-        deltas = {pool.entries[0].string: -1.0,
-                  pool.entries[1].string: -1.0 - 1e-13}
-        monkeypatch.setattr(adaptive, "_rank_entangler",
-                            lambda h, state, s, base: (deltas[s], 0.1))
+        # with b = 0 the deltas -hypot(b, c) - b are -1.0 and -1.0 - 1e-13
+        c = np.array([1.0, 1.0 + 1e-13])
+        assert list(-np.hypot(0.0, c)) == [-1.0, -1.0 - 1e-13]
+        monkeypatch.setattr(
+            adaptive, "_entangler_curves",
+            lambda h, anticommutes, circuit, values, initial, slopes: (
+                np.zeros(2), c))
         _, trace = qcc_optimize(h, 4, pool, initial_state=hf_idx,
                                 max_entanglers=1)
         assert trace.iterations[0].chosen_label == pool.entries[0].label
+        assert trace.iterations[0].gradient_norm == 1.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_curves_match_dense_angle_scan(self, seed):
+        # appending exp(i tau P) to a random state moves the energy by
+        # b (cos 2tau - 1) + c sin 2tau, and qcc_optimize's gain
+        # hypot(b, c) + b at tau* = atan2(-c, -b) / 2 is the scan's drop
+        rng = np.random.default_rng(seed)
+        n = 3
+        circuit = random_circuit(rng, n, 3, 8)
+        values = random_values(rng, circuit)
+        initial = int(rng.integers(2 ** n))
+        h = random_hermitian_operator(rng, n, 6)
+        strings = [random_string(rng, n, min_size=1) for _ in range(4)]
+        pool = OperatorPool("qubit-pauli", tuple(
+            PoolEntry(str(s), string=s) for s in strings))
+        slopes = commutator_gradient(circuit, h, values, initial,
+                                     pool.candidate_circuit(n))[1]
+        b, c = adaptive._entangler_curves(
+            h, simulator.anticommuting(strings, h.terms), circuit, values,
+            initial, np.array([slopes[str(k)] for k in range(len(pool))]))
+        psi = circuit_state(circuit, values, initial)
+        hmat = qubit_operator_matrix(h, n)
+        e0 = np.vdot(psi, hmat @ psi).real
+        taus = np.linspace(-math.pi / 2, math.pi / 2, 2001)
+        for k, string in enumerate(strings):
+            moved = pauli_matrix(string, n) @ psi
+            scan = (np.cos(taus)[:, None] * psi
+                    + 1j * np.sin(taus)[:, None] * moved)
+            energies = np.einsum("ti,ti->t", scan.conj(),
+                                 scan @ hmat.T).real
+            curve = b[k] * (np.cos(2 * taus) - 1) + c[k] * np.sin(2 * taus)
+            np.testing.assert_allclose(energies - e0, curve, atol=1e-10)
+            gain = math.hypot(b[k], c[k]) + b[k]
+            # no scan point beats the closed form, and the grid misses
+            # the minimum by at most hypot(b, c) step^2
+            miss = gain - (e0 - energies.min())
+            step = taus[1] - taus[0]
+            assert -1e-12 <= miss <= math.hypot(b[k], c[k]) * step**2 + 1e-10
+            best = 0.5 * math.atan2(-c[k], -b[k])
+            rotated = math.cos(best) * psi + 1j * math.sin(best) * moved
+            assert np.vdot(rotated, hmat @ rotated).real == pytest.approx(
+                e0 - gain, abs=1e-10)
+
+    # parent picks of the ranking by E(0) and E(+-pi/4), which this one
+    # replaced; the labels are exact and the energies within 1e-12 Ha
+    PINS = {
+        ("H4", 1.0): (["X2 X3 X4 Y5", "X0 X3 X4 Y7", "X1 X2 X5 Y6",
+                       "X0 X1 X6 Y7", "X0 X1 X4 Y5", "X2 Y3 Y6 Y7",
+                       "X0 X3 Y5 X6", "X1 Y2 X4 X7", "X0 Y2 Y4 Y6",
+                       "X1 X3 X5 Y7"], -2.1653594559622342),
+        ("H4", 1.8): (["X2 X3 X4 Y5", "X0 X3 X4 Y7", "X1 X2 X5 Y6",
+                       "X0 X1 X6 Y7", "X3 Y7", "X0 Y4", "X0 X3 Y5 X6",
+                       "Y1 X2 Y4 Y7", "X0 Y1 X4 X5", "X2 X3 Y6 X7",
+                       "X1 Y2 Y5 Y6", "X0 X3 Y4 X7", "X1 Y3 X5 X7",
+                       "X0 Y2 Y4 Y6", "Y2 X6", "Y1 X5", "X2 Y3 Y6 Y7",
+                       "X1 Y2 X5 X6", "X1 Y3 Y5 Y7"], -1.9228709569121403),
+        ("LiH", 1.6): (["X2 X3 X10 Y11", "X2 X3 X4 Y11", "X2 X3 Y5 X10",
+                        "X2 X3 X4 Y5", "X2 Y3 X6 X7"], -7.881118264995239),
+    }
+
+    @pytest.mark.parametrize("molecule,bond_length", list(PINS))
+    def test_full_qubit_pool_picks_are_pinned(self, molecule, bond_length):
+        data = bundled_molecule(molecule).integrals(bond_length)
+        h, n = qubit_hamiltonian(data), data.n_qubits
+        fci = exact_ground_energy(h, n, sector=(data.n_electrons, data.ms2))
+        qpool = build_qubit_pool(build_fermionic_pool(n, data.n_electrons), n)
+        _, trace = qcc_optimize(
+            h, n, qpool, initial_state=hf_state_index(n, data.n_electrons),
+            reference_energy=fci)
+        labels, final = self.PINS[molecule, bond_length]
+        assert [it.chosen_label for it in trace.iterations] == labels
+        assert trace.final_energy == pytest.approx(final, abs=1e-12)
+        assert trace.converged

@@ -44,7 +44,7 @@ from vqe_bench.simulator import (
     runs_in_sector,
 )
 from oracles import (
-    apply_gate,
+    circuit_state,
     energy_gradient,
     random_circuit,
     random_hermitian_operator,
@@ -241,11 +241,7 @@ def test_embedded_state_matches_oracle_amplitudes(h4, h4_families):
     _, n, hf, _ = h4
     circuit = h4_families["QUCC"].circuit
     values = random_values(np.random.default_rng(12), circuit)
-    expected = np.zeros(2 ** n, dtype=complex)
-    expected[hf] = 1.0
-    for gate in circuit.gates:
-        expected = apply_gate(gate, gate.resolve_angle(values),
-                                    expected, n)
+    expected = circuit_state(circuit, values, hf)
     state = apply_circuit(circuit, values, hf)
     np.testing.assert_allclose(state.amplitudes, expected, rtol=0,
                                atol=TOLERANCE)

@@ -24,12 +24,14 @@ from vqe_bench.simulator import (
     ry,
 )
 from oracles import (
+    circuit_state,
     circuit_unitary,
     finite_difference_gradient,
     pauli_matrix,
     qubit_operator_matrix,
     random_circuit,
     random_hermitian_operator,
+    random_string,
     random_values,
 )
 
@@ -134,6 +136,55 @@ class TestExpectation:
         assert abs(lhs - expectation(a, state) - expectation(b, state)) < 1e-10
         phased = StateVector(3, np.exp(0.77j) * state.amplitudes)
         assert abs(expectation(a, phased) - expectation(a, state)) < 1e-10
+
+
+class TestTermExpectations:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_each_term_matches_dense_and_they_sum_to_energy(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 5))
+        circuit = random_circuit(rng, n, 3, 8)
+        values = random_values(rng, circuit)
+        initial = int(rng.integers(2 ** n))
+        h = random_hermitian_operator(rng, n, 10)
+        terms = simulator.term_expectations(circuit, h, values, initial)
+        psi = circuit_state(circuit, values, initial)
+        assert len(terms) == len(h.terms)
+        for value, (string, coeff) in zip(terms, h.terms.items()):
+            dense = coeff * np.vdot(psi, pauli_matrix(string, n) @ psi)
+            assert value == pytest.approx(dense.real, abs=1e-12)
+        assert terms.sum() == pytest.approx(
+            expectation(h, apply_circuit(circuit, values, initial)),
+            abs=1e-12)
+
+    def test_sector_plan_state(self):
+        # a particle-conserving circuit runs over its sector; the terms
+        # are read off the state scattered to all 2**n amplitudes
+        circuit = ParamCircuit.from_gates(4, [
+            Gate("GivensRotation", (0, 2), param=("a", 1.0)),
+            Gate("GivensRotation", (1, 3), param=("b", 1.0))])
+        assert simulator.runs_in_sector(circuit, 0b0011)
+        h = qo("X0 X2", 0.5) + qo("Z1", -0.3) + qo("Y1 Y3") + qo("X0 Y1")
+        values = {"a": 0.4, "b": -1.1}
+        terms = simulator.term_expectations(circuit, h, values, 0b0011)
+        psi = circuit_state(circuit, values, 0b0011)
+        for value, (string, coeff) in zip(terms, h.terms.items()):
+            dense = coeff * np.vdot(psi, pauli_matrix(string, 4) @ psi)
+            assert value == pytest.approx(dense.real, abs=1e-12)
+
+
+class TestAnticommuting:
+    def test_matches_dense_products(self):
+        rng = np.random.default_rng(8)
+        strings = [random_string(rng, 3) for _ in range(12)]
+        others = [random_string(rng, 3) for _ in range(9)]
+        table = simulator.anticommuting(strings, others)
+        assert table.shape == (12, 9)
+        for i, a in enumerate(strings):
+            for j, b in enumerate(others):
+                pa, pb = pauli_matrix(a, 3), pauli_matrix(b, 3)
+                assert table[i, j] == np.allclose(pa @ pb, -(pb @ pa))
 
 
 class TestPauliSumMatrix:
