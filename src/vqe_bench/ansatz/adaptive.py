@@ -12,7 +12,12 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from ..driver import OptimizerConfig, circuit_objective, minimize_bfgs
+from ..driver import (
+    CHEMICAL_ACCURACY,
+    OptimizerConfig,
+    circuit_objective,
+    minimize_bfgs,
+)
 from ..operators import PauliString, QubitOperator, serialize_pauli_string
 from ..simulator import (
     Gate,
@@ -64,7 +69,7 @@ class OperatorPool:
             for gen in entry.generators:
                 gates.extend(generator_gates(replace(gen, param_name=str(k)),
                                              n_qubits))
-        return ParamCircuit.from_gates(n_qubits, gates)
+        return ParamCircuit(n_qubits, gates)
 
 
 @dataclass
@@ -143,7 +148,7 @@ def _adapt(h, n_qubits, pool, rank, name, initial, max_iters, cfg,
     values = dict(start or {})
     trace = AdaptiveTrace(converged=False, final_energy=math.nan,
                           iterations=[])
-    circuit = ParamCircuit.from_gates(n_qubits, gates)
+    circuit = ParamCircuit(n_qubits, gates)
     if circuit.n_params:  # QCC's mean field, optimized alone first
         values = _reoptimize(circuit, h, initial, values, cfg).parameters
     tick = time.perf_counter()  # the first screening also gives E(start)
@@ -166,7 +171,7 @@ def _adapt(h, n_qubits, pool, rank, name, initial, max_iters, cfg,
         gates.extend(replace(gate, param=(param, gate.param[1]))
                      for gate in screen.gates if gate.param[0] == str(pick))
         values[param] = angle
-        circuit = ParamCircuit.from_gates(n_qubits, gates)
+        circuit = ParamCircuit(n_qubits, gates)
         outcome = _reoptimize(circuit, h, initial, values, cfg)
         values, energy = outcome.parameters, outcome.energy
         trace.iterations.append(AdaptiveIteration(
@@ -177,10 +182,9 @@ def _adapt(h, n_qubits, pool, rank, name, initial, max_iters, cfg,
             trace.converged = True
             break
     trace.final_energy = energy
-    build = AnsatzBuild(circuit, tuple(chosen),
-                        particle_conserving=pool.kind == "fermionic-sd",
-                        init_policy=ZEROS, n_params=circuit.n_params)
-    return build, trace
+    return AnsatzBuild(circuit, tuple(chosen),
+                       particle_conserving=pool.kind == "fermionic-sd",
+                       init_policy=ZEROS), trace
 
 
 def _steepest(epsilon: float):
@@ -233,7 +237,7 @@ def _entangler_curves(h, anticommutes, circuit, values, initial, slopes
 
 
 def qcc_optimize(h: QubitOperator, n_qubits: int, pool: OperatorPool,
-                 chem_tol: float = 0.0016, max_entanglers: int = 20,
+                 chem_tol: float = CHEMICAL_ACCURACY, max_entanglers: int = 20,
                  initial_state: int = 0,
                  reference_energy: float | None = None,
                  improvement_tol: float = 1e-6,

@@ -81,12 +81,11 @@ class AnsatzBuild:
     generators: tuple[ExcitationGenerator, ...]
     particle_conserving: bool
     init_policy: InitPolicy
-    n_params: int
     restarts: int = 1
 
-    def __post_init__(self):
-        if self.n_params != self.circuit.n_params:
-            raise ValueError("n_params disagrees with the circuit")
+    @property
+    def n_params(self) -> int:
+        return self.circuit.n_params
 
 
 def generator_gates(gen: ExcitationGenerator, n_qubits: int) -> list[Gate]:
@@ -114,7 +113,7 @@ def compile_generators(
         if new_gates:
             gates.extend(new_gates)
             kept.append(gen)
-    return ParamCircuit.from_gates(n_qubits, gates), tuple(kept)
+    return ParamCircuit(n_qubits, gates), tuple(kept)
 
 
 def trotterize(gens, n_qubits: int) -> ParamCircuit:

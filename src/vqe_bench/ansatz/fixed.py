@@ -73,9 +73,8 @@ def build_uccsd_singlet(n_qubits: int, n_electrons: int) -> AnsatzBuild:
                                (_alpha, _beta), (_beta, _alpha)):
             gens.append(ExcitationGenerator(
                 "double", (spin_i(i), spin_j(j)), (spin_i(a), spin_j(b)), name))
-    circuit, kept = compile_generators(gens, n_qubits)
-    return AnsatzBuild(circuit, kept, particle_conserving=True,
-                       init_policy=ZEROS, n_params=circuit.n_params)
+    return AnsatzBuild(*compile_generators(gens, n_qubits),
+                       particle_conserving=True, init_policy=ZEROS)
 
 
 def _pair_channel_doubles(occ, virt) -> list[ExcitationGenerator]:
@@ -116,9 +115,8 @@ def build_uccsd0(n_qubits: int, n_electrons: int) -> AnsatzBuild:
     occ, virt = _spatial_split(n_qubits, n_electrons)
     gens = _shared_singles(occ, virt)
     gens.extend(_pair_channel_doubles(occ, virt))
-    circuit, kept = compile_generators(gens, n_qubits)
-    return AnsatzBuild(circuit, kept, particle_conserving=True,
-                       init_policy=ZEROS, n_params=circuit.n_params)
+    return AnsatzBuild(*compile_generators(gens, n_qubits),
+                       particle_conserving=True, init_policy=ZEROS)
 
 
 def build_kupccgsd(n_qubits: int, n_electrons: int, k: int) -> AnsatzBuild:
@@ -138,9 +136,8 @@ def build_kupccgsd(n_qubits: int, n_electrons: int, k: int) -> AnsatzBuild:
             gens.append(ExcitationGenerator(
                 "paired-double", (_alpha(p), _beta(p)),
                 (_alpha(q), _beta(q)), f"k{block}_pd_{p}_{q}"))
-    circuit, kept = compile_generators(gens, n_qubits)
-    return AnsatzBuild(circuit, kept, particle_conserving=True,
-                       init_policy=UNIFORM_0_2PI, n_params=circuit.n_params,
+    return AnsatzBuild(*compile_generators(gens, n_qubits),
+                       particle_conserving=True, init_policy=UNIFORM_0_2PI,
                        restarts=10)
 
 
@@ -160,6 +157,5 @@ def build_qucc(n_qubits: int, n_electrons: int) -> AnsatzBuild:
             if (i % 2 + j % 2) == (a % 2 + b % 2):  # Sz-preserving
                 gens.append(ExcitationGenerator(
                     "qubit-double", (i, j), (a, b), f"qd_{i}_{j}_{a}_{b}"))
-    circuit, kept = compile_generators(gens, n_qubits)
-    return AnsatzBuild(circuit, kept, particle_conserving=True,
-                       init_policy=ZEROS, n_params=circuit.n_params)
+    return AnsatzBuild(*compile_generators(gens, n_qubits),
+                       particle_conserving=True, init_policy=ZEROS)

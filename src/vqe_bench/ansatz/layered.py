@@ -32,9 +32,8 @@ def build_hea(n_qubits: int, depth: int) -> AnsatzBuild:
         for q in range(n_qubits - 1):
             gates.append(Gate("CNOT", (q, q + 1)))
         rotation_layer(layer)
-    circuit = ParamCircuit.from_gates(n_qubits, gates)
-    return AnsatzBuild(circuit, (), particle_conserving=False,
-                       init_policy=UNIFORM_0_2PI, n_params=circuit.n_params)
+    return AnsatzBuild(ParamCircuit(n_qubits, gates), (),
+                       particle_conserving=False, init_policy=UNIFORM_0_2PI)
 
 
 def _matchgate_block(qa: int, qb: int, prefix: str) -> list[Gate]:
@@ -66,10 +65,9 @@ def build_ldca(n_qubits: int, cycles: int) -> AnsatzBuild:
                     gates.extend(_matchgate_block(qa, qa + 1, prefix))
     for q in range(n_qubits):
         gates.append(Gate("RZ", (q,), param=(f"phase_{q}", 1.0)))
-    circuit = ParamCircuit.from_gates(n_qubits, gates)
-    return AnsatzBuild(circuit, (), particle_conserving=False,
-                       init_policy=UNIFORM_0_2PI, n_params=circuit.n_params,
-                       restarts=20)
+    return AnsatzBuild(ParamCircuit(n_qubits, gates), (),
+                       particle_conserving=False,
+                       init_policy=UNIFORM_0_2PI, restarts=20)
 
 
 def givens_network(n_modes: int, n_filled: int) -> list[tuple[int, int]]:
@@ -102,10 +100,9 @@ def build_brc(n_modes: int, n_filled: int) -> AnsatzBuild:
     for epoch, p in givens_network(n_modes, n_filled):
         gates.append(Gate("GivensRotation", (p, p + 1),
                           param=(f"g_{epoch}_{p}", 1.0)))
-    circuit = ParamCircuit.from_gates(n_modes, gates)
-    return AnsatzBuild(circuit, (), particle_conserving=True,
-                       init_policy=UNIFORM_PM_PI, n_params=circuit.n_params,
-                       restarts=20)
+    return AnsatzBuild(ParamCircuit(n_modes, gates), (),
+                       particle_conserving=True,
+                       init_policy=UNIFORM_PM_PI, restarts=20)
 
 
 def build_brc_closed_shell(n_qubits: int, n_electrons: int) -> AnsatzBuild:
@@ -122,10 +119,9 @@ def build_brc_closed_shell(n_qubits: int, n_electrons: int) -> AnsatzBuild:
                           param=(name, 1.0)))
         gates.append(Gate("GivensRotation", (2 * p + 1, 2 * p + 3),
                           param=(name, 1.0)))
-    circuit = ParamCircuit.from_gates(n_qubits, gates)
-    return AnsatzBuild(circuit, (), particle_conserving=True,
-                       init_policy=UNIFORM_PM_PI, n_params=circuit.n_params,
-                       restarts=20)
+    return AnsatzBuild(ParamCircuit(n_qubits, gates), (),
+                       particle_conserving=True,
+                       init_policy=UNIFORM_PM_PI, restarts=20)
 
 
 def givens_compilation(theta: float, qa: int = 0, qb: int = 1) -> tuple[Gate, ...]:

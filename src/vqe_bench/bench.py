@@ -41,6 +41,7 @@ from .ansatz.adaptive import (
     qubit_adapt_vqe,
 )
 from .driver import (
+    CHEMICAL_ACCURACY,
     OptimizerConfig,
     run_hea_layer_growth,
     run_vqe,
@@ -55,7 +56,6 @@ from .hamiltonian import (
 log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
-CHEMICAL_ACCURACY = 0.0016
 DEFAULT_LDCA_CYCLES = 2
 KUPCCGSD_PATTERN = re.compile(r"^([1-9]\d*)-UpCCGSD$")  # k >= 1
 
@@ -212,16 +212,17 @@ def initdata(molecule: str, bond_lengths, data_dir: str | Path,
 
 def savedata(path: str | Path, ansatz: str, bond_length: float,
              energy, runtime=None, n_params=None, trace=None) -> BenchRecord:
-    """Atomic read-modify-write of one aligned slot."""
+    """Atomic read-modify-write of one aligned slot; a null energy (a
+    failed point) nulls the point's runtime, n_params and trace too."""
     record = load_record(path)
     idx = record.point_index(bond_length)
     record.slot("energies", ansatz)[idx] = energy
-    if runtime is not None:
-        record.slot("runtimes", ansatz)[idx] = runtime
-    if n_params is not None:
-        record.slot("n_params", ansatz)[idx] = n_params
-    if trace is not None:
-        record.slot("traces", ansatz)[idx] = trace
+    for name, value in (("runtimes", runtime), ("n_params", n_params),
+                        ("traces", trace)):
+        if value is not None:
+            record.slot(name, ansatz)[idx] = value
+        elif energy is None and ansatz in getattr(record, name):
+            record.slot(name, ansatz)[idx] = None
     record.metadata["timestamp"] = _now()
     save_record(record, path)
     return record
@@ -329,13 +330,14 @@ def run_ansatz_point(name: str, h, n_qubits: int, n_electrons: int,
                        time.perf_counter() - tick)
 
 
-class _SweepLock:
-    """Advisory lock file so concurrent sweeps refuse to share a record.
+class SweepLock:
+    """Advisory lock file so sweeps and CLI writers never share a record.
 
     It holds "<pid> <hostname>"; a lock whose pid is gone from this host
     (a killed sweep) is taken over with a warning."""
 
     def __init__(self, path: Path):
+        self.path = path
         self.lock_path = Path(str(path) + ".lock")
 
     def __enter__(self):
@@ -351,6 +353,8 @@ class _SweepLock:
                 log.warning("taking over %s: its sweep is no longer running",
                             self.lock_path)
                 self.lock_path.unlink(missing_ok=True)
+            except FileNotFoundError as exc:  # no directory, so no record
+                raise DataFileError(f"no data file at {self.path}") from exc
         with os.fdopen(fd, "w") as fh:
             fh.write(f"{os.getpid()} {socket.gethostname()}")
         return self
@@ -408,7 +412,7 @@ def run_sweep(spec: MoleculeSpec, ansatz_names, cfg: OptimizerConfig | None,
     references = reference_points(spec, bond_lengths)
     path = record_path(data_dir, spec.name)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with _SweepLock(path):
+    with SweepLock(path):
         if not path.exists():
             initdata(spec.name, spec.bond_lengths, data_dir)
         record = load_record(path)

@@ -3,19 +3,22 @@
 Exit codes: 0 success, 1 usage error, 2 data-file error, 3 numerical
 failure, including a `run` that leaves a point null.  Sweeps run serially;
 --threads (else VQE_BENCH_THREADS, else 4) is only recorded in metadata.
+The commands that write a data file (`init`, `record`, `fci`) take the
+sweep's lock on it, so they refuse a file that a live sweep owns.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+from contextlib import nullcontext
 
 import click
 
 from . import __version__
 from .bench import (
-    CHEMICAL_ACCURACY,
     DataFileError,
+    SweepLock,
     emit_comparison,
     initdata,
     known_ansatz,
@@ -26,7 +29,7 @@ from .bench import (
     save_reference,
     savedata,
 )
-from .driver import NumericalError, OptimizerConfig
+from .driver import CHEMICAL_ACCURACY, NumericalError, OptimizerConfig
 from .hamiltonian import (
     bundled_molecule,
     bundled_molecules,
@@ -81,8 +84,11 @@ def cmd_init(molecule, bond_lengths, data_dir, fixtures_dir, force):
     points = parse_bond_lengths(bond_lengths)
     if points is None:
         points = resolve_molecule(molecule, fixtures_dir).bond_lengths
-    initdata(molecule, points, data_dir, force=force)
-    click.echo(f"initialized {record_path(data_dir, molecule)}")
+    path = record_path(data_dir, molecule)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with SweepLock(path):
+        initdata(molecule, points, data_dir, force=force)
+    click.echo(f"initialized {path}")
 
 
 @cli.command("run")
@@ -145,12 +151,12 @@ def cmd_record(molecule, ansatz, reference, bond_length, energy, runtime,
         raise click.UsageError("pass exactly one of --ansatz / --reference")
     path = record_path(data_dir, molecule)
     try:
-        if reference:
-            save_reference(path, reference, bond_length, energy)
-            click.echo(f"recorded {reference} at r={bond_length}")
-        else:
-            savedata(path, ansatz, bond_length, energy, runtime, n_params)
-            click.echo(f"recorded {ansatz} at r={bond_length}")
+        with SweepLock(path):
+            if reference:
+                save_reference(path, reference, bond_length, energy)
+            else:
+                savedata(path, ansatz, bond_length, energy, runtime, n_params)
+        click.echo(f"recorded {reference or ansatz} at r={bond_length}")
     except ValueError as exc:  # e.g. a bond length the record does not hold
         raise click.UsageError(str(exc)) from exc
 
@@ -186,13 +192,16 @@ def cmd_fci(molecule, bond_lengths, data_dir, fixtures_dir, no_save):
     spec = resolve_molecule(molecule, fixtures_dir)
     references = reference_points(spec, parse_bond_lengths(bond_lengths))
     path = record_path(data_dir, molecule)
-    if not no_save and not path.exists():
-        initdata(molecule, spec.bond_lengths, data_dir)
-    for r, _, _, fci, ehf in references:
-        if not no_save:
-            save_reference(path, "fci", r, fci)
-            save_reference(path, "hf", r, ehf)
-        click.echo(f"{molecule} r={r}: FCI={fci:.10f}  HF={ehf:.10f}")
+    if not no_save:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    with nullcontext() if no_save else SweepLock(path):
+        if not no_save and not path.exists():
+            initdata(molecule, spec.bond_lengths, data_dir)
+        for r, _, _, fci, ehf in references:
+            if not no_save:
+                save_reference(path, "fci", r, fci)
+                save_reference(path, "hf", r, ehf)
+            click.echo(f"{molecule} r={r}: FCI={fci:.10f}  HF={ehf:.10f}")
 
 
 @cli.command("dump-hamiltonian")

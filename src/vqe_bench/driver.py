@@ -30,6 +30,7 @@ from .simulator import (
 )
 
 WOLFE_C1, WOLFE_C2 = 1e-4, 0.9  # sufficient decrease, curvature
+CHEMICAL_ACCURACY = 0.0016  # Ha, the paper's band around the FCI energy
 
 
 class NumericalError(RuntimeError):
@@ -338,7 +339,7 @@ def run_vqe(ansatz: AnsatzBuild, h: QubitOperator, initial_state: int,
 def run_hea_layer_growth(h: QubitOperator, n_qubits: int, initial_state: int,
                          reference_energy: float,
                          n_budget: int = 50000, s_restarts: int = 10,
-                         chem_tol: float = 0.0016,
+                         chem_tol: float = CHEMICAL_ACCURACY,
                          cfg: OptimizerConfig | None = None,
                          seed: int = 0,
                          max_depth: int = 50) -> tuple[AnsatzBuild, VqeResult]:

@@ -209,12 +209,8 @@ class MoleculeSpec:
     name: str
     bond_lengths: tuple[float, ...]
     fcidump_paths: dict[float, Path] = field(compare=False)
-    n_electrons: int = 0
-    n_qubits: int = 0
 
     def __post_init__(self):
-        if self.n_qubits % 2:
-            raise ValueError("n_qubits must be even")
         for r, path in self.fcidump_paths.items():
             if not Path(path).exists():
                 raise FileNotFoundError(f"{self.name} r={r}: {path}")
@@ -234,10 +230,8 @@ def molecule_from_dir(name: str, directory: str | Path) -> MoleculeSpec:
         paths[float(path.stem)] = path
     if not paths:
         raise FileNotFoundError(f"no FCIDUMP files under {directory}")
-    first = load_fcidump(next(iter(paths.values())))
     return MoleculeSpec(name=name, bond_lengths=tuple(sorted(paths)),
-                        fcidump_paths=paths, n_electrons=first.n_electrons,
-                        n_qubits=first.n_qubits)
+                        fcidump_paths=paths)
 
 
 def bundled_molecule(name: str) -> MoleculeSpec:

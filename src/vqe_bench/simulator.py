@@ -3,8 +3,8 @@ and analytic parameter gradients.
 
 Bit convention: qubit i is bit i of the basis index (qubit 0 least
 significant).  Rotation conventions: RY(t) = exp(-i t Y / 2), likewise RX
-and RZ; PauliEvolution applies exp(+i t P).  A StateVector is exclusively
-owned while gates mutate it; all public entry points hand out fresh copies.
+and RZ; PauliEvolution applies exp(+i t P).  A state is a bare array of
+2**n amplitudes; every public entry point hands out a fresh one.
 
 A Pauli sum acts through one form: its sparse matrix over a basis
 (pauli_sum_matrix), compiled once per operator and basis (compiled_sum).
@@ -72,31 +72,6 @@ _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _FIXED_MATRICES = {"CNOT": _CNOT, "SqrtISwap": _SQRT_ISWAP, "X": _X, "H": _H}
 
 
-@dataclass
-class StateVector:
-    """Normalized amplitudes over 2**n_qubits computational basis states."""
-
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    @classmethod
-    def basis_state(cls, n_qubits: int, index: int = 0) -> "StateVector":
-        if not 0 <= index < (1 << n_qubits):
-            raise ValueError(f"basis index {index} out of range")
-        amps = np.zeros(1 << n_qubits, dtype=complex)
-        amps[index] = 1.0
-        return cls(n_qubits, amps)
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amplitudes.copy())
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def inner(self, other: "StateVector") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-
 @dataclass(frozen=True)
 class Gate:
     """One circuit element; parameterized kinds carry exactly one binding."""
@@ -143,46 +118,35 @@ def pauli_evolution(string: PauliString, name: str,
 
 @dataclass(frozen=True)
 class ParamCircuit:
-    """Ordered gate list over named parameters; immutable, so the plans
-    cached on it (one per initial sector) never go stale."""
+    """Ordered gate list whose parameter names are those its gates bind,
+    in order of first binding; immutable, so the plans cached on it (one
+    per initial sector) never go stale."""
 
     n_qubits: int
     gates: tuple[Gate, ...]
-    param_names: tuple[str, ...]
+    param_names: tuple[str, ...] = field(init=False)
     _plans: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
-        names = set(self.param_names)
-        if len(names) != len(self.param_names):
-            raise ValueError("duplicate parameter names")
-        bound = set()
         for gate in self.gates:
             if any(t >= self.n_qubits or t < 0 for t in gate.targets):
                 raise ValueError(f"gate target out of range: {gate}")
-            if gate.param is not None:
-                if gate.param[0] not in names:
-                    raise ValueError(f"unlisted parameter {gate.param[0]!r}")
-                bound.add(gate.param[0])
-        unbound = names - bound
-        if unbound:
-            raise ValueError(f"parameters never bound: {sorted(unbound)}")
-
-    @classmethod
-    def from_gates(cls, n_qubits: int, gates) -> "ParamCircuit":
-        gates = tuple(gates)
-        return cls(n_qubits, gates, _param_names(gates))
+        object.__setattr__(self, "param_names", tuple(dict.fromkeys(
+            gate.param[0] for gate in self.gates if gate.param is not None)))
 
     @property
     def n_params(self) -> int:
         return len(self.param_names)
 
 
-def _param_names(gates) -> tuple[str, ...]:
-    """Parameter names in order of first binding."""
-    return tuple(dict.fromkeys(
-        gate.param[0] for gate in gates if gate.param is not None))
+def _n_qubits(amps: np.ndarray) -> int:
+    """The qubit count of a state, read off its length: 2**n amplitudes."""
+    size = len(amps)
+    if size < 1 or size & (size - 1):
+        raise ValueError(f"a state of {size} amplitudes is not 2**n of them")
+    return size.bit_length() - 1
 
 
 # ---------------------------------------------------------------------------
@@ -626,26 +590,26 @@ def runs_in_sector(circuit: ParamCircuit, initial: int) -> bool:
 
 
 def apply_circuit(circuit: ParamCircuit, values: dict[str, float],
-                  initial: int = 0) -> StateVector:
-    """Run the circuit on a computational basis state."""
+                  initial: int = 0) -> np.ndarray:
+    """The 2**n amplitudes the circuit prepares from a basis state."""
     plan, amps, _ = _run(circuit, values, initial)
-    return StateVector(circuit.n_qubits, _scatter(plan, amps))
+    return _scatter(plan, amps)
 
 
-def apply_pauli_evolution(state: StateVector, string: PauliString,
-                          theta: float) -> StateVector:
+def apply_pauli_evolution(amps: np.ndarray, string: PauliString,
+                          theta: float) -> np.ndarray:
     """exp(i theta P) applied to a copy of the state."""
-    return apply_gates(state, [Gate("PauliEvolution", string.qubits,
-                                    generator=string, angle=theta)], {})
+    return apply_gates(amps, [Gate("PauliEvolution", string.qubits,
+                                   generator=string, angle=theta)], {})
 
 
-def apply_gates(state: StateVector, gates, values: dict[str, float]) -> StateVector:
+def apply_gates(amps: np.ndarray, gates,
+                values: dict[str, float]) -> np.ndarray:
     """Run a gate sequence on a copy of an already-prepared state."""
-    gates = tuple(gates)
-    names = _param_names(gates)
-    plan = _Plan(state.n_qubits, _steps(gates, names))
-    out = state.copy()
-    _forward(plan, out.amplitudes, _angles(names, values))
+    circuit = ParamCircuit(_n_qubits(amps), gates)
+    out = np.array(amps, dtype=complex)
+    _forward(_circuit_plan(circuit, None), out,
+             _angles(circuit.param_names, values))
     return out
 
 
@@ -657,10 +621,9 @@ def _real(value: complex) -> float:
     return value.real
 
 
-def expectation(h: QubitOperator, state: StateVector) -> float:
+def expectation(h: QubitOperator, amps: np.ndarray) -> float:
     """<s|h|s>; raises if the imaginary residue betrays a non-Hermitian h."""
-    amps = state.amplitudes
-    return _real(np.vdot(amps, compiled_sum(h, state.n_qubits) @ amps))
+    return _real(np.vdot(amps, compiled_sum(h, _n_qubits(amps)) @ amps))
 
 
 def term_expectations(circuit: ParamCircuit, h: QubitOperator,
@@ -766,8 +729,7 @@ def commutator_gradient(circuit: ParamCircuit, h: QubitOperator,
             dict(zip(pool.param_names, slopes.tolist())))
 
 
-def number_expectation(state: StateVector) -> float:
+def number_expectation(amps: np.ndarray) -> float:
     """<N> for N = sum_i (1 - Z_i)/2, cheap diagonal evaluation."""
-    idx = _indices(len(state.amplitudes))
-    weights = np.bitwise_count(idx).astype(float)
-    return float(np.real(np.sum(np.abs(state.amplitudes) ** 2 * weights)))
+    weights = np.bitwise_count(_indices(1 << _n_qubits(amps))).astype(float)
+    return float(np.real(np.sum(np.abs(amps) ** 2 * weights)))

@@ -60,6 +60,13 @@ def fermion_operator_matrix(op: FermionOperator, n_modes: int) -> np.ndarray:
     return mat
 
 
+def basis_state(n_qubits: int, index: int) -> np.ndarray:
+    """The amplitudes of computational basis state |index>."""
+    amps = np.zeros(2 ** n_qubits, dtype=complex)
+    amps[index] = 1.0
+    return amps
+
+
 def circuit_unitary(circuit, values) -> np.ndarray:
     """Assemble the dense circuit matrix column by column."""
     from vqe_bench.simulator import apply_circuit
@@ -67,7 +74,7 @@ def circuit_unitary(circuit, values) -> np.ndarray:
     dim = 2 ** circuit.n_qubits
     mat = np.empty((dim, dim), dtype=complex)
     for col in range(dim):
-        mat[:, col] = apply_circuit(circuit, values, col).amplitudes
+        mat[:, col] = apply_circuit(circuit, values, col)
     return mat
 
 
@@ -136,7 +143,7 @@ def random_circuit(rng, n_qubits, n_params, n_gates):
         else:
             gates.append(Gate(kind, (int(rng.integers(n_qubits)),),
                               param=(name, prefactor)))
-    return ParamCircuit.from_gates(n_qubits, gates)
+    return ParamCircuit(n_qubits, gates)
 
 
 def random_string(rng, n_qubits, min_size=0):

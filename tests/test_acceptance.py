@@ -284,7 +284,7 @@ def test_criterion_06_gradient_correctness():
             gates.append(pauli_evolution(PauliString(ops), f"t{k}"))
         from vqe_bench.simulator import ParamCircuit
 
-        circuit = ParamCircuit.from_gates(n, gates)
+        circuit = ParamCircuit(n, gates)
         values = random_values(rng, circuit)
         h = random_hermitian_operator(rng, n, 5)
         _, grad = adjoint_gradient(circuit, h, values, 3)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    basis_state,
     circuit_state,
     pauli_matrix,
     pool_entry_finite_difference,
@@ -38,7 +39,6 @@ from vqe_bench.operators import QubitOperator, parse_pauli_string
 from vqe_bench.simulator import (
     Gate,
     ParamCircuit,
-    StateVector,
     adjoint_gradient,
     apply_circuit,
     apply_pauli_evolution,
@@ -127,13 +127,13 @@ class TestPoolScreening:
         # the screening slopes, whichever basis each plan runs over
         hf_idx = hf_state_index(8, 4)
         if case == "qubit pool from HF":
-            circuit = ParamCircuit(8, (), ())
+            circuit = ParamCircuit(8, ())
             pool = build_qubit_pool(self.FERMIONIC, 8).candidate_circuit(8)
             assert not runs_in_sector(pool, hf_idx)
         else:
             circuit = self.UCCSD
             if case == "sector pool, circuit leaves sector":
-                circuit = ParamCircuit.from_gates(
+                circuit = ParamCircuit(
                     8, circuit.gates + (ry(3, "leak"),))
             pool = self.FERMIONIC.candidate_circuit(8)
             assert runs_in_sector(pool, hf_idx)
@@ -143,7 +143,7 @@ class TestPoolScreening:
                   for name in circuit.param_names}
         energy, slopes = commutator_gradient(circuit, self.H4, values,
                                              hf_idx, pool)
-        appended = ParamCircuit.from_gates(8, circuit.gates + pool.gates)
+        appended = ParamCircuit(8, circuit.gates + pool.gates)
         expected_energy, grad = adjoint_gradient(
             appended, self.H4, values | dict.fromkeys(pool.param_names, 0.0),
             hf_idx)
@@ -161,10 +161,10 @@ class TestPoolScreening:
         # parameter ("a" read -0.36 instead of 0.0); a CNOT raised a
         # TypeError
         h, _, hf_idx = h2_problem()
-        pool = ParamCircuit.from_gates(4, [
+        pool = ParamCircuit(4, [
             pauli_evolution(parse_pauli_string("X0 Y2"), "a"), unbound])
         with pytest.raises(ValueError, match="bind a parameter"):
-            commutator_gradient(ParamCircuit(4, (), ()), h, {}, hf_idx, pool)
+            commutator_gradient(ParamCircuit(4, ()), h, {}, hf_idx, pool)
 
     def test_equal_labels_stay_separate_candidates(self):
         string = parse_pauli_string("Y0 X1")
@@ -268,7 +268,7 @@ class TestAdaptVqe:
         for entry in pool.entries:
             fd = pool_entry_finite_difference(h, state, entry, 8)
             tau = entry.antihermitian_operator(8)  # i sum_j c_j P_j
-            gates = ParamCircuit.from_gates(8, [
+            gates = ParamCircuit(8, [
                 pauli_evolution(string, "tau", coeff.imag)
                 for string, coeff in tau.terms.items()])
             analytic = commutator_gradient(
@@ -339,7 +339,7 @@ class TestQubitAdaptVqe:
         qpool = build_qubit_pool(build_fermionic_pool(8, 4), 8)
         rng = np.random.default_rng(4)
         picks = rng.choice(len(qpool), size=5, replace=False)
-        circuit = ParamCircuit.from_gates(8, [
+        circuit = ParamCircuit(8, [
             pauli_evolution(qpool.entries[int(i)].string, f"qadapt{k}")
             for k, i in enumerate(picks)])
         values = {name: float(rng.uniform(-np.pi, np.pi))
@@ -389,11 +389,11 @@ class TestQcc:
                                      max_entanglers=0)
         assert mean_field.final_energy == pytest.approx(
             hf_energy(h, 8, 4), abs=1e-12)
-        state = StateVector.basis_state(8, hf_idx)
+        state = basis_state(8, hf_idx)
         string = next(e.string for e in qpool.entries
                       if e.label == first.chosen_label)
         taus = np.linspace(-math.pi / 2, math.pi / 2, 2001)
-        scan = np.array([apply_pauli_evolution(state, string, t).amplitudes
+        scan = np.array([apply_pauli_evolution(state, string, t)
                          for t in taus])
         energies = np.einsum("ti,ti->t", scan.conj(),
                              scan @ qubit_operator_matrix(h, 8).T).real

@@ -237,7 +237,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(bench.os, "open", released_meanwhile)
         path = record_path(tmp_path, "H2")
-        with bench._SweepLock(path) as lock:
+        with bench.SweepLock(path) as lock:
             assert lock.lock_path.read_text().startswith(f"{os.getpid()} ")
         assert raised and not lock.lock_path.exists()
 
@@ -253,6 +253,27 @@ class TestRunSweep:
                            FAST_CFG, seed=3, data_dir=tmp_path, threads=2)
         assert idents == [threading.get_ident()] * 2
         assert record.metadata["threads"] == 2
+
+    def test_failed_point_clears_its_stale_data(self, tmp_path, monkeypatch):
+        spec = bundled_molecule("H2")
+        record = run_sweep(spec, ["UCCSD", "ADAPT"], FAST_CFG, seed=5,
+                           data_dir=tmp_path)
+        assert record.runtimes["UCCSD"][0] > 0
+        assert record.traces["ADAPT"][0] is not None
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("forced point failure")
+
+        monkeypatch.setattr(bench, "run_ansatz_point", failing)
+        record = run_sweep(spec, ["UCCSD", "ADAPT"], FAST_CFG, seed=5,
+                           data_dir=tmp_path)
+        for name in ("UCCSD", "ADAPT"):
+            assert record.energies[name] == [None]
+            assert record.runtimes[name] == [None]
+            assert record.n_params[name] == [None]
+        assert record.traces["ADAPT"] == [None]
+        _, rows = comparison_table(record, "runtimes")
+        assert rows == [[spec.bond_lengths[0], None, None]]
 
     def test_mismatched_bond_lengths_refused(self, tmp_path):
         initdata("H2", [9.0], tmp_path)
@@ -448,6 +469,15 @@ class TestCli:
         assert record.energies["UCCSD"][0] is not None
         assert record.energies["BRC"] == [None]
 
+    def test_record_without_data_file_leaves_no_lock(self, tmp_path, capsys):
+        for data_dir in (tmp_path / "void", tmp_path):
+            assert main(["record", "--molecule", "H2", "--ansatz", "UCCSD",
+                         "--bond-length", "0.7414", "--energy", "-1.0",
+                         "--data-dir", str(data_dir)]) == 2
+            path = record_path(data_dir, "H2")
+            assert f"no data file at {path}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_dump_hamiltonian(self, tmp_path):
         out = tmp_path / "h2.txt"
         assert main(["dump-hamiltonian", "--molecule", "H2",
@@ -465,3 +495,49 @@ class TestCli:
         assert resolve_threads(2) == 2
         monkeypatch.delenv("VQE_BENCH_THREADS")
         assert resolve_threads(None) == 4
+
+
+WRITERS = {
+    "record": ["record", "--molecule", "H2", "--ansatz", "UCCSD",
+               "--bond-length", "0.7414", "--energy", "-1.0"],
+    "fci": ["fci", "--molecule", "H2"],
+    "init --force": ["init", "--molecule", "H2", "--force"],
+}
+
+
+class TestCliWritersTakeTheSweepLock:
+    def data_file(self, tmp_path):
+        data_dir = tmp_path / "data"
+        assert main(["init", "--molecule", "H2",
+                     "--data-dir", str(data_dir)]) == 0
+        path = record_path(data_dir, "H2")
+        savedata(path, "UCCSD", 0.7414, -1.1, 0.5, 3)
+        return data_dir, path, path.with_suffix(".json.lock")
+
+    @pytest.mark.parametrize("command", WRITERS)
+    def test_refused_while_a_sweep_owns_the_file(self, tmp_path, capsys,
+                                                 command):
+        data_dir, path, lock = self.data_file(tmp_path)
+        lock.write_text(f"{os.getpid()} {socket.gethostname()}")
+        before = path.read_bytes()
+        argv = WRITERS[command] + ["--data-dir", str(data_dir)]
+        assert main(argv) == 2
+        assert "another sweep owns" in capsys.readouterr().err
+        assert path.read_bytes() == before
+        assert lock.exists()
+        lock.unlink()
+        assert main(argv) == 0
+        assert path.read_bytes() != before
+        assert not lock.exists()
+
+    @pytest.mark.parametrize("command", WRITERS)
+    def test_stale_lock_taken_over(self, tmp_path, command):
+        data_dir, path, lock = self.data_file(tmp_path)
+        finished = subprocess.run([sys.executable, "-c", "import os; "
+                                   "print(os.getpid())"],
+                                  capture_output=True, text=True, check=True)
+        lock.write_text(f"{finished.stdout.strip()} {socket.gethostname()}")
+        before = path.read_bytes()
+        assert main(WRITERS[command] + ["--data-dir", str(data_dir)]) == 0
+        assert path.read_bytes() != before
+        assert not lock.exists()

@@ -14,6 +14,7 @@ from vqe_bench.ansatz import (
 from vqe_bench.driver import (
     NumericalError,
     OptimizerConfig,
+    VqeResult,
     circuit_objective,
     minimize_bfgs,
     minimize_in_lockstep,
@@ -56,7 +57,7 @@ class TestMinimizeBfgs:
         assert result.converged
 
     def test_one_parameter_cosine_circuit(self):
-        circuit = ParamCircuit.from_gates(1, [ry(0, "t")])
+        circuit = ParamCircuit(1, [ry(0, "t")])
         h = QubitOperator.from_term(parse_pauli_string("Z0"))
         from vqe_bench.driver import circuit_objective
 
@@ -126,10 +127,10 @@ class TestRunVqe:
 
     def test_zero_parameter_circuit(self):
         build = build_uccsd_singlet(4, 2)
-        empty = ParamCircuit(4, (), ())
+        empty = ParamCircuit(4, ())
         from dataclasses import replace
 
-        trivial = replace(build, circuit=empty, generators=(), n_params=0)
+        trivial = replace(build, circuit=empty, generators=())
         result = run_vqe(trivial, self.h, self.hf_idx, seed=0)
         assert result.n_evaluations == 1
         assert result.energy == pytest.approx(
@@ -222,6 +223,42 @@ class TestHeaLayerGrowth:
         h = QubitOperator.identity(-1.0)
         with pytest.raises(ValueError, match="max_depth"):
             run_hea_layer_growth(h, 2, 0, reference_energy=-1.0, max_depth=0)
+
+
+def _growth_digest(molecule, r, n_budget) -> tuple[str, VqeResult]:
+    """SHA-256 over a seed-3 layer growth's energy, sorted parameters,
+    evaluation and iteration counts, converged flag and restarts used."""
+    data = bundled_molecule(molecule).integrals(r)
+    h = qubit_hamiltonian(data)
+    fci = exact_ground_energy(h, data.n_qubits,
+                              sector=(data.n_electrons, data.ms2))
+    _, result = run_hea_layer_growth(
+        h, data.n_qubits, hf_state_index(data.n_qubits, data.n_electrons),
+        reference_energy=fci, n_budget=n_budget, seed=3)
+    digest = hashlib.sha256()
+    for value in (result.energy, sorted(result.parameters.items()),
+                  result.n_evaluations, result.n_iterations,
+                  result.converged, result.restarts_used):
+        digest.update(repr(value).encode() + b"\n")
+    return digest.hexdigest(), result
+
+
+class TestHeaGrowthPins:
+    """Two seeded layer growths, pinned bit for bit at commit c6a9d06."""
+
+    def test_h4_budget_runs_out_mid_restart(self):
+        digest, result = _growth_digest("H4", 1.0, 300)
+        assert (result.n_evaluations, result.restarts_used,
+                result.converged) == (300, 6, False)
+        assert digest == (
+            "c4e6e0ccc17fcc14ac3d0ed4da3b09e674648db2559c0147b4e01cfab6aaf7f9")
+
+    def test_h2_reaches_chem_tol(self):
+        digest, result = _growth_digest("H2", 0.7414, 600)
+        assert (result.n_evaluations, result.restarts_used,
+                result.converged) == (422, 10, True)
+        assert digest == (
+            "0942846b047e75178d21f3fdaedd0129f6a0b3ac61fbd79587d600b763fd06a0")
 
 
 def _trajectory_digest(objective, x0, cfg=None, param_names=None) -> str:

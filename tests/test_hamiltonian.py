@@ -32,7 +32,7 @@ from vqe_bench.operators import (
     parse_pauli_string,
     serialize_pauli_string,
 )
-from oracles import fermion_operator_matrix
+from oracles import basis_state, fermion_operator_matrix
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -303,8 +303,7 @@ class TestHfEnergy:
             data = bundled_molecule(name).integrals(r)
             h = qubit_hamiltonian(data)
             index = hf_state_index(data.n_qubits, data.n_electrons)
-            full = simulator.expectation(h, simulator.StateVector.basis_state(
-                data.n_qubits, index))
+            full = simulator.expectation(h, basis_state(data.n_qubits, index))
             assert hf_energy(h, data.n_qubits, data.n_electrons) == full
 
     def test_sectored_point_compiles_h_once_and_never_full_space(
@@ -346,13 +345,16 @@ class TestMoleculeSpec:
     def test_bundled_inventory(self):
         assert bundled_molecules() == ["H2", "H4", "LiH"]
         h4 = bundled_molecule("H4")
-        assert h4.n_qubits == 8
-        assert h4.n_electrons == 4
+        data = h4.integrals(h4.bond_lengths[0])
+        assert data.n_qubits == 8
+        assert data.n_electrons == 4
         assert len(h4.bond_lengths) >= 5
 
     def test_qubit_counts(self):
-        assert bundled_molecule("H2").n_qubits == 4
-        assert bundled_molecule("LiH").n_qubits == 12
+        for name, n_qubits in (("H2", 4), ("LiH", 12)):
+            spec = bundled_molecule(name)
+            assert all(spec.integrals(r).n_qubits == n_qubits
+                       for r in spec.bond_lengths)
 
     def test_load_fcidump_path(self):
         mol = bundled_molecule("H2")
