@@ -15,11 +15,19 @@ step exp(angle * M) with M|c> = w_r |r>, r = c ^ flip, and consecutive
 gates of one parameter, one flip mask and pairwise commuting strings
 (the 2 or 8 evolutions of one excitation) fuse into one step; fixed
 gates stay full-space matrices.  When every step maps the initial
-state's sector into itself the plan runs over that sector alone, with
-each step's index pairs and weights stored, and h acts through its
-matrix over the sector, exact since the state never leaves it.
-Otherwise the plan runs over all 2**n states and its steps act through
-the Pauli-string kernel per application, so it holds no 2**n arrays.
+state's sector into itself the plan runs over that sector alone, and h
+acts through its matrix over the sector, exact since the state never
+leaves it.  A sector plan holds one table, built when it is compiled:
+the |w| of every stored row of every step, concatenated, each row's
+angle number and each step's slice, index pairs and weights.  A sweep
+computes angle * |w| on all rows at once, then one cos and one sin / |w|
+(of -angle in reverse), so a step only gathers, rotates and scatters its
+rows; cos and sin act elementwise, so each row's factors have the bits a
+per-step pass gives them.  The reverse sweep rotates psi and lam as one
+[psi, lam] array, through index pairs and weights doubled for it when
+the table is built.  Otherwise the plan runs over all 2**n states and
+its steps act through the Pauli-string kernel per application, so it
+holds no 2**n arrays.
 Screening pools are circuits too; only h is ever compiled as a matrix.
 Its terms' expectations are read off the state itself, a flip mask at a
 time (term_expectations).
@@ -289,7 +297,8 @@ class _Step(NamedTuple):
     r = c ^ flip and M anti-Hermitian.  angle is the value of parameter
     number `param`, or `angle` when param is -1.  A fixed gate carries
     `matrix` = (targets, U, U^dagger) instead.  Over a sector, `pairs`
-    holds (rows, cols, |w|, w) for the rows with w != 0; a full-space
+    holds (rows, cols, |w|, w) for the rows with w != 0, which screening
+    reads and the sweeps read through the plan's _Table; a full-space
     step acts through the Pauli-string kernel per application."""
 
     param: int
@@ -299,13 +308,34 @@ class _Step(NamedTuple):
     pairs: tuple | None = None
 
 
+class _Table(NamedTuple):
+    """A sector plan's rows across all its steps, concatenated: each row's
+    |w| (`r`) and the number of the angle it turns by (`index`), where
+    the fixed angles (`fixed`) are numbered past the parameters.  `sweep`
+    holds per step, in plan order, (its slice of the rows, rows, cols, w).
+    The reverse sweep runs over [psi, lam], 2D amplitudes, and a doubled
+    table that holds each step's rows twice: `twice` numbers the row
+    behind each doubled row, and `doubled` holds per step (param, its
+    slice of the doubled rows, its row count k, (rows, rows + D),
+    (cols, cols + D), (w, w))."""
+
+    r: np.ndarray
+    index: np.ndarray
+    fixed: np.ndarray
+    sweep: tuple
+    twice: np.ndarray
+    doubled: tuple
+
+
 @dataclass(frozen=True)
 class _Plan:
-    """Steps over a sorted sector basis, or over all 2**n states (None)."""
+    """Steps over a sorted sector basis, with their table, or over all
+    2**n states (basis and table None)."""
 
     n_qubits: int
     steps: tuple[_Step, ...]
     basis: np.ndarray | None = None
+    table: _Table | None = None
 
 
 def _generator(gate: Gate) -> dict[PauliString, complex]:
@@ -384,7 +414,7 @@ def _weights(step: _Step, n_amps: int) -> np.ndarray:
                for string, coeff in step.terms)
 
 
-def _restrict(plan: _Plan, sector: tuple[int, int]) -> _Plan:
+def _restrict(plan: _Plan, sector: tuple[int, int], n_params: int) -> _Plan:
     """plan over the sector's states when every step maps them into
     themselves (read off the flip masks and weights), else plan unchanged."""
     n = plan.n_qubits
@@ -402,7 +432,33 @@ def _restrict(plan: _Plan, sector: tuple[int, int]) -> _Plan:
             return plan
         w = weights[rows]
         steps.append(step._replace(pairs=(rows, cols, np.abs(w), w)))
-    return _Plan(n, tuple(steps), basis)
+    return _Plan(n, tuple(steps), basis, _table(steps, n_params, len(basis)))
+
+
+def _table(steps, n_params: int, size: int) -> _Table:
+    """The _Table of sector steps over `size` basis states."""
+    fixed, numbers, sweep, doubled, twice, start = [], [], [], [], [], 0
+    for step in steps:
+        rows, cols, _, w = step.pairs
+        number = step.param
+        if number < 0:
+            number = n_params + len(fixed)
+            fixed.append(step.angle)
+        numbers.append(number)
+        k = len(rows)
+        sweep.append((slice(start, start + k), rows, cols, w))
+        doubled.append((step.param, slice(2 * start, 2 * (start + k)), k,
+                        np.concatenate((rows, rows + size)),
+                        np.concatenate((cols, cols + size)),
+                        np.concatenate((w, w))))
+        twice += [np.arange(start, start + k)] * 2
+        start += k
+    return _Table(
+        np.concatenate([np.zeros(0)] + [step.pairs[2] for step in steps]),
+        np.repeat(np.array(numbers, dtype=np.intp),
+                  [len(step.pairs[0]) for step in steps]),
+        np.array(fixed, dtype=float), tuple(sweep),
+        np.concatenate([np.zeros(0, dtype=np.intp)] + twice), tuple(doubled))
 
 
 def _circuit_plan(circuit: ParamCircuit, initial: int | None) -> _Plan:
@@ -416,7 +472,7 @@ def _circuit_plan(circuit: ParamCircuit, initial: int | None) -> _Plan:
                             _steps(circuit.gates, circuit.param_names))
     sector = None if initial is None else _state_sector(initial)
     if sector not in plans:
-        plans[sector] = _restrict(plans[None], sector)
+        plans[sector] = _restrict(plans[None], sector, circuit.n_params)
     return plans[sector]
 
 
@@ -491,13 +547,42 @@ def _apply_matrix(amps: np.ndarray, n_qubits: int, targets, u) -> None:
             _apply_two(row, n_qubits, *targets, u)
 
 
-def _angle(step: _Step, angles):
-    return angles[step.param] if step.param >= 0 else step.angle
+def _angle(step: _Step, angles: np.ndarray):
+    """The step's angle: a scalar, or an (R, 1) column for a batch."""
+    if step.param < 0:
+        return step.angle
+    if angles.ndim == 1:
+        return angles[step.param]
+    return angles[:, step.param, None]
 
 
-def _forward(plan: _Plan, amps: np.ndarray, angles) -> None:
-    """Run the plan on amps, one vector or an (R, D) batch, whose angles
-    by parameter number are scalars or (R, 1) columns."""
+def _turns(table: _Table, angles: np.ndarray) -> np.ndarray:
+    """angle * |w| on every row of a sector table, for (P,) angles or an
+    (R, P) batch of them: (T,) or (R, T)."""
+    fixed = np.broadcast_to(table.fixed,
+                            angles.shape[:-1] + table.fixed.shape)
+    angles = np.concatenate((angles, fixed), axis=-1)
+    return _take(angles, table.index) * table.r
+
+
+def _forward(plan: _Plan, amps: np.ndarray, angles: np.ndarray) -> None:
+    """Run the plan on amps, one vector with (P,) angles or an (R, D)
+    batch with (R, P).  Over a sector, cos and sin / |w| of every row come
+    from one pass over the table, and each step gathers, rotates and
+    scatters its rows."""
+    table = plan.table
+    if table is not None:
+        turn = _turns(table, angles)
+        cos, sin = np.cos(turn), np.sin(turn) / table.r
+        if amps.ndim == 1:
+            for span, rows, cols, w in table.sweep:
+                amps[rows] = (amps[rows] * cos[span]
+                              + w * amps[cols] * sin[span])
+        else:
+            for span, rows, cols, w in table.sweep:
+                amps[:, rows] = (amps.take(rows, axis=1) * cos[:, span]
+                                 + w * amps.take(cols, axis=1) * sin[:, span])
+        return
     for step in plan.steps:
         if step.matrix is not None:
             _apply_matrix(amps, plan.n_qubits, *step.matrix[:2])
@@ -507,11 +592,13 @@ def _forward(plan: _Plan, amps: np.ndarray, angles) -> None:
 
 
 def _reverse(plan: _Plan, psi: np.ndarray, lam: np.ndarray,
-             angles) -> np.ndarray:
+             angles: np.ndarray) -> np.ndarray:
     """Undo the plan on psi and lam together, summing the slope
     2 Re<lam|M psi> of each parameterized step into its parameter's
     gradient; one vector each or a batch each, as in _forward."""
-    grad = np.zeros(psi.shape[:-1] + (len(angles),))
+    if plan.table is not None:
+        return _reverse_sector(plan.table, psi, lam, angles)
+    grad = np.zeros(psi.shape[:-1] + angles.shape[-1:])
     for step in reversed(plan.steps):
         if step.matrix is not None:
             for amps in (psi, lam):
@@ -527,11 +614,39 @@ def _reverse(plan: _Plan, psi: np.ndarray, lam: np.ndarray,
     return grad
 
 
-def _angles(param_names, values: dict[str, float]) -> list[float]:
+def _reverse_sector(table: _Table, psi: np.ndarray, lam: np.ndarray,
+                    angles: np.ndarray) -> np.ndarray:
+    """_reverse over a sector plan.  psi and lam run as one [psi, lam]
+    array per vector, whose doubled rows each step gathers, rotates by cos
+    and sin / |w| of -angle, taken from one pass over the table, and
+    scatters once.  The slope reads the lam and M psi halves of what it
+    gathered, so np.vdot and _dot see the operands a sweep of psi and lam
+    one at a time would give them."""
+    grad = np.zeros(psi.shape[:-1] + angles.shape[-1:])
+    turn = -_turns(table, angles)
+    cos = _take(np.cos(turn), table.twice)
+    sin = _take(np.sin(turn) / table.r, table.twice)
+    stacked = np.concatenate((psi, lam), axis=-1)
+    if psi.ndim == 1:
+        for param, span, k, rows, cols, w in reversed(table.doubled):
+            old, moved = stacked[rows], w * stacked[cols]
+            if param >= 0:  # <lam| M |psi>, M the step's generator
+                grad[param] += 2.0 * np.vdot(old[k:], moved[:k]).real
+            stacked[rows] = old * cos[span] + moved * sin[span]
+        return grad
+    for param, span, k, rows, cols, w in reversed(table.doubled):
+        old, moved = stacked.take(rows, axis=1), w * stacked.take(cols, axis=1)
+        if param >= 0:
+            grad[:, param] += 2.0 * _dot(old[:, k:], moved[:, :k]).real
+        stacked[:, rows] = old * cos[:, span] + moved * sin[:, span]
+    return grad
+
+
+def _angles(param_names, values: dict[str, float]) -> np.ndarray:
     missing = [name for name in param_names if name not in values]
     if missing:
         raise ValueError(f"missing parameter value for {missing[0]!r}")
-    return [values[name] for name in param_names]
+    return np.array([values[name] for name in param_names], dtype=float)
 
 
 def _start(plan: _Plan, initial: int, batch: tuple = ()) -> np.ndarray:
@@ -546,7 +661,7 @@ def _start(plan: _Plan, initial: int, batch: tuple = ()) -> np.ndarray:
 
 
 def _run(circuit: ParamCircuit, values: dict[str, float],
-         initial: int) -> tuple[_Plan, np.ndarray, list[float]]:
+         initial: int) -> tuple[_Plan, np.ndarray, np.ndarray]:
     """The circuit's plan from `initial`, the state it prepares over the
     plan's basis, and the parameter values in parameter order."""
     plan = _circuit_plan(circuit, initial)
@@ -675,16 +790,15 @@ def batch_adjoint_gradient(circuit: ParamCircuit, h: QubitOperator,
     row gets the bits adjoint_gradient gives it alone."""
     plan = _circuit_plan(circuit, initial)
     angles = np.asarray(angles, dtype=float)
-    if angles.ndim != 2 or angles.shape[1] != circuit.n_params:
+    if (angles.ndim != 2 or angles.shape[1] != circuit.n_params
+            or not len(angles)):
         raise ValueError(f"angles of shape {angles.shape} for "
                          f"{circuit.n_params} parameters")
-    # one row runs faster as a plain vector; in a batch, parameter p's
-    # values are an (R, 1) column
-    batch = angles.shape[:1] if len(angles) > 1 else ()
-    columns = angles.T[:, :, None] if batch else list(angles[0])
-    psi = _start(plan, initial, batch)
-    _forward(plan, psi, columns)
-    energies, grad = _adjoint(plan, h, psi, columns)
+    # one row runs faster as a plain vector
+    batch = angles if len(angles) > 1 else angles[0]
+    psi = _start(plan, initial, batch.shape[:-1])
+    _forward(plan, psi, batch)
+    energies, grad = _adjoint(plan, h, psi, batch)
     energies = [_real(energy) for energy in np.atleast_1d(energies)]
     return energies, grad.reshape(angles.shape)
 

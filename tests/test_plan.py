@@ -1,6 +1,7 @@
 """Compiled circuit plans: every family against the gate-by-gate oracle,
 the sector verdict, fusion limits and the memory of full-space plans."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -142,6 +143,14 @@ def test_batch_rows_are_bit_identical_on_mixed_gates():
         assert_batch_rows_match(circuit, h, int(rng.integers(16)), rng)
 
 
+@pytest.mark.parametrize("shape", [(0, 2), (2, 3), (2,)])
+def test_batch_of_no_rows_or_the_wrong_width_refused(shape):
+    circuit = build_uccsd_singlet(4, 2).circuit
+    h = random_hermitian_operator(np.random.default_rng(2), 4, 5)
+    with pytest.raises(ValueError, match="parameters"):
+        simulator.batch_adjoint_gradient(circuit, h, np.zeros(shape), 0b0011)
+
+
 def test_lih_uccsd_matches_oracle():
     h, n, hf, n_electrons = molecule("LiH", 1.6)
     circuit = build_uccsd_singlet(n, n_electrons).circuit
@@ -246,3 +255,112 @@ def test_embedded_state_matches_oracle_amplitudes(h4, h4_families):
     np.testing.assert_allclose(state, expected, rtol=0,
                                atol=TOLERANCE)
     assert math.isclose(np.linalg.norm(state), 1.0, abs_tol=1e-12)
+
+
+def _digest(*values) -> str:
+    """SHA-256 over the repr of each value, one per line."""
+    digest = hashlib.sha256()
+    for value in values:
+        digest.update(repr(value).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def _gradient_digest(circuit, h, values, initial) -> str:
+    energy, grad = adjoint_gradient(circuit, h, values, initial)
+    return _digest(energy, [grad[name] for name in circuit.param_names])
+
+
+def _batch_digest(circuit, h, initial, n_rows, seed) -> str:
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(-np.pi, np.pi, (n_rows, circuit.n_params))
+    energies, grads = simulator.batch_adjoint_gradient(circuit, h, angles,
+                                                       initial)
+    return _digest(energies, grads.tolist())
+
+
+def _pinned_sector_circuit() -> ParamCircuit:
+    """Two alpha electrons in four alpha orbitals of 8 qubits: fixed-angle
+    Givens rotations between alpha qubits, a parameter bound in two steps,
+    a beta rotation ("e") with no rows in the sector, and a parameter
+    ("c") whose two gates cancel when fused."""
+    def givens(a, b, **binding):
+        return Gate("GivensRotation", (a, b), **binding)
+
+    return ParamCircuit(8, [
+        givens(0, 4, angle=0.3),
+        givens(2, 6, param=("a", 1.0)),
+        Gate("RZ", (4,), param=("z", 0.5)),
+        givens(1, 3, param=("e", 1.0)),
+        givens(0, 6, param=("c", 1.0)),
+        givens(0, 6, param=("c", -1.0)),
+        givens(4, 6, param=("a", -0.5)),
+        pauli_evolution(parse_pauli_string("X0 X2 X4 Y6"), "d"),
+        givens(2, 4, angle=-1.1),
+    ])
+
+
+# SHA-256 pins of TestKernelPins, computed at commit 1b5bab8
+LIH_UCCSD_PINS = {  # seed of the parameter values
+    0: "28aee526eb2445debdaec327815ccb61000d58173e9879c05ca84629c21291ae",
+    1: "7350efe0d708708dde015ce0985760d38fd8c7b060dc43d796805c4f9cdcf008",
+    2: "381e18946959a19b4603dc1c99be1e6a57b6c04502272d7aabe939c98d571c6c",
+}
+H4_BATCH_PINS = {  # batches of 1, 3 and 20 rows
+    "UCCSD0":
+        "c3a383865518cde26f3703f4d478511c7128421ec306dc103acb99c924a0f1c6",
+    "QUCC":
+        "0fba003155e35e6d1f197df217b3b23b4bb1c7500dbd535e946cccad0cc98a9a",
+    "1-UpCCGSD":
+        "12865453da6f69a9919bac49aa55143e763c1099d6dbca8513424d9c9fdb4ffd",
+    "BRC":
+        "446660ba48d2a0e0a3b5cf4a770e071396642afd881795e35f1b9d3dc35b33c7",
+}
+
+
+class TestKernelPins:
+    """Energies, gradients and amplitudes of sector plans, SHA-256 over
+    their reprs, pinned bit for bit at commit 1b5bab8, where each step of
+    a sector sweep still computed its own cos and sin and psi and lam
+    were rotated one at a time."""
+
+    @pytest.fixture(scope="class")
+    def lih_uccsd(self):
+        h, n, hf, n_electrons = molecule("LiH", 1.6)
+        return build_uccsd_singlet(n, n_electrons).circuit, h, hf
+
+    @pytest.mark.parametrize("seed", sorted(LIH_UCCSD_PINS))
+    def test_lih_uccsd_gradient_and_amplitudes(self, lih_uccsd, seed):
+        circuit, h, hf = lih_uccsd
+        values = random_values(np.random.default_rng(seed), circuit)
+        amplitudes = apply_circuit(circuit, values, hf).tolist()
+        assert (_digest(_gradient_digest(circuit, h, values, hf), amplitudes)
+                == LIH_UCCSD_PINS[seed])
+
+    @pytest.mark.parametrize("family", sorted(H4_BATCH_PINS))
+    def test_h4_batches(self, h4, h4_families, family):
+        h, _, hf, _ = h4
+        circuit = h4_families[family].circuit
+        assert _digest(*(_batch_digest(circuit, h, hf, n_rows, n_rows)
+                         for n_rows in (1, 3, 20))) == H4_BATCH_PINS[family]
+
+    def test_h4_fermionic_pool_slopes(self, h4, h4_families):
+        h, n, hf, n_electrons = h4
+        circuit = h4_families["UCCSD"].circuit
+        pool = build_fermionic_pool(n, n_electrons).candidate_circuit(n)
+        values = random_values(np.random.default_rng(7), circuit)
+        energy, slopes = simulator.commutator_gradient(circuit, h, values,
+                                                       hf, pool)
+        assert _digest(energy, list(slopes.items())) == (
+            "56495f4b71b6205ab1d1cbc4c78a2e5972df03fbf77a86641633872fce0d205d")
+
+    def test_sector_circuit_with_fixed_and_empty_steps(self):
+        circuit = _pinned_sector_circuit()
+        initial = 0b00000101
+        assert runs_in_sector(circuit, initial)
+        h = random_hermitian_operator(np.random.default_rng(9), 8, 40)
+        values = random_values(np.random.default_rng(10), circuit)
+        _, grad = adjoint_gradient(circuit, h, values, initial)
+        assert grad["e"] == 0.0 and grad["c"] == 0.0
+        assert _digest(_gradient_digest(circuit, h, values, initial),
+                       _batch_digest(circuit, h, initial, 3, 11)) == (
+            "30c48ad78e1daee61f02129b5dec812341bd6e8146d4138b52ccde7dbb5bdca2")
