@@ -3,22 +3,26 @@ bond-length sweeps, and plot-ready comparison tables.
 
 Data files live at `<data_dir>/<molecule>.json` with 2-space indentation
 and sorted keys (byte-stable).  Lists under energies/runtimes/n_params are
-always aligned with bond_lengths; failed points stay null.
+always aligned with bond_lengths; failed points stay null.  A command
+loads its file once, edits the `BenchRecord` in memory and saves it after
+each bond length's references and after each point.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import json
 import logging
+import math
 import os
 import re
 import socket
 import tempfile
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -58,6 +62,7 @@ log = logging.getLogger(__name__)
 SCHEMA_VERSION = 1
 DEFAULT_LDCA_CYCLES = 2
 KUPCCGSD_PATTERN = re.compile(r"^([1-9]\d*)-UpCCGSD$")  # k >= 1
+REFERENCE_KINDS = ("fci", "hf", "ccsd")
 
 FIXED_ANSATZES = ("UCCSD", "UCCSD0", "QUCC", "1-UpCCGSD", "2-UpCCGSD")
 CHANGEABLE_ANSATZES = ("HEA", "LDCA", "BRC", "ADAPT", "qubit-ADAPT", "QCC")
@@ -72,6 +77,21 @@ class DataFileError(RuntimeError):
     """A benchmark data file is missing, malformed, or refused."""
 
 
+_NUMBER = (int, float)
+# What the lists of each ansatz-keyed mapping hold besides null.
+_MAPPING_TYPES = {"energies": _NUMBER, "runtimes": _NUMBER, "n_params": int,
+                  "traces": dict}
+
+
+def _entries(values, types, n: int) -> bool:
+    """Whether `values` is a list of n entries, each null or a finite
+    value of `types` (a bool is no number)."""
+    return isinstance(values, list) and len(values) == n and all(
+        v is None or (isinstance(v, types) and not isinstance(v, bool)
+                      and (not isinstance(v, float) or math.isfinite(v)))
+        for v in values)
+
+
 @dataclass
 class BenchRecord:
     molecule: str
@@ -83,27 +103,33 @@ class BenchRecord:
     runtimes: dict[str, list] = field(default_factory=dict)
     n_params: dict[str, list] = field(default_factory=dict)
     traces: dict[str, list] = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
+    metadata: dict = field(default_factory=lambda: {
+        "artifact_version": __version__, "schema_version": SCHEMA_VERSION})
 
     def __post_init__(self):
-        n = len(self.bond_lengths)
-        if self.fci is None:
-            self.fci = [None] * n
-        if self.hf is None:
-            self.hf = [None] * n
-        self._check_alignment()
-
-    def _check_alignment(self):
-        n = len(self.bond_lengths)
-        for label, lst in [("fci", self.fci), ("hf", self.hf),
-                           ("ccsd", self.ccsd)]:
-            if lst is not None and len(lst) != n:
-                raise DataFileError(f"{label} list is misaligned")
-        for mapping in (self.energies, self.runtimes, self.n_params,
-                        self.traces):
-            for name, lst in mapping.items():
-                if len(lst) != n:
-                    raise DataFileError(f"list for {name!r} is misaligned")
+        """Refuse a value of the wrong type: data files are edited by hand."""
+        if not isinstance(self.molecule, str):
+            raise DataFileError("molecule is not a string")
+        lengths, n = self.bond_lengths, len(self.bond_lengths)
+        if (not _entries(lengths, _NUMBER, n) or None in lengths
+                or len(set(lengths)) < n):
+            raise DataFileError("bond lengths are not distinct finite numbers")
+        self.fci = [None] * n if self.fci is None else self.fci
+        self.hf = [None] * n if self.hf is None else self.hf
+        lists = {kind: (getattr(self, kind), _NUMBER) for kind in REFERENCE_KINDS
+                 if getattr(self, kind) is not None}
+        for name, types in _MAPPING_TYPES.items():
+            mapping = getattr(self, name)
+            if not isinstance(mapping, dict):
+                raise DataFileError(f"{name} is not a mapping of lists")
+            lists.update({f"{name} list for {key!r}": (values, types)
+                          for key, values in mapping.items()})
+        for label, (values, types) in lists.items():
+            if not _entries(values, types, n):
+                raise DataFileError(f"{label} is misaligned or holds a "
+                                    "value of the wrong type")
+        if not isinstance(self.metadata, dict):
+            raise DataFileError("metadata is not a mapping")
 
     def point_index(self, bond_length: float) -> int:
         for i, r in enumerate(self.bond_lengths):
@@ -117,37 +143,37 @@ class BenchRecord:
             mapping[ansatz] = [None] * len(self.bond_lengths)
         return mapping[ansatz]
 
+    def store(self, ansatz: str, bond_length: float, energy, runtime=None,
+              n_params=None, trace=None) -> None:
+        """Fill one point's aligned slots; a null energy (a failed point)
+        nulls the point's runtime, n_params and trace too."""
+        idx = self.point_index(bond_length)
+        self.slot("energies", ansatz)[idx] = energy
+        for name, value in (("runtimes", runtime), ("n_params", n_params),
+                            ("traces", trace)):
+            if value is not None or (energy is None
+                                     and ansatz in getattr(self, name)):
+                self.slot(name, ansatz)[idx] = value
+
+    def store_reference(self, kind: str, bond_length: float,
+                        value: float) -> None:
+        """Store a reference energy (fci / hf / ccsd) for one bond length."""
+        if kind not in REFERENCE_KINDS:
+            raise ValueError(f"unknown reference kind {kind!r}")
+        idx = self.point_index(bond_length)
+        if getattr(self, kind) is None:  # ccsd is absent until recorded
+            setattr(self, kind, [None] * len(self.bond_lengths))
+        getattr(self, kind)[idx] = value
+
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "molecule": self.molecule,
-            "bond_lengths": self.bond_lengths,
-            "energies": self.energies,
-            "fci": self.fci,
-            "hf": self.hf,
-            "ccsd": self.ccsd,
-            "runtimes": self.runtimes,
-            "n_params": self.n_params,
-            "traces": self.traces,
-            "metadata": self.metadata,
-        }
+        return {"schema_version": SCHEMA_VERSION, **asdict(self)}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "BenchRecord":
         try:
-            return cls(
-                molecule=payload["molecule"],
-                bond_lengths=list(payload["bond_lengths"]),
-                energies=dict(payload.get("energies", {})),
-                fci=payload.get("fci"),
-                hf=payload.get("hf"),
-                ccsd=payload.get("ccsd"),
-                runtimes=dict(payload.get("runtimes", {})),
-                n_params=dict(payload.get("n_params", {})),
-                traces=dict(payload.get("traces", {})),
-                metadata=dict(payload.get("metadata", {})),
-            )
-        except (KeyError, TypeError) as exc:
+            return cls(**{f.name: payload[f.name] for f in fields(cls)
+                          if f.name in payload})
+        except TypeError as exc:  # not an object, or a required key missing
             raise DataFileError(f"malformed record payload: {exc}") from exc
 
     def serialize(self) -> str:
@@ -175,7 +201,9 @@ def load_record(path: str | Path) -> BenchRecord:
 
 
 def save_record(record: BenchRecord, path: str | Path) -> None:
-    """Crash-safe write: temp file in the target directory, then rename."""
+    """Stamp the timestamp, then write crash-safe: temp file, then rename."""
+    record.metadata["timestamp"] = datetime.now(timezone.utc).isoformat(
+        timespec="seconds")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
@@ -189,56 +217,23 @@ def save_record(record: BenchRecord, path: str | Path) -> None:
         raise
 
 
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
 def initdata(molecule: str, bond_lengths, data_dir: str | Path,
              force: bool = False, metadata: dict | None = None) -> BenchRecord:
     """Write a skeleton record; refuses to clobber without force."""
     path = record_path(data_dir, molecule)
     if path.exists() and not force:
         raise DataFileError(f"{path} exists; pass force to overwrite")
-    record = BenchRecord(molecule=molecule,
-                         bond_lengths=[float(r) for r in bond_lengths])
-    record.metadata = {"artifact_version": __version__,
-                       "schema_version": SCHEMA_VERSION,
-                       "timestamp": _now()}
-    if metadata:
-        record.metadata.update(metadata)
+    record = BenchRecord(molecule, [float(r) for r in bond_lengths])
+    record.metadata.update(metadata or {})
     save_record(record, path)
     return record
 
 
 def savedata(path: str | Path, ansatz: str, bond_length: float,
              energy, runtime=None, n_params=None, trace=None) -> BenchRecord:
-    """Atomic read-modify-write of one aligned slot; a null energy (a
-    failed point) nulls the point's runtime, n_params and trace too."""
+    """Atomic read-modify-write of one point (see `BenchRecord.store`)."""
     record = load_record(path)
-    idx = record.point_index(bond_length)
-    record.slot("energies", ansatz)[idx] = energy
-    for name, value in (("runtimes", runtime), ("n_params", n_params),
-                        ("traces", trace)):
-        if value is not None:
-            record.slot(name, ansatz)[idx] = value
-        elif energy is None and ansatz in getattr(record, name):
-            record.slot(name, ansatz)[idx] = None
-    record.metadata["timestamp"] = _now()
-    save_record(record, path)
-    return record
-
-
-def save_reference(path: str | Path, kind: str, bond_length: float,
-                   value: float) -> BenchRecord:
-    """Store a reference energy (fci / hf / ccsd) for one bond length."""
-    if kind not in ("fci", "hf", "ccsd"):
-        raise ValueError(f"unknown reference kind {kind!r}")
-    record = load_record(path)
-    idx = record.point_index(bond_length)
-    if kind == "ccsd" and record.ccsd is None:
-        record.ccsd = [None] * len(record.bond_lengths)
-    getattr(record, kind)[idx] = value
-    record.metadata["timestamp"] = _now()
+    record.store(ansatz, bond_length, energy, runtime, n_params, trace)
     save_record(record, path)
     return record
 
@@ -247,24 +242,12 @@ def rounddata(record: BenchRecord, decimals: int) -> BenchRecord:
     """Round every stored energy half-to-even; runtimes stay untouched."""
     if decimals < 0:
         raise ValueError("decimals must be non-negative")
-
-    def rounded(values):
-        if values is None:
-            return None
-        return [None if v is None else round(v, decimals) for v in values]
-
-    return BenchRecord(
-        molecule=record.molecule,
-        bond_lengths=list(record.bond_lengths),
-        energies={k: rounded(v) for k, v in record.energies.items()},
-        fci=rounded(record.fci),
-        hf=rounded(record.hf),
-        ccsd=rounded(record.ccsd),
-        runtimes={k: list(v) for k, v in record.runtimes.items()},
-        n_params={k: list(v) for k, v in record.n_params.items()},
-        traces={k: list(v) for k, v in record.traces.items()},
-        metadata=dict(record.metadata),
-    )
+    rounded = copy.deepcopy(record)
+    for values in (*rounded.energies.values(),
+                   *(getattr(rounded, kind) or [] for kind in REFERENCE_KINDS)):
+        values[:] = [None if v is None else round(v, decimals)
+                     for v in values]
+    return rounded
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +358,7 @@ class SweepLock:
         return False
 
     def __exit__(self, *exc):
-        try:
-            os.unlink(self.lock_path)
-        except FileNotFoundError:
-            pass
-        return False
+        self.lock_path.unlink(missing_ok=True)
 
 
 def reference_points(spec: MoleculeSpec, bond_lengths=None):
@@ -400,11 +379,27 @@ def reference_points(spec: MoleculeSpec, bond_lengths=None):
     return map(reference, points)
 
 
+def open_sweep_record(spec: MoleculeSpec, path: Path,
+                      bond_lengths=None) -> BenchRecord:
+    """The record that `run` and `fci` fill: the file at `path`, else a
+    skeleton over the spec's bond lengths.  Refused before anything is
+    written unless it holds every requested bond length (default: the
+    spec's)."""
+    record = (load_record(path) if path.exists()
+              else BenchRecord(spec.name, list(spec.bond_lengths)))
+    missing = set(bond_lengths or spec.bond_lengths) - set(record.bond_lengths)
+    if missing:
+        raise DataFileError(f"{path} bond lengths disagree with the requested"
+                            f" points: it lacks {sorted(missing)}")
+    return record
+
+
 def run_sweep(spec: MoleculeSpec, ansatz_names, cfg: OptimizerConfig | None,
               seed: int, data_dir: str | Path, bond_lengths=None,
               threads: int = 4) -> BenchRecord:
     """Sweep every requested point in the calling thread, one at a time,
-    persisting each as it lands; `threads` is only recorded in metadata.
+    saving the record after each bond length's references and after each
+    point; `threads` is only recorded in metadata.
 
     Per-point failures are logged and stay null; the sweep continues.
     """
@@ -413,18 +408,12 @@ def run_sweep(spec: MoleculeSpec, ansatz_names, cfg: OptimizerConfig | None,
     path = record_path(data_dir, spec.name)
     path.parent.mkdir(parents=True, exist_ok=True)
     with SweepLock(path):
-        if not path.exists():
-            initdata(spec.name, spec.bond_lengths, data_dir)
-        record = load_record(path)
-        if [float(r) for r in record.bond_lengths] != [
-                float(r) for r in spec.bond_lengths]:
-            raise DataFileError(
-                f"{path} bond lengths disagree with the molecule spec")
+        record = open_sweep_record(spec, path, bond_lengths)
         record.metadata.update({"seed": seed, "threads": threads})
-        save_record(record, path)
         for r, data, h, fci, ehf in references:
-            save_reference(path, "fci", r, fci)
-            save_reference(path, "hf", r, ehf)
+            record.store_reference("fci", r, fci)
+            record.store_reference("hf", r, ehf)
+            save_record(record, path)
             idx = record.point_index(r)
             for name in ansatz_names:
                 try:
@@ -434,11 +423,12 @@ def run_sweep(spec: MoleculeSpec, ansatz_names, cfg: OptimizerConfig | None,
                 except Exception as exc:  # record the miss, keep sweeping
                     log.error("point failed: %s %s r=%s: %s",
                               spec.name, name, r, exc)
-                    savedata(path, name, r, None)
-                    continue
-                savedata(path, name, r, result.energy, result.runtime,
-                         result.n_params, result.trace)
-    return load_record(path)
+                    record.store(name, r, None)
+                else:
+                    record.store(name, r, result.energy, result.runtime,
+                                 result.n_params, result.trace)
+                save_record(record, path)
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -466,14 +456,10 @@ def comparison_table(record: BenchRecord, kind: str) -> tuple[list, list]:
             row.extend([-CHEMICAL_ACCURACY, CHEMICAL_ACCURACY])
             rows.append(row)
         return columns, rows
-    if kind == "runtimes":
-        names = sorted(record.runtimes)
-        mapping = record.runtimes
-    elif kind == "params":
-        names = sorted(record.n_params)
-        mapping = record.n_params
-    else:
+    mapping = {"runtimes": record.runtimes, "params": record.n_params}.get(kind)
+    if mapping is None:
         raise ValueError(f"unknown comparison kind {kind!r}")
+    names = sorted(mapping)
     columns = ["bond_length"] + names
     rows = [[r] + [mapping[n][i] for n in names]
             for i, r in enumerate(record.bond_lengths)]

@@ -9,6 +9,7 @@ sweep's lock on it, so they refuse a file that a live sweep owns.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from contextlib import nullcontext
@@ -17,17 +18,18 @@ import click
 
 from . import __version__
 from .bench import (
+    REFERENCE_KINDS,
     DataFileError,
     SweepLock,
     emit_comparison,
     initdata,
     known_ansatz,
     load_record,
+    open_sweep_record,
     record_path,
     reference_points,
     run_sweep,
-    save_reference,
-    savedata,
+    save_record,
 )
 from .driver import CHEMICAL_ACCURACY, NumericalError, OptimizerConfig
 from .hamiltonian import (
@@ -37,8 +39,6 @@ from .hamiltonian import (
     qubit_hamiltonian,
 )
 from .operators import dump_qubit_operator
-
-REFERENCE_KINDS = ("fci", "hf", "ccsd")
 
 
 def resolve_molecule(name: str, fixtures_dir: str | None):
@@ -61,9 +61,13 @@ def parse_bond_lengths(text: str | None):
     if not text:
         return None
     try:
-        return [float(token) for token in text.replace(",", " ").split()]
+        points = [float(token) for token in text.replace(",", " ").split()]
+        if (not all(map(math.isfinite, points))
+                or len(set(points)) < len(points)):
+            raise ValueError("bond lengths must be finite and distinct")
     except ValueError as exc:
-        raise click.UsageError(f"bad bond length list {text!r}") from exc
+        raise click.UsageError(f"bad bond length list {text!r}: {exc}") from exc
+    return points
 
 
 @click.group()
@@ -119,9 +123,9 @@ def cmd_run(molecule, ansatzes, bond_lengths, seed, threads, data_dir,
                        bond_lengths=points, threads=resolve_threads(threads))
     failed = 0
     for name in ansatzes:
-        for r in points or record.bond_lengths:
+        for r in points or spec.bond_lengths:
             idx = record.point_index(r)
-            e = record.energies.get(name, [None] * len(record.bond_lengths))[idx]
+            e = record.energies[name][idx]
             if e is None:
                 failed += 1
                 click.echo(f"{molecule} {name} r={r}: failed (null recorded)")
@@ -152,10 +156,12 @@ def cmd_record(molecule, ansatz, reference, bond_length, energy, runtime,
     path = record_path(data_dir, molecule)
     try:
         with SweepLock(path):
+            record = load_record(path)
             if reference:
-                save_reference(path, reference, bond_length, energy)
+                record.store_reference(reference, bond_length, energy)
             else:
-                savedata(path, ansatz, bond_length, energy, runtime, n_params)
+                record.store(ansatz, bond_length, energy, runtime, n_params)
+            save_record(record, path)
         click.echo(f"recorded {reference or ansatz} at r={bond_length}")
     except ValueError as exc:  # e.g. a bond length the record does not hold
         raise click.UsageError(str(exc)) from exc
@@ -190,17 +196,18 @@ def cmd_compare(molecule, kind, fmt, data_dir, output):
 def cmd_fci(molecule, bond_lengths, data_dir, fixtures_dir, no_save):
     """Compute and store exact (FCI) and mean-field reference energies."""
     spec = resolve_molecule(molecule, fixtures_dir)
-    references = reference_points(spec, parse_bond_lengths(bond_lengths))
+    points = parse_bond_lengths(bond_lengths)
+    references = reference_points(spec, points)
     path = record_path(data_dir, molecule)
     if not no_save:
         path.parent.mkdir(parents=True, exist_ok=True)
     with nullcontext() if no_save else SweepLock(path):
-        if not no_save and not path.exists():
-            initdata(molecule, spec.bond_lengths, data_dir)
+        record = None if no_save else open_sweep_record(spec, path, points)
         for r, _, _, fci, ehf in references:
-            if not no_save:
-                save_reference(path, "fci", r, fci)
-                save_reference(path, "hf", r, ehf)
+            if record is not None:
+                record.store_reference("fci", r, fci)
+                record.store_reference("hf", r, ehf)
+                save_record(record, path)
             click.echo(f"{molecule} r={r}: FCI={fci:.10f}  HF={ehf:.10f}")
 
 

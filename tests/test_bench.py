@@ -281,6 +281,51 @@ class TestRunSweep:
             run_sweep(bundled_molecule("H2"), ["UCCSD"], FAST_CFG, seed=0,
                       data_dir=tmp_path)
 
+    def test_fresh_sweep_saves_once_per_step_and_never_reads(
+            self, tmp_path, monkeypatch):
+        calls = {"save": 0, "load": 0}
+
+        def counted(kind, function):
+            def wrapper(*args, **kwargs):
+                calls[kind] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(bench, "save_record",
+                            counted("save", bench.save_record))
+        monkeypatch.setattr(bench, "load_record",
+                            counted("load", bench.load_record))
+        record = run_sweep(bundled_molecule("H2"), ["UCCSD", "BRC"],
+                           FAST_CFG, seed=3, data_dir=tmp_path)
+        # one save after the references, then one after each point
+        assert calls == {"save": 3, "load": 0}
+        on_disk = load_record(record_path(tmp_path, "H2"))
+        assert on_disk.to_dict() == record.to_dict()
+
+    def test_interrupted_sweep_keeps_its_finished_points(
+            self, tmp_path, monkeypatch):
+        finished = []
+
+        def interrupted(*args, **kwargs):
+            if finished:
+                raise KeyboardInterrupt
+            finished.append(run_ansatz_point(*args, **kwargs))
+            return finished[0]
+
+        monkeypatch.setattr(bench, "run_ansatz_point", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(bundled_molecule("H2"), ["UCCSD", "BRC"], FAST_CFG,
+                      seed=3, data_dir=tmp_path)
+
+        def reject(token):
+            raise ValueError(f"non-strict JSON constant {token}")
+
+        path = record_path(tmp_path, "H2")
+        payload = json.loads(path.read_text(), parse_constant=reject)
+        assert payload["fci"][0] is not None and payload["hf"][0] is not None
+        assert payload["energies"] == {"UCCSD": [finished[0].energy]}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["H2.json"]
+
 
 class TestEmitComparison:
     def record_with_data(self):
@@ -478,6 +523,51 @@ class TestCli:
             assert f"no data file at {path}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_fci_refuses_a_record_without_a_requested_point(self, tmp_path,
+                                                             capsys):
+        data_dir = str(tmp_path)
+        main(["init", "--molecule", "H4", "--bond-lengths", "0.8",
+              "--data-dir", data_dir])
+        path = record_path(data_dir, "H4")
+        before = path.read_bytes()
+        assert main(["fci", "--molecule", "H4", "--data-dir", data_dir]) == 2
+        assert "disagree" in capsys.readouterr().err
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("molecule, init_points, run_points", [
+        ("H4", "0.8", "0.8"),            # a subset of the fixture set
+        ("H2", "0.7414 9.0", None),      # more points than the fixtures
+    ])
+    def test_run_fills_the_requested_points_of_a_record(
+            self, tmp_path, capsys, molecule, init_points, run_points):
+        data_dir = str(tmp_path)
+        main(["init", "--molecule", molecule, "--bond-lengths", init_points,
+              "--data-dir", data_dir])
+        argv = ["run", "--molecule", molecule, "--ansatz", "UCCSD",
+                "--data-dir", data_dir]
+        if run_points:
+            argv += ["--bond-lengths", run_points]
+        assert main(argv) == 0
+        assert "failed" not in capsys.readouterr().out
+        record = load_record(record_path(data_dir, molecule))
+        assert record.energies["UCCSD"][0] < record.hf[0]
+        assert record.energies["UCCSD"][1:] == [None] * (
+            len(record.bond_lengths) - 1)
+
+    @pytest.mark.parametrize("argv", [
+        ["init", "--molecule", "H2", "--bond-lengths", "nan"],
+        ["init", "--molecule", "H2", "--bond-lengths", "0.7 inf"],
+        ["init", "--molecule", "H2", "--bond-lengths", "0.7414 0.7414"],
+        ["run", "--molecule", "H2", "--ansatz", "UCCSD",
+         "--bond-lengths", "0.7414, 0.7414"],
+        ["fci", "--molecule", "H2", "--bond-lengths", "0.7414 0.7414"],
+    ])
+    def test_non_finite_or_repeated_bond_lengths_are_usage_errors(
+            self, tmp_path, capsys, argv):
+        assert main(argv + ["--data-dir", str(tmp_path)]) == 1
+        assert "bad bond length list" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_dump_hamiltonian(self, tmp_path):
         out = tmp_path / "h2.txt"
         assert main(["dump-hamiltonian", "--molecule", "H2",
@@ -495,6 +585,42 @@ class TestCli:
         assert resolve_threads(2) == 2
         monkeypatch.delenv("VQE_BENCH_THREADS")
         assert resolve_threads(None) == 4
+
+
+BAD_PAYLOADS = {
+    "molecule not a string": {"molecule": 5},
+    "bond length not a number": {"bond_lengths": ["a"]},
+    "bond length a bool": {"bond_lengths": [True]},
+    "bond lengths not a list": {"bond_lengths": "1"},
+    "bond lengths repeated": {"bond_lengths": [1.0, 1.0]},
+    "energies a list": {"energies": []},
+    "energy list a string": {"energies": {"A": "x"}},
+    "energy a string": {"energies": {"A": ["x"]}},
+    "energy overflows to infinity": {"energies": {"A": [1e400]}},
+    "reference a string": {"fci": ["x"]},
+    "runtime a bool": {"runtimes": {"A": [True]}},
+    "n_params a float": {"n_params": {"A": [1.5]}},
+    "trace a number": {"traces": {"A": [5]}},
+    "metadata a string": {"metadata": "x"},
+    "metadata a list": {"metadata": []},
+}
+
+
+@pytest.mark.parametrize("case", BAD_PAYLOADS)
+def test_wrongly_typed_data_file_refused(tmp_path, capsys, case):
+    payload = {"molecule": "X", "bond_lengths": [1.0], **BAD_PAYLOADS[case]}
+    path = record_path(tmp_path, "X")
+    # 1e400 is no Infinity token, so strict parsing lets it through
+    path.write_text(json.dumps(payload).replace("Infinity", "1e400"))
+    before = path.read_bytes()
+    with pytest.raises(DataFileError):
+        load_record(path)
+    for argv in (["compare", "--molecule", "X"],
+                 ["record", "--molecule", "X", "--ansatz", "A",
+                  "--bond-length", "1.0", "--energy", "-1"]):
+        assert main(argv + ["--data-dir", str(tmp_path)]) == 2
+        assert "data-file error" in capsys.readouterr().err
+    assert path.read_bytes() == before
 
 
 WRITERS = {
