@@ -2,7 +2,13 @@
 qubit-ADAPT (fermionic and Pauli-string pools ranked by commutator
 gradient) and QCC (a mean-field product state plus Pauli-string
 entanglers ranked by exact 1-D energy gain, read off the same screening
-pass and one pass of term expectations)."""
+pass and one pass of term expectations).
+
+Each piece of work is done once.  A pool's generators keep their qubit
+images and gates, mapped once (ExcitationGenerator), so the pools, the
+screening circuit and the picks rename those gates and map nothing
+again; the loop grows its circuit with ParamCircuit.extended, so each
+iteration compiles only the picked gates onto the plans it already has."""
 
 from __future__ import annotations
 
@@ -51,6 +57,17 @@ class PoolEntry:
             pair for gen in self.generators
             for pair in gen.antihermitian_operator(n_qubits))
 
+    def gates(self, n_qubits: int, name: str) -> list[Gate]:
+        """The entry's gates, each bound to parameter `name` with its own
+        prefactor: exp(i theta P) for a string, then the generators' gates,
+        renamed from the ones each generator maps once."""
+        gates = ([] if self.string is None
+                 else [pauli_evolution(self.string, name)])
+        gates.extend(replace(gate, param=(name, gate.param[1]))
+                     for gen in self.generators
+                     for gate in generator_gates(gen, n_qubits))
+        return gates
+
 
 @dataclass(frozen=True)
 class OperatorPool:
@@ -62,14 +79,9 @@ class OperatorPool:
 
     def candidate_circuit(self, n_qubits: int) -> ParamCircuit:
         """The pool as one circuit, entry k's gates bound to parameter "k"."""
-        gates = []
-        for k, entry in enumerate(self.entries):
-            if entry.string is not None:
-                gates.append(pauli_evolution(entry.string, str(k)))
-            for gen in entry.generators:
-                gates.extend(generator_gates(replace(gen, param_name=str(k)),
-                                             n_qubits))
-        return ParamCircuit(n_qubits, gates)
+        return ParamCircuit(n_qubits, [
+            gate for k, entry in enumerate(self.entries)
+            for gate in entry.gates(n_qubits, str(k))])
 
 
 @dataclass
@@ -136,19 +148,20 @@ def _adapt(h, n_qubits, pool, rank, name, initial, max_iters, cfg,
     optimized from `start`.  Each iteration screens the pool, compiled
     once as a circuit, in one commutator_gradient pass; rank(circuit,
     values, initial, slopes) gives None to stop or (pick, size, angle).
-    The pick's screening gates join under parameter f"{name}{iteration}"
-    at that angle, everything re-optimizes with adjoint gradients, and
-    reached(energy), if given, may stop the growth."""
+    The pick's gates join under parameter f"{name}{iteration}" at that
+    angle, through circuit.extended, so the longer circuit's plans start
+    from the steps already compiled and the earlier circuit is dropped;
+    everything re-optimizes with adjoint gradients, and reached(energy),
+    if given, may stop the growth."""
     if max_iters < 0:
         raise ValueError(f"iteration count {max_iters} is negative")
     cfg = cfg or OptimizerConfig()
     screen = pool.candidate_circuit(n_qubits)
     chosen: list[ExcitationGenerator] = []
-    gates: list[Gate] = list(prefix)
     values = dict(start or {})
     trace = AdaptiveTrace(converged=False, final_energy=math.nan,
                           iterations=[])
-    circuit = ParamCircuit(n_qubits, gates)
+    circuit = ParamCircuit(n_qubits, prefix)
     if circuit.n_params:  # QCC's mean field, optimized alone first
         values = _reoptimize(circuit, h, initial, values, cfg).parameters
     tick = time.perf_counter()  # the first screening also gives E(start)
@@ -168,10 +181,8 @@ def _adapt(h, n_qubits, pool, rank, name, initial, max_iters, cfg,
         param = f"{name}{iteration}"
         chosen.extend(replace(gen, param_name=param)
                       for gen in entry.generators)
-        gates.extend(replace(gate, param=(param, gate.param[1]))
-                     for gate in screen.gates if gate.param[0] == str(pick))
         values[param] = angle
-        circuit = ParamCircuit(n_qubits, gates)
+        circuit = circuit.extended(entry.gates(n_qubits, param))
         outcome = _reoptimize(circuit, h, initial, values, cfg)
         values, energy = outcome.parameters, outcome.energy
         trace.iterations.append(AdaptiveIteration(

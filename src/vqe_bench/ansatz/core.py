@@ -3,7 +3,7 @@ single-step first-order Trotter compilation into Pauli-evolution gates."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,6 +37,8 @@ class ExcitationGenerator:
     virtual: tuple[int, ...]
     param_name: str
     prefactor: float = 1.0
+    _mapped: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         if self.kind not in FERMIONIC_KINDS | QUBIT_KINDS:
@@ -44,13 +46,36 @@ class ExcitationGenerator:
 
     def antihermitian_operator(self, n_qubits: int) -> QubitOperator:
         """T - T† mapped to qubits (JW for fermionic kinds)."""
+        return self._on_qubits(n_qubits)[0]
+
+    def _on_qubits(self, n_qubits: int) -> tuple[QubitOperator,
+                                                 tuple[Gate, ...]]:
+        """T - T† on qubits and its Pauli-evolution gates, bound to
+        param_name in canonical term order.  Both are made once per qubit
+        count and kept on the generator, never changed, so every build,
+        pool and screening circuit made from it shares one mapping."""
+        mapped = self._mapped.get(n_qubits)
+        if mapped is not None:
+            return mapped
         factors = tuple((v, True) for v in self.virtual)
         factors += tuple((o, False) for o in reversed(self.occupied))
         if self.kind in FERMIONIC_KINDS:
             t = FermionOperator.from_term(factors, self.prefactor)
-            return jordan_wigner(t - t.dagger(), n_qubits)
-        t = ladder_product(factors, self.prefactor, z_chain=False)
-        return t - t.dagger()
+            op = jordan_wigner(t - t.dagger(), n_qubits)
+        else:
+            t = ladder_product(factors, self.prefactor, z_chain=False)
+            op = t - t.dagger()
+        gates = []
+        for string in sorted(op.terms, key=serialize_pauli_string):
+            coeff = op.terms[string]
+            if abs(coeff.real) > 1e-12:
+                raise ValueError(
+                    f"generator {self} is not anti-Hermitian (real residue)")
+            gates.append(Gate("PauliEvolution", string.qubits,
+                              generator=string,
+                              param=(self.param_name, coeff.imag)))
+        mapped = self._mapped[n_qubits] = (op, tuple(gates))
+        return mapped
 
 
 @dataclass(frozen=True)
@@ -88,18 +113,10 @@ class AnsatzBuild:
         return self.circuit.n_params
 
 
-def generator_gates(gen: ExcitationGenerator, n_qubits: int) -> list[Gate]:
+def generator_gates(gen: ExcitationGenerator,
+                    n_qubits: int) -> tuple[Gate, ...]:
     """Pauli-evolution gates for one generator, in canonical term order."""
-    op = gen.antihermitian_operator(n_qubits)
-    gates = []
-    for string in sorted(op.terms, key=serialize_pauli_string):
-        coeff = op.terms[string]
-        if abs(coeff.real) > 1e-12:
-            raise ValueError(
-                f"generator {gen} is not anti-Hermitian (real residue)")
-        gates.append(Gate("PauliEvolution", string.qubits, generator=string,
-                          param=(gen.param_name, coeff.imag)))
-    return gates
+    return gen._on_qubits(n_qubits)[1]
 
 
 def compile_generators(

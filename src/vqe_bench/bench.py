@@ -92,6 +92,17 @@ def _entries(values, types, n: int) -> bool:
         for v in values)
 
 
+def _refuse(**values) -> None:
+    """Raise ValueError for a value to be stored that no data file may
+    hold: a non-finite number, or a negative runtime or n_params."""
+    for name, value in values.items():
+        if value is None:
+            continue
+        if not math.isfinite(value) or (name != "energy" and value < 0):
+            kind = "number" if name == "energy" else "non-negative number"
+            raise ValueError(f"{name} {value!r} is not a finite {kind}")
+
+
 @dataclass
 class BenchRecord:
     molecule: str
@@ -146,7 +157,9 @@ class BenchRecord:
     def store(self, ansatz: str, bond_length: float, energy, runtime=None,
               n_params=None, trace=None) -> None:
         """Fill one point's aligned slots; a null energy (a failed point)
-        nulls the point's runtime, n_params and trace too."""
+        nulls the point's runtime, n_params and trace too.  A value that
+        _refuse names is refused before anything is stored."""
+        _refuse(energy=energy, runtime=runtime, n_params=n_params)
         idx = self.point_index(bond_length)
         self.slot("energies", ansatz)[idx] = energy
         for name, value in (("runtimes", runtime), ("n_params", n_params),
@@ -160,6 +173,7 @@ class BenchRecord:
         """Store a reference energy (fci / hf / ccsd) for one bond length."""
         if kind not in REFERENCE_KINDS:
             raise ValueError(f"unknown reference kind {kind!r}")
+        _refuse(energy=value)
         idx = self.point_index(bond_length)
         if getattr(self, kind) is None:  # ccsd is absent until recorded
             setattr(self, kind, [None] * len(self.bond_lengths))

@@ -58,10 +58,14 @@ def resolve_threads(threads: int | None) -> int:
 
 
 def parse_bond_lengths(text: str | None):
-    if not text:
+    """The bond lengths of a given --bond-lengths, or None when none is
+    given; a list with no values is refused like a bad one."""
+    if text is None:
         return None
     try:
         points = [float(token) for token in text.replace(",", " ").split()]
+        if not points:
+            raise ValueError("it holds no bond length")
         if (not all(map(math.isfinite, points))
                 or len(set(points)) < len(points)):
             raise ValueError("bond lengths must be finite and distinct")

@@ -10,7 +10,11 @@ A Pauli sum acts through one form: its sparse matrix over a basis
 (pauli_sum_matrix), compiled once per operator and basis (compiled_sum).
 A circuit runs through one form too: a plan compiled once per circuit and
 initial (N, 2Sz) sector, which one kernel runs forward, in reverse and
-as generators for the adjoint gradient.  Every parameterized gate is a
+as generators for the adjoint gradient.  Plans extend: a circuit grown
+by ParamCircuit.extended starts each plan from the steps its prefix
+compiled, compiles only the gates past them (fusing across the boundary
+by the rule below) and restricts only the steps not yet restricted, so
+adaptive growth compiles each step once.  Every parameterized gate is a
 step exp(angle * M) with M|c> = w_r |r>, r = c ^ flip, and consecutive
 gates of one parameter, one flip mask and pairwise commuting strings
 (the 2 or 8 evolutions of one excitation) fuse into one step; fixed
@@ -128,13 +132,18 @@ def pauli_evolution(string: PauliString, name: str,
 class ParamCircuit:
     """Ordered gate list whose parameter names are those its gates bind,
     in order of first binding; immutable, so the plans cached on it (one
-    per initial sector) never go stale."""
+    per initial sector) never go stale.  A circuit made by `extended`
+    also holds, per sector, the steps its prefix compiled (`_prefix`:
+    the prefix's gate count, its steps and whether they run in the
+    sector), which its own plans start from."""
 
     n_qubits: int
     gates: tuple[Gate, ...]
     param_names: tuple[str, ...] = field(init=False)
     _plans: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
+    _prefix: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
@@ -147,6 +156,19 @@ class ParamCircuit:
     @property
     def n_params(self) -> int:
         return len(self.param_names)
+
+    def extended(self, gates) -> ParamCircuit:
+        """This circuit with `gates` appended.  The longer circuit carries
+        the steps of every plan compiled on this one (or carried by it), so
+        its own plans compile and restrict only the gates past them.  It
+        holds those steps, shared and immutable, but not this circuit or
+        its plans' tables."""
+        longer = ParamCircuit(self.n_qubits, self.gates + tuple(gates))
+        longer._prefix.update(self._prefix)
+        longer._prefix.update(
+            (sector, (len(self.gates), plan.steps, plan.basis is not None))
+            for sector, plan in self._plans.items())
+        return longer
 
 
 def _n_qubits(amps: np.ndarray) -> int:
@@ -374,11 +396,13 @@ def _flip(step: _Step) -> int:
     return step.terms[0][0].x
 
 
-def _steps(gates, param_names) -> tuple[_Step, ...]:
-    """Compile gates into steps, fusing runs of one parameter and one flip
-    mask whose strings commute pairwise; identity steps are dropped."""
+def _steps(gates, param_names, start=()) -> tuple[_Step, ...]:
+    """Compile gates into steps after the steps `start`, fusing runs of one
+    parameter and one flip mask whose strings commute pairwise, across
+    that boundary too; identity steps are dropped.  A fused step is a new
+    step, without the pairs its predecessor may hold."""
     index = {name: k for k, name in enumerate(param_names)}
-    steps: list[_Step] = []
+    steps: list[_Step] = list(start)
     for gate in gates:
         if gate.kind in FIXED_KINDS:
             u = _FIXED_MATRICES[gate.kind]
@@ -414,24 +438,30 @@ def _weights(step: _Step, n_amps: int) -> np.ndarray:
                for string, coeff in step.terms)
 
 
-def _restrict(plan: _Plan, sector: tuple[int, int], n_params: int) -> _Plan:
-    """plan over the sector's states when every step maps them into
-    themselves (read off the flip masks and weights), else plan unchanged."""
+def _restrict(plan: _Plan, steps, sector: tuple[int, int],
+              n_params: int) -> _Plan:
+    """`steps`, the full-space plan's or a prefix's sector steps grown by
+    the gates past them, over the sector's states when every one maps them
+    into themselves (read off the flip masks and weights), else the
+    full-space `plan` unchanged.  A step that holds its pairs was
+    restricted before and keeps them; the table spans all rows."""
     n = plan.n_qubits
     basis = sector_indices(n, *sector)
     position = np.full(1 << n, -1, dtype=np.int64)
     position[basis] = np.arange(len(basis))
-    steps = []
-    for step in plan.steps:
+    steps = list(steps)
+    for k, step in enumerate(steps):
         if step.matrix is not None:
             return plan
+        if step.pairs is not None:
+            continue
         weights = _weights(step, 1 << n)[basis]
         rows = np.flatnonzero(weights)
         cols = position[basis[rows] ^ _flip(step)]
         if np.any(cols < 0):
             return plan
         w = weights[rows]
-        steps.append(step._replace(pairs=(rows, cols, np.abs(w), w)))
+        steps[k] = step._replace(pairs=(rows, cols, np.abs(w), w))
     return _Plan(n, tuple(steps), basis, _table(steps, n_params, len(basis)))
 
 
@@ -461,18 +491,44 @@ def _table(steps, n_params: int, size: int) -> _Table:
         np.concatenate([np.zeros(0, dtype=np.intp)] + twice), tuple(doubled))
 
 
+def _grown(circuit: ParamCircuit, sector) -> tuple[_Step, ...]:
+    """The circuit's steps: those its prefix compiled for `sector` (None:
+    over all 2**n states), if any, with the gates past them compiled on."""
+    n_gates, start, _ = circuit._prefix.get(sector, (0, (), False))
+    return _steps(circuit.gates[n_gates:], circuit.param_names, start)
+
+
+def _sector_plan(circuit: ParamCircuit, full: _Plan, sector) -> _Plan:
+    """The circuit's plan from `sector`, given its full-space plan: over
+    the sector's states when every step keeps them, else `full`.  Steps
+    that a prefix restricted for the sector are not restricted again.
+    Where the prefix ran over all 2**n states, one of its steps left the
+    sector, so the circuit runs there too, unless that may have been its
+    last step and it fused with the gates past it."""
+    prefix = circuit._prefix.get(sector)
+    if prefix is not None:
+        _, steps, in_sector = prefix
+        if in_sector:
+            return _restrict(full, _grown(circuit, sector), sector,
+                             circuit.n_params)
+        kept = full.steps[len(steps) - 1:len(steps)]
+        if kept and kept[0] is steps[-1]:  # every prefix step, as it was
+            return full
+    return _restrict(full, full.steps, sector, circuit.n_params)
+
+
 def _circuit_plan(circuit: ParamCircuit, initial: int | None) -> _Plan:
     """The circuit's plan from basis state `initial`, cached per sector;
-    for None, its plan over all 2**n states."""
+    for None, its plan over all 2**n states.  A grown circuit starts each
+    plan from its prefix's steps."""
     if initial is not None and not 0 <= initial < (1 << circuit.n_qubits):
         raise ValueError(f"basis index {initial} out of range")
     plans = circuit._plans
     if None not in plans:
-        plans[None] = _Plan(circuit.n_qubits,
-                            _steps(circuit.gates, circuit.param_names))
+        plans[None] = _Plan(circuit.n_qubits, _grown(circuit, None))
     sector = None if initial is None else _state_sector(initial)
     if sector not in plans:
-        plans[sector] = _restrict(plans[None], sector, circuit.n_params)
+        plans[sector] = _sector_plan(circuit, plans[None], sector)
     return plans[sector]
 
 

@@ -18,6 +18,7 @@ from oracles import (
 )
 from vqe_bench import simulator
 from vqe_bench.ansatz import ExcitationGenerator, adaptive, build_uccsd_singlet
+from vqe_bench.ansatz import core
 from vqe_bench.ansatz.core import generator_gates
 from vqe_bench.ansatz.adaptive import (
     OperatorPool,
@@ -66,6 +67,27 @@ class TestFermionicPool:
     def test_pool_size_equals_uccsd_params(self, n_qubits, n_electrons):
         pool = build_fermionic_pool(n_qubits, n_electrons)
         assert len(pool) == build_uccsd_singlet(n_qubits, n_electrons).n_params
+
+    def test_pools_and_screening_circuit_map_each_generator_once(
+            self, monkeypatch):
+        # the UCCSD build, the qubit pool and the screening circuit each
+        # mapped every generator again: 92 mappings of H4's 36
+        mapped = []
+
+        def recording(op, n_qubits):
+            mapped.append(frozenset(op.terms.items()))
+            return real(op, n_qubits)
+
+        real = core.jordan_wigner
+        monkeypatch.setattr(core, "jordan_wigner", recording)
+        fermionic = build_fermionic_pool(8, 4)
+        build_qubit_pool(fermionic, 8)
+        fermionic.candidate_circuit(8)
+        # 8 of the 36 are zero (an orbital repeated) and join no entry
+        nonzero = [terms for terms in mapped if terms]
+        assert len(mapped) == 36
+        assert len(nonzero) == len(set(nonzero)) == 28 == sum(
+            len(entry.generators) for entry in fermionic.entries)
 
     def test_entries_are_anti_hermitian_odd_y(self):
         pool = build_fermionic_pool(8, 4)
@@ -191,6 +213,43 @@ class TestPoolScreening:
         assert build.circuit.gates == tuple(
             gate for gen in build.generators
             for gate in generator_gates(gen, 12))
+
+    def test_adapt_restricts_each_step_once(self, monkeypatch):
+        # each iteration recompiled its whole circuit, so the weights of
+        # every earlier step were read off all 2**n states again
+        data = bundled_molecule("H4").integrals(1.0)
+        h, hf_idx = qubit_hamiltonian(data), hf_state_index(8, 4)
+        pool = build_fermionic_pool(8, 4)
+        calls = []
+
+        def counting(step, n_amps):
+            calls.append(step)
+            return real(step, n_amps)
+
+        real = simulator._weights
+        monkeypatch.setattr(simulator, "_weights", counting)
+        build, trace = adapt_vqe(h, 8, pool, initial_state=hf_idx)
+        monkeypatch.undo()
+        assert trace.converged and len(trace.iterations) == 8
+        screen = simulator._circuit_plan(pool.candidate_circuit(8), hf_idx)
+        picked = simulator._circuit_plan(build.circuit, hf_idx)
+        assert picked.basis is not None
+        assert len(calls) == len(screen.steps) + len(picked.steps)
+
+    def test_adapt_memory_is_bounded(self):
+        # grown plans hold no earlier circuit or table: 1.77-1.87 MB
+        # when each iteration compiled its circuit afresh, 1.46-1.55 MB now
+        h, fermionic, _, hf_idx = lih_problem()
+        simulator.compiled_sum(h, 12, simulator.sector_indices(12, 4, 0))
+        tracemalloc.start()
+        try:
+            _, trace = adapt_vqe(h, 12, fermionic, initial_state=hf_idx,
+                                 max_iters=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trace.iterations) == 6
+        assert peak < 1.7e6
 
     def test_qubit_adapt_screening_memory_is_bounded(self):
         # a 2**12-row CSR matrix per candidate of the 640-string pool would

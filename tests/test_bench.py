@@ -119,6 +119,19 @@ class TestSaveData:
         with pytest.raises(ValueError):
             record.serialize()
 
+    @pytest.mark.parametrize("point", [
+        {"energy": float("nan")}, {"energy": -1.0, "runtime": float("inf")},
+        {"energy": -1.0, "runtime": -0.5}, {"energy": -1.0, "n_params": -1},
+    ])
+    def test_store_refuses_a_value_no_data_file_may_hold(self, point):
+        record = BenchRecord(molecule="X", bond_lengths=[1.0])
+        before = record.to_dict()
+        with pytest.raises(ValueError, match="is not a finite"):
+            record.store("A", 1.0, **point)
+        with pytest.raises(ValueError, match="is not a finite"):
+            record.store_reference("fci", 1.0, float("inf"))
+        assert record.to_dict() == before
+
 
 class TestRoundData:
     def base_record(self):
@@ -567,6 +580,49 @@ class TestCli:
         assert main(argv + ["--data-dir", str(tmp_path)]) == 1
         assert "bad bond length list" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["init", "--molecule", "H4", "--bond-lengths", " "],
+        ["init", "--molecule", "H4", "--bond-lengths", ""],
+        ["run", "--molecule", "H2", "--ansatz", "UCCSD",
+         "--bond-lengths", ","],
+        ["fci", "--molecule", "H2", "--bond-lengths", " , "],
+    ])
+    def test_a_bond_length_list_without_values_is_a_usage_error(
+            self, tmp_path, capsys, argv):
+        # init wrote "bond_lengths": [] and exited 0; run and fci then
+        # refused that file, and only init --force recovered
+        assert main(argv + ["--data-dir", str(tmp_path)]) == 1
+        assert "holds no bond length" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("values, message", [
+        (["--ansatz", "A", "--energy", "-1", "--n-params", "-3"],
+         "n_params -3 is not a finite non-negative number"),
+        (["--ansatz", "A", "--energy", "-1", "--runtime", "-2"],
+         "runtime -2.0 is not a finite non-negative number"),
+        (["--ansatz", "A", "--energy", "inf"],
+         "energy inf is not a finite number"),
+        (["--ansatz", "A", "--energy", "-1", "--runtime", "nan"],
+         "runtime nan is not a finite non-negative number"),
+        (["--reference", "ccsd", "--energy", "-inf"],
+         "energy -inf is not a finite number"),
+    ], ids=["negative n_params", "negative runtime", "infinite energy",
+            "NaN runtime", "infinite reference"])
+    def test_record_refuses_negative_or_non_finite_values(
+            self, tmp_path, capsys, values, message):
+        # negative values were stored and emitted by compare; non-finite
+        # ones leaked "Out of range float values are not JSON compliant"
+        data_dir = str(tmp_path)
+        main(["init", "--molecule", "H2", "--data-dir", data_dir])
+        path = record_path(data_dir, "H2")
+        before = path.read_bytes()
+        capsys.readouterr()
+        assert main(["record", "--molecule", "H2", "--bond-length", "0.7414",
+                     *values, "--data-dir", data_dir]) == 1
+        assert message in capsys.readouterr().err
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["H2.json"]
 
     def test_dump_hamiltonian(self, tmp_path):
         out = tmp_path / "h2.txt"

@@ -1,9 +1,11 @@
 """Compiled circuit plans: every family against the gate-by-gate oracle,
 the sector verdict, fusion limits and the memory of full-space plans."""
 
+import gc
 import hashlib
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -219,6 +221,139 @@ def test_sector_plan_is_cached_per_sector():
     plan = simulator._circuit_plan(circuit, 0b0011)
     assert simulator._circuit_plan(circuit, 0b0110) is plan
     assert simulator._circuit_plan(circuit, 0b0001) is not plan
+
+
+def _assert_arrays_equal(a, b):
+    if a is None or b is None:
+        assert a is None and b is None
+        return
+    assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _assert_entries_equal(a, b):
+    """Tuples of arrays, slices and plain values, entry by entry."""
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        if isinstance(x, np.ndarray):
+            _assert_arrays_equal(x, y)
+        else:
+            assert type(x) is type(y) and x == y
+
+
+def assert_plans_equal(plan, expected):
+    assert plan.n_qubits == expected.n_qubits
+    _assert_arrays_equal(plan.basis, expected.basis)
+    assert len(plan.steps) == len(expected.steps)
+    for step, other in zip(plan.steps, expected.steps):
+        assert (step.param, step.angle, step.terms) == (
+            other.param, other.angle, other.terms)
+        if step.matrix is None:
+            assert other.matrix is None
+        else:
+            assert step.matrix[0] == other.matrix[0]
+            _assert_entries_equal(step.matrix[1:], other.matrix[1:])
+        if step.pairs is None:
+            assert other.pairs is None
+        else:
+            _assert_entries_equal(step.pairs, other.pairs)
+    if expected.table is None:
+        assert plan.table is None
+        return
+    for name in ("r", "index", "fixed", "twice"):
+        _assert_arrays_equal(getattr(plan.table, name),
+                             getattr(expected.table, name))
+    for name in ("sweep", "doubled"):
+        rows, other_rows = getattr(plan.table, name), getattr(expected.table,
+                                                              name)
+        assert len(rows) == len(other_rows)
+        for row, other in zip(rows, other_rows):
+            _assert_entries_equal(row, other)
+
+
+def _grown_cases():
+    """(prefix gates, extensions, whether the prefix and whether the whole
+    circuit run in the HF state's sector) per growth case, on H4."""
+    _, n, _, n_electrons = molecule("H4", 1.0)
+    uccsd = build_uccsd_singlet(n, n_electrons).circuit.gates
+    # where a parameter's gates end, so every excitation before is whole
+    ends = [k for k in range(1, len(uccsd))
+            if uccsd[k].param[0] != uccsd[k - 1].param[0]]
+    # gates 16-23 are the double d_0_0_2_2: one flip mask and commuting
+    # strings, so one step, which fuses with a repeat of itself
+    assert {gate.param[0] for gate in uccsd[16:24]} == {"d_0_0_2_2"}
+    assert 16 in ends and 24 in ends
+    mean_field = tuple(Gate(kind, (q,), param=(f"mf_{kind}{q}", 1.0))
+                       for q in range(n) for kind in ("RY", "RZ"))
+    leak = (Gate("RY", (5,), param=("leak", 1.0)),)
+    return {
+        "sector prefix": (uccsd[:ends[5]], [uccsd[ends[5]:ends[9]],
+                                            uccsd[ends[9]:]], True, True),
+        "full-space prefix": (mean_field, [uccsd[:20], uccsd[20:40]],
+                              False, False),
+        "extension leaves the sector": (
+            uccsd[:ends[6]], [uccsd[ends[6]:ends[8]], leak, uccsd[ends[8]:]],
+            True, False),
+        "first gate fuses with the prefix's last step": (
+            uccsd[:24], [uccsd[16:24] + uccsd[24:ends[9]], uccsd[ends[9]:]],
+            True, True),
+        # 3 of the double's 8 strings leave the sector; all 8 keep it
+        "a fused last step brings the prefix back into the sector": (
+            uccsd[:19], [uccsd[19:24], uccsd[24:40]], False, True),
+    }
+
+
+GROWN_CASES = _grown_cases()
+
+
+@pytest.mark.parametrize("compile_each", [True, False],
+                         ids=["compiled at each length", "compiled at the end"])
+@pytest.mark.parametrize("case", list(GROWN_CASES))
+def test_grown_circuit_has_the_plans_of_its_whole_gate_list(case,
+                                                            compile_each):
+    prefix, extensions, prefix_in_sector, in_sector = GROWN_CASES[case]
+    initial = hf_state_index(8, 4)
+    circuit = ParamCircuit(8, prefix)
+    if compile_each:
+        assert runs_in_sector(circuit, initial) == prefix_in_sector
+    for extension in extensions:
+        circuit = circuit.extended(extension)
+        if compile_each:
+            simulator._circuit_plan(circuit, initial)
+    whole = ParamCircuit(8, sum(extensions, prefix))
+    assert circuit == whole
+    for start in (initial, None):
+        assert_plans_equal(simulator._circuit_plan(circuit, start),
+                           simulator._circuit_plan(whole, start))
+    assert runs_in_sector(circuit, initial) == in_sector
+
+
+def test_extension_fuses_with_the_prefix_and_restricts_only_new_steps():
+    prefix, extensions, _, _ = GROWN_CASES[
+        "first gate fuses with the prefix's last step"]
+    initial = hf_state_index(8, 4)
+    circuit = ParamCircuit(8, prefix)
+    before = simulator._circuit_plan(circuit, initial).steps
+    grown = simulator._circuit_plan(circuit.extended(extensions[0]), initial)
+    # the double's step fused with its repeat: one step, twice the
+    # weights; the steps before it are the prefix's, shared as they are
+    fused = grown.steps[len(before) - 1]
+    assert [coeff for _, coeff in fused.terms] == [
+        2 * coeff for _, coeff in before[-1].terms]
+    assert all(a is b for a, b in zip(grown.steps, before[:-1]))
+    np.testing.assert_array_equal(fused.pairs[3], 2 * before[-1].pairs[3])
+
+
+def test_grown_circuit_holds_no_earlier_circuit_or_table():
+    _, n, hf, n_electrons = molecule("H4", 1.0)
+    gates = build_uccsd_singlet(n, n_electrons).circuit.gates
+    prefix = ParamCircuit(n, gates[:40])
+    table = simulator._circuit_plan(prefix, hf).table
+    circuit = prefix.extended(gates[40:])
+    alive = weakref.ref(prefix), weakref.ref(table.r)
+    del prefix, table
+    gc.collect()
+    assert [ref() for ref in alive] == [None, None]
+    assert runs_in_sector(circuit, hf)
 
 
 def test_twelve_qubit_hea_plan_holds_no_state_sized_arrays():
