@@ -78,29 +78,37 @@ class DataFileError(RuntimeError):
 
 
 _NUMBER = (int, float)
-# What the lists of each ansatz-keyed mapping hold besides null.
+# What the lists of each ansatz-keyed mapping hold besides null; those
+# named in _NON_NEGATIVE hold no negative number either.
 _MAPPING_TYPES = {"energies": _NUMBER, "runtimes": _NUMBER, "n_params": int,
                   "traces": dict}
+_NON_NEGATIVE = ("runtimes", "n_params")
 
 
-def _entries(values, types, n: int) -> bool:
-    """Whether `values` is a list of n entries, each null or a finite
-    value of `types` (a bool is no number)."""
+def _holds(name: str, value) -> bool:
+    """Whether a data file's `name` lists (a mapping's, a reference
+    kind's or the bond lengths) may hold `value`: null, or a finite value
+    of their type (a bool is no number), not negative where named so."""
+    return value is None or (
+        isinstance(value, _MAPPING_TYPES.get(name, _NUMBER))
+        and not isinstance(value, bool)
+        and (not isinstance(value, float) or math.isfinite(value))
+        and (name not in _NON_NEGATIVE or value >= 0))
+
+
+def _entries(values, name: str, n: int) -> bool:
+    """Whether `values` is a list of n entries that `name` lists hold."""
     return isinstance(values, list) and len(values) == n and all(
-        v is None or (isinstance(v, types) and not isinstance(v, bool)
-                      and (not isinstance(v, float) or math.isfinite(v)))
-        for v in values)
+        _holds(name, v) for v in values)
 
 
-def _refuse(**values) -> None:
-    """Raise ValueError for a value to be stored that no data file may
-    hold: a non-finite number, or a negative runtime or n_params."""
-    for name, value in values.items():
-        if value is None:
-            continue
-        if not math.isfinite(value) or (name != "energy" and value < 0):
-            kind = "number" if name == "energy" else "non-negative number"
-            raise ValueError(f"{name} {value!r} is not a finite {kind}")
+def _refuse_unless_held(name: str, value) -> None:
+    """Raise ValueError, before anything is stored, for a value that the
+    `name` lists may not hold."""
+    if not _holds(name, value):
+        sign = " non-negative" if name in _NON_NEGATIVE else ""
+        raise ValueError(f"{name} hold only finite{sign} values, "
+                         f"not {value!r}")
 
 
 @dataclass
@@ -118,27 +126,28 @@ class BenchRecord:
         "artifact_version": __version__, "schema_version": SCHEMA_VERSION})
 
     def __post_init__(self):
-        """Refuse a value of the wrong type: data files are edited by hand."""
+        """Refuse a value of the wrong type or sign: data files are edited
+        by hand."""
         if not isinstance(self.molecule, str):
             raise DataFileError("molecule is not a string")
         lengths, n = self.bond_lengths, len(self.bond_lengths)
-        if (not _entries(lengths, _NUMBER, n) or None in lengths
+        if (not _entries(lengths, "bond_lengths", n) or None in lengths
                 or len(set(lengths)) < n):
             raise DataFileError("bond lengths are not distinct finite numbers")
         self.fci = [None] * n if self.fci is None else self.fci
         self.hf = [None] * n if self.hf is None else self.hf
-        lists = {kind: (getattr(self, kind), _NUMBER) for kind in REFERENCE_KINDS
+        lists = {kind: (getattr(self, kind), kind) for kind in REFERENCE_KINDS
                  if getattr(self, kind) is not None}
-        for name, types in _MAPPING_TYPES.items():
+        for name in _MAPPING_TYPES:
             mapping = getattr(self, name)
             if not isinstance(mapping, dict):
                 raise DataFileError(f"{name} is not a mapping of lists")
-            lists.update({f"{name} list for {key!r}": (values, types)
+            lists.update({f"{name} list for {key!r}": (values, name)
                           for key, values in mapping.items()})
-        for label, (values, types) in lists.items():
-            if not _entries(values, types, n):
+        for label, (values, name) in lists.items():
+            if not _entries(values, name, n):
                 raise DataFileError(f"{label} is misaligned or holds a "
-                                    "value of the wrong type")
+                                    "value of the wrong type or sign")
         if not isinstance(self.metadata, dict):
             raise DataFileError("metadata is not a mapping")
 
@@ -158,8 +167,11 @@ class BenchRecord:
               n_params=None, trace=None) -> None:
         """Fill one point's aligned slots; a null energy (a failed point)
         nulls the point's runtime, n_params and trace too.  A value that
-        _refuse names is refused before anything is stored."""
-        _refuse(energy=energy, runtime=runtime, n_params=n_params)
+        no data file may hold is refused before anything is stored."""
+        values = {"energies": energy, "runtimes": runtime,
+                  "n_params": n_params, "traces": trace}
+        for name, value in values.items():
+            _refuse_unless_held(name, value)
         idx = self.point_index(bond_length)
         self.slot("energies", ansatz)[idx] = energy
         for name, value in (("runtimes", runtime), ("n_params", n_params),
@@ -173,7 +185,7 @@ class BenchRecord:
         """Store a reference energy (fci / hf / ccsd) for one bond length."""
         if kind not in REFERENCE_KINDS:
             raise ValueError(f"unknown reference kind {kind!r}")
-        _refuse(energy=value)
+        _refuse_unless_held(kind, value)
         idx = self.point_index(bond_length)
         if getattr(self, kind) is None:  # ccsd is absent until recorded
             setattr(self, kind, [None] * len(self.bond_lengths))

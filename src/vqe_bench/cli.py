@@ -57,9 +57,13 @@ def resolve_threads(threads: int | None) -> int:
     return int(env) if env else 4
 
 
+BOND_LENGTHS_HELP = ("comma or space separated, at least one; omit the "
+                     "option for the fixture set (an empty list is refused)")
+
+
 def parse_bond_lengths(text: str | None):
     """The bond lengths of a given --bond-lengths, or None when none is
-    given; a list with no values is refused like a bad one."""
+    given; a list with no values, "" included, is refused like a bad one."""
     if text is None:
         return None
     try:
@@ -82,8 +86,7 @@ def cli():
 
 @cli.command("init")
 @click.option("--molecule", required=True)
-@click.option("--bond-lengths", default=None,
-              help="comma or space separated; defaults to the fixture set")
+@click.option("--bond-lengths", default=None, help=BOND_LENGTHS_HELP)
 @click.option("--data-dir", default="data", show_default=True)
 @click.option("--fixtures-dir", default=None)
 @click.option("--force", is_flag=True)
@@ -103,7 +106,7 @@ def cmd_init(molecule, bond_lengths, data_dir, fixtures_dir, force):
 @click.option("--molecule", required=True)
 @click.option("--ansatz", "ansatzes", multiple=True, required=True,
               help="repeatable, e.g. --ansatz UCCSD --ansatz 2-UpCCGSD")
-@click.option("--bond-lengths", default=None)
+@click.option("--bond-lengths", default=None, help=BOND_LENGTHS_HELP)
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--threads", default=None, type=int)
 @click.option("--data-dir", default="data", show_default=True)
@@ -193,7 +196,7 @@ def cmd_compare(molecule, kind, fmt, data_dir, output):
 
 @cli.command("fci")
 @click.option("--molecule", required=True)
-@click.option("--bond-lengths", default=None)
+@click.option("--bond-lengths", default=None, help=BOND_LENGTHS_HELP)
 @click.option("--data-dir", default="data", show_default=True)
 @click.option("--fixtures-dir", default=None)
 @click.option("--no-save", is_flag=True, help="print only")

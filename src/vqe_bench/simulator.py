@@ -133,9 +133,9 @@ class ParamCircuit:
     """Ordered gate list whose parameter names are those its gates bind,
     in order of first binding; immutable, so the plans cached on it (one
     per initial sector) never go stale.  A circuit made by `extended`
-    also holds, per sector, the steps its prefix compiled (`_prefix`:
-    the prefix's gate count, its steps and whether they run in the
-    sector), which its own plans start from."""
+    also holds the steps its prefix compiled over all 2**n states and
+    over each sector it kept (`_prefix`: the prefix's gate count and its
+    steps, per sector), which its own plans start from."""
 
     n_qubits: int
     gates: tuple[Gate, ...]
@@ -159,15 +159,17 @@ class ParamCircuit:
 
     def extended(self, gates) -> ParamCircuit:
         """This circuit with `gates` appended.  The longer circuit carries
-        the steps of every plan compiled on this one (or carried by it), so
-        its own plans compile and restrict only the gates past them.  It
-        holds those steps, shared and immutable, but not this circuit or
-        its plans' tables."""
+        the steps of its full-space plan and of every plan restricted to a
+        sector, compiled on this one (or carried by it), so its own plans
+        compile and restrict only the gates past them.  It holds those
+        steps, shared and immutable, but not this circuit or its plans'
+        tables."""
         longer = ParamCircuit(self.n_qubits, self.gates + tuple(gates))
         longer._prefix.update(self._prefix)
         longer._prefix.update(
-            (sector, (len(self.gates), plan.steps, plan.basis is not None))
-            for sector, plan in self._plans.items())
+            (sector, (len(self.gates), plan.steps))
+            for sector, plan in self._plans.items()
+            if sector is None or plan.basis is not None)
         return longer
 
 
@@ -494,27 +496,8 @@ def _table(steps, n_params: int, size: int) -> _Table:
 def _grown(circuit: ParamCircuit, sector) -> tuple[_Step, ...]:
     """The circuit's steps: those its prefix compiled for `sector` (None:
     over all 2**n states), if any, with the gates past them compiled on."""
-    n_gates, start, _ = circuit._prefix.get(sector, (0, (), False))
+    n_gates, start = circuit._prefix.get(sector, (0, ()))
     return _steps(circuit.gates[n_gates:], circuit.param_names, start)
-
-
-def _sector_plan(circuit: ParamCircuit, full: _Plan, sector) -> _Plan:
-    """The circuit's plan from `sector`, given its full-space plan: over
-    the sector's states when every step keeps them, else `full`.  Steps
-    that a prefix restricted for the sector are not restricted again.
-    Where the prefix ran over all 2**n states, one of its steps left the
-    sector, so the circuit runs there too, unless that may have been its
-    last step and it fused with the gates past it."""
-    prefix = circuit._prefix.get(sector)
-    if prefix is not None:
-        _, steps, in_sector = prefix
-        if in_sector:
-            return _restrict(full, _grown(circuit, sector), sector,
-                             circuit.n_params)
-        kept = full.steps[len(steps) - 1:len(steps)]
-        if kept and kept[0] is steps[-1]:  # every prefix step, as it was
-            return full
-    return _restrict(full, full.steps, sector, circuit.n_params)
 
 
 def _circuit_plan(circuit: ParamCircuit, initial: int | None) -> _Plan:
@@ -527,8 +510,11 @@ def _circuit_plan(circuit: ParamCircuit, initial: int | None) -> _Plan:
     if None not in plans:
         plans[None] = _Plan(circuit.n_qubits, _grown(circuit, None))
     sector = None if initial is None else _state_sector(initial)
-    if sector not in plans:
-        plans[sector] = _sector_plan(circuit, plans[None], sector)
+    if sector not in plans:  # steps a prefix restricted stay restricted
+        steps = (_grown(circuit, sector) if sector in circuit._prefix
+                 else plans[None].steps)
+        plans[sector] = _restrict(plans[None], steps, sector,
+                                  circuit.n_params)
     return plans[sector]
 
 

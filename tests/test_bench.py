@@ -126,9 +126,9 @@ class TestSaveData:
     def test_store_refuses_a_value_no_data_file_may_hold(self, point):
         record = BenchRecord(molecule="X", bond_lengths=[1.0])
         before = record.to_dict()
-        with pytest.raises(ValueError, match="is not a finite"):
+        with pytest.raises(ValueError, match="hold only finite"):
             record.store("A", 1.0, **point)
-        with pytest.raises(ValueError, match="is not a finite"):
+        with pytest.raises(ValueError, match="hold only finite"):
             record.store_reference("fci", 1.0, float("inf"))
         assert record.to_dict() == before
 
@@ -598,15 +598,15 @@ class TestCli:
 
     @pytest.mark.parametrize("values, message", [
         (["--ansatz", "A", "--energy", "-1", "--n-params", "-3"],
-         "n_params -3 is not a finite non-negative number"),
+         "n_params hold only finite non-negative values, not -3"),
         (["--ansatz", "A", "--energy", "-1", "--runtime", "-2"],
-         "runtime -2.0 is not a finite non-negative number"),
+         "runtimes hold only finite non-negative values, not -2.0"),
         (["--ansatz", "A", "--energy", "inf"],
-         "energy inf is not a finite number"),
+         "energies hold only finite values, not inf"),
         (["--ansatz", "A", "--energy", "-1", "--runtime", "nan"],
-         "runtime nan is not a finite non-negative number"),
+         "runtimes hold only finite non-negative values, not nan"),
         (["--reference", "ccsd", "--energy", "-inf"],
-         "energy -inf is not a finite number"),
+         "ccsd hold only finite values, not -inf"),
     ], ids=["negative n_params", "negative runtime", "infinite energy",
             "NaN runtime", "infinite reference"])
     def test_record_refuses_negative_or_non_finite_values(
@@ -656,6 +656,8 @@ BAD_PAYLOADS = {
     "reference a string": {"fci": ["x"]},
     "runtime a bool": {"runtimes": {"A": [True]}},
     "n_params a float": {"n_params": {"A": [1.5]}},
+    "n_params negative": {"n_params": {"A": [-3]}},
+    "runtime negative": {"runtimes": {"A": [-0.5]}},
     "trace a number": {"traces": {"A": [5]}},
     "metadata a string": {"metadata": "x"},
     "metadata a list": {"metadata": []},
