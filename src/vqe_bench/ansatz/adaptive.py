@@ -63,8 +63,7 @@ class PoolEntry:
         renamed from the ones each generator maps once."""
         gates = ([] if self.string is None
                  else [pauli_evolution(self.string, name)])
-        gates.extend(replace(gate, param=(name, gate.param[1]))
-                     for gen in self.generators
+        gates.extend(gate.renamed(name) for gen in self.generators
                      for gate in generator_gates(gen, n_qubits))
         return gates
 
@@ -135,30 +134,28 @@ def _pick(scores: np.ndarray) -> int:
 
 
 def _reoptimize(circuit, h, initial, values, cfg):
-    return minimize_bfgs(
-        circuit_objective(circuit, h, initial),
-        np.array([values[n] for n in circuit.param_names]), cfg,
-        param_names=circuit.param_names)
+    return minimize_bfgs(circuit_objective(circuit, h, initial), values, cfg)
 
 
 def _adapt(h, n_qubits, pool, rank, name, initial, max_iters, cfg,
-           prefix=(), start=None, reached=None
+           prefix=(), start=(), reached=None
            ) -> tuple[AnsatzBuild, AdaptiveTrace]:
     """The growth loop, from the gates of `prefix` with their parameters
-    optimized from `start`.  Each iteration screens the pool, compiled
-    once as a circuit, in one commutator_gradient pass; rank(circuit,
-    values, initial, slopes) gives None to stop or (pick, size, angle).
-    The pick's gates join under parameter f"{name}{iteration}" at that
-    angle, through circuit.extended, so the longer circuit's plans start
-    from the steps already compiled and the earlier circuit is dropped;
-    everything re-optimizes with adjoint gradients, and reached(energy),
-    if given, may stop the growth."""
+    optimized from the angles `start`.  Each iteration screens the pool,
+    compiled once as a circuit, in one commutator_gradient pass;
+    rank(circuit, values, initial, slopes), one slope per entry (0.0 if
+    it has no gates), gives None to stop or (pick, size, angle).  The pick's
+    gates join at that angle under parameter f"{name}{iteration}", the
+    circuit's last, through circuit.extended, so the longer circuit's
+    plans start from the steps already compiled; everything re-optimizes
+    with adjoint gradients, and reached(energy), if given, may stop it."""
     if max_iters < 0:
         raise ValueError(f"iteration count {max_iters} is negative")
     cfg = cfg or OptimizerConfig()
     screen = pool.candidate_circuit(n_qubits)
+    entries = [int(k) for k in screen.param_names]  # entries with gates
     chosen: list[ExcitationGenerator] = []
-    values = dict(start or {})
+    values = np.array(start, dtype=float)
     trace = AdaptiveTrace(converged=False, final_energy=math.nan,
                           iterations=[])
     circuit = ParamCircuit(n_qubits, prefix)
@@ -171,8 +168,9 @@ def _adapt(h, n_qubits, pool, rank, name, initial, max_iters, cfg,
             tick = time.perf_counter()
             slopes = commutator_gradient(circuit, h, values, initial,
                                          screen)[1]
-        ranked = rank(circuit, values, initial, np.array(
-            [slopes.get(str(k), 0.0) for k in range(len(pool))]))
+        scores = np.zeros(len(pool))
+        scores[entries] = slopes
+        ranked = rank(circuit, values, initial, scores)
         if ranked is None:
             trace.converged = True
             break
@@ -181,8 +179,10 @@ def _adapt(h, n_qubits, pool, rank, name, initial, max_iters, cfg,
         param = f"{name}{iteration}"
         chosen.extend(replace(gen, param_name=param)
                       for gen in entry.generators)
-        values[param] = angle
-        circuit = circuit.extended(entry.gates(n_qubits, param))
+        gates = entry.gates(n_qubits, param)
+        if gates:  # its parameter is the circuit's last
+            values = np.append(values, angle)
+        circuit = circuit.extended(gates)
         outcome = _reoptimize(circuit, h, initial, values, cfg)
         values, energy = outcome.parameters, outcome.energy
         trace.iterations.append(AdaptiveIteration(
@@ -270,12 +270,11 @@ def qcc_optimize(h: QubitOperator, n_qubits: int, pool: OperatorPool,
         raise ValueError("qcc_optimize expects a qubit-pauli pool")
     # the Bloch product state is built from the vacuum; initial_state only
     # seeds the mean-field angles to the matching determinant
-    gates, values = [], {}
+    gates, values = [], []
     for q in range(n_qubits):
         gates += [Gate("RY", (q,), param=(f"mf_t{q}", 1.0)),
                   Gate("RZ", (q,), param=(f"mf_p{q}", 1.0))]
-        values[f"mf_t{q}"] = math.pi if (initial_state >> q) & 1 else 0.0
-        values[f"mf_p{q}"] = 0.0
+        values += [math.pi if (initial_state >> q) & 1 else 0.0, 0.0]
     anticommutes = anticommuting([entry.string for entry in pool.entries],
                                  h.terms)
 

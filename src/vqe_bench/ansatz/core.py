@@ -86,11 +86,12 @@ class InitPolicy:
     low: float = 0.0
     high: float = 0.0
 
-    def draw(self, param_names, rng: np.random.Generator) -> dict[str, float]:
+    def draw(self, n_params: int, rng: np.random.Generator) -> np.ndarray:
+        """Starting angles, one scalar draw per parameter in order."""
         if self.kind == "zeros":
-            return {name: 0.0 for name in param_names}
-        return {name: float(rng.uniform(self.low, self.high))
-                for name in param_names}
+            return np.zeros(n_params)
+        return np.array([rng.uniform(self.low, self.high)
+                         for _ in range(n_params)])
 
 
 ZEROS = InitPolicy("zeros")

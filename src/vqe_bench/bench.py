@@ -51,6 +51,7 @@ from .driver import (
     run_vqe,
 )
 from .hamiltonian import (
+    IntegralData,
     MoleculeSpec,
     exact_ground_energy,
     hf_energy,
@@ -387,16 +388,31 @@ class SweepLock:
         self.lock_path.unlink(missing_ok=True)
 
 
+def read_fixture(spec: MoleculeSpec, r: float) -> IntegralData:
+    """The spec's fixture at bond length r; a DataFileError names it when
+    it is missing or malformed, or when its MS2 is not the 2Sz of the HF
+    determinant (NELEC mod 2), the sector circuits and FCI share."""
+    path = spec.fcidump_paths.get(r)
+    if path is None:
+        raise DataFileError(f"no fixture for {spec.name} at r={r}")
+    try:
+        data = spec.integrals(r)
+    except ValueError as exc:
+        raise DataFileError(f"{path}: {exc}") from exc
+    if data.ms2 != data.n_electrons % 2:
+        raise DataFileError(f"{path}: MS2={data.ms2}, but the Hartree-Fock "
+                            f"determinant has 2Sz={data.n_electrons % 2}")
+    return data
+
+
 def reference_points(spec: MoleculeSpec, bond_lengths=None):
     """Lazy (r, integrals, h, FCI in the (N, 2Sz) sector, HF) per bond
-    length (default: the spec's), all checked for a fixture up front."""
+    length (default: the spec's); read_fixture reads each one up front."""
     points = list(bond_lengths) if bond_lengths else list(spec.bond_lengths)
-    for r in points:
-        if r not in spec.fcidump_paths:
-            raise DataFileError(f"no fixture for {spec.name} at r={r}")
+    fixtures = {r: read_fixture(spec, r) for r in points}
 
     def reference(r):
-        data = spec.integrals(r)
+        data = fixtures[r]
         h = qubit_hamiltonian(data)
         fci = exact_ground_energy(h, data.n_qubits,
                                   sector=(data.n_electrons, data.ms2))
@@ -429,6 +445,8 @@ def run_sweep(spec: MoleculeSpec, ansatz_names, cfg: OptimizerConfig | None,
 
     Per-point failures are logged and stay null; the sweep continues.
     """
+    if seed < 0:
+        raise ValueError(f"seed {seed} is negative")
     cfg = cfg or OptimizerConfig()
     references = reference_points(spec, bond_lengths)
     path = record_path(data_dir, spec.name)

@@ -26,6 +26,7 @@ from .bench import (
     known_ansatz,
     load_record,
     open_sweep_record,
+    read_fixture,
     record_path,
     reference_points,
     run_sweep,
@@ -43,7 +44,10 @@ from .operators import dump_qubit_operator
 
 def resolve_molecule(name: str, fixtures_dir: str | None):
     if fixtures_dir:
-        return molecule_from_dir(name, os.path.join(fixtures_dir, name))
+        try:
+            return molecule_from_dir(name, os.path.join(fixtures_dir, name))
+        except FileNotFoundError as exc:  # no directory or no FCIDUMP
+            raise DataFileError(str(exc)) from exc
     if name not in bundled_molecules():
         raise click.UsageError(
             f"unknown molecule {name!r}; bundled: {', '.join(bundled_molecules())}")
@@ -107,7 +111,8 @@ def cmd_init(molecule, bond_lengths, data_dir, fixtures_dir, force):
 @click.option("--ansatz", "ansatzes", multiple=True, required=True,
               help="repeatable, e.g. --ansatz UCCSD --ansatz 2-UpCCGSD")
 @click.option("--bond-lengths", default=None, help=BOND_LENGTHS_HELP)
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True,
+              type=click.IntRange(min=0))
 @click.option("--threads", default=None, type=int)
 @click.option("--data-dir", default="data", show_default=True)
 @click.option("--fixtures-dir", default=None)
@@ -229,7 +234,8 @@ def cmd_dump_hamiltonian(molecule, bond_length, fixtures_dir, output):
     if bond_length not in spec.fcidump_paths:
         raise click.UsageError(
             f"no fixture at r={bond_length}; have {list(spec.bond_lengths)}")
-    text = dump_qubit_operator(qubit_hamiltonian(spec.integrals(bond_length)))
+    text = dump_qubit_operator(qubit_hamiltonian(read_fixture(spec,
+                                                              bond_length)))
     if output:
         with open(output, "w") as fh:
             fh.write(text)

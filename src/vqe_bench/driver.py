@@ -2,15 +2,15 @@
 restart orchestration, and the layer-growth protocol for the
 hardware-efficient ansatz.
 
-BFGS is one ask/tell generator, bfgs_steps: it yields the points it needs
-evaluated and is sent back (energy, gradient).  minimize_bfgs drives it
-with one objective, point by point.  The random-init restarts of run_vqe
-advance in lockstep instead: every pending point of every live restart is
-evaluated in one batched adjoint sweep (simulator.batch_adjoint_gradient),
-and a restart leaves the batch when it converges or spends its budget.
-Each restart sees the same points and bits as it would alone.  HEA layer
-growth stays serial, since each restart's budget is what the ones before
-it left."""
+A point is one float array in param_names order, from the initial draw
+to VqeResult.parameters.  BFGS is one ask/tell generator, bfgs_steps: it
+yields the points it needs evaluated and is sent back (energy, gradient).
+minimize_bfgs drives it with one objective, point by point.  The restarts
+of run_vqe advance in lockstep instead: the pending points of the live
+restarts are one (R, P) batch of adjoint_gradient, and a restart leaves
+it when it converges or spends its budget, seeing the points and bits it
+would alone.  HEA layer growth stays serial, since each restart's budget
+is what the ones before it left."""
 
 from __future__ import annotations
 
@@ -23,11 +23,7 @@ import numpy as np
 from .ansatz.core import AnsatzBuild
 from .ansatz.layered import build_hea
 from .operators import QubitOperator
-from .simulator import (
-    adjoint_gradient,
-    batch_adjoint_gradient,
-    runs_in_sector,
-)
+from .simulator import adjoint_gradient, runs_in_sector
 
 WOLFE_C1, WOLFE_C2 = 1e-4, 0.9  # sufficient decrease, curvature
 CHEMICAL_ACCURACY = 0.0016  # Ha, the paper's band around the FCI energy
@@ -57,7 +53,7 @@ class OptimizerConfig:
 @dataclass
 class VqeResult:
     energy: float
-    parameters: dict[str, float]
+    parameters: np.ndarray  # in the order of the objective's vector
     n_evaluations: int
     n_iterations: int
     wall_time: float
@@ -174,8 +170,7 @@ def _wolfe_line_search(phi, f0, d0, max_trials=25):
     return best
 
 
-def bfgs_steps(x0, cfg: OptimizerConfig | None = None, param_names=None,
-               callback=None):
+def bfgs_steps(x0, cfg: OptimizerConfig | None = None, callback=None):
     """minimize_bfgs as an ask/tell generator: it yields each point to
     evaluate, takes its (value, gradient) back through send(), and
     returns the VqeResult.  Nocedal & Wright Alg. 6.1 with the strong-Wolfe
@@ -184,13 +179,11 @@ def bfgs_steps(x0, cfg: OptimizerConfig | None = None, param_names=None,
     start = time.perf_counter()
     x = np.array(x0, dtype=float)
     n = len(x)
-    names = list(param_names) if param_names is not None else [
-        f"x{i}" for i in range(n)]
     evaluate = _Evaluations(cfg.max_energy_evaluations)
 
     def result(energy, xs, n_iter, converged):
         return VqeResult(energy=float(energy),
-                         parameters=dict(zip(names, (float(v) for v in xs))),
+                         parameters=np.array(xs, dtype=float),
                          n_evaluations=evaluate.count,
                          n_iterations=n_iter,
                          wall_time=time.perf_counter() - start,
@@ -245,14 +238,14 @@ def bfgs_steps(x0, cfg: OptimizerConfig | None = None, param_names=None,
 
 
 def minimize_bfgs(objective, x0, cfg: OptimizerConfig | None = None,
-                  param_names=None, callback=None) -> VqeResult:
+                  callback=None) -> VqeResult:
     """Quasi-Newton minimization of objective(x) -> (value, gradient).
 
     Stops when the gradient infinity-norm drops below the configured
     tolerance or the evaluation budget runs out (converged=False then).
     `callback(x, value)` fires after every accepted step.
     """
-    run = bfgs_steps(x0, cfg, param_names, callback)
+    run = bfgs_steps(x0, cfg, callback)
     try:
         x = next(run)
         while True:
@@ -263,14 +256,7 @@ def minimize_bfgs(objective, x0, cfg: OptimizerConfig | None = None,
 
 def circuit_objective(circuit, h: QubitOperator, initial_state: int):
     """Energy/gradient objective over the circuit's parameter vector."""
-    names = circuit.param_names
-
-    def objective(x):
-        values = dict(zip(names, x))
-        energy, grad = adjoint_gradient(circuit, h, values, initial_state)
-        return energy, np.array([grad[name] for name in names])
-
-    return objective
+    return lambda x: adjoint_gradient(circuit, h, x, initial_state)
 
 
 def minimize_in_lockstep(circuit, h: QubitOperator, initial_state: int,
@@ -280,13 +266,12 @@ def minimize_in_lockstep(circuit, h: QubitOperator, initial_state: int,
     points every pending run asks for evaluated as one batch.  A run
     leaves the batch when it converges or spends its budget; each result
     is bit-identical to that start's own minimize_bfgs."""
-    names = circuit.param_names
-    runs = [bfgs_steps(x0, cfg, names) for x0 in starts]
+    runs = [bfgs_steps(x0, cfg) for x0 in starts]
     pending = {k: next(run) for k, run in enumerate(runs)}
     results: list[VqeResult | None] = [None] * len(runs)
     while pending:
         order = list(pending)
-        energies, grads = batch_adjoint_gradient(
+        energies, grads = adjoint_gradient(
             circuit, h, np.array([pending[k] for k in order]), initial_state)
         for k, energy, grad in zip(order, energies, grads):
             try:
@@ -311,25 +296,20 @@ def run_vqe(ansatz: AnsatzBuild, h: QubitOperator, initial_state: int,
                                                          initial_state):
         raise ValueError("ansatz is labelled particle-conserving but its "
                          "circuit leaves the sector of the initial state")
-    names = circuit.param_names
     start = time.perf_counter()
-    restarts = (ansatz.restarts
-                if names and ansatz.init_policy.kind != "zeros" else 1)
-    starts = []
-    for restart in range(restarts):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, restart]))
-        values = ansatz.init_policy.draw(names, rng)
-        starts.append(np.array([values[name] for name in names]))
+    restarts = (ansatz.restarts if circuit.n_params
+                and ansatz.init_policy.kind != "zeros" else 1)
+    starts = [ansatz.init_policy.draw(
+        circuit.n_params,
+        np.random.default_rng(np.random.SeedSequence([seed, restart])))
+        for restart in range(restarts)]
     if restarts == 1:
         outcomes = [minimize_bfgs(circuit_objective(circuit, h, initial_state),
-                                  starts[0], cfg, param_names=names)]
+                                  starts[0], cfg)]
     else:
         outcomes = minimize_in_lockstep(circuit, h, initial_state, starts,
                                         cfg)
-    best = outcomes[0]
-    for outcome in outcomes[1:]:
-        if outcome.energy < best.energy:
-            best = outcome
+    best = min(outcomes, key=lambda outcome: outcome.energy)
     best.restarts_used = restarts
     best.n_evaluations = sum(outcome.n_evaluations for outcome in outcomes)
     best.wall_time = time.perf_counter() - start
@@ -363,20 +343,16 @@ def run_hea_layer_growth(h: QubitOperator, n_qubits: int, initial_state: int,
     for depth in range(1, max_depth + 1):
         build = build_hea(n_qubits, depth)
         objective = circuit_objective(build.circuit, h, initial_state)
-        names = build.circuit.param_names
         for restart in range(s_restarts):
             remaining = n_budget - total_evals
             if remaining <= 0:
                 break
             rng = np.random.default_rng(
                 np.random.SeedSequence([seed, depth, restart]))
-            values = build.init_policy.draw(names, rng)
-            x0 = np.array([values[name] for name in names])
             outcome = minimize_bfgs(
-                objective, x0,
+                objective, build.init_policy.draw(build.n_params, rng),
                 replace(cfg, max_energy_evaluations=min(
-                    cfg.max_energy_evaluations, remaining)),
-                param_names=names)
+                    cfg.max_energy_evaluations, remaining)))
             total_evals += outcome.n_evaluations
             total_runs += 1
             if best is None or outcome.energy < best.energy:

@@ -36,12 +36,12 @@ Screening pools are circuits too; only h is ever compiled as a matrix.
 Its terms' expectations are read off the state itself, a flip mask at a
 time (term_expectations).
 
-The kernel takes a leading batch axis: batch_adjoint_gradient runs one
-forward and one reverse sweep over an (R, D) array of states, one row per
-row of an (R, n_params) array of parameter values, with h applied as one
-sparse product and the row reductions as stacked matmuls.  Every
-operation acts row by row with the arithmetic of the one-vector path, so
-each row gets the bits adjoint_gradient gives it alone.
+Parameter values are one float array, `angles`, in param_names order.
+The kernel takes a leading batch axis: adjoint_gradient at (R, P) angles
+runs one forward and one reverse sweep over an (R, D) array of states,
+with h applied as one sparse product and the row reductions as stacked
+matmuls.  Every operation acts row by row with the arithmetic of the
+one-vector path, so each row gets the bits of its own (P,) call.
 """
 
 from __future__ import annotations
@@ -116,6 +116,13 @@ class Gate:
             if self.targets != self.generator.qubits:
                 raise ValueError("PauliEvolution targets must match the "
                                  "generator's qubits")
+
+    def renamed(self, name: str) -> Gate:
+        """This gate bound to parameter `name`, prefactor kept.  A new name
+        changes nothing __post_init__ checks, so the copy skips it."""
+        gate = object.__new__(Gate)
+        gate.__dict__.update(self.__dict__, param=(name, self.param[1]))
+        return gate
 
 
 def ry(q: int, name: str, prefactor: float = 1.0) -> Gate:
@@ -684,11 +691,14 @@ def _reverse_sector(table: _Table, psi: np.ndarray, lam: np.ndarray,
     return grad
 
 
-def _angles(param_names, values: dict[str, float]) -> np.ndarray:
-    missing = [name for name in param_names if name not in values]
-    if missing:
-        raise ValueError(f"missing parameter value for {missing[0]!r}")
-    return np.array([values[name] for name in param_names], dtype=float)
+def _angles(circuit: ParamCircuit, angles, batch=False) -> np.ndarray:
+    """angles as floats, refused unless of shape (P,), or (R, P) with
+    R >= 1 where a batch is allowed, naming the shape."""
+    angles, n = np.asarray(angles, dtype=float), circuit.n_params
+    if (angles.shape[-1:] != (n,) or angles.ndim > 1 + batch
+            or 0 in angles.shape[:-1]):
+        raise ValueError(f"angles of shape {angles.shape} for {n} parameters")
+    return angles
 
 
 def _start(plan: _Plan, initial: int, batch: tuple = ()) -> np.ndarray:
@@ -702,15 +712,14 @@ def _start(plan: _Plan, initial: int, batch: tuple = ()) -> np.ndarray:
     return amps
 
 
-def _run(circuit: ParamCircuit, values: dict[str, float],
-         initial: int) -> tuple[_Plan, np.ndarray, np.ndarray]:
-    """The circuit's plan from `initial`, the state it prepares over the
-    plan's basis, and the parameter values in parameter order."""
+def _run(circuit: ParamCircuit, angles: np.ndarray,
+         initial: int) -> tuple[_Plan, np.ndarray]:
+    """The circuit's plan from `initial` and the state it prepares over
+    the plan's basis at (P,) angles, or one per row of (R, P) angles."""
     plan = _circuit_plan(circuit, initial)
-    angles = _angles(circuit.param_names, values)
-    amps = _start(plan, initial)
+    amps = _start(plan, initial, angles.shape[:-1])
     _forward(plan, amps, angles)
-    return plan, amps, angles
+    return plan, amps
 
 
 def _adjoint(plan: _Plan, h: QubitOperator, psi: np.ndarray, angles):
@@ -746,10 +755,10 @@ def runs_in_sector(circuit: ParamCircuit, initial: int) -> bool:
     return _circuit_plan(circuit, initial).basis is not None
 
 
-def apply_circuit(circuit: ParamCircuit, values: dict[str, float],
+def apply_circuit(circuit: ParamCircuit, angles,
                   initial: int = 0) -> np.ndarray:
     """The 2**n amplitudes the circuit prepares from a basis state."""
-    plan, amps, _ = _run(circuit, values, initial)
+    plan, amps = _run(circuit, _angles(circuit, angles), initial)
     return _scatter(plan, amps)
 
 
@@ -757,16 +766,15 @@ def apply_pauli_evolution(amps: np.ndarray, string: PauliString,
                           theta: float) -> np.ndarray:
     """exp(i theta P) applied to a copy of the state."""
     return apply_gates(amps, [Gate("PauliEvolution", string.qubits,
-                                   generator=string, angle=theta)], {})
+                                   generator=string, angle=theta)], ())
 
 
-def apply_gates(amps: np.ndarray, gates,
-                values: dict[str, float]) -> np.ndarray:
-    """Run a gate sequence on a copy of an already-prepared state."""
+def apply_gates(amps: np.ndarray, gates, angles) -> np.ndarray:
+    """Run a gate sequence on a copy of an already-prepared state, at
+    angles in the order its gates first bind their parameters."""
     circuit = ParamCircuit(_n_qubits(amps), gates)
     out = np.array(amps, dtype=complex)
-    _forward(_circuit_plan(circuit, None), out,
-             _angles(circuit.param_names, values))
+    _forward(_circuit_plan(circuit, None), out, _angles(circuit, angles))
     return out
 
 
@@ -783,13 +791,12 @@ def expectation(h: QubitOperator, amps: np.ndarray) -> float:
     return _real(np.vdot(amps, compiled_sum(h, _n_qubits(amps)) @ amps))
 
 
-def term_expectations(circuit: ParamCircuit, h: QubitOperator,
-                      values: dict[str, float],
+def term_expectations(circuit: ParamCircuit, h: QubitOperator, angles,
                       initial: int = 0) -> np.ndarray:
     """<c_k Q_k> at the circuit's state for each term of h, in h.terms
     order, so they sum to <h>.  The terms of one flip mask share the
     product conj(psi[s ^ flip]) psi[s], summed per term with its signs."""
-    plan, psi, _ = _run(circuit, values, initial)
+    plan, psi = _run(circuit, _angles(circuit, angles), initial)
     psi, states = _scatter(plan, psi), _indices(1 << circuit.n_qubits)
     flips, yz = _masks(h.terms)
     weights = np.fromiter((coeff * pauli_masks(string)[2]
@@ -813,41 +820,26 @@ def basis_expectation(h: QubitOperator, n_qubits: int, index: int) -> float:
     return _real(diagonal[np.searchsorted(basis, index)])
 
 
-def adjoint_gradient(circuit: ParamCircuit, h: QubitOperator,
-                     values: dict[str, float],
-                     initial: int = 0) -> tuple[float, dict[str, float]]:
+def adjoint_gradient(circuit: ParamCircuit, h: QubitOperator, angles,
+                     initial: int = 0):
     """Energy and dE/d(parameter) via one forward and one reverse sweep of
-    the circuit's plan; h acts through its matrix over the plan's basis."""
-    plan, psi, angles = _run(circuit, values, initial)
-    energy, grad = _adjoint(plan, h, psi, angles)
-    return _real(energy), dict(zip(circuit.param_names, grad.tolist()))
-
-
-def batch_adjoint_gradient(circuit: ParamCircuit, h: QubitOperator,
-                           angles: np.ndarray, initial: int = 0
-                           ) -> tuple[list[float], np.ndarray]:
-    """adjoint_gradient at each row of an (R, n_params) array of parameter
-    values, in parameter order: energies and an (R, n_params) gradient.
-    The plan's sweeps run once over the (R, D) batch of states, and each
-    row gets the bits adjoint_gradient gives it alone."""
-    plan = _circuit_plan(circuit, initial)
-    angles = np.asarray(angles, dtype=float)
-    if (angles.ndim != 2 or angles.shape[1] != circuit.n_params
-            or not len(angles)):
-        raise ValueError(f"angles of shape {angles.shape} for "
-                         f"{circuit.n_params} parameters")
+    the circuit's plan; h acts through its matrix over the plan's basis.
+    At (P,) angles: (energy, (P,) gradient).  At an (R, P) batch: ((R,)
+    energies, (R, P) gradient), the sweeps run once over the (R, D) batch
+    of states, and each row gets the bits its own (P,) call gives it."""
+    angles = _angles(circuit, angles, batch=True)
     # one row runs faster as a plain vector
-    batch = angles if len(angles) > 1 else angles[0]
-    psi = _start(plan, initial, batch.shape[:-1])
-    _forward(plan, psi, batch)
-    energies, grad = _adjoint(plan, h, psi, batch)
-    energies = [_real(energy) for energy in np.atleast_1d(energies)]
-    return energies, grad.reshape(angles.shape)
+    point = angles[0] if len(angles) == 1 and angles.ndim == 2 else angles
+    plan, psi = _run(circuit, point, initial)
+    energy, grad = _adjoint(plan, h, psi, point)
+    if angles.ndim == 1:
+        return _real(energy), grad
+    return (np.array([_real(e) for e in np.atleast_1d(energy)]),
+            grad.reshape(angles.shape))
 
 
 def parameter_shift_gradient(circuit: ParamCircuit, h: QubitOperator,
-                             values: dict[str, float], initial: int,
-                             name: str) -> float:
+                             angles, initial: int, name: str) -> float:
     """E(t + pi/4) - E(t - pi/4), exact for a single exp(i t P) binding."""
     bound = [g for g in circuit.gates
              if g.param is not None and g.param[0] == name]
@@ -856,24 +848,27 @@ def parameter_shift_gradient(circuit: ParamCircuit, h: QubitOperator,
         raise ValueError(
             f"parameter {name!r} is not bound to a single unit-prefactor "
             "Pauli evolution")
-    shifted = dict(values)
-    shifted[name] = values[name] + math.pi / 4
+    angles = _angles(circuit, angles)
+    k = circuit.param_names.index(name)
+    shifted = angles.copy()
+    shifted[k] = angles[k] + math.pi / 4
     plus = expectation(h, apply_circuit(circuit, shifted, initial))
-    shifted[name] = values[name] - math.pi / 4
+    shifted[k] = angles[k] - math.pi / 4
     minus = expectation(h, apply_circuit(circuit, shifted, initial))
     return plus - minus
 
 
-def commutator_gradient(circuit: ParamCircuit, h: QubitOperator,
-                        values: dict[str, float], initial: int,
-                        pool: ParamCircuit) -> tuple[float, dict[str, float]]:
-    """Energy of the circuit's state psi and, per pool parameter, the slope
-    2 Re<h psi|M psi> of appending its gates at zero, h applied once over
-    the pool plan's basis: the sector when both keep it, else all 2**n.
-    A pool with a gate that binds no parameter is refused."""
+def commutator_gradient(circuit: ParamCircuit, h: QubitOperator, angles,
+                        initial: int, pool: ParamCircuit
+                        ) -> tuple[float, np.ndarray]:
+    """Energy of the circuit's state psi and, per pool parameter in
+    pool.param_names order, the slope 2 Re<h psi|M psi> of appending its
+    gates at zero, h applied once over the pool plan's basis: the sector
+    when both keep it, else all 2**n.  A pool with a gate that binds no
+    parameter is refused."""
     if any(step.param < 0 for step in _circuit_plan(pool, None).steps):
         raise ValueError("every pool gate must bind a parameter")
-    plan, psi, _ = _run(circuit, values, initial)
+    plan, psi = _run(circuit, _angles(circuit, angles), initial)
     screen = _circuit_plan(pool, None if plan.basis is None else initial)
     if screen.basis is None:
         psi = _scatter(plan, psi)
@@ -881,8 +876,7 @@ def commutator_gradient(circuit: ParamCircuit, h: QubitOperator,
     slopes = np.zeros(pool.n_params)
     for step in screen.steps:
         slopes[step.param] += _slope(_act(step, psi), lam)
-    return (_real(np.vdot(psi, lam)),
-            dict(zip(pool.param_names, slopes.tolist())))
+    return _real(np.vdot(psi, lam)), slopes
 
 
 def number_expectation(amps: np.ndarray) -> float:

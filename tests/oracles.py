@@ -68,7 +68,8 @@ def basis_state(n_qubits: int, index: int) -> np.ndarray:
 
 
 def circuit_unitary(circuit, values) -> np.ndarray:
-    """Assemble the dense circuit matrix column by column."""
+    """Assemble the dense circuit matrix column by column, at angles in
+    the circuit's param_names order."""
     from vqe_bench.simulator import apply_circuit
 
     dim = 2 ** circuit.n_qubits
@@ -79,17 +80,18 @@ def circuit_unitary(circuit, values) -> np.ndarray:
 
 
 def finite_difference_gradient(circuit, h, values, initial, step=1e-6):
-    """Central finite differences of the circuit energy, per parameter."""
+    """Central finite differences of the circuit energy, per parameter,
+    in param_names order."""
     from vqe_bench.simulator import apply_circuit, expectation
 
-    grad = {}
-    for name in circuit.param_names:
-        shifted = dict(values)
-        shifted[name] = values[name] + step
+    grad = np.empty(circuit.n_params)
+    for k in range(circuit.n_params):
+        shifted = np.array(values, dtype=float)
+        shifted[k] = values[k] + step
         plus = expectation(h, apply_circuit(circuit, shifted, initial))
-        shifted[name] = values[name] - step
+        shifted[k] = values[k] - step
         minus = expectation(h, apply_circuit(circuit, shifted, initial))
-        grad[name] = (plus - minus) / (2 * step)
+        grad[k] = (plus - minus) / (2 * step)
     return grad
 
 
@@ -101,9 +103,8 @@ def pool_entry_finite_difference(h, state, entry, n_qubits, step=1e-5):
 
     gates = [gate for gen in entry.generators
              for gate in generator_gates(gen, n_qubits)]
-    name = entry.generators[0].param_name
-    plus = expectation(h, apply_gates(state, gates, {name: step}))
-    minus = expectation(h, apply_gates(state, gates, {name: -step}))
+    plus = expectation(h, apply_gates(state, gates, [step]))
+    minus = expectation(h, apply_gates(state, gates, [-step]))
     return (plus - minus) / (2 * step)
 
 
@@ -157,8 +158,9 @@ def random_string(rng, n_qubits, min_size=0):
 
 
 def random_values(rng, circuit):
-    return {name: float(rng.uniform(-np.pi, np.pi))
-            for name in circuit.param_names}
+    """Angles in param_names order, one uniform draw per parameter."""
+    return np.array([float(rng.uniform(-np.pi, np.pi))
+                     for _ in circuit.param_names])
 
 
 def random_hermitian_operator(rng, n_qubits, n_terms):
@@ -237,9 +239,16 @@ def _resolved_angle(gate, values):
     return gate.param[1] * values[gate.param[0]]
 
 
+def _by_name(circuit, values) -> dict:
+    """Angles in param_names order as {name: angle}."""
+    assert len(values) == circuit.n_params
+    return dict(zip(circuit.param_names, values))
+
+
 def circuit_state(circuit, values, initial):
     """The circuit's state from basis state `initial`, gate by gate over
     the full space."""
+    values = _by_name(circuit, values)
     psi = np.zeros(2 ** circuit.n_qubits, dtype=complex)
     psi[initial] = 1.0
     for gate in circuit.gates:
@@ -251,9 +260,11 @@ def circuit_state(circuit, values, initial):
 def energy_gradient(circuit, h, values, initial):
     """Energy and dE/d(parameter) gate by gate over the full space: no
     fusion, no sector, h applied term by term; the gradient is the
-    textbook adjoint sweep over these per-gate actions."""
+    textbook adjoint sweep over these per-gate actions; the gradient in
+    param_names order."""
     n = circuit.n_qubits
     psi = circuit_state(circuit, values, initial)
+    values = _by_name(circuit, values)
     lam = sum(coeff * apply_pauli(string, psi, n)
               for string, coeff in h.terms.items())
     energy = np.vdot(psi, lam).real
@@ -266,4 +277,4 @@ def energy_gradient(circuit, h, values, initial):
                 lam, apply_generator(gate, psi, n)).real
         psi = apply_gate(gate, a, psi, n, inverse=True)
         lam = apply_gate(gate, a, lam, n, inverse=True)
-    return energy, grad
+    return energy, np.array([grad[name] for name in circuit.param_names])

@@ -161,18 +161,21 @@ class TestPoolScreening:
             assert runs_in_sector(pool, hf_idx)
         assert runs_in_sector(circuit, hf_idx) == ("leaves" not in case)
         rng = np.random.default_rng(seed)
-        values = {name: float(rng.uniform(-0.5, 0.5))
-                  for name in circuit.param_names}
+        values = np.array([float(rng.uniform(-0.5, 0.5))
+                           for _ in circuit.param_names])
         energy, slopes = commutator_gradient(circuit, self.H4, values,
                                              hf_idx, pool)
         appended = ParamCircuit(8, circuit.gates + pool.gates)
+        assert appended.param_names == circuit.param_names + pool.param_names
         expected_energy, grad = adjoint_gradient(
-            appended, self.H4, values | dict.fromkeys(pool.param_names, 0.0),
+            appended, self.H4, np.concatenate((values,
+                                               np.zeros(pool.n_params))),
             hf_idx)
         assert energy == pytest.approx(expected_energy, abs=1e-12)
-        assert list(slopes) == list(pool.param_names)
-        for name in pool.param_names:
-            assert slopes[name] == pytest.approx(grad[name], abs=1e-12)
+        assert slopes.shape == (pool.n_params,)
+        for k, name in enumerate(pool.param_names):
+            assert slopes[k] == pytest.approx(
+                grad[appended.param_names.index(name)], abs=1e-12)
 
     @pytest.mark.parametrize("unbound", [
         Gate("PauliEvolution", (0, 1, 2, 3),
@@ -186,7 +189,7 @@ class TestPoolScreening:
         pool = ParamCircuit(4, [
             pauli_evolution(parse_pauli_string("X0 Y2"), "a"), unbound])
         with pytest.raises(ValueError, match="bind a parameter"):
-            commutator_gradient(ParamCircuit(4, ()), h, {}, hf_idx, pool)
+            commutator_gradient(ParamCircuit(4, ()), h, [], hf_idx, pool)
 
     def test_equal_labels_stay_separate_candidates(self):
         string = parse_pauli_string("Y0 X1")
@@ -322,7 +325,7 @@ class TestAdaptVqe:
         h = qubit_hamiltonian(data)
         pool = build_fermionic_pool(8, 4)
         circuit = build_uccsd_singlet(8, 4).circuit
-        values = {p: 0.0 for p in circuit.param_names}
+        values = np.zeros(circuit.n_params)
         state = apply_circuit(circuit, values, hf_state_index(8, 4))
         for entry in pool.entries:
             fd = pool_entry_finite_difference(h, state, entry, 8)
@@ -331,7 +334,7 @@ class TestAdaptVqe:
                 pauli_evolution(string, "tau", coeff.imag)
                 for string, coeff in tau.terms.items()])
             analytic = commutator_gradient(
-                circuit, h, values, hf_state_index(8, 4), gates)[1]["tau"]
+                circuit, h, values, hf_state_index(8, 4), gates)[1][0]
             assert fd == pytest.approx(analytic, abs=1e-4)
 
     def test_epsilon_validation(self):
@@ -352,8 +355,7 @@ class TestAdaptVqe:
         scores = np.array([1.0, 1.0 + 1e-13])
         monkeypatch.setattr(
             adaptive, "commutator_gradient",
-            lambda circuit, h, values, initial, pool: (
-                0.0, dict(zip(pool.param_names, scores))))
+            lambda circuit, h, values, initial, pool: (0.0, scores))
         _, trace = adapt_vqe(h, 4, pool, initial_state=hf_idx, max_iters=1)
         assert trace.iterations[0].chosen_label == pool.entries[0].label
 
@@ -401,13 +403,13 @@ class TestQubitAdaptVqe:
         circuit = ParamCircuit(8, [
             pauli_evolution(qpool.entries[int(i)].string, f"qadapt{k}")
             for k, i in enumerate(picks)])
-        values = {name: float(rng.uniform(-np.pi, np.pi))
-                  for name in circuit.param_names}
+        values = np.array([float(rng.uniform(-np.pi, np.pi))
+                           for _ in circuit.param_names])
         hf_idx = hf_state_index(8, 4)
         _, grad = adjoint_gradient(circuit, h, values, hf_idx)
-        for name in circuit.param_names:
+        for k, name in enumerate(circuit.param_names):
             shift = parameter_shift_gradient(circuit, h, values, hf_idx, name)
-            assert shift == pytest.approx(grad[name], abs=1e-10)
+            assert shift == pytest.approx(grad[k], abs=1e-10)
 
 
 class TestQcc:
@@ -504,11 +506,12 @@ class TestQcc:
         strings = [random_string(rng, n, min_size=1) for _ in range(4)]
         pool = OperatorPool("qubit-pauli", tuple(
             PoolEntry(str(s), string=s) for s in strings))
-        slopes = commutator_gradient(circuit, h, values, initial,
-                                     pool.candidate_circuit(n))[1]
+        screen = pool.candidate_circuit(n)
+        slopes = commutator_gradient(circuit, h, values, initial, screen)[1]
         b, c = adaptive._entangler_curves(
             h, simulator.anticommuting(strings, h.terms), circuit, values,
-            initial, np.array([slopes[str(k)] for k in range(len(pool))]))
+            initial, np.array([slopes[screen.param_names.index(str(k))]
+                               for k in range(len(pool))]))
         psi = circuit_state(circuit, values, initial)
         hmat = qubit_operator_matrix(h, n)
         e0 = np.vdot(psi, hmat @ psi).real

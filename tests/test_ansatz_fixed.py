@@ -130,7 +130,7 @@ class TestHartreeFockAtZero:
         data = bundled_molecule(mol).integrals(r)
         h = qubit_hamiltonian(data)
         build = BUILDERS[name](data.n_qubits, data.n_electrons)
-        values = {p: 0.0 for p in build.circuit.param_names}
+        values = np.zeros(build.n_params)
         state = apply_circuit(build.circuit, values,
                               hf_state_index(data.n_qubits, data.n_electrons))
         assert expectation(h, state) == pytest.approx(
@@ -171,8 +171,8 @@ class TestParticleConservation:
         rng = np.random.default_rng(13)
         initial = hf_state_index(data.n_qubits, data.n_electrons)
         for _ in range(20):
-            values = {p: float(rng.uniform(-np.pi, np.pi))
-                      for p in build.circuit.param_names}
+            values = np.array([float(rng.uniform(-np.pi, np.pi))
+                               for _ in build.circuit.param_names])
             state = apply_circuit(build.circuit, values, initial)
             assert abs(number_expectation(state) - data.n_electrons) < 1e-10
 
@@ -182,14 +182,14 @@ class TestSharedParameterGradients:
         build = build_uccsd_singlet(4, 2)
         rng = np.random.default_rng(7)
         h = random_hermitian_operator(rng, 4, 6)
-        values = {p: float(rng.uniform(-1, 1))
-                  for p in build.circuit.param_names}
+        values = np.array([float(rng.uniform(-1, 1))
+                           for _ in build.circuit.param_names])
         from vqe_bench.simulator import adjoint_gradient
 
         _, grad = adjoint_gradient(build.circuit, h, values, 3)
         fd = finite_difference_gradient(build.circuit, h, values, 3)
-        for name in build.circuit.param_names:
-            assert grad[name] == pytest.approx(fd[name], abs=1e-6)
+        for k in range(build.n_params):
+            assert grad[k] == pytest.approx(fd[k], abs=1e-6)
 
 
 class TestTwoElectronExactness:

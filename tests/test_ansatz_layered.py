@@ -21,7 +21,7 @@ from oracles import basis_state, circuit_unitary, random_hermitian_operator
 
 
 def zero_values(circuit):
-    return {name: 0.0 for name in circuit.param_names}
+    return np.zeros(circuit.n_params)
 
 
 def givens_block(theta):
@@ -116,8 +116,8 @@ class TestBrc:
         build = build_brc(6, 3)
         rng = np.random.default_rng(3)
         for _ in range(20):
-            values = {p: float(rng.uniform(-np.pi, np.pi))
-                      for p in build.circuit.param_names}
+            values = np.array([float(rng.uniform(-np.pi, np.pi))
+                               for _ in build.circuit.param_names])
             state = apply_circuit(build.circuit, values, 0b111)
             assert abs(number_expectation(state) - 3.0) < 1e-10
 
@@ -127,8 +127,8 @@ class TestBrc:
         names = [g.param[0] for g in build.circuit.gates]
         assert len(names) == 8  # each parameter drives an alpha and beta gate
         rng = np.random.default_rng(4)
-        values = {p: float(rng.uniform(-np.pi, np.pi))
-                  for p in build.circuit.param_names}
+        values = np.array([float(rng.uniform(-np.pi, np.pi))
+                           for _ in build.circuit.param_names])
         state = apply_circuit(build.circuit, values, 0b1111)
         assert abs(number_expectation(state) - 4.0) < 1e-10
 
@@ -146,16 +146,16 @@ class TestBrc:
         # diamond network realizes eta*(n-eta) independent directions
         build = build_brc(n, eta)
         rng = np.random.default_rng(10)
-        values = {p: float(rng.uniform(-1.0, 1.0))
-                  for p in build.circuit.param_names}
+        values = np.array([float(rng.uniform(-1.0, 1.0))
+                           for _ in build.circuit.param_names])
         initial = (1 << eta) - 1
         step = 1e-6
         jacobian = np.empty((2 ** n, build.n_params))
-        for k, name in enumerate(build.circuit.param_names):
-            shifted = dict(values)
-            shifted[name] = values[name] + step
+        for k in range(build.n_params):
+            shifted = values.copy()
+            shifted[k] = values[k] + step
             plus = apply_circuit(build.circuit, shifted, initial)
-            shifted[name] = values[name] - step
+            shifted[k] = values[k] - step
             minus = apply_circuit(build.circuit, shifted, initial)
             jacobian[:, k] = np.real(plus - minus) / (2 * step)
         assert np.linalg.matrix_rank(jacobian, tol=1e-8) == build.n_params
@@ -186,7 +186,7 @@ class TestGivensCompilation:
         mat = np.empty((dim, dim), dtype=complex)
         for col in range(dim):
             state = basis_state(2, col)
-            mat[:, col] = apply_gates(state, gates, {})
+            mat[:, col] = apply_gates(state, gates, [])
         return mat
 
     def native(self, theta):
@@ -196,7 +196,7 @@ class TestGivensCompilation:
         gate = Gate("GivensRotation", (0, 1), angle=theta)
         for col in range(4):
             state = basis_state(2, col)
-            state_cols.append(apply_gates(state, [gate], {}))
+            state_cols.append(apply_gates(state, [gate], []))
         return np.array(state_cols).T
 
     def test_zero_angle_is_identity(self):
@@ -206,7 +206,7 @@ class TestGivensCompilation:
         u = self.composed(math.pi / 2)
         np.testing.assert_allclose(u, self.native(math.pi / 2), atol=1e-12)
         one, two = basis_state(2, 1), basis_state(2, 2)
-        swapped = apply_gates(one, givens_compilation(math.pi / 2, 0, 1), {})
+        swapped = apply_gates(one, givens_compilation(math.pi / 2, 0, 1), [])
         assert abs(abs(np.vdot(swapped, two)) - 1.0) < 1e-12
 
     def test_matches_native_block_for_random_angles(self):

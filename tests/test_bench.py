@@ -725,3 +725,66 @@ class TestCliWritersTakeTheSweepLock:
         assert main(WRITERS[command] + ["--data-dir", str(data_dir)]) == 0
         assert path.read_bytes() != before
         assert not lock.exists()
+
+
+class TestRefusedBeforeAnythingIsWritten:
+    def test_negative_seed_is_a_usage_error_that_keeps_the_file(
+            self, tmp_path, capsys):
+        # the seed raised inside each point's try: every requested point
+        # was stored as null over its recorded energy, and run exited 3
+        argv = ["run", "--molecule", "H2", "--ansatz", "UCCSD",
+                "--data-dir", str(tmp_path)]
+        assert main(argv) == 0
+        path = record_path(tmp_path, "H2")
+        before = path.read_bytes()
+        capsys.readouterr()
+        assert main(argv + ["--seed", "-1"]) == 1
+        assert "numerical failure" not in capsys.readouterr().err
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["H2.json"]
+
+    def test_run_sweep_refuses_a_negative_seed_before_the_lock(self,
+                                                               tmp_path):
+        data_dir = tmp_path / "data"
+        with pytest.raises(ValueError, match="seed -1 is negative"):
+            run_sweep(bundled_molecule("H2"), ["UCCSD"], FAST_CFG, -1,
+                      data_dir)
+        assert not data_dir.exists()
+
+    @staticmethod
+    def fixtures(tmp_path, case):
+        """A fixtures directory holding H2 at 0.7414 and, but for a missing
+        directory, a copy at 0.9 spoilt as `case` says; the offending path."""
+        root = tmp_path / "fixtures"
+        if case == "missing directory":
+            return root, root / "H2"
+        good = bundled_molecule("H2").fcidump_paths[0.7414].read_text()
+        bad = {"malformed line": good + "0.5 1 1\n",
+               "MS2 of another sector": good.replace("MS2=0", "MS2=2")}[case]
+        assert bad != good
+        (root / "H2").mkdir(parents=True)
+        (root / "H2" / "0.7414.fcidump").write_text(good)
+        (root / "H2" / "0.9.fcidump").write_text(bad)
+        return root, root / "H2" / "0.9.fcidump"
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--ansatz", "UCCSD", "--ansatz", "HEA"], ["fci"]],
+        ids=["run", "fci"])
+    @pytest.mark.parametrize("case", ["missing directory", "malformed line",
+                                      "MS2 of another sector"])
+    def test_bad_fixtures_dir_is_a_data_file_error(self, tmp_path, capsys,
+                                                   case, command):
+        # a missing directory escaped as a FileNotFoundError traceback; a
+        # malformed file exited 3 after the earlier bond lengths were
+        # saved; MS2=2 put UCCSD 0.605 Ha below H2's "FCI" and exited 0
+        fixtures, offending = self.fixtures(tmp_path, case)
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        (data_dir / "notes.txt").write_text("kept")
+        argv = [command[0], "--molecule", "H2", *command[1:],
+                "--fixtures-dir", str(fixtures), "--data-dir", str(data_dir)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "data-file error" in err and str(offending) in err
+        assert [(p.name, p.read_text()) for p in data_dir.iterdir()] == [
+            ("notes.txt", "kept")]

@@ -45,15 +45,15 @@ def rosenbrock(x):
 class TestMinimizeBfgs:
     def test_shifted_parabola(self):
         result = minimize_bfgs(quadratic_1d, np.array([0.0]))
-        assert abs(result.parameters["x0"] - 3.0) < 1e-10
+        assert abs(result.parameters[0] - 3.0) < 1e-10
         assert result.energy < 1e-10
         assert result.converged
 
     def test_rosenbrock(self):
         result = minimize_bfgs(rosenbrock, np.array([-1.2, 1.0]),
                                OptimizerConfig(gradient_tolerance=1e-8))
-        assert abs(result.parameters["x0"] - 1.0) < 1e-6
-        assert abs(result.parameters["x1"] - 1.0) < 1e-6
+        assert abs(result.parameters[0] - 1.0) < 1e-6
+        assert abs(result.parameters[1] - 1.0) < 1e-6
         assert result.converged
 
     def test_one_parameter_cosine_circuit(self):
@@ -62,9 +62,9 @@ class TestMinimizeBfgs:
         from vqe_bench.driver import circuit_objective
 
         result = minimize_bfgs(circuit_objective(circuit, h, 0),
-                               np.array([2.0]), param_names=["t"])
+                               np.array([2.0]))
         assert result.energy == pytest.approx(-1.0, abs=1e-10)
-        assert abs(abs(result.parameters["t"]) - math.pi) < 1e-5
+        assert abs(abs(result.parameters[0]) - math.pi) < 1e-5
 
     def test_quadratic_termination_iterations(self):
         rng = np.random.default_rng(1)
@@ -134,14 +134,14 @@ class TestRunVqe:
         result = run_vqe(trivial, self.h, self.hf_idx, seed=0)
         assert result.n_evaluations == 1
         assert result.energy == pytest.approx(
-            expectation(self.h, apply_circuit(empty, {}, self.hf_idx)))
+            expectation(self.h, apply_circuit(empty, [], self.hf_idx)))
 
     def test_seeded_determinism(self):
         build = build_brc_closed_shell(4, 2)
         a = run_vqe(build, self.h, self.hf_idx, seed=42)
         b = run_vqe(build, self.h, self.hf_idx, seed=42)
         assert a.energy == b.energy
-        assert a.parameters == b.parameters
+        assert a.parameters.tolist() == b.parameters.tolist()
 
     def test_energy_matches_fresh_evaluation(self):
         build = build_uccsd_singlet(4, 2)
@@ -163,13 +163,12 @@ class TestRunVqe:
 
         for r in range(build.restarts):
             rng = np.random.default_rng(np.random.SeedSequence([9, r]))
-            values = build.init_policy.draw(build.circuit.param_names, rng)
-            x0 = np.array([values[p] for p in build.circuit.param_names])
+            x0 = build.init_policy.draw(build.circuit.n_params, rng)
             from vqe_bench.driver import circuit_objective
 
             singles.append(minimize_bfgs(
-                circuit_objective(build.circuit, self.h, self.hf_idx), x0,
-                param_names=build.circuit.param_names).energy)
+                circuit_objective(build.circuit, self.h, self.hf_idx),
+                x0).energy)
         assert combined.energy == pytest.approx(min(singles), abs=1e-12)
 
 
@@ -232,11 +231,12 @@ def _growth_digest(molecule, r, n_budget) -> tuple[str, VqeResult]:
     h = qubit_hamiltonian(data)
     fci = exact_ground_energy(h, data.n_qubits,
                               sector=(data.n_electrons, data.ms2))
-    _, result = run_hea_layer_growth(
+    build, result = run_hea_layer_growth(
         h, data.n_qubits, hf_state_index(data.n_qubits, data.n_electrons),
         reference_energy=fci, n_budget=n_budget, seed=3)
+    pairs = zip(build.circuit.param_names, result.parameters.tolist())
     digest = hashlib.sha256()
-    for value in (result.energy, sorted(result.parameters.items()),
+    for value in (result.energy, sorted(pairs),
                   result.n_evaluations, result.n_iterations,
                   result.converged, result.restarts_used):
         digest.update(repr(value).encode() + b"\n")
@@ -263,16 +263,20 @@ class TestHeaGrowthPins:
 
 def _trajectory_digest(objective, x0, cfg=None, param_names=None) -> str:
     """SHA-256 over every point minimize_bfgs evaluates, then its final
-    energy and parameters, each as the repr of Python floats."""
+    energy and parameters, each as the repr of Python floats; the
+    parameters as sorted (name, value) pairs, named x0, x1, ... unless
+    param_names are given."""
     digest = hashlib.sha256()
 
     def recorded(x):
         digest.update(repr([float(v) for v in x]).encode() + b"\n")
         return objective(x)
 
-    result = minimize_bfgs(recorded, x0, cfg, param_names=param_names)
+    result = minimize_bfgs(recorded, x0, cfg)
+    names = param_names or [f"x{i}" for i in range(len(x0))]
+    pairs = zip(names, result.parameters.tolist())
     digest.update(repr(result.energy).encode() + b"\n")
-    digest.update(repr(sorted(result.parameters.items())).encode() + b"\n")
+    digest.update(repr(sorted(pairs)).encode() + b"\n")
     return digest.hexdigest()
 
 
@@ -291,14 +295,13 @@ class TestTrajectoryPins:
         data = bundled_molecule("H4").integrals(1.0)
         h = qubit_hamiltonian(data)
         build = build_brc_closed_shell(data.n_qubits, data.n_electrons)
-        names = build.circuit.param_names
-        values = build.init_policy.draw(
-            names, np.random.default_rng(np.random.SeedSequence([5, 3])))
+        x0 = build.init_policy.draw(
+            build.n_params,
+            np.random.default_rng(np.random.SeedSequence([5, 3])))
         objective = circuit_objective(
             build.circuit, h, hf_state_index(data.n_qubits, data.n_electrons))
         assert _trajectory_digest(
-            objective, np.array([values[name] for name in names]),
-            param_names=names) == (
+            objective, x0, param_names=build.circuit.param_names) == (
             "32be4ffe1dccb77e8afd4e956376e288bfd3537a9327ac1ce0c6a565b173b754")
 
 
@@ -314,12 +317,10 @@ def _lockstep_case(name, n_starts, seed=2):
     molecule, r, builder = LOCKSTEP_CASES[name]
     data = bundled_molecule(molecule).integrals(r)
     build = builder(data.n_qubits, data.n_electrons)
-    names = build.circuit.param_names
-    starts = []
-    for k in range(n_starts):
-        values = build.init_policy.draw(
-            names, np.random.default_rng(np.random.SeedSequence([seed, k])))
-        starts.append(np.array([values[p] for p in names]))
+    starts = [build.init_policy.draw(
+        build.n_params,
+        np.random.default_rng(np.random.SeedSequence([seed, k])))
+        for k in range(n_starts)]
     return (build, qubit_hamiltonian(data),
             hf_state_index(data.n_qubits, data.n_electrons), starts)
 
@@ -334,8 +335,7 @@ def _serial(build, h, initial, x0, cfg):
         seen.append((np.array(x), energy, np.array(grad)))
         return energy, grad
 
-    result = minimize_bfgs(recorded, x0, cfg,
-                           param_names=build.circuit.param_names)
+    result = minimize_bfgs(recorded, x0, cfg)
     return result, seen
 
 
@@ -353,14 +353,14 @@ class TestLockstep:
         cfg = OptimizerConfig()
         serial = [_serial(build, h, initial, x0, cfg) for x0 in starts]
         batches = []
-        batched = driver.batch_adjoint_gradient
+        batched = driver.adjoint_gradient
 
         def recorded(circuit, h, angles, initial):
             energies, grads = batched(circuit, h, angles, initial)
             batches.append((np.array(angles), energies, np.array(grads)))
             return energies, grads
 
-        monkeypatch.setattr(driver, "batch_adjoint_gradient", recorded)
+        monkeypatch.setattr(driver, "adjoint_gradient", recorded)
         results = minimize_in_lockstep(build.circuit, h, initial, starts, cfg)
         # batch t holds point t of every restart that asks for one, in order
         assert len(batches) == max(len(seen) for _, seen in serial)
@@ -371,7 +371,7 @@ class TestLockstep:
             assert _bits(grads) == _bits([g for _, _, g in live])
         for (alone, _), together in zip(serial, results):
             assert together.energy == alone.energy
-            assert together.parameters == alone.parameters
+            assert together.parameters.tolist() == alone.parameters.tolist()
             assert together.n_evaluations == alone.n_evaluations
             assert together.n_iterations == alone.n_iterations
             assert together.converged == alone.converged
@@ -389,7 +389,8 @@ class TestLockstep:
                 build.circuit, h, initial, [starts[k] for k in subset], cfg)
             for k, result in zip(subset, together):
                 assert result.energy == alone[k].energy
-                assert result.parameters == alone[k].parameters
+                assert (result.parameters.tolist()
+                        == alone[k].parameters.tolist())
                 assert result.n_evaluations == alone[k].n_evaluations
                 assert result.converged == alone[k].converged
 
@@ -399,6 +400,6 @@ class TestLockstep:
         best = min(serial, key=lambda result: result.energy)  # lowest index
         result = run_vqe(build, h, initial, seed=3)
         assert result.energy == best.energy
-        assert result.parameters == best.parameters
+        assert result.parameters.tolist() == best.parameters.tolist()
         assert result.n_evaluations == sum(r.n_evaluations for r in serial)
         assert result.restarts_used == 20

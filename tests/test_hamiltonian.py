@@ -325,7 +325,7 @@ class TestHfEnergy:
         exact_ground_energy(h, n, sector=(n_electrons, data.ms2))
         hf_energy(h, n, n_electrons)
         circuit = build_uccsd_singlet(n, n_electrons).circuit
-        values = dict.fromkeys(circuit.param_names, 0.01)
+        values = np.full(circuit.n_params, 0.01)
         simulator.adjoint_gradient(circuit, h, values,
                                    hf_state_index(n, n_electrons))
         assert compiled == [225]

@@ -4,6 +4,7 @@ the sector verdict, fusion limits and the memory of full-space plans."""
 import gc
 import hashlib
 import math
+import re
 import tracemalloc
 import weakref
 
@@ -96,8 +97,8 @@ def assert_matches_oracle(circuit, h, values, initial):
     expected_energy, expected_grad = energy_gradient(circuit, h, values,
                                                      initial)
     assert abs(energy - expected_energy) < TOLERANCE
-    for name in circuit.param_names:
-        assert abs(grad[name] - expected_grad[name]) < TOLERANCE, name
+    for k, name in enumerate(circuit.param_names):
+        assert abs(grad[k] - expected_grad[k]) < TOLERANCE, name
 
 
 FAMILIES = ("UCCSD", "UCCSD0", "1-UpCCGSD", "QUCC", "HEA", "LDCA", "BRC",
@@ -114,19 +115,19 @@ def test_family_matches_oracle_on_h4(family, h4, h4_families):
 
 
 def assert_batch_rows_match(circuit, h, initial, rng):
-    """Each row of batch_adjoint_gradient, alone or among others, carries
-    the bits adjoint_gradient gives it."""
-    names = circuit.param_names
+    """Each row of an (R, P) adjoint_gradient batch, alone (R = 1) or
+    among others, carries the bits its own (P,) call gives it."""
     for n_rows in (1, 3):
         rows = [random_values(rng, circuit) for _ in range(n_rows)]
-        energies, grads = simulator.batch_adjoint_gradient(
-            circuit, h, np.array([[row[p] for p in names] for row in rows]),
-            initial)
-        for row, energy, grad in zip(rows, energies, grads):
+        energies, grads = adjoint_gradient(circuit, h, np.array(rows),
+                                           initial)
+        assert energies.shape == (n_rows,)
+        assert grads.shape == (n_rows, circuit.n_params)
+        for row, energy, grad in zip(rows, energies.tolist(), grads):
             alone, alone_grad = adjoint_gradient(circuit, h, row, initial)
             assert repr(energy) == repr(alone)
             assert ([repr(g) for g in grad.tolist()]
-                    == [repr(alone_grad[p]) for p in names])
+                    == [repr(g) for g in alone_grad.tolist()])
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -145,12 +146,16 @@ def test_batch_rows_are_bit_identical_on_mixed_gates():
         assert_batch_rows_match(circuit, h, int(rng.integers(16)), rng)
 
 
-@pytest.mark.parametrize("shape", [(0, 2), (2, 3), (2,)])
+# (2,) is one point of this 2-parameter circuit, so a (3,) vector stands
+# for the wrong width of a vector
+@pytest.mark.parametrize("shape", [(0, 2), (2, 3), (3,), (2, 1), (1, 2, 2),
+                                   ()])
 def test_batch_of_no_rows_or_the_wrong_width_refused(shape):
     circuit = build_uccsd_singlet(4, 2).circuit
     h = random_hermitian_operator(np.random.default_rng(2), 4, 5)
-    with pytest.raises(ValueError, match="parameters"):
-        simulator.batch_adjoint_gradient(circuit, h, np.zeros(shape), 0b0011)
+    with pytest.raises(ValueError, match=rf"shape {re.escape(str(shape))} "
+                                         "for 2 parameters"):
+        adjoint_gradient(circuit, h, np.zeros(shape), 0b0011)
 
 
 def test_lih_uccsd_matches_oracle():
@@ -203,7 +208,7 @@ def test_anticommuting_strings_of_one_parameter_are_not_fused():
     assert len(simulator._circuit_plan(circuit, 0).steps) == 2
     h = random_hermitian_operator(np.random.default_rng(3), 1, 3)
     for theta in (0.4, -1.3, 2.2):
-        assert_matches_oracle(circuit, h, {"t": theta}, 0)
+        assert_matches_oracle(circuit, h, [theta], 0)
 
 
 def test_one_excitation_fuses_into_one_step():
@@ -402,15 +407,14 @@ def _digest(*values) -> str:
 
 def _gradient_digest(circuit, h, values, initial) -> str:
     energy, grad = adjoint_gradient(circuit, h, values, initial)
-    return _digest(energy, [grad[name] for name in circuit.param_names])
+    return _digest(energy, grad.tolist())
 
 
 def _batch_digest(circuit, h, initial, n_rows, seed) -> str:
     rng = np.random.default_rng(seed)
     angles = rng.uniform(-np.pi, np.pi, (n_rows, circuit.n_params))
-    energies, grads = simulator.batch_adjoint_gradient(circuit, h, angles,
-                                                       initial)
-    return _digest(energies, grads.tolist())
+    energies, grads = adjoint_gradient(circuit, h, angles, initial)
+    return _digest(energies.tolist(), grads.tolist())
 
 
 def _pinned_sector_circuit() -> ParamCircuit:
@@ -485,7 +489,8 @@ class TestKernelPins:
         values = random_values(np.random.default_rng(7), circuit)
         energy, slopes = simulator.commutator_gradient(circuit, h, values,
                                                        hf, pool)
-        assert _digest(energy, list(slopes.items())) == (
+        assert _digest(energy, list(zip(pool.param_names,
+                                        slopes.tolist()))) == (
             "56495f4b71b6205ab1d1cbc4c78a2e5972df03fbf77a86641633872fce0d205d")
 
     def test_sector_circuit_with_fixed_and_empty_steps(self):
@@ -495,7 +500,8 @@ class TestKernelPins:
         h = random_hermitian_operator(np.random.default_rng(9), 8, 40)
         values = random_values(np.random.default_rng(10), circuit)
         _, grad = adjoint_gradient(circuit, h, values, initial)
-        assert grad["e"] == 0.0 and grad["c"] == 0.0
+        names = circuit.param_names
+        assert grad[names.index("e")] == 0.0 and grad[names.index("c")] == 0.0
         assert _digest(_gradient_digest(circuit, h, values, initial),
                        _batch_digest(circuit, h, initial, 3, 11)) == (
             "30c48ad78e1daee61f02129b5dec812341bd6e8146d4138b52ccde7dbb5bdca2")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,29 +47,29 @@ def empty_circuit(n):
 
 class TestApplyCircuit:
     def test_empty_circuit_keeps_basis_state(self):
-        state = apply_circuit(empty_circuit(3), {}, 0)
+        state = apply_circuit(empty_circuit(3), [], 0)
         expected = np.zeros(8)
         expected[0] = 1.0
         np.testing.assert_allclose(state, expected)
 
     def test_ry_pi_flips_qubit(self):
         circuit = ParamCircuit(1, [ry(0, "t")])
-        state = apply_circuit(circuit, {"t": math.pi}, 0)
+        state = apply_circuit(circuit, [math.pi], 0)
         np.testing.assert_allclose(np.abs(state), [0.0, 1.0],
                                    atol=1e-15)
 
     def test_pauli_evolution_analytic(self):
         circuit = ParamCircuit(
             1, [pauli_evolution(parse_pauli_string("X0"), "t")])
-        state = apply_circuit(circuit, {"t": 0.3}, 0)
+        state = apply_circuit(circuit, [0.3], 0)
         np.testing.assert_allclose(
             state,
             [math.cos(0.3), 1j * math.sin(0.3)], atol=1e-15)
 
     def test_missing_parameter_value(self):
         circuit = ParamCircuit(1, [ry(0, "t")])
-        with pytest.raises(ValueError, match="missing parameter"):
-            apply_circuit(circuit, {}, 0)
+        with pytest.raises(ValueError, match=r"shape \(0,\) for 1 parameters"):
+            apply_circuit(circuit, [], 0)
 
     def test_degenerate_gate_construction_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
@@ -117,11 +118,11 @@ class TestExpectation:
 
     def test_x_on_plus_state(self):
         circuit = ParamCircuit(1, (Gate("H", (0,)),))
-        state = apply_circuit(circuit, {}, 0)
+        state = apply_circuit(circuit, [], 0)
         assert abs(expectation(qo("X0"), state) - 1.0) < 1e-12
 
     def test_imaginary_residue_raises(self):
-        state = apply_circuit(ParamCircuit(1, (Gate("H", (0,)),)), {}, 0)
+        state = apply_circuit(ParamCircuit(1, (Gate("H", (0,)),)), [], 0)
         with pytest.raises(ValueError, match="imaginary residue"):
             expectation(qo("X0", 1j), state)
 
@@ -166,7 +167,7 @@ class TestTermExpectations:
             Gate("GivensRotation", (1, 3), param=("b", 1.0))])
         assert simulator.runs_in_sector(circuit, 0b0011)
         h = qo("X0 X2", 0.5) + qo("Z1", -0.3) + qo("Y1 Y3") + qo("X0 Y1")
-        values = {"a": 0.4, "b": -1.1}
+        values = [0.4, -1.1]  # a, b
         terms = simulator.term_expectations(circuit, h, values, 0b0011)
         psi = circuit_state(circuit, values, 0b0011)
         for value, (string, coeff) in zip(terms, h.terms.items()):
@@ -225,7 +226,7 @@ class TestPauliSumMatrix:
 
         monkeypatch.setattr(simulator, "pauli_sum_matrix", counting)
         h = qo("Z0") + qo("X0 X1", 0.5)
-        state = apply_circuit(ParamCircuit(2, (Gate("H", (0,)),)), {}, 0)
+        state = apply_circuit(ParamCircuit(2, (Gate("H", (0,)),)), [], 0)
         assert expectation(h, state) == expectation(h, state)
         assert compiled == [2]
 
@@ -248,9 +249,9 @@ class TestAdjointGradient:
     def test_single_ry_analytic(self):
         circuit = ParamCircuit(1, [ry(0, "t")])
         for theta in (0.0, 0.3, -1.2, 2.9):
-            energy, grad = adjoint_gradient(circuit, qo("Z0"), {"t": theta}, 0)
+            energy, grad = adjoint_gradient(circuit, qo("Z0"), [theta], 0)
             assert abs(energy - math.cos(theta)) < 1e-12
-            assert abs(grad["t"] + math.sin(theta)) < 1e-12
+            assert abs(grad[0] + math.sin(theta)) < 1e-12
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(42)
@@ -264,30 +265,30 @@ class TestAdjointGradient:
             assert abs(energy - expectation(
                 h, apply_circuit(circuit, values, initial))) < 1e-11
             fd = finite_difference_gradient(circuit, h, values, initial)
-            for name in circuit.param_names:
-                assert abs(grad[name] - fd[name]) < 1e-6
+            for k in range(circuit.n_params):
+                assert abs(grad[k] - fd[k]) < 1e-6
 
     def test_cancelling_prefactors_give_zero_gradient(self):
         x0 = parse_pauli_string("X0")
         circuit = ParamCircuit(
             1, [pauli_evolution(x0, "t", 1.0), pauli_evolution(x0, "t", -1.0)])
-        energy, grad = adjoint_gradient(circuit, qo("Z0"), {"t": 0.8}, 0)
+        energy, grad = adjoint_gradient(circuit, qo("Z0"), [0.8], 0)
         assert abs(energy - 1.0) < 1e-12
-        assert abs(grad["t"]) < 1e-12
+        assert abs(grad[0]) < 1e-12
 
 
 class TestParameterShift:
     def test_stationary_point(self):
         circuit = ParamCircuit(
             1, [pauli_evolution(parse_pauli_string("X0"), "t")])
-        assert abs(parameter_shift_gradient(circuit, qo("Z0"), {"t": 0.0},
+        assert abs(parameter_shift_gradient(circuit, qo("Z0"), [0.0],
                                             0, "t")) < 1e-12
 
     def test_analytic_value(self):
         circuit = ParamCircuit(
             1, [pauli_evolution(parse_pauli_string("X0"), "t")])
         grad = parameter_shift_gradient(circuit, qo("Z0"),
-                                        {"t": math.pi / 8}, 0, "t")
+                                        [math.pi / 8], 0, "t")
         assert abs(grad + math.sqrt(2)) < 1e-12
 
     def test_matches_adjoint_on_string_circuits(self):
@@ -305,14 +306,14 @@ class TestParameterShift:
             values = random_values(rng, circuit)
             h = random_hermitian_operator(rng, n, 6)
             _, grad = adjoint_gradient(circuit, h, values, 3)
-            for name in circuit.param_names:
+            for k, name in enumerate(circuit.param_names):
                 shift = parameter_shift_gradient(circuit, h, values, 3, name)
-                assert abs(shift - grad[name]) < 1e-9
+                assert abs(shift - grad[k]) < 1e-9
 
     def test_ineligible_binding_rejected(self):
         circuit = ParamCircuit(1, [ry(0, "t")])
         with pytest.raises(ValueError, match="not bound to a single"):
-            parameter_shift_gradient(circuit, qo("Z0"), {"t": 0.1}, 0, "t")
+            parameter_shift_gradient(circuit, qo("Z0"), [0.1], 0, "t")
 
 
 def tau_pool(n_qubits, taus):
@@ -326,22 +327,22 @@ def tau_pool(n_qubits, taus):
 class TestCommutatorGradient:
     def test_commuting_generator_gives_zero(self):
         circuit = ParamCircuit(1, (Gate("H", (0,)),))
-        _, grads = commutator_gradient(circuit, qo("Z0"), {}, 0,
+        _, grads = commutator_gradient(circuit, qo("Z0"), [], 0,
                                        tau_pool(1, [qo("Z0", 1j)]))
-        assert abs(grads["0"]) < 1e-14
+        assert abs(grads[0]) < 1e-14
 
     def test_analytic_one_qubit_values(self):
         zero = ParamCircuit(1, ())
         plus = ParamCircuit(1, (Gate("H", (0,)),))
         # d/dt <e^{-itX} Z e^{itX}> = -2 sin(2t) -> 0 at t=0
         ix = tau_pool(1, [qo("X0", 1j)])
-        assert abs(commutator_gradient(zero, qo("Z0"), {}, 0, ix)[1]["0"]
+        assert abs(commutator_gradient(zero, qo("Z0"), [], 0, ix)[1][0]
                    ) < 1e-14
-        assert abs(commutator_gradient(plus, qo("Z0"), {}, 0, ix)[1]["0"]
+        assert abs(commutator_gradient(plus, qo("Z0"), [], 0, ix)[1][0]
                    ) < 1e-14
         # Y generator moves |+> along the Z meridian with slope 2
         iy = tau_pool(1, [qo("Y0", 1j)])
-        assert abs(commutator_gradient(plus, qo("Z0"), {}, 0, iy)[1]["0"]
+        assert abs(commutator_gradient(plus, qo("Z0"), [], 0, iy)[1][0]
                    - 2.0) < 1e-12
 
     def test_pauli_form_matches_finite_differences(self):
@@ -363,7 +364,7 @@ class TestCommutatorGradient:
                                                          -delta))
             fd = (plus - minus) / (2 * delta)
             _, grads = commutator_gradient(circuit, h, values, 1, pool)
-            assert abs(grads["p"] - fd) < 1e-4
+            assert abs(grads[0] - fd) < 1e-4
 
     def test_fermionic_form_matches_dense_expm(self):
         rng = np.random.default_rng(33)
@@ -384,7 +385,7 @@ class TestCommutatorGradient:
                   - np.vdot(fd_states[1], hmat @ fd_states[1]).real) / (2 * delta)
             _, grads = commutator_gradient(circuit, h, values, 2,
                                            tau_pool(n, [tau]))
-            assert abs(grads["0"] - fd) < 1e-4
+            assert abs(grads[0] - fd) < 1e-4
 
     def test_mixed_batch_matches_dense_oracle(self):
         # fermionic JW images and 1j*P strings in one call, each against
@@ -401,9 +402,10 @@ class TestCommutatorGradient:
         h_psi = qubit_operator_matrix(h, n) @ state
         expected = [2.0 * np.vdot(h_psi, qubit_operator_matrix(tau, n)
                                   @ state).real for tau in taus]
-        _, slopes = commutator_gradient(circuit, h, values, 3,
-                                        tau_pool(n, taus))
-        grads = [slopes[str(k)] for k in range(len(taus))]
+        pool = tau_pool(n, taus)
+        _, slopes = commutator_gradient(circuit, h, values, 3, pool)
+        grads = [slopes[pool.param_names.index(str(k))]
+                 for k in range(len(taus))]
         assert len(grads) == len(taus)
         np.testing.assert_allclose(grads, expected, rtol=0, atol=1e-12)
 
@@ -456,7 +458,7 @@ class TestBareStates:
         for call in (lambda: expectation(qo("Z0"), amps),
                      lambda: number_expectation(amps),
                      lambda: simulator.apply_gates(amps, [ry(0, "t")],
-                                                   {"t": 0.1}),
+                                                   [0.1]),
                      lambda: apply_pauli_evolution(amps, x0, 0.1)):
             with pytest.raises(ValueError, match=r"not 2\*\*n"):
                 call()
@@ -466,3 +468,41 @@ class TestBareStates:
         out = apply_pauli_evolution(state, parse_pauli_string("X0 Y1"), 0.3)
         np.testing.assert_array_equal(state, basis_state(2, 0))
         assert abs(out[0] - math.cos(0.3)) < 1e-15
+
+
+def _two_parameter_case():
+    """A circuit of parameters "t" (a unit Pauli evolution, so parameter
+    shift applies) and "u", an operator and a one-entry pool."""
+    circuit = ParamCircuit(2, [pauli_evolution(parse_pauli_string("X0 Y1"),
+                                               "t"), ry(1, "u")])
+    pool = ParamCircuit(2, [pauli_evolution(parse_pauli_string("Y0"), "p")])
+    return circuit, qo("Z0 Z1") + qo("X0", 0.5), pool
+
+
+ONE_POINT_CALLS = {
+    "apply_circuit": lambda c, h, pool, a: apply_circuit(c, a, 1),
+    "apply_gates": lambda c, h, pool, a: simulator.apply_gates(
+        basis_state(2, 1), c.gates, a),
+    "term_expectations": lambda c, h, pool, a: simulator.term_expectations(
+        c, h, a, 1),
+    "parameter_shift_gradient": lambda c, h, pool, a: (
+        parameter_shift_gradient(c, h, a, 1, "t")),
+    "commutator_gradient": lambda c, h, pool, a: commutator_gradient(
+        c, h, a, 1, pool),
+}
+
+
+class TestAngleShapes:
+    """Parameter values are one array in param_names order.  A function of
+    one point takes (P,) angles and refuses any other shape, naming it
+    (adjoint_gradient's shapes: tests/test_plan.py)."""
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 2), (2, 1)])
+    @pytest.mark.parametrize("function", sorted(ONE_POINT_CALLS))
+    def test_one_point_functions_refuse_other_shapes(self, function, shape):
+        circuit, h, pool = _two_parameter_case()
+        call = ONE_POINT_CALLS[function]
+        call(circuit, h, pool, np.array([0.3, -0.7]))
+        with pytest.raises(ValueError, match=rf"angles of shape "
+                                             rf"{re.escape(str(shape))}"):
+            call(circuit, h, pool, np.zeros(shape))

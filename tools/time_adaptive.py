@@ -7,23 +7,21 @@ ADAPT cases: adapt_vqe to convergence from the HF state on H4 @ 1.0,
 H4 @ 1.8 and LiH @ 1.6, each from a freshly built fermionic pool, as
 bench.run_ansatz_point does.  The compile share is the time spent in
 simulator._steps and simulator._restrict (which builds the sector table),
-found by wrapping the two; every commit that has them therefore times
-the same work.  Pool cases: build_fermionic_pool, build_qubit_pool on it
-and the fermionic pool's candidate_circuit, on H4 and LiH, timed one after
-the other from scratch each repeat.  Each ADAPT case prints its final
-energy (repr) and each pool case its sizes next to the timings, so a
-change that alters answers shows.  The machine block is the one
-perfbench/run.py prints, with the same thread pins; the last line is the
-result as JSON.
+found by wrapping the two (timing.timed); every commit that has them
+therefore times the same work.  Pool cases: build_fermionic_pool,
+build_qubit_pool on it and the fermionic pool's candidate_circuit, on H4
+and LiH, timed one after the other from scratch each repeat.  Each ADAPT
+case prints its final energy (repr) and each pool case its sizes next to
+the timings, so a change that alters answers shows.  The machine block
+is the one perfbench/run.py prints, with the same thread pins; the last
+line is the result as JSON.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -33,45 +31,17 @@ from run import THREAD_PINS, environment  # noqa: E402
 
 os.environ.update(THREAD_PINS)
 
-from vqe_bench import simulator  # noqa: E402
 from vqe_bench.ansatz import adaptive  # noqa: E402
 from vqe_bench.hamiltonian import (  # noqa: E402
     bundled_molecule,
     hf_state_index,
     qubit_hamiltonian,
 )
+from timing import quartiles, timed  # noqa: E402
 
 ADAPT_CASES = (("H4", 1.0), ("H4", 1.8), ("LiH", 1.6))
 POOL_CASES = (("H4", 1.0), ("LiH", 1.6))  # the sizes are what matter
 COMPILE = ("_steps", "_restrict")
-
-
-@contextlib.contextmanager
-def timed(names, sink: dict):
-    """Wrap simulator functions so each call adds its seconds to sink."""
-    originals = {name: getattr(simulator, name) for name in names}
-
-    def wrapper(name, function):
-        def call(*args, **kwargs):
-            start = time.perf_counter()
-            try:
-                return function(*args, **kwargs)
-            finally:
-                sink[name] = sink.get(name, 0.0) + time.perf_counter() - start
-        return call
-
-    try:
-        for name, function in originals.items():
-            setattr(simulator, name, wrapper(name, function))
-        yield
-    finally:
-        for name, function in originals.items():
-            setattr(simulator, name, function)
-
-
-def quartiles(values) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3}
 
 
 def time_adapt(molecule: str, bond_length: float, repeats: int) -> dict:

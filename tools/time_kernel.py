@@ -5,11 +5,12 @@ reverse sweep, each the median over repeated evaluations.
 
 Cases: LiH @ 1.6 UCCSD and H4 @ 1.0 UCCSD on one vector, and H4 @ 1.0 BRC
 in a batch of 20 rows, timed per row.  An evaluation is one
-simulator.adjoint_gradient or batch_adjoint_gradient call.  The tool times
-the kernel inside it by wrapping simulator._forward, simulator._adjoint
-(h product, then reverse sweep) and simulator._reverse; the h product is
-the _adjoint time less the _reverse time.  Every run of this file on any
-commit that has those three functions therefore times the same work.
+simulator.adjoint_gradient call, at one vector of angles or at a batch of
+rows.  The tool times the kernel inside it by wrapping simulator._forward,
+simulator._adjoint (h product, then reverse sweep) and simulator._reverse
+(timing.timed); the h product is the _adjoint time less the _reverse
+time.  Every run of this file on any commit that has those three
+functions and this adjoint_gradient therefore times the same work.
 Each case prints its energy (first row) next to its timings, so a change
 that alters answers shows.  The machine block is the one perfbench/run.py
 prints, with the same thread pins; the last line is the result as JSON.
@@ -18,10 +19,8 @@ prints, with the same thread pins; the last line is the result as JSON.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -41,6 +40,7 @@ from vqe_bench.hamiltonian import (  # noqa: E402
     hf_state_index,
     qubit_hamiltonian,
 )
+from timing import quartiles, timed  # noqa: E402
 
 CASES = (  # name, molecule, bond length, builder, batch rows (0: one vector)
     ("LiH UCCSD", "LiH", 1.6, build_uccsd_singlet, 0),
@@ -50,34 +50,6 @@ CASES = (  # name, molecule, bond length, builder, batch rows (0: one vector)
 WARMUP = 3  # evaluations before timing: plan and matrix compiles
 
 
-@contextlib.contextmanager
-def timed(names, sink: dict):
-    """Wrap simulator functions so each call adds its seconds to sink."""
-    originals = {name: getattr(simulator, name) for name in names}
-
-    def wrapper(name, function):
-        def call(*args, **kwargs):
-            start = time.perf_counter()
-            try:
-                return function(*args, **kwargs)
-            finally:
-                sink[name] = sink.get(name, 0.0) + time.perf_counter() - start
-        return call
-
-    try:
-        for name, function in originals.items():
-            setattr(simulator, name, wrapper(name, function))
-        yield
-    finally:
-        for name, function in originals.items():
-            setattr(simulator, name, function)
-
-
-def quartiles(values) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3}
-
-
 def run_case(name, molecule, bond_length, builder, rows, repeats) -> dict:
     data = bundled_molecule(molecule).integrals(bond_length)
     h = qubit_hamiltonian(data)
@@ -85,14 +57,11 @@ def run_case(name, molecule, bond_length, builder, rows, repeats) -> dict:
     initial = hf_state_index(data.n_qubits, data.n_electrons)
     rng = np.random.default_rng(7)
     angles = rng.uniform(-np.pi, np.pi, (max(rows, 1), circuit.n_params))
+    batch = angles if rows else angles[0]
 
     def evaluate() -> float:
-        if rows:
-            energies, _ = simulator.batch_adjoint_gradient(circuit, h, angles,
-                                                           initial)
-            return energies[0]
-        values = dict(zip(circuit.param_names, angles[0].tolist()))
-        return simulator.adjoint_gradient(circuit, h, values, initial)[0]
+        energy = simulator.adjoint_gradient(circuit, h, batch, initial)[0]
+        return float(energy[0]) if rows else energy
 
     for _ in range(WARMUP):
         energy = evaluate()
