@@ -8,6 +8,7 @@ densely when small, else by restarted Lanczos on the sparse matrix.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -17,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .operators import (
+    COEFF_TOLERANCE,
     FermionOperator,
     QubitOperator,
     hermiticity_check,
@@ -48,6 +50,9 @@ class IntegralData:
     g2: np.ndarray  # chemists' notation (pq|rs)
 
     def __post_init__(self):
+        for name in ("core_energy", "h1", "g2"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} holds a non-finite value")
         if np.max(np.abs(self.h1 - self.h1.T)) > SYMMETRY_TOLERANCE:
             raise ValueError("h1 is not symmetric")
         g = self.g2
@@ -84,6 +89,9 @@ def parse_fcidump(text: str) -> IntegralData:
     if n_spatial is None or n_electrons is None:
         raise ValueError("FCIDUMP header missing NORB or NELEC")
     ms2 = header_int("MS2") or 0
+    if n_spatial < 1:
+        raise ValueError(f"FCIDUMP header NORB={n_spatial}: at least one "
+                         "orbital is needed")
 
     core_energy = 0.0
     h1 = np.zeros((n_spatial, n_spatial))
@@ -99,6 +107,8 @@ def parse_fcidump(text: str) -> IntegralData:
             i, j, k, l = (int(t) for t in tokens[1:])
         except ValueError as exc:
             raise ValueError(f"non-numeric FCIDUMP line: {line!r}") from exc
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite FCIDUMP value: {line!r}")
         if max(i, j, k, l) > n_spatial:
             raise ValueError(f"orbital index exceeds NORB={n_spatial}: {line!r}")
         if i == j == k == l == 0:
@@ -121,25 +131,34 @@ def load_fcidump(path: str | Path) -> IntegralData:
 
 
 def build_fermionic_hamiltonian(data: IntegralData) -> FermionOperator:
-    """Second-quantized Hamiltonian over interleaved spin orbitals."""
+    """Second-quantized Hamiltonian over interleaved spin orbitals.
+
+    Each raw term is normal-ordered where it is made, as
+    FermionOperator.from_term would order it: the two creations and the
+    two annihilations each descending, one sign flip per swap, zero for a
+    repeated mode in either pair.  Terms at or below COEFF_TOLERANCE are
+    pruned one by one, then all are summed."""
     n = data.n_spatial
 
     def terms():
         if data.core_energy:
             yield (), complex(data.core_energy)
         for p, q in product(range(n), repeat=2):
-            if data.h1[p, q] != 0.0:
+            h = complex(data.h1[p, q])
+            if abs(h) > COEFF_TOLERANCE:
                 for spin in (0, 1):
-                    yield from FermionOperator.from_term(
-                        ((2 * p + spin, True), (2 * q + spin, False)),
-                        data.h1[p, q])
+                    yield ((2 * p + spin, True), (2 * q + spin, False)), h
         for p, q, r, s in product(range(n), repeat=4):
-            g = data.g2[p, q, r, s]
-            if g != 0.0:
+            g = 0.5 * data.g2[p, q, r, s]
+            if abs(g) > COEFF_TOLERANCE:
                 for sp, tau in product((0, 1), repeat=2):
-                    yield from FermionOperator.from_term(
-                        ((2 * p + sp, True), (2 * r + tau, True),
-                         (2 * s + tau, False), (2 * q + sp, False)), 0.5 * g)
+                    # the raw term a†_c1 a†_c2 a_a1 a_a2
+                    c1, c2 = 2 * p + sp, 2 * r + tau
+                    a1, a2 = 2 * s + tau, 2 * q + sp
+                    if c1 != c2 and a1 != a2:
+                        yield (((max(c1, c2), True), (min(c1, c2), True),
+                                (max(a1, a2), False), (min(a1, a2), False)),
+                               complex(g if (c1 < c2) == (a1 < a2) else -g))
 
     return FermionOperator.summed(terms())
 

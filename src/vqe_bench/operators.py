@@ -13,15 +13,20 @@ Y and Z factors, bit q for qubit q.  With S(x, z) = i^|x&z| X^x Z^z
 
     S(x1, z1) S(x2, z2) = i^(|x1&z1| + |x2&z2| - |x3&z3| + 2|z1&x2|) S(x3, z3)
 
-with x3 = x1 ^ x2 and z3 = z1 ^ z2.  String products, operator products
-and the Jordan-Wigner transform between the two operator types all run
-on (x, z) integer keys through that one rule.  All values are immutable
-after construction and all operations are pure functions.
+with x3 = x1 ^ x2 and z3 = z1 ^ z2.  String and operator products run on
+(x, z) integer keys through that one rule.  The Jordan-Wigner image of a
+ladder product depends on its modes only through their rank order, so
+each pattern (ranks, dagger flags, Z chains or none) is expanded by that
+rule once, as a template, and every product is read off its pattern's
+template: x is the XOR of its mode bits, and each term's z the XOR of
+their Z chains and the mode bits its template entry picks.  All values
+are immutable after construction and all operations are pure functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from numbers import Integral
 from operator import index
@@ -254,9 +259,10 @@ def _mask_multiply(a: dict, b: dict) -> dict:
 
 
 def _qubit_operator(terms: dict) -> QubitOperator:
-    """Wrap summed {(x, z): coeff} terms as an operator (which prunes)."""
+    """Wrap summed {(x, z): coeff} terms as an operator, pruned before
+    their strings are made."""
     return QubitOperator({PauliString.from_masks(x, z): coeff
-                          for (x, z), coeff in terms.items()})
+                          for (x, z), coeff in _pruned(terms).items()})
 
 
 def commutator(a: QubitOperator, b: QubitOperator) -> QubitOperator:
@@ -389,20 +395,52 @@ def number_operator(n_modes: int) -> FermionOperator:
 # ---------------------------------------------------------------------------
 
 
-def _ladder_terms(factors: Iterable[tuple[int, bool]], coeff: complex,
-                  z_chain: bool) -> dict:
-    """ladder_product as {(x, z): coeff}: the identity times one image per
-    factor, each product summed and pruned."""
-    product = _pruned({(0, 0): coeff})
-    for mode, dagger in factors:
-        mode = index(mode)
-        if mode < 0:
-            raise ValueError(f"mode index {mode} is negative")
-        bit = 1 << mode
+@lru_cache(maxsize=256)
+def _template(pattern: tuple[tuple[int, bool], ...],
+              z_chain: bool) -> tuple[tuple[int, complex], ...]:
+    """The image of the ladder product whose modes are their ranks,
+    expanded factor by factor (the identity times one image per factor,
+    each product summed and pruned), as (picked, value) pairs in that
+    order: bit r of picked is set when the term's z holds the bit of rank
+    r beyond the factors' Z chains."""
+    product = {(0, 0): 1.0 + 0.0j}
+    chains = 0
+    for rank, dagger in pattern:
+        bit = 1 << rank
         z = bit - 1 if z_chain else 0
+        chains ^= z
         product = _mask_multiply(product, {
             (bit, z): 0.5 + 0.0j, (bit, z | bit): -0.5j if dagger else 0.5j})
-    return product
+    return tuple((z ^ chains, value) for (_, z), value in product.items())
+
+
+def _add_ladder_terms(out: dict, factors: Iterable[tuple[int, bool]],
+                      coeff: complex, z_chain: bool) -> None:
+    """Add the ladder product's {(x, z): coeff} terms into out, read off
+    its pattern's template: x is the XOR of the factors' mode bits, and
+    each term's z the XOR of their chains and its picked mode bits.  Every
+    term has magnitude |coeff| 2^-(distinct modes), so one test prunes
+    them all."""
+    factors = [(index(mode), dagger) for mode, dagger in factors]
+    modes = sorted({mode for mode, _ in factors})
+    if modes and modes[0] < 0:
+        raise ValueError(f"mode index {modes[0]} is negative")
+    rank = {mode: r for r, mode in enumerate(modes)}
+    template = _template(
+        tuple((rank[mode], dagger) for mode, dagger in factors), z_chain)
+    coeff = complex(coeff)
+    if not template or abs(coeff * template[0][1]) <= COEFF_TOLERANCE:
+        return
+    x = chains = 0
+    for mode, _ in factors:
+        x ^= 1 << mode
+        chains ^= (1 << mode) - 1 if z_chain else 0
+    z_of = [chains]  # z_of[m]: chains ^ the mode bits of the ranks set in m
+    for mode in modes:
+        z_of += [z ^ 1 << mode for z in z_of]
+    for picked, value in template:
+        key = x, z_of[picked]
+        out[key] = out.get(key, 0.0) + coeff * value
 
 
 def ladder_product(factors: Iterable[tuple[int, bool]], coeff: complex = 1.0,
@@ -413,7 +451,9 @@ def ladder_product(factors: Iterable[tuple[int, bool]], coeff: complex = 1.0,
     qubit below i when z_chain (the Jordan-Wigner image) and bare otherwise
     (qubit excitations).
     """
-    return _qubit_operator(_ladder_terms(factors, coeff, z_chain))
+    terms: dict = {}
+    _add_ladder_terms(terms, factors, coeff, z_chain)
+    return _qubit_operator(terms)
 
 
 def jordan_wigner(f: FermionOperator, n_qubits: int) -> QubitOperator:
@@ -421,6 +461,7 @@ def jordan_wigner(f: FermionOperator, n_qubits: int) -> QubitOperator:
     if f.max_mode() >= n_qubits:
         raise ValueError(
             f"mode index {f.max_mode()} out of range for {n_qubits} qubits")
-    return _qubit_operator(_added(
-        pair for key, coeff in f.terms.items()
-        for pair in _ladder_terms(key, coeff, True).items()))
+    terms: dict = {}
+    for key, coeff in f.terms.items():
+        _add_ladder_terms(terms, key, coeff, True)
+    return _qubit_operator(terms)

@@ -760,7 +760,11 @@ class TestRefusedBeforeAnythingIsWritten:
             return root, root / "H2"
         good = bundled_molecule("H2").fcidump_paths[0.7414].read_text()
         bad = {"malformed line": good + "0.5 1 1\n",
-               "MS2 of another sector": good.replace("MS2=0", "MS2=2")}[case]
+               "MS2 of another sector": good.replace("MS2=0", "MS2=2"),
+               "NaN integral": good.replace(
+                   " 6.7448877796798801e-01 1 1 1 1", " nan 1 1 1 1"),
+               "NORB=0": good[:good.index("&END")].replace("NORB=2", "NORB=0")
+               + "&END\n 0.7 0 0 0 0\n"}[case]
         assert bad != good
         (root / "H2").mkdir(parents=True)
         (root / "H2" / "0.7414.fcidump").write_text(good)
@@ -771,12 +775,15 @@ class TestRefusedBeforeAnythingIsWritten:
         ["run", "--ansatz", "UCCSD", "--ansatz", "HEA"], ["fci"]],
         ids=["run", "fci"])
     @pytest.mark.parametrize("case", ["missing directory", "malformed line",
-                                      "MS2 of another sector"])
+                                      "MS2 of another sector", "NaN integral",
+                                      "NORB=0"])
     def test_bad_fixtures_dir_is_a_data_file_error(self, tmp_path, capsys,
                                                    case, command):
         # a missing directory escaped as a FileNotFoundError traceback; a
         # malformed file exited 3 after the earlier bond lengths were
-        # saved; MS2=2 put UCCSD 0.605 Ha below H2's "FCI" and exited 0
+        # saved; MS2=2 put UCCSD 0.605 Ha below H2's "FCI" and exited 0;
+        # a NaN (11|11) was pruned away and the run exited 0 against an
+        # FCI of the same wrong Hamiltonian
         fixtures, offending = self.fixtures(tmp_path, case)
         data_dir = tmp_path / "data"
         data_dir.mkdir()
@@ -786,5 +793,7 @@ class TestRefusedBeforeAnythingIsWritten:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "data-file error" in err and str(offending) in err
+        assert {"NaN integral": "non-finite FCIDUMP value",
+                "NORB=0": "NORB=0"}.get(case, "") in err
         assert [(p.name, p.read_text()) for p in data_dir.iterdir()] == [
             ("notes.txt", "kept")]

@@ -1,4 +1,6 @@
 import hashlib
+import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -88,6 +90,32 @@ class TestParseFcidump:
     def test_non_numeric_value(self):
         with pytest.raises(ValueError, match="non-numeric"):
             parse_fcidump(HEADER + " abc 1 1 0 0\n")
+
+    @pytest.mark.parametrize("line", [" nan 1 1 1 1", " inf 2 1 0 0",
+                                      " -inf 0 0 0 0", " NaN 2 1 2 1"])
+    def test_non_finite_value_refused_naming_its_line(self, line):
+        # a NaN (11|11) was pruned away as if it were 0: abs(nan) > 1e-12
+        # is false, so H2 lost those terms and ran against a wrong "FCI"
+        with pytest.raises(ValueError, match="non-finite") as caught:
+            parse_fcidump(HEADER + " 0.5 1 1 0 0\n" + line + "\n")
+        assert repr(line) in str(caught.value)
+
+    @pytest.mark.parametrize("norb", [0, -1])
+    def test_norb_below_one_refused_by_name(self, norb):
+        with pytest.raises(ValueError, match=f"NORB={norb}"):
+            parse_fcidump(f" &FCI NORB={norb},NELEC=2,MS2=0,\n &END\n")
+
+    @pytest.mark.parametrize("field", ["core_energy", "h1", "g2"])
+    def test_integral_data_refuses_non_finite_values(self, field):
+        values = {"core_energy": 0.5, "h1": np.eye(2),
+                  "g2": np.zeros((2, 2, 2, 2))}
+        if field == "core_energy":
+            values[field] = float("nan")
+        else:
+            values[field] = values[field].copy()
+            values[field].flat[0] = np.inf
+        with pytest.raises(ValueError, match=f"{field} holds a non-finite"):
+            IntegralData(2, 2, 0, **values)
 
     def test_line_order_permutation_invariance(self):
         mol = bundled_molecule("H2")
@@ -438,3 +466,31 @@ class TestFixtureTool:
         assert done.returncode == 0, done.stdout + done.stderr
         assert "MISMATCH" not in done.stdout
         assert snapshot() == before
+
+
+class TestBuildTimingTool:
+    def test_one_repeat_runs_and_counts_every_hamiltonian_term(self):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (str(REPO / "src"), os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run(
+            [sys.executable, str(REPO / "tools" / "time_build.py"),
+             "--repeats", "1"], capture_output=True, text=True, timeout=300,
+            env=env)
+        assert done.returncode == 0, done.stdout + done.stderr
+
+        def reject(token):
+            raise ValueError(f"non-strict JSON constant {token}")
+
+        result = json.loads(done.stdout.splitlines()[-1],
+                            parse_constant=reject)
+        cases = {case["case"]: case["pieces"] for case in result["cases"]}
+        assert set(cases) == {"H4 @ 1.0", "LiH @ 1.6"}
+        for name, pieces in cases.items():
+            molecule, r = name.split(" @ ")
+            n_terms = len(qubit_hamiltonian(
+                bundled_molecule(molecule).integrals(float(r))))
+            whole = pieces["qubit_hamiltonian"]
+            mapped = pieces["jordan_wigner"]
+            assert whole["terms"] == mapped["terms"] == n_terms
+            assert whole["digest"] == mapped["digest"]
+            assert all(piece["ms"]["median"] > 0 for piece in pieces.values())

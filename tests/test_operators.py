@@ -210,6 +210,95 @@ class TestJordanWigner:
             assert commutator(image, n_op).isclose(QubitOperator.zero(), 1e-12)
 
 
+def expanded_ladder_product(factors, coeff, z_chain) -> QubitOperator:
+    """A ladder product expanded on its own modes, one operator product per
+    factor, each summed and pruned: the expansion the Jordan-Wigner map
+    made before it read products off per-pattern templates."""
+    product = QubitOperator.identity(coeff)
+    for mode, dagger in factors:
+        chain = tuple((q, "Z") for q in range(mode)) if z_chain else ()
+        product = pauli_multiply(product, QubitOperator({
+            PauliString(chain + ((mode, "X"),)): 0.5,
+            PauliString(chain + ((mode, "Y"),)): -0.5j if dagger else 0.5j}))
+    return product
+
+
+def bits_of(op: QubitOperator) -> list:
+    """Terms in order, each coefficient as the reprs of its two parts."""
+    return [(s, repr(c.real), repr(c.imag)) for s, c in op.terms.items()]
+
+
+def stays_normal(coeff: complex) -> bool:
+    """Whether each nonzero part of coeff stays a normal float through four
+    halvings, so that the expansion's per-factor products are all exact."""
+    return all(part == 0 or abs(part) >= 2.0 ** -1018
+               for part in (coeff.real, coeff.imag))
+
+
+# 1-4 factors on at most four distinct modes, so modes repeat and come in
+# any order
+@st.composite
+def ladder_factors(draw, max_mode):
+    modes = draw(st.lists(st.integers(0, max_mode), min_size=1, max_size=4,
+                          unique=True))
+    return draw(st.lists(st.tuples(st.sampled_from(modes), st.booleans()),
+                         min_size=1, max_size=4))
+
+
+# magnitudes in (1e-12, 2^4 1e-12] are where the factor-by-factor expansion
+# prunes between factors
+COEFFS = st.one_of(
+    st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False),
+    st.builds(lambda size, unit: size * unit,
+              st.floats(1e-12, 16e-12, exclude_min=True),
+              st.sampled_from([1.0, -1.0, 1j, -1j, 0.6 - 0.8j])),
+    st.builds(complex, st.floats(-16e-12, 16e-12), st.floats(-16e-12, 16e-12)),
+).filter(stays_normal)
+
+
+class TestClosedForm:
+    @settings(max_examples=400, deadline=None)
+    @given(ladder_factors(70), st.booleans(), COEFFS)
+    def test_ladder_product_equals_expansion_bit_for_bit(self, factors,
+                                                         z_chain, coeff):
+        assert bits_of(ladder_product(factors, coeff, z_chain)) == bits_of(
+            expanded_ladder_product(factors, coeff, z_chain))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(ladder_factors(9), COEFFS), min_size=1,
+                    max_size=5))
+    def test_jordan_wigner_equals_expansion_bit_for_bit(self, products):
+        f = FermionOperator.summed(
+            pair for factors, coeff in products
+            for pair in FermionOperator.from_term(factors, coeff))
+        expected = QubitOperator.summed(
+            pair for key, coeff in f.terms.items()
+            for pair in expanded_ladder_product(key, coeff, True))
+        assert bits_of(jordan_wigner(f, 10)) == bits_of(expected)
+
+    def test_a_subnormal_part_is_rounded_once(self):
+        # below 2^-1022 the expansion rounds at every factor; the closed
+        # form multiplies by the template's exact value once
+        coeff = complex(2.225073858507203e-309, 1.0)
+        factors = ((0, False), (0, True))
+        once = ladder_product(factors, coeff, True).terms[PauliString()]
+        per_factor = expanded_ladder_product(factors, coeff, True).terms[
+            PauliString()]
+        assert once == coeff * 0.5 != per_factor
+
+    @settings(max_examples=60, deadline=None)
+    @given(ladder_factors(4), st.booleans(), COEFFS)
+    def test_ladder_product_matches_dense_oracle(self, factors, z_chain,
+                                                 coeff):
+        expected = coeff * np.eye(32, dtype=complex)
+        for mode, dagger in factors:
+            expected = expected @ ladder_matrix(mode, dagger, 5, z_chain)
+        # at most 16 pruned terms of at most 1e-12 each
+        np.testing.assert_allclose(
+            qubit_operator_matrix(ladder_product(factors, coeff, z_chain), 5),
+            expected, rtol=0, atol=16e-12)
+
+
 class TestPauliMultiply:
     def test_xy_gives_iz(self):
         assert pauli_multiply(qo("X0"), qo("Y0")) == qo("Z0", 1j)

@@ -37,5 +37,9 @@ def timed(names, sink: dict):
 
 
 def quartiles(values) -> dict:
+    """Median and quartiles; one value is all three."""
+    values = list(values)
+    if len(values) == 1:
+        values *= 2
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
