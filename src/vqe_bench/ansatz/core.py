@@ -61,20 +61,18 @@ class ExcitationGenerator:
         factors += tuple((o, False) for o in reversed(self.occupied))
         if self.kind in FERMIONIC_KINDS:
             t = FermionOperator.from_term(factors, self.prefactor)
-            op = jordan_wigner(t - t.dagger(), n_qubits)
+            t = jordan_wigner(t, n_qubits)
         else:
             t = ladder_product(factors, self.prefactor, z_chain=False)
-            op = t - t.dagger()
-        gates = []
-        for string in sorted(op.terms, key=serialize_pauli_string):
-            coeff = op.terms[string]
-            if abs(coeff.real) > 1e-12:
-                raise ValueError(
-                    f"generator {self} is not anti-Hermitian (real residue)")
-            gates.append(Gate("PauliEvolution", string.qubits,
-                              generator=string,
-                              param=(self.param_name, coeff.imag)))
-        mapped = self._mapped[n_qubits] = (op, tuple(gates))
+        # Pauli strings are Hermitian, so T - T† = sum of (c - c*) P over
+        # T's image, with c - c* = 2i Im c exactly; pruned as a difference
+        op = QubitOperator({string: complex(0.0, 2.0 * c.imag)
+                            for string, c in t.terms.items()})
+        gates = tuple(
+            Gate("PauliEvolution", string.qubits, generator=string,
+                 param=(self.param_name, op.terms[string].imag))
+            for string in sorted(op.terms, key=serialize_pauli_string))
+        mapped = self._mapped[n_qubits] = (op, gates)
         return mapped
 
 

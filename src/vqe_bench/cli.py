@@ -46,7 +46,7 @@ def resolve_molecule(name: str, fixtures_dir: str | None):
     if fixtures_dir:
         try:
             return molecule_from_dir(name, os.path.join(fixtures_dir, name))
-        except FileNotFoundError as exc:  # no directory or no FCIDUMP
+        except (FileNotFoundError, ValueError) as exc:  # e.g. no FCIDUMP
             raise DataFileError(str(exc)) from exc
     if name not in bundled_molecules():
         raise click.UsageError(

@@ -92,6 +92,9 @@ def parse_fcidump(text: str) -> IntegralData:
     if n_spatial < 1:
         raise ValueError(f"FCIDUMP header NORB={n_spatial}: at least one "
                          "orbital is needed")
+    if not 0 <= n_electrons <= 2 * n_spatial:
+        raise ValueError(f"FCIDUMP header NELEC={n_electrons}: NORB="
+                         f"{n_spatial} holds 0 to {2 * n_spatial} electrons")
 
     core_energy = 0.0
     h1 = np.zeros((n_spatial, n_spatial))
@@ -243,10 +246,21 @@ def fixtures_root() -> Path:
 
 
 def molecule_from_dir(name: str, directory: str | Path) -> MoleculeSpec:
+    """The FCIDUMP files under `directory`, named by their bond lengths;
+    a name that is no finite number, or a length met twice, is refused."""
     directory = Path(directory)
     paths = {}
     for path in sorted(directory.glob("*.fcidump")):
-        paths[float(path.stem)] = path
+        try:
+            r = float(path.stem)
+        except ValueError:
+            r = math.nan
+        if not math.isfinite(r):
+            raise ValueError(f"{path}: the file name is not a bond length")
+        if r in paths:
+            raise ValueError(f"{path}: bond length {r} is already read from "
+                             f"{paths[r]}")
+        paths[r] = path
     if not paths:
         raise FileNotFoundError(f"no FCIDUMP files under {directory}")
     return MoleculeSpec(name=name, bond_lengths=tuple(sorted(paths)),

@@ -27,11 +27,11 @@ angle number and each step's slice, index pairs and weights.  A sweep
 computes angle * |w| on all rows at once, then one cos and one sin / |w|
 (of -angle in reverse), so a step only gathers, rotates and scatters its
 rows; cos and sin act elementwise, so each row's factors have the bits a
-per-step pass gives them.  The reverse sweep rotates psi and lam as one
-[psi, lam] array, through index pairs and weights doubled for it when
-the table is built.  Otherwise the plan runs over all 2**n states and
-its steps act through the Pauli-string kernel per application, so it
-holds no 2**n arrays.
+per-step pass gives them.  Otherwise the plan runs over all 2**n states
+and its steps act through the Pauli-string kernel per application, so
+it holds no 2**n arrays.  Both kinds reverse psi and lam as one [psi,
+lam] array, a sector plan's through doubled index pairs and weights; a
+full-space step turns it in place, and _rotate uses up M [psi, lam].
 Screening pools are circuits too; only h is ever compiled as a matrix.
 Its terms' expectations are read off the state itself, a flip mask at a
 time (term_expectations).
@@ -536,19 +536,18 @@ def _take(amps: np.ndarray, rows) -> np.ndarray:
 
 
 def _act(step: _Step, amps: np.ndarray) -> tuple:
-    """(rows, |w| on them, c, v) with (M amps)[..., rows] = c v: from the
-    pairs stored over a sector, else through the Pauli-string kernel."""
+    """(rows, c, v, |w| on the rows) with (M amps)[..., rows] = c v: from
+    the pairs stored over a sector, else through the Pauli-string kernel."""
     if step.pairs is not None:
         rows, cols, r, w = step.pairs
-        return rows, r, 1.0, w * _take(amps, cols)
+        return rows, 1.0, w * _take(amps, cols), r
     if len(step.terms) == 1:  # |w| is |coeff| on every row
         (string, coeff), = step.terms
-        return slice(None), abs(coeff), coeff, apply_pauli_string(string,
-                                                                  amps)
+        return slice(None), coeff, apply_pauli_string(string, amps), abs(coeff)
     weights = _weights(step, amps.shape[-1])
     rows = np.flatnonzero(weights)
     w = weights[rows]
-    return rows, np.abs(w), 1.0, w * _take(amps, rows ^ _flip(step))
+    return rows, 1.0, w * _take(amps, rows ^ _flip(step)), np.abs(w)
 
 
 def _dot(a: np.ndarray, b: np.ndarray):
@@ -561,31 +560,23 @@ def _dot(a: np.ndarray, b: np.ndarray):
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _slope(acted: tuple, lam: np.ndarray):
-    """2 Re<lam|M psi>, given M psi from _act."""
-    rows, _, coeff, moved = acted
+def _slope(lam: np.ndarray, rows, coeff, moved: np.ndarray):
+    """2 Re<lam|M psi>, given M psi on `rows` as coeff * moved (_act)."""
     return 2.0 * (coeff * _dot(_take(lam, rows), moved)).real
 
 
-def _trig(acted: tuple, angle) -> tuple:
-    """(cos(angle |w|), c sin(angle |w|) / |w|) on the rows of M from _act;
-    a batch's angle is an (R, 1) column."""
-    _, r, coeff, _ = acted
-    turn = angle * r
-    return np.cos(turn), coeff * np.sin(turn) / r
-
-
-def _rotate(amps: np.ndarray, acted: tuple, trig: tuple) -> None:
-    """exp(angle M) in place, given M amps from _act and _trig's factors:
+def _rotate(amps: np.ndarray, acted: tuple, angle) -> None:
+    """exp(angle M) in place, given M amps from _act, which this uses up:
     on each row with w != 0, amp becomes cos(angle |w|) amp +
-    sin(angle |w|) (M amp) / |w|."""
-    rows, _, _, moved = acted
-    cos, sin = trig
-    new = _take(amps, rows) * cos + moved * sin
-    if amps.ndim == 1:
-        amps[rows] = new
-    else:
-        amps[..., rows] = new
+    sin(angle |w|) (M amp) / |w|.  A batch's angle is an (R, 1) column."""
+    rows, coeff, moved, r = acted
+    turn = angle * r
+    old = _take(amps, rows)  # a view of amps when rows is a slice
+    old *= np.cos(turn)
+    moved *= coeff * np.sin(turn) / r
+    old += moved
+    if not isinstance(rows, slice):
+        amps[..., rows] = old
 
 
 def _apply_matrix(amps: np.ndarray, n_qubits: int, targets, u) -> None:
@@ -636,30 +627,26 @@ def _forward(plan: _Plan, amps: np.ndarray, angles: np.ndarray) -> None:
         if step.matrix is not None:
             _apply_matrix(amps, plan.n_qubits, *step.matrix[:2])
         else:
-            acted = _act(step, amps)
-            _rotate(amps, acted, _trig(acted, _angle(step, angles)))
+            _rotate(amps, _act(step, amps), _angle(step, angles))
 
 
 def _reverse(plan: _Plan, psi: np.ndarray, lam: np.ndarray,
              angles: np.ndarray) -> np.ndarray:
-    """Undo the plan on psi and lam together, summing the slope
+    """Undo the plan on [psi, lam], one array, summing the slope
     2 Re<lam|M psi> of each parameterized step into its parameter's
     gradient; one vector each or a batch each, as in _forward."""
     if plan.table is not None:
         return _reverse_sector(plan.table, psi, lam, angles)
     grad = np.zeros(psi.shape[:-1] + angles.shape[-1:])
+    stacked = np.stack((psi, lam))
     for step in reversed(plan.steps):
-        if step.matrix is not None:
-            for amps in (psi, lam):
-                _apply_matrix(amps, plan.n_qubits, step.matrix[0],
-                              step.matrix[2])
+        if step.matrix is not None:  # targets, U^dagger
+            _apply_matrix(stacked, plan.n_qubits, *step.matrix[::2])
             continue
-        on_psi, on_lam = _act(step, psi), _act(step, lam)
+        acted = rows, coeff, moved, _ = _act(step, stacked)
         if step.param >= 0:  # <lam| M |psi>, M the step's generator
-            grad[..., step.param] += _slope(on_psi, lam)
-        trig = _trig(on_psi, -_angle(step, angles))  # one cos/sin for both
-        _rotate(psi, on_psi, trig)
-        _rotate(lam, on_lam, trig)
+            grad[..., step.param] += _slope(stacked[1], rows, coeff, moved[0])
+        _rotate(stacked, acted, -_angle(step, angles))
     return grad
 
 
@@ -875,7 +862,7 @@ def commutator_gradient(circuit: ParamCircuit, h: QubitOperator, angles,
     lam = compiled_sum(h, circuit.n_qubits, screen.basis) @ psi
     slopes = np.zeros(pool.n_params)
     for step in screen.steps:
-        slopes[step.param] += _slope(_act(step, psi), lam)
+        slopes[step.param] += _slope(lam, *_act(step, psi)[:3])
     return _real(np.vdot(psi, lam)), slopes
 
 

@@ -759,31 +759,39 @@ class TestRefusedBeforeAnythingIsWritten:
         if case == "missing directory":
             return root, root / "H2"
         good = bundled_molecule("H2").fcidump_paths[0.7414].read_text()
+        name = {"file name not a number": "eq",
+                "bond length twice": "0.90"}.get(case, "0.9")
         bad = {"malformed line": good + "0.5 1 1\n",
                "MS2 of another sector": good.replace("MS2=0", "MS2=2"),
                "NaN integral": good.replace(
                    " 6.7448877796798801e-01 1 1 1 1", " nan 1 1 1 1"),
                "NORB=0": good[:good.index("&END")].replace("NORB=2", "NORB=0")
-               + "&END\n 0.7 0 0 0 0\n"}[case]
-        assert bad != good
+               + "&END\n 0.7 0 0 0 0\n",
+               "NELEC=6": good.replace("NELEC=2", "NELEC=6")}.get(case, good)
+        assert bad != good or name != "0.9"
         (root / "H2").mkdir(parents=True)
         (root / "H2" / "0.7414.fcidump").write_text(good)
-        (root / "H2" / "0.9.fcidump").write_text(bad)
-        return root, root / "H2" / "0.9.fcidump"
+        (root / "H2" / "0.9.fcidump").write_text(good)
+        (root / "H2" / f"{name}.fcidump").write_text(bad)
+        return root, root / "H2" / f"{name}.fcidump"
 
     @pytest.mark.parametrize("command", [
         ["run", "--ansatz", "UCCSD", "--ansatz", "HEA"], ["fci"]],
         ids=["run", "fci"])
     @pytest.mark.parametrize("case", ["missing directory", "malformed line",
                                       "MS2 of another sector", "NaN integral",
-                                      "NORB=0"])
+                                      "NORB=0", "NELEC=6",
+                                      "file name not a number",
+                                      "bond length twice"])
     def test_bad_fixtures_dir_is_a_data_file_error(self, tmp_path, capsys,
                                                    case, command):
         # a missing directory escaped as a FileNotFoundError traceback; a
         # malformed file exited 3 after the earlier bond lengths were
         # saved; MS2=2 put UCCSD 0.605 Ha below H2's "FCI" and exited 0;
         # a NaN (11|11) was pruned away and the run exited 0 against an
-        # FCI of the same wrong Hamiltonian
+        # FCI of the same wrong Hamiltonian; NELEC=6 exited 3 with "empty
+        # sector"; eq.fcidump exited 3 with float()'s message; 0.90 next
+        # to 0.9 silently kept one of the two
         fixtures, offending = self.fixtures(tmp_path, case)
         data_dir = tmp_path / "data"
         data_dir.mkdir()
@@ -794,6 +802,12 @@ class TestRefusedBeforeAnythingIsWritten:
         err = capsys.readouterr().err
         assert "data-file error" in err and str(offending) in err
         assert {"NaN integral": "non-finite FCIDUMP value",
-                "NORB=0": "NORB=0"}.get(case, "") in err
+                "NORB=0": "NORB=0", "NELEC=6": "NELEC=6",
+                "file name not a number": "not a bond length",
+                "bond length twice": "bond length 0.9 is already read from "
+                + str(offending.with_name("0.9.fcidump"))}.get(case, "") in err
         assert [(p.name, p.read_text()) for p in data_dir.iterdir()] == [
             ("notes.txt", "kept")]
+        fresh = tmp_path / "fresh"
+        argv[-1] = str(fresh)
+        assert main(argv) == 2 and not fresh.exists()

@@ -105,6 +105,18 @@ class TestParseFcidump:
         with pytest.raises(ValueError, match=f"NORB={norb}"):
             parse_fcidump(f" &FCI NORB={norb},NELEC=2,MS2=0,\n &END\n")
 
+    @pytest.mark.parametrize("nelec", [-2, -1, 5, 6])
+    def test_nelec_outside_the_orbitals_refused_by_name(self, nelec):
+        # these ran into exact_ground_energy's "empty sector"
+        with pytest.raises(ValueError, match=f"NELEC={nelec}: NORB=2 holds "
+                                             "0 to 4 electrons"):
+            parse_fcidump(f" &FCI NORB=2,NELEC={nelec},MS2=0,\n &END\n")
+
+    @pytest.mark.parametrize("nelec", [0, 4])
+    def test_nelec_at_the_limits_accepted(self, nelec):
+        data = parse_fcidump(f" &FCI NORB=2,NELEC={nelec},MS2=0,\n &END\n")
+        assert data.n_electrons == nelec
+
     @pytest.mark.parametrize("field", ["core_energy", "h1", "g2"])
     def test_integral_data_refuses_non_finite_values(self, field):
         values = {"core_energy": 0.5, "h1": np.eye(2),

@@ -438,6 +438,38 @@ def _pinned_sector_circuit() -> ParamCircuit:
     ])
 
 
+def _full_space_case(h4, h4_families, name):
+    """A full-space case of TestKernelPins: (circuit, h, initial)."""
+    h, n, hf, n_electrons = h4
+    qubit = build_qubit_pool(build_fermionic_pool(n, n_electrons), n)
+    if name in ("HEA", "LDCA"):
+        return h4_families[name].circuit, h, hf
+    if name == "qubit-pool":  # grown a pick at a time, as qubit-ADAPT does
+        circuit = ParamCircuit(n, ())
+        for i, entry in enumerate(qubit.entries[3::17]):
+            circuit = circuit.extended(entry.gates(n, f"adapt{i}"))
+        return circuit, h, hf
+    if name == "QCC":  # the mean field from the vacuum, one entangler
+        gates = [Gate(kind, (q,), param=(f"mf_{kind}{q}", 1.0))
+                 for q in range(n) for kind in ("RY", "RZ")]
+        gates += qubit.entries[41].gates(n, "ent0")
+        return ParamCircuit(n, gates), h, 0
+    # mixed gates: CNOT, SqrtISwap, H, fixed angles and fused multi-string
+    # steps, from a state whose sector the circuit leaves
+    rng = np.random.default_rng(23)
+    circuit = random_circuit(rng, 6, 5, 30)
+    fused = [pauli_evolution(parse_pauli_string(text), "f")
+             for text in ("X0 Y2", "Y0 X2", "X1 Z3 Y4", "Y1 Z3 X4")]
+    circuit = ParamCircuit(6, [
+        Gate("H", (1,)), Gate("RY", (2,), angle=0.7), *circuit.gates[:15],
+        Gate("GivensRotation", (3, 5), angle=-0.4), *fused[:2],
+        Gate("SqrtISwap", (0, 4)), Gate("CNOT", (5, 1)), *fused[2:],
+        pauli_evolution(parse_pauli_string("X0 X1 Y3"), "g"),
+        *circuit.gates[15:],
+    ])
+    return circuit, random_hermitian_operator(rng, 6, 30), 0b001011
+
+
 # SHA-256 pins of TestKernelPins, computed at commit 1b5bab8
 LIH_UCCSD_PINS = {  # seed of the parameter values
     0: "28aee526eb2445debdaec327815ccb61000d58173e9879c05ca84629c21291ae",
@@ -454,13 +486,26 @@ H4_BATCH_PINS = {  # batches of 1, 3 and 20 rows
     "BRC":
         "446660ba48d2a0e0a3b5cf4a770e071396642afd881795e35f1b9d3dc35b33c7",
 }
+# computed at commit 6b67aab, where the full-space reverse sweep still
+# rotated psi and then lam, each through fresh temporaries
+FULL_SPACE_PINS = {  # one vector, then batches of 1, 3 and 20 rows
+    "HEA": "d34cdfb80224649775f40296cc215894bc52b5f2de7360cfe145762868ecc13a",
+    "LDCA":
+        "af3d583ca78e630ef1350feb0ea854e3b97cec222318545d673edfa246beab03",
+    "QCC": "d2b21ec2499428ae942ad4c4bef76f3145cb718b4c817a6499c3b1201776b86f",
+    "mixed":
+        "383b3d3c6999433e796d76a527bfdf0d653f0cefdf7f6771f9d1bdd549b633ba",
+    "qubit-pool":
+        "08d4106ff4cc8b23d95f2f052aa0dee2fb9e0c584b4d88df75ca19cd65b1ccea",
+}
 
 
 class TestKernelPins:
     """Energies, gradients and amplitudes of sector plans, SHA-256 over
     their reprs, pinned bit for bit at commit 1b5bab8, where each step of
     a sector sweep still computed its own cos and sin and psi and lam
-    were rotated one at a time."""
+    were rotated one at a time; and of full-space plans, pinned at commit
+    6b67aab, where the full-space reverse sweep still did so."""
 
     @pytest.fixture(scope="class")
     def lih_uccsd(self):
@@ -505,3 +550,12 @@ class TestKernelPins:
         assert _digest(_gradient_digest(circuit, h, values, initial),
                        _batch_digest(circuit, h, initial, 3, 11)) == (
             "30c48ad78e1daee61f02129b5dec812341bd6e8146d4138b52ccde7dbb5bdca2")
+
+    @pytest.mark.parametrize("name", sorted(FULL_SPACE_PINS))
+    def test_full_space_gradients_and_batches(self, h4, h4_families, name):
+        circuit, h, initial = _full_space_case(h4, h4_families, name)
+        assert not runs_in_sector(circuit, initial)
+        values = random_values(np.random.default_rng(5), circuit)
+        assert _digest(_gradient_digest(circuit, h, values, initial),
+                       *(_batch_digest(circuit, h, initial, n_rows, n_rows)
+                         for n_rows in (1, 3, 20))) == FULL_SPACE_PINS[name]

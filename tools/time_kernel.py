@@ -4,16 +4,19 @@ reverse sweep, each the median over repeated evaluations.
     PYTHONPATH=src python3 tools/time_kernel.py [--repeats 50]
 
 Cases: LiH @ 1.6 UCCSD and H4 @ 1.0 UCCSD on one vector, and H4 @ 1.0 BRC
-in a batch of 20 rows, timed per row.  An evaluation is one
-simulator.adjoint_gradient call, at one vector of angles or at a batch of
-rows.  The tool times the kernel inside it by wrapping simulator._forward,
-simulator._adjoint (h product, then reverse sweep) and simulator._reverse
-(timing.timed); the h product is the _adjoint time less the _reverse
-time.  Every run of this file on any commit that has those three
-functions and this adjoint_gradient therefore times the same work.
-Each case prints its energy (first row) next to its timings, so a change
-that alters answers shows.  The machine block is the one perfbench/run.py
-prints, with the same thread pins; the last line is the result as JSON.
+in a batch of 20 rows, timed per row: plans over the (N, 2Sz) sector.
+Then plans over all 2**n states: HEA of depth 4 and LDCA with the
+sweep's cycle count, on H4 @ 1.0 and LiH @ 1.6, each on one vector and
+in a batch of 10 rows.  An evaluation is one simulator.adjoint_gradient
+call, at one vector of angles or at a batch of rows.  The tool times the
+kernel inside it by wrapping simulator._forward, simulator._adjoint (h
+product, then reverse sweep) and simulator._reverse (timing.timed); the
+h product is the _adjoint time less the _reverse time.  Every run of
+this file on any commit that has those three functions and this
+adjoint_gradient therefore times the same work.  Each case prints its
+energy (first row) next to its timings, so a change that alters answers
+shows.  The machine block is the one perfbench/run.py prints, with the
+same thread pins; the last line is the result as JSON.
 """
 
 from __future__ import annotations
@@ -34,7 +37,12 @@ import numpy as np  # noqa: E402
 
 from vqe_bench import simulator  # noqa: E402
 from vqe_bench.ansatz import build_uccsd_singlet  # noqa: E402
-from vqe_bench.ansatz.layered import build_brc_closed_shell  # noqa: E402
+from vqe_bench.ansatz.layered import (  # noqa: E402
+    build_brc_closed_shell,
+    build_hea,
+    build_ldca,
+)
+from vqe_bench.bench import DEFAULT_LDCA_CYCLES  # noqa: E402
 from vqe_bench.hamiltonian import (  # noqa: E402
     bundled_molecule,
     hf_state_index,
@@ -42,10 +50,27 @@ from vqe_bench.hamiltonian import (  # noqa: E402
 )
 from timing import quartiles, timed  # noqa: E402
 
+
+def hea(n_qubits, _):
+    return build_hea(n_qubits, 4)
+
+
+def ldca(n_qubits, _):
+    return build_ldca(n_qubits, DEFAULT_LDCA_CYCLES)
+
+
 CASES = (  # name, molecule, bond length, builder, batch rows (0: one vector)
     ("LiH UCCSD", "LiH", 1.6, build_uccsd_singlet, 0),
     ("H4 UCCSD", "H4", 1.0, build_uccsd_singlet, 0),
     ("H4 BRC x20", "H4", 1.0, build_brc_closed_shell, 20),
+    ("H4 HEA4", "H4", 1.0, hea, 0),
+    ("H4 HEA4 x10", "H4", 1.0, hea, 10),
+    ("H4 LDCA", "H4", 1.0, ldca, 0),
+    ("H4 LDCA x10", "H4", 1.0, ldca, 10),
+    ("LiH HEA4", "LiH", 1.6, hea, 0),
+    ("LiH HEA4 x10", "LiH", 1.6, hea, 10),
+    ("LiH LDCA", "LiH", 1.6, ldca, 0),
+    ("LiH LDCA x10", "LiH", 1.6, ldca, 10),
 )
 WARMUP = 3  # evaluations before timing: plan and matrix compiles
 
