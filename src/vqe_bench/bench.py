@@ -65,13 +65,13 @@ DEFAULT_LDCA_CYCLES = 2
 KUPCCGSD_PATTERN = re.compile(r"^([1-9]\d*)-UpCCGSD$")  # k >= 1
 REFERENCE_KINDS = ("fci", "hf", "ccsd")
 
-FIXED_ANSATZES = ("UCCSD", "UCCSD0", "QUCC", "1-UpCCGSD", "2-UpCCGSD")
-CHANGEABLE_ANSATZES = ("HEA", "LDCA", "BRC", "ADAPT", "qubit-ADAPT", "QCC")
+# the ansatz names besides the k-UpCCGSD family that KUPCCGSD_PATTERN matches
+NAMED_ANSATZES = ("UCCSD", "UCCSD0", "QUCC", "HEA", "LDCA", "BRC", "ADAPT",
+                  "qubit-ADAPT", "QCC")
 
 
 def known_ansatz(name: str) -> bool:
-    return (name in FIXED_ANSATZES or name in CHANGEABLE_ANSATZES
-            or KUPCCGSD_PATTERN.match(name) is not None)
+    return name in NAMED_ANSATZES or KUPCCGSD_PATTERN.match(name) is not None
 
 
 class DataFileError(RuntimeError):
@@ -227,12 +227,22 @@ def load_record(path: str | Path) -> BenchRecord:
     return BenchRecord.from_dict(payload)
 
 
+def make_data_dir(path: Path) -> None:
+    """Create the directory of the data file at `path`; a DataFileError
+    names it when it cannot be made, e.g. when a regular file has its name."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataFileError(f"cannot make data directory {path.parent}: "
+                            f"{exc}") from exc
+
+
 def save_record(record: BenchRecord, path: str | Path) -> None:
     """Stamp the timestamp, then write crash-safe: temp file, then rename."""
     record.metadata["timestamp"] = datetime.now(timezone.utc).isoformat(
         timespec="seconds")
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    make_data_dir(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -245,13 +255,12 @@ def save_record(record: BenchRecord, path: str | Path) -> None:
 
 
 def initdata(molecule: str, bond_lengths, data_dir: str | Path,
-             force: bool = False, metadata: dict | None = None) -> BenchRecord:
+             force: bool = False) -> BenchRecord:
     """Write a skeleton record; refuses to clobber without force."""
     path = record_path(data_dir, molecule)
     if path.exists() and not force:
         raise DataFileError(f"{path} exists; pass force to overwrite")
     record = BenchRecord(molecule, [float(r) for r in bond_lengths])
-    record.metadata.update(metadata or {})
     save_record(record, path)
     return record
 
@@ -363,7 +372,7 @@ class SweepLock:
                 log.warning("taking over %s: its sweep is no longer running",
                             self.lock_path)
                 self.lock_path.unlink(missing_ok=True)
-            except FileNotFoundError as exc:  # no directory, so no record
+            except (FileNotFoundError, NotADirectoryError) as exc:  # no dir
                 raise DataFileError(f"no data file at {self.path}") from exc
         with os.fdopen(fd, "w") as fh:
             fh.write(f"{os.getpid()} {socket.gethostname()}")
@@ -394,7 +403,8 @@ def read_fixture(spec: MoleculeSpec, r: float) -> IntegralData:
     determinant (NELEC mod 2), the sector circuits and FCI share."""
     path = spec.fcidump_paths.get(r)
     if path is None:
-        raise DataFileError(f"no fixture for {spec.name} at r={r}")
+        raise DataFileError(f"no fixture for {spec.name} at r={r}; "
+                            f"have {list(spec.bond_lengths)}")
     try:
         data = spec.integrals(r)
     except ValueError as exc:
@@ -437,11 +447,11 @@ def open_sweep_record(spec: MoleculeSpec, path: Path,
 
 
 def run_sweep(spec: MoleculeSpec, ansatz_names, cfg: OptimizerConfig | None,
-              seed: int, data_dir: str | Path, bond_lengths=None,
-              threads: int = 4) -> BenchRecord:
-    """Sweep every requested point in the calling thread, one at a time,
-    saving the record after each bond length's references and after each
-    point; `threads` is only recorded in metadata.
+              seed: int, data_dir: str | Path,
+              bond_lengths=None) -> BenchRecord:
+    """Sweep every requested point serially in the calling thread, so each
+    recorded runtime is that point's own wall time, saving the record after
+    each bond length's references and after each point.
 
     Per-point failures are logged and stay null; the sweep continues.
     """
@@ -450,10 +460,10 @@ def run_sweep(spec: MoleculeSpec, ansatz_names, cfg: OptimizerConfig | None,
     cfg = cfg or OptimizerConfig()
     references = reference_points(spec, bond_lengths)
     path = record_path(data_dir, spec.name)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    make_data_dir(path)
     with SweepLock(path):
         record = open_sweep_record(spec, path, bond_lengths)
-        record.metadata.update({"seed": seed, "threads": threads})
+        record.metadata["seed"] = seed
         for r, data, h, fci, ehf in references:
             record.store_reference("fci", r, fci)
             record.store_reference("hf", r, ehf)

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 usage error, 2 data-file error, 3 numerical
 failure, including a `run` that leaves a point null.  Sweeps run serially;
---threads (else VQE_BENCH_THREADS, else 4) is only recorded in metadata.
+`run --threads` is accepted and ignored until the benchmark is redefined.
 The commands that write a data file (`init`, `record`, `fci`) take the
 sweep's lock on it, so they refuse a file that a live sweep owns.
 """
@@ -25,6 +25,7 @@ from .bench import (
     initdata,
     known_ansatz,
     load_record,
+    make_data_dir,
     open_sweep_record,
     read_fixture,
     record_path,
@@ -54,13 +55,9 @@ def resolve_molecule(name: str, fixtures_dir: str | None):
     return bundled_molecule(name)
 
 
-def resolve_threads(threads: int | None) -> int:
-    if threads is not None:
-        return threads
-    env = os.environ.get("VQE_BENCH_THREADS")
-    return int(env) if env else 4
-
-
+# opened at the first write, so a refused command creates no file
+OUTPUT_OPTION = click.option("--output", type=click.File("w", lazy=True),
+                             default="-", help="file path; stdout by default")
 BOND_LENGTHS_HELP = ("comma or space separated, at least one; omit the "
                      "option for the fixture set (an empty list is refused)")
 
@@ -100,7 +97,7 @@ def cmd_init(molecule, bond_lengths, data_dir, fixtures_dir, force):
     if points is None:
         points = resolve_molecule(molecule, fixtures_dir).bond_lengths
     path = record_path(data_dir, molecule)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    make_data_dir(path)
     with SweepLock(path):
         initdata(molecule, points, data_dir, force=force)
     click.echo(f"initialized {path}")
@@ -113,13 +110,14 @@ def cmd_init(molecule, bond_lengths, data_dir, fixtures_dir, force):
 @click.option("--bond-lengths", default=None, help=BOND_LENGTHS_HELP)
 @click.option("--seed", default=0, show_default=True,
               type=click.IntRange(min=0))
-@click.option("--threads", default=None, type=int)
+# accepted and ignored: the frozen argvs of perfbench/spec.json pass it
+@click.option("--threads", type=int, hidden=True, expose_value=False)
 @click.option("--data-dir", default="data", show_default=True)
 @click.option("--fixtures-dir", default=None)
 @click.option("--gradient-tolerance", default=1e-5, show_default=True)
 @click.option("--max-evaluations", default=10000, show_default=True, type=int)
-def cmd_run(molecule, ansatzes, bond_lengths, seed, threads, data_dir,
-            fixtures_dir, gradient_tolerance, max_evaluations):
+def cmd_run(molecule, ansatzes, bond_lengths, seed, data_dir, fixtures_dir,
+            gradient_tolerance, max_evaluations):
     """Run a sweep and persist energies/runtimes/parameter counts."""
     for name in ansatzes:
         if not known_ansatz(name):
@@ -132,7 +130,7 @@ def cmd_run(molecule, ansatzes, bond_lengths, seed, threads, data_dir,
         raise click.UsageError(str(exc)) from exc
     points = parse_bond_lengths(bond_lengths)
     record = run_sweep(spec, list(ansatzes), cfg, seed, data_dir,
-                       bond_lengths=points, threads=resolve_threads(threads))
+                       bond_lengths=points)
     failed = 0
     for name in ansatzes:
         for r in points or spec.bond_lengths:
@@ -186,17 +184,11 @@ def cmd_record(molecule, ansatz, reference, bond_length, energy, runtime,
 @click.option("--format", "fmt", default="csv", show_default=True,
               type=click.Choice(["csv", "json"]))
 @click.option("--data-dir", default="data", show_default=True)
-@click.option("--output", default=None, help="file path; stdout by default")
+@OUTPUT_OPTION
 def cmd_compare(molecule, kind, fmt, data_dir, output):
     """Emit plot-ready comparison tables from a data file."""
     record = load_record(record_path(data_dir, molecule))
-    text = emit_comparison(record, kind, fmt)
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-        click.echo(f"wrote {output}")
-    else:
-        click.echo(text, nl=False)
+    output.write(emit_comparison(record, kind, fmt))
 
 
 @cli.command("fci")
@@ -212,7 +204,7 @@ def cmd_fci(molecule, bond_lengths, data_dir, fixtures_dir, no_save):
     references = reference_points(spec, points)
     path = record_path(data_dir, molecule)
     if not no_save:
-        path.parent.mkdir(parents=True, exist_ok=True)
+        make_data_dir(path)
     with nullcontext() if no_save else SweepLock(path):
         record = None if no_save else open_sweep_record(spec, path, points)
         for r, _, _, fci, ehf in references:
@@ -227,21 +219,11 @@ def cmd_fci(molecule, bond_lengths, data_dir, fixtures_dir, no_save):
 @click.option("--molecule", required=True)
 @click.option("--bond-length", required=True, type=float)
 @click.option("--fixtures-dir", default=None)
-@click.option("--output", default=None)
+@OUTPUT_OPTION
 def cmd_dump_hamiltonian(molecule, bond_length, fixtures_dir, output):
     """Write the qubit Hamiltonian in the one-term-per-line text format."""
-    spec = resolve_molecule(molecule, fixtures_dir)
-    if bond_length not in spec.fcidump_paths:
-        raise click.UsageError(
-            f"no fixture at r={bond_length}; have {list(spec.bond_lengths)}")
-    text = dump_qubit_operator(qubit_hamiltonian(read_fixture(spec,
-                                                              bond_length)))
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-        click.echo(f"wrote {output}")
-    else:
-        click.echo(text, nl=False)
+    data = read_fixture(resolve_molecule(molecule, fixtures_dir), bond_length)
+    output.write(dump_qubit_operator(qubit_hamiltonian(data)))
 
 
 def main(argv=None) -> int:

@@ -360,9 +360,9 @@ def test_criterion_10_harness_fidelity(tmp_path):
     spec = bundled_molecule("H2")
     cfg = OptimizerConfig()
     a = run_sweep(spec, ["UCCSD", "BRC"], cfg, seed=9,
-                  data_dir=tmp_path / "a", threads=2)
+                  data_dir=tmp_path / "a")
     b = run_sweep(spec, ["UCCSD", "BRC"], cfg, seed=9,
-                  data_dir=tmp_path / "b", threads=1)
+                  data_dir=tmp_path / "b")
     assert a.energies == b.energies
     assert a.n_params == b.n_params
     for label, energies in a.energies.items():

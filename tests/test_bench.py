@@ -4,6 +4,7 @@ import socket
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +24,7 @@ from vqe_bench.bench import (
     save_record,
     savedata,
 )
-from vqe_bench.cli import main
+from vqe_bench.cli import cli, main
 from vqe_bench.driver import OptimizerConfig
 from vqe_bench.hamiltonian import bundled_molecule
 
@@ -170,7 +171,7 @@ class TestRunSweep:
     def test_h2_sweep_and_failure_tolerance(self, tmp_path):
         spec = bundled_molecule("H2")
         record = run_sweep(spec, ["UCCSD", "9-UpCCGSD"], FAST_CFG, seed=5,
-                           data_dir=tmp_path, threads=2)
+                           data_dir=tmp_path)
         fci = record.fci[0]
         assert abs(record.energies["UCCSD"][0] - fci) < 1e-7
         assert record.n_params["UCCSD"] == [2]
@@ -178,15 +179,15 @@ class TestRunSweep:
         # 9 blocks of generalized pairs is fine, so it runs; use a truly
         # unknown name to exercise the per-point failure path
         record = run_sweep(spec, ["NOPE"], FAST_CFG, seed=5,
-                           data_dir=tmp_path, threads=1)
+                           data_dir=tmp_path)
         assert record.energies["NOPE"] == [None]
 
     def test_sweep_determinism(self, tmp_path):
         spec = bundled_molecule("H2")
         a = run_sweep(spec, ["UCCSD", "BRC"], FAST_CFG, seed=3,
-                      data_dir=tmp_path / "a", threads=2)
+                      data_dir=tmp_path / "a")
         b = run_sweep(spec, ["UCCSD", "BRC"], FAST_CFG, seed=3,
-                      data_dir=tmp_path / "b", threads=1)
+                      data_dir=tmp_path / "b")
         assert a.energies == b.energies
         assert a.n_params == b.n_params
 
@@ -212,16 +213,14 @@ class TestRunSweep:
 
     def test_refused_sweep_leaves_data_file_untouched(self, tmp_path):
         spec = bundled_molecule("H2")
-        initdata("H2", spec.bond_lengths, tmp_path,
-                 metadata={"seed": 1, "threads": 1})
+        initdata("H2", spec.bond_lengths, tmp_path)
         path = record_path(tmp_path, "H2")
         savedata(path, "UCCSD", spec.bond_lengths[0], -1.1, 0.5, 3)
         lock = path.with_suffix(".json.lock")
         lock.write_text(f"{os.getpid()} {socket.gethostname()}")
         before = path.read_bytes()
         with pytest.raises(DataFileError, match="another sweep"):
-            run_sweep(spec, ["UCCSD"], FAST_CFG, seed=99, data_dir=tmp_path,
-                      threads=2)
+            run_sweep(spec, ["UCCSD"], FAST_CFG, seed=99, data_dir=tmp_path)
         assert path.read_bytes() == before
 
     def test_stale_lock_of_killed_sweep_taken_over(self, tmp_path):
@@ -263,9 +262,9 @@ class TestRunSweep:
 
         monkeypatch.setattr(bench, "run_ansatz_point", recording)
         record = run_sweep(bundled_molecule("H2"), ["UCCSD", "BRC"],
-                           FAST_CFG, seed=3, data_dir=tmp_path, threads=2)
+                           FAST_CFG, seed=3, data_dir=tmp_path)
         assert idents == [threading.get_ident()] * 2
-        assert record.metadata["threads"] == 2
+        assert "threads" not in record.metadata
 
     def test_failed_point_clears_its_stale_data(self, tmp_path, monkeypatch):
         spec = bundled_molecule("H2")
@@ -633,14 +632,27 @@ class TestCli:
         op = load_qubit_operator(out.read_text())
         assert len(op) == 15
 
-    def test_env_threads_parsing(self, monkeypatch):
-        from vqe_bench.cli import resolve_threads
+    def test_dump_hamiltonian_without_fixture_refused_before_writing(
+            self, tmp_path, capsys):
+        out = tmp_path / "h2.txt"
+        assert main(["dump-hamiltonian", "--molecule", "H2",
+                     "--bond-length", "9.9", "--output", str(out)]) == 2
+        assert ("no fixture for H2 at r=9.9; have [0.7414]"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
 
-        monkeypatch.setenv("VQE_BENCH_THREADS", "7")
-        assert resolve_threads(None) == 7
-        assert resolve_threads(2) == 2
-        monkeypatch.delenv("VQE_BENCH_THREADS")
-        assert resolve_threads(None) == 4
+    def test_threads_is_ignored_and_an_old_threads_key_kept(self, tmp_path):
+        data_dir = tmp_path / "data"
+        argv = ["run", "--molecule", "H2", "--ansatz", "UCCSD",
+                "--threads", "2", "--data-dir", str(data_dir)]
+        assert main(argv) == 0
+        path = record_path(data_dir, "H2")
+        record = load_record(path)
+        assert "threads" not in record.metadata
+        record.metadata["threads"] = 1  # as sweeps once recorded it
+        save_record(record, path)
+        assert main(argv) == 0
+        assert load_record(path).metadata["threads"] == 1
 
 
 BAD_PAYLOADS = {
@@ -811,3 +823,57 @@ class TestRefusedBeforeAnythingIsWritten:
         fresh = tmp_path / "fresh"
         argv[-1] = str(fresh)
         assert main(argv) == 2 and not fresh.exists()
+
+
+class TestFilesystemFailuresAreCleanErrors:
+    @pytest.mark.parametrize("command", [
+        ["init"], ["run", "--ansatz", "UCCSD"], ["fci"],
+        ["record", "--reference", "ccsd", "--bond-length", "0.7414",
+         "--energy", "-1.0"], ["compare"]],
+        ids=["init", "run", "fci", "record", "compare"])
+    def test_data_dir_that_is_a_file_is_a_data_file_error(
+            self, tmp_path, capsys, command):
+        # init, run and fci died with a FileExistsError traceback, record
+        # with a NotADirectoryError one
+        data_dir = tmp_path / "data"
+        data_dir.write_text("kept")
+        assert main([command[0], "--molecule", "H2", *command[1:],
+                     "--data-dir", str(data_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "data-file error" in err and str(data_dir) in err
+        assert [(p.name, p.read_text()) for p in tmp_path.iterdir()] == [
+            ("data", "kept")]
+
+    @pytest.mark.parametrize("command", [
+        ["compare"], ["dump-hamiltonian", "--bond-length", "0.7414"]],
+        ids=["compare", "dump-hamiltonian"])
+    def test_output_in_a_missing_directory_is_a_usage_error(
+            self, tmp_path, capsys, monkeypatch, command):
+        # both died with a FileNotFoundError traceback
+        monkeypatch.chdir(tmp_path)  # compare reads the default data dir
+        assert main(["fci", "--molecule", "H2"]) == 0
+        before = sorted(tmp_path.rglob("*"))
+        output = tmp_path / "void" / "out.txt"
+        capsys.readouterr()
+        assert main([*command, "--molecule", "H2",
+                     "--output", str(output)]) == 1
+        assert str(output) in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
+
+BENCHMARK_WORKLOADS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "spec.json")
+    .read_text())["workloads"]
+
+
+@pytest.mark.parametrize("workload", [
+    name for name, w in BENCHMARK_WORKLOADS.items() if w["kind"] == "cli"])
+def test_benchmark_argv_parses(tmp_path, workload):
+    # the benchmark runs these argvs on src/ and on a frozen copy of an
+    # older package, so an option they pass may not go before they do
+    argv = [token.format(seed=0, data_dir=tmp_path)
+            for token in BENCHMARK_WORKLOADS[workload]["argv"]]
+    command = cli.commands[argv[0]]
+    with command.make_context(argv[0], argv[1:]) as ctx:
+        assert all(map(known_ansatz, ctx.params["ansatzes"]))
+    assert list(tmp_path.iterdir()) == []
