@@ -256,21 +256,25 @@ def save_record(record: BenchRecord, path: str | Path) -> None:
 
 def initdata(molecule: str, bond_lengths, data_dir: str | Path,
              force: bool = False) -> BenchRecord:
-    """Write a skeleton record; refuses to clobber without force."""
+    """Write a skeleton record, under the sweep lock; force clobbers."""
     path = record_path(data_dir, molecule)
-    if path.exists() and not force:
-        raise DataFileError(f"{path} exists; pass force to overwrite")
-    record = BenchRecord(molecule, [float(r) for r in bond_lengths])
-    save_record(record, path)
+    make_data_dir(path)
+    with SweepLock(path):
+        if path.exists() and not force:
+            raise DataFileError(f"{path} exists; pass force to overwrite")
+        record = BenchRecord(molecule, [float(r) for r in bond_lengths])
+        save_record(record, path)
     return record
 
 
 def savedata(path: str | Path, ansatz: str, bond_length: float,
              energy, runtime=None, n_params=None, trace=None) -> BenchRecord:
-    """Atomic read-modify-write of one point (see `BenchRecord.store`)."""
-    record = load_record(path)
-    record.store(ansatz, bond_length, energy, runtime, n_params, trace)
-    save_record(record, path)
+    """Atomic read-modify-write of one point under the sweep lock (see
+    `BenchRecord.store`)."""
+    with SweepLock(path):
+        record = load_record(path)
+        record.store(ansatz, bond_length, energy, runtime, n_params, trace)
+        save_record(record, path)
     return record
 
 
@@ -451,7 +455,8 @@ def run_sweep(spec: MoleculeSpec, ansatz_names, cfg: OptimizerConfig | None,
               bond_lengths=None) -> BenchRecord:
     """Sweep every requested point serially in the calling thread, so each
     recorded runtime is that point's own wall time, saving the record after
-    each bond length's references and after each point.
+    each bond length's references and after each point.  A point's seed
+    comes from r's index among the spec's bond lengths, not the file's.
 
     Per-point failures are logged and stay null; the sweep continues.
     """
@@ -468,7 +473,7 @@ def run_sweep(spec: MoleculeSpec, ansatz_names, cfg: OptimizerConfig | None,
             record.store_reference("fci", r, fci)
             record.store_reference("hf", r, ehf)
             save_record(record, path)
-            idx = record.point_index(r)
+            idx = spec.bond_lengths.index(r)
             for name in ansatz_names:
                 try:
                     result = run_ansatz_point(

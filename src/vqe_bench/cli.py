@@ -96,11 +96,8 @@ def cmd_init(molecule, bond_lengths, data_dir, fixtures_dir, force):
     points = parse_bond_lengths(bond_lengths)
     if points is None:
         points = resolve_molecule(molecule, fixtures_dir).bond_lengths
-    path = record_path(data_dir, molecule)
-    make_data_dir(path)
-    with SweepLock(path):
-        initdata(molecule, points, data_dir, force=force)
-    click.echo(f"initialized {path}")
+    initdata(molecule, points, data_dir, force=force)
+    click.echo(f"initialized {record_path(data_dir, molecule)}")
 
 
 @cli.command("run")

@@ -5,12 +5,12 @@ hardware-efficient ansatz.
 A point is one float array in param_names order, from the initial draw
 to VqeResult.parameters.  BFGS is one ask/tell generator, bfgs_steps: it
 yields the points it needs evaluated and is sent back (energy, gradient).
-minimize_bfgs drives it with one objective, point by point.  The restarts
-of run_vqe advance in lockstep instead: the pending points of the live
-restarts are one (R, P) batch of adjoint_gradient, and a restart leaves
-it when it converges or spends its budget, seeing the points and bits it
-would alone.  HEA layer growth stays serial, since each restart's budget
-is what the ones before it left."""
+minimize_bfgs drives it from one (P,) start, or from R starts in
+lockstep: the pending points of the live runs go to the objective as one
+(R', P) batch, and a run leaves it when it converges or spends its
+budget, seeing the points and bits it would alone.  HEA layer growth
+stays serial, since each restart's budget is what the ones before it
+left."""
 
 from __future__ import annotations
 
@@ -176,7 +176,6 @@ def bfgs_steps(x0, cfg: OptimizerConfig | None = None, callback=None):
     returns the VqeResult.  Nocedal & Wright Alg. 6.1 with the strong-Wolfe
     search of Alg. 3.5/3.6."""
     cfg = cfg or OptimizerConfig()
-    start = time.perf_counter()
     x = np.array(x0, dtype=float)
     n = len(x)
     evaluate = _Evaluations(cfg.max_energy_evaluations)
@@ -186,7 +185,7 @@ def bfgs_steps(x0, cfg: OptimizerConfig | None = None, callback=None):
                          parameters=np.array(xs, dtype=float),
                          n_evaluations=evaluate.count,
                          n_iterations=n_iter,
-                         wall_time=time.perf_counter() - start,
+                         wall_time=0.0,  # minimize_bfgs times the call
                          converged=converged)
 
     f, g = yield from evaluate(x)  # the budget is at least one evaluation
@@ -239,47 +238,46 @@ def bfgs_steps(x0, cfg: OptimizerConfig | None = None, callback=None):
 
 def minimize_bfgs(objective, x0, cfg: OptimizerConfig | None = None,
                   callback=None) -> VqeResult:
-    """Quasi-Newton minimization of objective(x) -> (value, gradient).
-
-    Stops when the gradient infinity-norm drops below the configured
-    tolerance or the evaluation budget runs out (converged=False then).
-    `callback(x, value)` fires after every accepted step.
+    """Quasi-Newton minimization of objective(x) -> (value, gradient)
+    from a (P,) start, or from each row of (R, P) starts in lockstep: the
+    objective then takes the pending runs' points as an (R', P) batch and
+    returns (R',) values and (R', P) gradients.  A run stops when the
+    gradient infinity-norm drops below the configured tolerance or its
+    evaluation budget runs out (converged=False then).  Returns the
+    lowest-energy run, ties going to the lowest start, with every run's
+    evaluations summed; `callback(x, value)` fires after every accepted
+    step of every run.
     """
-    run = bfgs_steps(x0, cfg, callback)
-    try:
-        x = next(run)
-        while True:
-            x = run.send(objective(x))
-    except StopIteration as done:
-        return done.value
+    start = time.perf_counter()
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim not in (1, 2) or 0 in x0.shape[:-1]:
+        raise ValueError(f"x0 of shape {x0.shape}; want (P,) or (R, P) "
+                         "with R >= 1")
+    runs = [bfgs_steps(row, cfg, callback) for row in np.atleast_2d(x0)]
+    pending = {k: next(run) for k, run in enumerate(runs)}
+    results: list[VqeResult | None] = [None] * len(runs)
+    while pending:
+        order = list(pending)
+        if x0.ndim == 1:
+            values, grads = objective(pending[0])
+            values, grads = [values], [grads]
+        else:
+            values, grads = objective(np.array([pending[k] for k in order]))
+        for k, value, grad in zip(order, values, grads):
+            try:
+                pending[k] = runs[k].send((value, grad))
+            except StopIteration as done:
+                results[k] = done.value
+                del pending[k]
+    return replace(min(results, key=lambda result: result.energy),
+                   n_evaluations=sum(r.n_evaluations for r in results),
+                   wall_time=time.perf_counter() - start,
+                   restarts_used=len(runs))
 
 
 def circuit_objective(circuit, h: QubitOperator, initial_state: int):
     """Energy/gradient objective over the circuit's parameter vector."""
     return lambda x: adjoint_gradient(circuit, h, x, initial_state)
-
-
-def minimize_in_lockstep(circuit, h: QubitOperator, initial_state: int,
-                         starts, cfg: OptimizerConfig | None = None
-                         ) -> list[VqeResult]:
-    """minimize_bfgs of the circuit's energy from each start, with the
-    points every pending run asks for evaluated as one batch.  A run
-    leaves the batch when it converges or spends its budget; each result
-    is bit-identical to that start's own minimize_bfgs."""
-    runs = [bfgs_steps(x0, cfg) for x0 in starts]
-    pending = {k: next(run) for k, run in enumerate(runs)}
-    results: list[VqeResult | None] = [None] * len(runs)
-    while pending:
-        order = list(pending)
-        energies, grads = adjoint_gradient(
-            circuit, h, np.array([pending[k] for k in order]), initial_state)
-        for k, energy, grad in zip(order, energies, grads):
-            try:
-                pending[k] = runs[k].send((energy, grad))
-            except StopIteration as done:
-                results[k] = done.value
-                del pending[k]
-    return results
 
 
 def run_vqe(ansatz: AnsatzBuild, h: QubitOperator, initial_state: int,
@@ -290,7 +288,6 @@ def run_vqe(ansatz: AnsatzBuild, h: QubitOperator, initial_state: int,
     A build labelled particle-conserving whose circuit leaves the (N, 2Sz)
     sector of the initial state is refused.
     """
-    cfg = cfg or OptimizerConfig()
     circuit = ansatz.circuit
     if ansatz.particle_conserving and not runs_in_sector(circuit,
                                                          initial_state):
@@ -299,21 +296,14 @@ def run_vqe(ansatz: AnsatzBuild, h: QubitOperator, initial_state: int,
     start = time.perf_counter()
     restarts = (ansatz.restarts if circuit.n_params
                 and ansatz.init_policy.kind != "zeros" else 1)
-    starts = [ansatz.init_policy.draw(
+    starts = np.array([ansatz.init_policy.draw(
         circuit.n_params,
         np.random.default_rng(np.random.SeedSequence([seed, restart])))
-        for restart in range(restarts)]
-    if restarts == 1:
-        outcomes = [minimize_bfgs(circuit_objective(circuit, h, initial_state),
-                                  starts[0], cfg)]
-    else:
-        outcomes = minimize_in_lockstep(circuit, h, initial_state, starts,
-                                        cfg)
-    best = min(outcomes, key=lambda outcome: outcome.energy)
-    best.restarts_used = restarts
-    best.n_evaluations = sum(outcome.n_evaluations for outcome in outcomes)
-    best.wall_time = time.perf_counter() - start
-    return best
+        for restart in range(restarts)])
+    result = minimize_bfgs(circuit_objective(circuit, h, initial_state),
+                           starts, cfg)
+    result.wall_time = time.perf_counter() - start
+    return result
 
 
 def run_hea_layer_growth(h: QubitOperator, n_qubits: int, initial_state: int,

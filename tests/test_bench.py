@@ -114,6 +114,22 @@ class TestSaveData:
         assert reparsed.serialize() == text
         assert load_record(path).to_dict() == reparsed.to_dict()
 
+    @pytest.mark.parametrize("write", [
+        lambda path: initdata("X", [1.0], path.parent, force=True),
+        lambda path: savedata(path, "A", 1.0, -1.0)],
+        ids=["initdata", "savedata"])
+    def test_refused_while_a_sweep_holds_the_lock(self, tmp_path, write):
+        initdata("X", [1.0], tmp_path)
+        path = record_path(tmp_path, "X")
+        savedata(path, "B", 1.0, -2.0)
+        before = path.read_bytes()
+        with bench.SweepLock(path):
+            with pytest.raises(DataFileError, match="another sweep owns"):
+                write(path)
+            assert path.read_bytes() == before
+        write(path)  # free again once the lock is released
+        assert path.read_bytes() != before
+
     def test_non_finite_energy_refused(self):
         record = BenchRecord(molecule="X", bond_lengths=[1.0])
         record.slot("energies", "A")[0] = float("inf")
@@ -286,6 +302,24 @@ class TestRunSweep:
         assert record.traces["ADAPT"] == [None]
         _, rows = comparison_table(record, "runtimes")
         assert rows == [[spec.bond_lengths[0], None, None]]
+
+    def test_point_seed_does_not_depend_on_the_data_file(self, tmp_path):
+        # the seed once came from r's index among the data file's bond
+        # lengths: 0 in a file made by `init --bond-lengths 1.0`, 1 in the
+        # fresh one over the H4 fixture set, and the energies differed
+        run = ["run", "--molecule", "H4", "--bond-lengths", "1.0", "--ansatz",
+               "1-UpCCGSD", "--seed", "3", "--max-evaluations", "200"]
+        fresh, made = tmp_path / "fresh", tmp_path / "made"
+        assert main(["init", "--molecule", "H4", "--bond-lengths", "1.0",
+                     "--data-dir", str(made)]) == 0
+        energies = []
+        for data_dir in (fresh, made):
+            assert main([*run, "--data-dir", str(data_dir)]) == 0
+            record = load_record(record_path(data_dir, "H4"))
+            energies.append(
+                record.energies["1-UpCCGSD"][record.point_index(1.0)])
+        assert energies[0] == energies[1]
+        assert round(energies[0], 8) == -2.13515235
 
     def test_mismatched_bond_lengths_refused(self, tmp_path):
         initdata("H2", [9.0], tmp_path)

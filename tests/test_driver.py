@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from vqe_bench.driver import (
     VqeResult,
     circuit_objective,
     minimize_bfgs,
-    minimize_in_lockstep,
     run_hea_layer_growth,
     run_vqe,
 )
@@ -110,6 +110,70 @@ class TestMinimizeBfgs:
                       callback=lambda x, f: history.append(f))
         assert len(history) > 5
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
+
+    @pytest.mark.parametrize("shape", [(), (0, 2), (2, 1, 2)])
+    def test_x0_of_no_start_or_too_many_axes_refused(self, shape):
+        calls = []
+        message = re.escape(f"x0 of shape {shape}")
+        with pytest.raises(ValueError, match=message):
+            minimize_bfgs(lambda x: calls.append(x), np.zeros(shape))
+        assert calls == []
+
+
+def batched_rosenbrock(xs):
+    """rosenbrock on each row of an (R, 2) batch: (R,) values, (R, 2)
+    gradients, each row the bits of its own rosenbrock call."""
+    return tuple(np.array(part) for part in zip(*map(rosenbrock, xs)))
+
+
+class TestStartsInLockstep:
+    def test_callback_fires_after_every_accepted_step_of_every_run(self):
+        starts = np.array([[-1.2, 1.0], [2.0, -1.5], [0.5, 0.5]])
+        cfg = OptimizerConfig(gradient_tolerance=1e-8)
+        alone = []
+        for x0 in starts:
+            history = []
+            minimize_bfgs(rosenbrock, x0, cfg,
+                          callback=lambda x, f: history.append(f))
+            alone.append(history)
+        together = []
+        minimize_bfgs(batched_rosenbrock, starts, cfg,
+                      callback=lambda x, f: together.append(f))
+        assert sorted(together) == sorted(sum(alone, []))
+
+    def test_one_row_is_the_same_run_as_one_start(self):
+        x0 = np.array([-1.2, 1.0])
+        alone = minimize_bfgs(rosenbrock, x0)
+        row = minimize_bfgs(batched_rosenbrock, x0[None, :])
+        assert row.energy == alone.energy
+        assert row.parameters.tolist() == alone.parameters.tolist()
+        assert ((row.n_evaluations, row.n_iterations, row.restarts_used)
+                == (alone.n_evaluations, alone.n_iterations, 1))
+
+    def test_run_vqe_makes_one_minimize_bfgs_call_for_all_restarts(
+            self, monkeypatch):
+        data = bundled_molecule("H2").integrals(0.7414)
+        build = build_brc_closed_shell(data.n_qubits, data.n_electrons)
+        assert build.restarts == 20
+        calls, rows = [], []
+        minimize, gradient = driver.minimize_bfgs, driver.adjoint_gradient
+
+        def counted_minimize(*args, **kwargs):
+            calls.append(np.shape(args[1]))
+            return minimize(*args, **kwargs)
+
+        def counted_gradient(circuit, h, angles, initial):
+            rows.append(len(np.atleast_2d(angles)))
+            return gradient(circuit, h, angles, initial)
+
+        monkeypatch.setattr(driver, "minimize_bfgs", counted_minimize)
+        monkeypatch.setattr(driver, "adjoint_gradient", counted_gradient)
+        result = run_vqe(build, qubit_hamiltonian(data),
+                         hf_state_index(data.n_qubits, data.n_electrons),
+                         seed=5)
+        assert calls == [(20, build.n_params)]
+        assert result.restarts_used == 20
+        assert result.n_evaluations == sum(rows) > 20
 
 
 class TestRunVqe:
@@ -343,6 +407,18 @@ def _bits(values) -> list[str]:
     return [repr(float(v)) for v in np.ravel(values)]
 
 
+def _assert_best_of(alone: list[VqeResult], together: VqeResult) -> None:
+    """together is the lowest-energy run of `alone` (ties to the first),
+    bit for bit, with every run's evaluations summed."""
+    best = min(alone, key=lambda result: result.energy)
+    assert together.energy == best.energy
+    assert together.parameters.tolist() == best.parameters.tolist()
+    assert together.n_iterations == best.n_iterations
+    assert together.converged == best.converged
+    assert together.n_evaluations == sum(r.n_evaluations for r in alone)
+    assert together.restarts_used == len(alone)
+
+
 class TestLockstep:
     """Restarts advanced together see the points and bits they see alone."""
 
@@ -361,7 +437,8 @@ class TestLockstep:
             return energies, grads
 
         monkeypatch.setattr(driver, "adjoint_gradient", recorded)
-        results = minimize_in_lockstep(build.circuit, h, initial, starts, cfg)
+        result = minimize_bfgs(circuit_objective(build.circuit, h, initial),
+                               np.array(starts), cfg)
         # batch t holds point t of every restart that asks for one, in order
         assert len(batches) == max(len(seen) for _, seen in serial)
         for t, (angles, energies, grads) in enumerate(batches):
@@ -369,12 +446,7 @@ class TestLockstep:
             assert _bits(angles) == _bits([x for x, _, _ in live])
             assert _bits(energies) == _bits([e for _, e, _ in live])
             assert _bits(grads) == _bits([g for _, _, g in live])
-        for (alone, _), together in zip(serial, results):
-            assert together.energy == alone.energy
-            assert together.parameters.tolist() == alone.parameters.tolist()
-            assert together.n_evaluations == alone.n_evaluations
-            assert together.n_iterations == alone.n_iterations
-            assert together.converged == alone.converged
+        _assert_best_of([alone for alone, _ in serial], result)
 
     def test_restarts_leaving_on_budget_or_companions_change_nothing(self):
         build, h, initial, starts = _lockstep_case("H4 1-UpCCGSD", 5)
@@ -384,15 +456,11 @@ class TestLockstep:
         cfg = OptimizerConfig(max_energy_evaluations=counts[2])
         alone = [_serial(build, h, initial, x0, cfg)[0] for x0 in starts]
         assert {result.converged for result in alone} == {True, False}
+        objective = circuit_objective(build.circuit, h, initial)
         for subset in ([0, 1, 2, 3, 4], [4, 1], [2]):
-            together = minimize_in_lockstep(
-                build.circuit, h, initial, [starts[k] for k in subset], cfg)
-            for k, result in zip(subset, together):
-                assert result.energy == alone[k].energy
-                assert (result.parameters.tolist()
-                        == alone[k].parameters.tolist())
-                assert result.n_evaluations == alone[k].n_evaluations
-                assert result.converged == alone[k].converged
+            together = minimize_bfgs(
+                objective, np.array([starts[k] for k in subset]), cfg)
+            _assert_best_of([alone[k] for k in subset], together)
 
     def test_run_vqe_reports_the_best_restart_and_every_evaluation(self):
         build, h, initial, starts = _lockstep_case("H4 BRC", 20, seed=3)
