@@ -8,7 +8,6 @@ from .core import (
     AnsatzBuild,
     ExcitationGenerator,
     InitPolicy,
-    compile_generators,
     trotterize,
 )
 from .fixed import (
@@ -16,6 +15,7 @@ from .fixed import (
     build_qucc,
     build_uccsd0,
     build_uccsd_singlet,
+    uccsd_singlet_generators,
 )
 from .layered import (
     build_brc,
@@ -30,8 +30,8 @@ __all__ = [
     "AnsatzBuild",
     "ExcitationGenerator",
     "InitPolicy",
-    "compile_generators",
     "trotterize",
+    "uccsd_singlet_generators",
     "build_uccsd_singlet",
     "build_uccsd0",
     "build_kupccgsd",

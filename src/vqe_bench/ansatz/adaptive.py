@@ -4,8 +4,8 @@ gradient) and QCC (a mean-field product state plus Pauli-string
 entanglers ranked by exact 1-D energy gain, read off the same screening
 pass and one pass of term expectations).
 
-Each piece of work is done once.  A pool's generators keep their qubit
-images and gates, mapped once (ExcitationGenerator), so the pools, the
+Each piece of work is done once.  A generator is mapped at first use and
+keeps its qubit image and gates (ExcitationGenerator), so the pools, the
 screening circuit and the picks rename those gates and map nothing
 again; the loop grows its circuit with ParamCircuit.extended, so each
 iteration compiles only the picked gates onto the plans it already has."""
@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from ..driver import (
     CHEMICAL_ACCURACY,
     OptimizerConfig,
+    check_finite,
     circuit_objective,
     minimize_bfgs,
 )
@@ -33,8 +34,8 @@ from ..simulator import (
     pauli_evolution,
     term_expectations,
 )
-from .core import ZEROS, AnsatzBuild, ExcitationGenerator, generator_gates
-from .fixed import build_uccsd_singlet
+from .core import ZEROS, AnsatzBuild, ExcitationGenerator
+from .fixed import uccsd_singlet_generators
 
 DEFAULT_EPSILON = 1e-2
 TIE_TOLERANCE = 1e-10  # score gap below which two pool entries tie
@@ -64,7 +65,7 @@ class PoolEntry:
         gates = ([] if self.string is None
                  else [pauli_evolution(self.string, name)])
         gates.extend(gate.renamed(name) for gen in self.generators
-                     for gate in generator_gates(gen, n_qubits))
+                     for gate in gen.gates(n_qubits))
         return gates
 
 
@@ -103,13 +104,12 @@ class AdaptiveTrace:
 
 
 def build_fermionic_pool(n_qubits: int, n_electrons: int) -> OperatorPool:
-    """Spin-adapted single/double generator groups, one entry per parameter."""
+    """UCCSD's generator list grouped by parameter, in first-use order."""
     grouped: dict[str, list[ExcitationGenerator]] = {}
-    for gen in build_uccsd_singlet(n_qubits, n_electrons).generators:
+    for gen in uccsd_singlet_generators(n_qubits, n_electrons):
         grouped.setdefault(gen.param_name, []).append(gen)
     return OperatorPool("fermionic-sd", tuple(
-        PoolEntry(label=name, generators=tuple(gens))
-        for name, gens in grouped.items()))
+        PoolEntry(name, tuple(gens)) for name, gens in grouped.items()))
 
 
 def build_qubit_pool(fermionic: OperatorPool,
@@ -143,8 +143,8 @@ def _adapt(h, n_qubits, pool, rank, name, initial, max_iters, cfg,
     """The growth loop, from the gates of `prefix` with their parameters
     optimized from the angles `start`.  Each iteration screens the pool,
     compiled once as a circuit, in one commutator_gradient pass;
-    rank(circuit, values, initial, slopes), one slope per entry (0.0 if
-    it has no gates), gives None to stop or (pick, size, angle).  The pick's
+    rank(circuit, values, initial, slopes), one slope per entry (each
+    needs gates), gives None to stop or (pick, size, angle).  The pick's
     gates join at that angle under parameter f"{name}{iteration}", the
     circuit's last, through circuit.extended, so the longer circuit's
     plans start from the steps already compiled; everything re-optimizes
@@ -153,8 +153,8 @@ def _adapt(h, n_qubits, pool, rank, name, initial, max_iters, cfg,
         raise ValueError(f"iteration count {max_iters} is negative")
     cfg = cfg or OptimizerConfig()
     screen = pool.candidate_circuit(n_qubits)
-    entries = [int(k) for k in screen.param_names]  # entries with gates
-    chosen: list[ExcitationGenerator] = []
+    if screen.n_params != len(pool):
+        raise ValueError("a pool entry has no gates")
     values = np.array(start, dtype=float)
     trace = AdaptiveTrace(converged=False, final_energy=math.nan,
                           iterations=[])
@@ -168,21 +168,14 @@ def _adapt(h, n_qubits, pool, rank, name, initial, max_iters, cfg,
             tick = time.perf_counter()
             slopes = commutator_gradient(circuit, h, values, initial,
                                          screen)[1]
-        scores = np.zeros(len(pool))
-        scores[entries] = slopes
-        ranked = rank(circuit, values, initial, scores)
+        ranked = rank(circuit, values, initial, slopes)
         if ranked is None:
             trace.converged = True
             break
         pick, size, angle = ranked
         entry = pool.entries[pick]
-        param = f"{name}{iteration}"
-        chosen.extend(replace(gen, param_name=param)
-                      for gen in entry.generators)
-        gates = entry.gates(n_qubits, param)
-        if gates:  # its parameter is the circuit's last
-            values = np.append(values, angle)
-        circuit = circuit.extended(gates)
+        circuit = circuit.extended(entry.gates(n_qubits, f"{name}{iteration}"))
+        values = np.append(values, angle)  # its parameter is the last
         outcome = _reoptimize(circuit, h, initial, values, cfg)
         values, energy = outcome.parameters, outcome.energy
         trace.iterations.append(AdaptiveIteration(
@@ -193,16 +186,15 @@ def _adapt(h, n_qubits, pool, rank, name, initial, max_iters, cfg,
             trace.converged = True
             break
     trace.final_energy = energy
-    return AnsatzBuild(circuit, tuple(chosen),
-                       particle_conserving=pool.kind == "fermionic-sd",
-                       init_policy=ZEROS), trace
+    return AnsatzBuild(circuit, init_policy=ZEROS,
+                       particle_conserving=pool.kind == "fermionic-sd"), trace
 
 
 def _steepest(epsilon: float):
     """ADAPT's rule: the largest |slope|, at zero, until the norm of the
     slopes falls below epsilon."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:  # NaN included
+        raise ValueError(f"epsilon {epsilon!r} is not positive and finite")
 
     def rank(circuit, values, initial, slopes):
         norm = float(np.linalg.norm(slopes))
@@ -268,6 +260,10 @@ def qcc_optimize(h: QubitOperator, n_qubits: int, pool: OperatorPool,
         raise ValueError("empty entangler pool")
     if pool.kind != "qubit-pauli":
         raise ValueError("qcc_optimize expects a qubit-pauli pool")
+    check_finite("improvement_tol", improvement_tol)
+    check_finite("chem_tol", chem_tol)
+    if reference_energy is not None:
+        check_finite("reference_energy", reference_energy, signed=True)
     # the Bloch product state is built from the vacuum; initial_state only
     # seeds the mean-field angles to the matching determinant
     gates, values = [], []

@@ -1,5 +1,5 @@
-"""Shared ansatz machinery: excitation generators, init policies, and the
-single-step first-order Trotter compilation into Pauli-evolution gates."""
+"""Shared ansatz machinery: excitation generators (none names an orbital
+twice), init policies, and one first-order Trotter step into gates."""
 
 from __future__ import annotations
 
@@ -29,7 +29,8 @@ class ExcitationGenerator:
     ones.  The fermionic convention is T = a†_{v1} a†_{v2} a_{o2} a_{o1}
     (creations in listed order, annihilations reversed); qubit kinds use
     the ladder operators without Z chains.  Several generators may share a
-    param_name; `prefactor` weights this generator's contribution.
+    param_name; `prefactor` weights this generator's contribution.  No
+    orbital may be listed twice (twice on one side, T would be zero).
     """
 
     kind: str
@@ -43,10 +44,18 @@ class ExcitationGenerator:
     def __post_init__(self):
         if self.kind not in FERMIONIC_KINDS | QUBIT_KINDS:
             raise ValueError(f"unknown generator kind {self.kind}")
+        orbitals = self.occupied + self.virtual
+        for k, p in enumerate(orbitals):
+            if p in orbitals[:k]:
+                raise ValueError(f"orbital {p} appears twice in {self!r}")
 
     def antihermitian_operator(self, n_qubits: int) -> QubitOperator:
         """T - T† mapped to qubits (JW for fermionic kinds)."""
         return self._on_qubits(n_qubits)[0]
+
+    def gates(self, n_qubits: int) -> tuple[Gate, ...]:
+        """Its Pauli-evolution gates, in canonical term order."""
+        return self._on_qubits(n_qubits)[1]
 
     def _on_qubits(self, n_qubits: int) -> tuple[QubitOperator,
                                                  tuple[Gate, ...]]:
@@ -99,10 +108,9 @@ UNIFORM_PM_PI = InitPolicy("uniform", -np.pi, np.pi)
 
 @dataclass
 class AnsatzBuild:
-    """A compiled ansatz circuit plus its build metadata."""
+    """A compiled circuit and how run_vqe starts it; nothing else."""
 
     circuit: ParamCircuit
-    generators: tuple[ExcitationGenerator, ...]
     particle_conserving: bool
     init_policy: InitPolicy
     restarts: int = 1
@@ -112,27 +120,7 @@ class AnsatzBuild:
         return self.circuit.n_params
 
 
-def generator_gates(gen: ExcitationGenerator,
-                    n_qubits: int) -> tuple[Gate, ...]:
-    """Pauli-evolution gates for one generator, in canonical term order."""
-    return gen._on_qubits(n_qubits)[1]
-
-
-def compile_generators(
-        gens, n_qubits: int) -> tuple[ParamCircuit,
-                                      tuple[ExcitationGenerator, ...]]:
-    """Trotterize (one step), dropping generators with an empty image."""
-    gates: list[Gate] = []
-    kept = []
-    for gen in gens:
-        new_gates = generator_gates(gen, n_qubits)
-        if new_gates:
-            gates.extend(new_gates)
-            kept.append(gen)
-    return ParamCircuit(n_qubits, gates), tuple(kept)
-
-
 def trotterize(gens, n_qubits: int) -> ParamCircuit:
-    """First-order single-step product of exponentials, generator order kept."""
-    circuit, _ = compile_generators(gens, n_qubits)
-    return circuit
+    """One first-order Trotter step: every generator's gates, in order."""
+    return ParamCircuit(n_qubits, [gate for gen in gens
+                                   for gate in gen.gates(n_qubits)])

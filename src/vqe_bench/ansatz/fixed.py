@@ -4,8 +4,8 @@ Spatial orbital p covers qubits 2p (alpha) and 2p+1 (beta).  Parameter
 sharing conventions:
 
 * UCCSD: singles keyed by spatial (i, a); doubles keyed by unordered pairs
-  (with repetition) of spatial single excitations, all spin-resolved
-  realizations sharing the key's parameter.
+  (with repetition) of spatial single excitations; each spin-resolved
+  realization naming no spin orbital twice shares the key's parameter.
 * UCCSD0: the same singles; doubles re-parameterized through the
   singlet-pair channel (i <= j, a <= b) and triplet-pair channel
   (i < j, a < b), each channel entry one parameter whose weighted
@@ -25,7 +25,7 @@ from .core import (
     ZEROS,
     AnsatzBuild,
     ExcitationGenerator,
-    compile_generators,
+    trotterize,
 )
 
 
@@ -58,22 +58,27 @@ def _shared_singles(occ, virt) -> list[ExcitationGenerator]:
     return gens
 
 
-def build_uccsd_singlet(n_qubits: int, n_electrons: int) -> AnsatzBuild:
-    """Spin-preserving singles and doubles with spatial parameter sharing."""
+def uccsd_singlet_generators(n_qubits: int, n_electrons: int) -> list:
+    """UCCSD's generators in circuit order, none naming an orbital twice."""
     occ, virt = _spatial_split(n_qubits, n_electrons)
     gens = _shared_singles(occ, virt)
     singles = [(i, a) for i in occ for a in virt]
     for (i, a), (j, b) in combinations_with_replacement(singles, 2):
         name = f"d_{i}_{j}_{a}_{b}"
-        if (i, a) == (j, b):
-            gens.append(ExcitationGenerator(
-                "double", (_alpha(i), _beta(i)), (_alpha(a), _beta(a)), name))
-            continue
-        for spin_i, spin_j in ((_alpha, _alpha), (_beta, _beta),
-                               (_alpha, _beta), (_beta, _alpha)):
+        spins = ((_alpha, _beta),) if (i, a) == (j, b) else (
+            (_alpha, _alpha), (_beta, _beta), (_alpha, _beta), (_beta, _alpha))
+        for spin_i, spin_j in spins:
+            if spin_i is spin_j and (i == j or a == b):
+                continue
             gens.append(ExcitationGenerator(
                 "double", (spin_i(i), spin_j(j)), (spin_i(a), spin_j(b)), name))
-    return AnsatzBuild(*compile_generators(gens, n_qubits),
+    return gens
+
+
+def build_uccsd_singlet(n_qubits: int, n_electrons: int) -> AnsatzBuild:
+    """Spin-preserving singles and doubles with spatial parameter sharing."""
+    gens = uccsd_singlet_generators(n_qubits, n_electrons)
+    return AnsatzBuild(trotterize(gens, n_qubits),
                        particle_conserving=True, init_policy=ZEROS)
 
 
@@ -115,7 +120,7 @@ def build_uccsd0(n_qubits: int, n_electrons: int) -> AnsatzBuild:
     occ, virt = _spatial_split(n_qubits, n_electrons)
     gens = _shared_singles(occ, virt)
     gens.extend(_pair_channel_doubles(occ, virt))
-    return AnsatzBuild(*compile_generators(gens, n_qubits),
+    return AnsatzBuild(trotterize(gens, n_qubits),
                        particle_conserving=True, init_policy=ZEROS)
 
 
@@ -136,9 +141,8 @@ def build_kupccgsd(n_qubits: int, n_electrons: int, k: int) -> AnsatzBuild:
             gens.append(ExcitationGenerator(
                 "paired-double", (_alpha(p), _beta(p)),
                 (_alpha(q), _beta(q)), f"k{block}_pd_{p}_{q}"))
-    return AnsatzBuild(*compile_generators(gens, n_qubits),
-                       particle_conserving=True, init_policy=UNIFORM_0_2PI,
-                       restarts=10)
+    return AnsatzBuild(trotterize(gens, n_qubits), particle_conserving=True,
+                       init_policy=UNIFORM_0_2PI, restarts=10)
 
 
 def build_qucc(n_qubits: int, n_electrons: int) -> AnsatzBuild:
@@ -157,5 +161,5 @@ def build_qucc(n_qubits: int, n_electrons: int) -> AnsatzBuild:
             if (i % 2 + j % 2) == (a % 2 + b % 2):  # Sz-preserving
                 gens.append(ExcitationGenerator(
                     "qubit-double", (i, j), (a, b), f"qd_{i}_{j}_{a}_{b}"))
-    return AnsatzBuild(*compile_generators(gens, n_qubits),
+    return AnsatzBuild(trotterize(gens, n_qubits),
                        particle_conserving=True, init_policy=ZEROS)

@@ -224,7 +224,12 @@ def load_record(path: str | Path) -> BenchRecord:
         payload = json.loads(path.read_text(), parse_constant=_reject_constant)
     except ValueError as exc:  # JSONDecodeError included
         raise DataFileError(f"{path} is not valid JSON: {exc}") from exc
-    return BenchRecord.from_dict(payload)
+    record = BenchRecord.from_dict(payload)
+    found = (record.molecule, payload.get("schema_version", SCHEMA_VERSION))
+    if found != (path.stem, SCHEMA_VERSION):
+        raise DataFileError(f"{path} holds (molecule, schema_version) "
+                            f"{found}; want {(path.stem, SCHEMA_VERSION)}")
+    return record
 
 
 def make_data_dir(path: Path) -> None:

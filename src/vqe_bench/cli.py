@@ -160,6 +160,8 @@ def cmd_record(molecule, ansatz, reference, bond_length, energy, runtime,
     """Record one externally computed energy (e.g. a CCSD reference)."""
     if (ansatz is None) == (reference is None):
         raise click.UsageError("pass exactly one of --ansatz / --reference")
+    if reference and (runtime, n_params) != (None, None):
+        raise click.UsageError("--runtime and --n-params go with --ansatz")
     path = record_path(data_dir, molecule)
     try:
         with SweepLock(path):

@@ -29,6 +29,13 @@ WOLFE_C1, WOLFE_C2 = 1e-4, 0.9  # sufficient decrease, curvature
 CHEMICAL_ACCURACY = 0.0016  # Ha, the paper's band around the FCI energy
 
 
+def check_finite(name: str, value: float, signed: bool = False) -> None:
+    """Refuse a NaN, an infinity or, unless `signed`, a negative value."""
+    if not math.isfinite(value) or (value < 0 and not signed):
+        sign = "" if signed else " and non-negative"
+        raise ValueError(f"{name} must be finite{sign}, not {value!r}")
+
+
 class NumericalError(RuntimeError):
     """Objective returned a non-finite value, or sweep points failed."""
 
@@ -45,9 +52,7 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.max_energy_evaluations < 1:
             raise ValueError("max_energy_evaluations must be at least 1")
-        if not 0.0 <= self.gradient_tolerance < math.inf:
-            raise ValueError("gradient_tolerance must be finite and "
-                             "non-negative")
+        check_finite("gradient_tolerance", self.gradient_tolerance)
 
 
 @dataclass
@@ -326,6 +331,8 @@ def run_hea_layer_growth(h: QubitOperator, n_qubits: int, initial_state: int,
     cfg = cfg or OptimizerConfig()
     if n_budget < 1 or s_restarts < 1 or max_depth < 1:
         raise ValueError("n_budget, s_restarts and max_depth must be positive")
+    check_finite("chem_tol", chem_tol)
+    check_finite("reference_energy", reference_energy, signed=True)
     start = time.perf_counter()
     best: VqeResult | None = None
     best_build: AnsatzBuild | None = None

@@ -98,11 +98,10 @@ def finite_difference_gradient(circuit, h, values, initial, step=1e-6):
 def pool_entry_finite_difference(h, state, entry, n_qubits, step=1e-5):
     """Central finite difference, at theta = 0, of the energy after the
     entry's generator gates run at a shared angle theta on the state."""
-    from vqe_bench.ansatz.core import generator_gates
     from vqe_bench.simulator import apply_gates, expectation
 
     gates = [gate for gen in entry.generators
-             for gate in generator_gates(gen, n_qubits)]
+             for gate in gen.gates(n_qubits)]
     plus = expectation(h, apply_gates(state, gates, [step]))
     minus = expectation(h, apply_gates(state, gates, [-step]))
     return (plus - minus) / (2 * step)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,9 +18,14 @@ from oracles import (
     random_values,
 )
 from vqe_bench import simulator
-from vqe_bench.ansatz import ExcitationGenerator, adaptive, build_uccsd_singlet
-from vqe_bench.ansatz import core
-from vqe_bench.ansatz.core import generator_gates
+from vqe_bench.ansatz import (
+    ExcitationGenerator,
+    adaptive,
+    build_uccsd_singlet,
+    core,
+    trotterize,
+    uccsd_singlet_generators,
+)
 from vqe_bench.ansatz.adaptive import (
     OperatorPool,
     PoolEntry,
@@ -71,23 +77,37 @@ class TestFermionicPool:
     def test_pools_and_screening_circuit_map_each_generator_once(
             self, monkeypatch):
         # the UCCSD build, the qubit pool and the screening circuit each
-        # mapped every generator again: 92 mappings of H4's 36
+        # mapped every generator again: 92 mappings of H4's 36; then the
+        # pool's UCCSD build mapped 36, 8 of them zero (an orbital repeated)
         mapped = []
 
         def recording(op, n_qubits):
-            mapped.append(frozenset(op.terms.items()))
-            return real(op, n_qubits)
+            image = real(op, n_qubits)
+            mapped.append((frozenset(op.terms.items()), len(image.terms)))
+            return image
 
         real = core.jordan_wigner
         monkeypatch.setattr(core, "jordan_wigner", recording)
         fermionic = build_fermionic_pool(8, 4)
+        assert mapped == []  # the pool maps at first use
         build_qubit_pool(fermionic, 8)
         fermionic.candidate_circuit(8)
-        # 8 of the 36 are zero (an orbital repeated) and join no entry
-        nonzero = [terms for terms in mapped if terms]
-        assert len(mapped) == 36
-        assert len(nonzero) == len(set(nonzero)) == 28 == sum(
+        assert len(mapped) == len(set(mapped)) == 28 == sum(
             len(entry.generators) for entry in fermionic.entries)
+        assert all(n_strings for _, n_strings in mapped)
+
+    @pytest.mark.parametrize("n_qubits,n_electrons", [(4, 2), (8, 4), (12, 4)])
+    def test_entries_group_the_uccsd_list_in_order(self, n_qubits,
+                                                   n_electrons):
+        gens = uccsd_singlet_generators(n_qubits, n_electrons)
+        pool = build_fermionic_pool(n_qubits, n_electrons)
+        assert [entry.label for entry in pool.entries] == list(
+            dict.fromkeys(gen.param_name for gen in gens))
+        assert [gen for entry in pool.entries
+                for gen in entry.generators] == gens
+        for entry in pool.entries:
+            assert {gen.param_name for gen in entry.generators} == {
+                entry.label}
 
     def test_entries_are_anti_hermitian_odd_y(self):
         pool = build_fermionic_pool(8, 4)
@@ -212,10 +232,17 @@ class TestPoolScreening:
                                  max_iters=2)
         assert len(trace.iterations) == 2
         assert compiled == [(True, 225)]
-        # a pick appends the same gates its generators compile to
+        # a pick appends its entry's gates renamed adapt{i}: the gates its
+        # generators compile to under that name
+        entries = {entry.label: entry for entry in fermionic.entries}
+        picked = [entries[it.chosen_label] for it in trace.iterations]
         assert build.circuit.gates == tuple(
-            gate for gen in build.generators
-            for gate in generator_gates(gen, 12))
+            gate for i, entry in enumerate(picked)
+            for gate in entry.gates(12, f"adapt{i}"))
+        assert build.circuit.gates == trotterize(
+            [replace(gen, param_name=f"adapt{i}")
+             for i, entry in enumerate(picked)
+             for gen in entry.generators], 12).gates
 
     def test_adapt_restricts_each_step_once(self, monkeypatch):
         # each iteration recompiled its whole circuit, so the weights of
@@ -282,6 +309,37 @@ class TestGrowthLoop:
         for call in calls:
             with pytest.raises(ValueError, match="is negative"):
                 call()
+
+    def test_entry_without_gates_refused(self):
+        # its slope was read as 0.0; no generator maps to no gate now, so
+        # only an entry with neither string nor generators has none
+        h, _, hf_idx = h2_problem()
+        pool = OperatorPool("fermionic-sd", build_fermionic_pool(4, 2).entries
+                            + (PoolEntry("empty"),))
+        with pytest.raises(ValueError, match="no gates"):
+            adapt_vqe(h, 4, pool, initial_state=hf_idx)
+
+    @pytest.mark.parametrize("function,name,value", [
+        ("adapt_vqe", "epsilon", math.nan),
+        ("adapt_vqe", "epsilon", math.inf),
+        ("qubit_adapt_vqe", "epsilon", math.nan),
+        ("qcc_optimize", "improvement_tol", math.nan),
+        ("qcc_optimize", "improvement_tol", -1e-6),
+        ("qcc_optimize", "chem_tol", math.nan),
+        ("qcc_optimize", "chem_tol", -1e-3),
+        ("qcc_optimize", "reference_energy", math.nan),
+        ("qcc_optimize", "reference_energy", math.inf)])
+    def test_non_finite_or_negative_stop_values_rejected(self, function,
+                                                         name, value):
+        # epsilon=nan ran to max_iters unconverged, epsilon=inf returned
+        # at once marked converged; QCC took NaN for all three
+        h, _, hf_idx = h2_problem()
+        fermionic = build_fermionic_pool(4, 2)
+        pool = (fermionic if function == "adapt_vqe"
+                else build_qubit_pool(fermionic, 4))
+        with pytest.raises(ValueError, match=name):
+            getattr(adaptive, function)(h, 4, pool, initial_state=hf_idx,
+                                        **{name: value})
 
 
 class TestAdaptVqe:

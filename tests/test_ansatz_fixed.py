@@ -10,6 +10,7 @@ from vqe_bench.ansatz import (
     build_uccsd0,
     build_uccsd_singlet,
     trotterize,
+    uccsd_singlet_generators,
 )
 from vqe_bench.driver import OptimizerConfig, run_vqe
 from vqe_bench.hamiltonian import (
@@ -80,6 +81,35 @@ class TestTrotterize:
         first = trotterize(gens, 4)
         second = trotterize(gens, 4)
         assert first.gates == second.gates
+
+
+class TestUccsdGeneratorList:
+    @pytest.mark.parametrize("n_qubits,n_electrons,count",
+                             [(4, 2, 3), (8, 4, 28), (12, 4, 104)])
+    def test_no_orbital_repeated_and_every_generator_has_gates(
+            self, n_qubits, n_electrons, count):
+        # H4 listed 36 and LiH 136: each same-spin double with i == j or
+        # a == b named a spin orbital twice and mapped to no gate
+        gens = uccsd_singlet_generators(n_qubits, n_electrons)
+        assert len(gens) == count
+        for gen in gens:
+            orbitals = gen.occupied + gen.virtual
+            assert len(set(orbitals)) == len(orbitals)
+            assert gen.gates(n_qubits)
+        assert (trotterize(gens, n_qubits).gates
+                == build_uccsd_singlet(n_qubits, n_electrons).circuit.gates)
+
+    @pytest.mark.parametrize("kind,occupied,virtual,orbital", [
+        ("double", (0, 0), (1, 2), 0),
+        ("double", (0, 1), (2, 2), 2),
+        ("single", (1,), (1,), 1),
+        ("qubit-double", (0, 1), (3, 0), 0),
+    ])
+    def test_repeated_orbital_refused(self, kind, occupied, virtual,
+                                      orbital):
+        with pytest.raises(ValueError, match=f"orbital {orbital} appears "
+                                             "twice"):
+            ExcitationGenerator(kind, occupied, virtual, "t")
 
 
 class TestParameterCounts:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import socket
 import subprocess
 import sys
@@ -526,6 +527,44 @@ class TestCli:
         assert main(["record", "--molecule", "H2", "--ansatz", "UCCSD",
                      "--bond-length", "9.9", "--energy", "-1.0",
                      "--data-dir", data_dir]) == 1
+
+    @pytest.mark.parametrize("option,value", [("--runtime", "0.5"),
+                                              ("--n-params", "3")])
+    def test_record_reference_with_point_values_is_usage_error(
+            self, tmp_path, capsys, option, value):
+        # both were dropped silently and the command exited 0
+        data_dir = str(tmp_path / "data")
+        main(["init", "--molecule", "H2", "--data-dir", data_dir])
+        path = record_path(data_dir, "H2")
+        before = path.read_bytes()
+        assert main(["record", "--molecule", "H2", "--reference", "ccsd",
+                     "--bond-length", "0.7414", "--energy", "-1.1", option,
+                     value, "--data-dir", data_dir]) == 1
+        assert option in capsys.readouterr().err
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("edit,message", [
+        ({"molecule": "LiH"}, "('LiH', 1); want ('H2', 1)"),
+        ({"schema_version": 99}, "('H2', 99); want ('H2', 1)"),
+        ({"schema_version": "1"}, "('H2', '1'); want ('H2', 1)")],
+        ids=["molecule", "schema version", "schema version a string"])
+    def test_data_file_of_another_molecule_or_schema_refused(
+            self, tmp_path, capsys, edit, message):
+        # an H2.json labelled LiH at version 99 took H2 energies, was
+        # rewritten at version 1, and `compare` labelled its table LiH
+        data_dir = tmp_path / "data"
+        main(["init", "--molecule", "H2", "--data-dir", str(data_dir)])
+        path = record_path(data_dir, "H2")
+        path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+        before = path.read_bytes()
+        with pytest.raises(DataFileError, match=re.escape(message)):
+            load_record(path)
+        for argv in (["run", "--ansatz", "UCCSD"],
+                     ["compare", "--format", "json"]):
+            assert main(argv + ["--molecule", "H2",
+                                "--data-dir", str(data_dir)]) == 2
+            assert message in capsys.readouterr().err
+        assert path.read_bytes() == before
 
     def test_zero_evaluation_budget_fails_without_writing_infinity(
             self, tmp_path):

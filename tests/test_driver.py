@@ -194,7 +194,7 @@ class TestRunVqe:
         empty = ParamCircuit(4, ())
         from dataclasses import replace
 
-        trivial = replace(build, circuit=empty, generators=())
+        trivial = replace(build, circuit=empty)
         result = run_vqe(trivial, self.h, self.hf_idx, seed=0)
         assert result.n_evaluations == 1
         assert result.energy == pytest.approx(
@@ -286,6 +286,16 @@ class TestHeaLayerGrowth:
         h = QubitOperator.identity(-1.0)
         with pytest.raises(ValueError, match="max_depth"):
             run_hea_layer_growth(h, 2, 0, reference_energy=-1.0, max_depth=0)
+
+    @pytest.mark.parametrize("name,value", [
+        ("chem_tol", math.nan), ("chem_tol", math.inf), ("chem_tol", -1e-3),
+        ("reference_energy", math.nan), ("reference_energy", -math.inf)])
+    def test_non_finite_or_negative_stop_values_rejected(self, name, value):
+        # a NaN ran every depth until the budget or max_depth ended it
+        h = QubitOperator.identity(-1.0)
+        kwargs = {"reference_energy": -1.0, name: value}
+        with pytest.raises(ValueError, match=name):
+            run_hea_layer_growth(h, 2, 0, max_depth=1, **kwargs)
 
 
 def _growth_digest(molecule, r, n_budget) -> tuple[str, VqeResult]:

@@ -176,7 +176,7 @@ def test_particle_conserving_flag_is_the_sector_verdict(family, h4,
 def test_mislabelled_particle_conserving_build_refused(h4):
     h, n, hf, _ = h4
     circuit = build_hea(n, 1).circuit
-    build = AnsatzBuild(circuit, (), particle_conserving=True,
+    build = AnsatzBuild(circuit, particle_conserving=True,
                         init_policy=UNIFORM_0_2PI)
     with pytest.raises(ValueError, match="particle-conserving"):
         run_vqe(build, h, hf)

@@ -1,7 +1,7 @@
 """Timings of the structures a point is built from: the Hamiltonian's
 fermionic form, its Jordan-Wigner image and the two together, the
-UCCSD, UCCSD0 and QUCC builds, and the fermionic ADAPT pool, each the
-median (q1, q3) over repeats.
+UCCSD, UCCSD0 and QUCC builds, and the fermionic ADAPT pool's screening
+circuit, each the median (q1, q3) over repeats.
 
     PYTHONPATH=src python3 tools/time_build.py [--repeats 7]
 
@@ -9,8 +9,9 @@ Cases: H4 @ 1.0 and LiH @ 1.6.  Each repeat makes every piece from
 scratch, in the order listed, and so maps every generator afresh:
 build_fermionic_hamiltonian on the integrals, jordan_wigner on that
 operator, qubit_hamiltonian on the integrals, build_uccsd_singlet,
-build_uccsd0, build_qucc and build_fermionic_pool.  Each piece prints
-its size (terms, or gates of the build's circuit, or the pool's gates)
+build_uccsd0, build_qucc and build_fermionic_pool(...).candidate_circuit,
+which maps the pool's generators at first use.  Each piece prints its
+size (terms, or gates of the build's circuit or of the pool's circuit)
 and a digest of what it made, in order and with the reprs of every
 coefficient or binding, next to its timings, so a change that alters
 answers shows.  The machine block is the one perfbench/run.py prints,
@@ -90,9 +91,9 @@ def time_case(molecule: str, bond_length: float, repeats: int) -> dict:
            for family, builder in (("UCCSD", build_uccsd_singlet),
                                    ("UCCSD0", build_uccsd0),
                                    ("QUCC", build_qucc))},
-        "build_fermionic_pool": (
-            lambda: build_fermionic_pool(n, n_electrons),
-            lambda pool: _gates(pool.candidate_circuit(n).gates), "gates"),
+        "fermionic pool circuit": (
+            lambda: build_fermionic_pool(n, n_electrons).candidate_circuit(n),
+            lambda circuit: _gates(circuit.gates), "gates"),
     }
     samples = {name: [] for name in pieces}
     made = {}
