@@ -1,8 +1,8 @@
 """Iterative ansatz construction in one growth loop: ADAPT and
 qubit-ADAPT (fermionic and Pauli-string pools ranked by commutator
 gradient) and QCC (a mean-field product state plus Pauli-string
-entanglers ranked by exact 1-D energy gain, read off the same screening
-pass and one pass of term expectations).
+entanglers ranked by exact 1-D energy gain, read off the slopes and the
+state of one screening pass: ranking runs one forward sweep per iteration).
 
 Each piece of work is done once.  A generator is mapped at first use and
 keeps its qubit image and gates (ExcitationGenerator), so the pools, the
@@ -49,6 +49,11 @@ class PoolEntry:
     generators: tuple[ExcitationGenerator, ...] = ()
     string: PauliString | None = None
 
+    def __post_init__(self):
+        if (self.string is None) != bool(self.generators):
+            raise ValueError(f"pool entry {self.label!r} needs a string or "
+                             "generators, exactly one of the two")
+
     def antihermitian_operator(self, n_qubits: int) -> QubitOperator:
         """Anti-Hermitian generator tau of the gate exp(theta tau): iP for a
         string P, else the sum of the generators' qubit images."""
@@ -60,19 +65,24 @@ class PoolEntry:
 
     def gates(self, n_qubits: int, name: str) -> list[Gate]:
         """The entry's gates, each bound to parameter `name` with its own
-        prefactor: exp(i theta P) for a string, then the generators' gates,
-        renamed from the ones each generator maps once."""
-        gates = ([] if self.string is None
-                 else [pauli_evolution(self.string, name)])
-        gates.extend(gate.renamed(name) for gen in self.generators
-                     for gate in gen.gates(n_qubits))
-        return gates
+        prefactor: exp(i theta P) for a string, else the generators'
+        gates, renamed from the ones each generator maps once."""
+        if self.string is not None:
+            return [pauli_evolution(self.string, name)]
+        return [gate.renamed(name) for gen in self.generators
+                for gate in gen.gates(n_qubits)]
 
 
 @dataclass(frozen=True)
 class OperatorPool:
-    kind: str  # "fermionic-sd" | "qubit-pauli"
+    kind: str  # "fermionic-sd" (generator entries) | "qubit-pauli" (strings)
     entries: tuple[PoolEntry, ...]
+
+    def __post_init__(self):
+        for entry in self.entries:
+            if (entry.string is None) == (self.kind == "qubit-pauli"):
+                raise ValueError(f"a {self.kind} pool cannot hold entry "
+                                 f"{entry.label!r}")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -143,18 +153,16 @@ def _adapt(h, n_qubits, pool, rank, name, initial, max_iters, cfg,
     """The growth loop, from the gates of `prefix` with their parameters
     optimized from the angles `start`.  Each iteration screens the pool,
     compiled once as a circuit, in one commutator_gradient pass;
-    rank(circuit, values, initial, slopes), one slope per entry (each
-    needs gates), gives None to stop or (pick, size, angle).  The pick's
-    gates join at that angle under parameter f"{name}{iteration}", the
-    circuit's last, through circuit.extended, so the longer circuit's
-    plans start from the steps already compiled; everything re-optimizes
-    with adjoint gradients, and reached(energy), if given, may stop it."""
+    rank(slopes, amps), one slope per entry and the state it screened,
+    gives None to stop or (pick, size, angle).  The pick's gates join at
+    that angle under parameter f"{name}{iteration}", the circuit's last,
+    through circuit.extended, so the longer circuit's plans start from
+    the steps already compiled; everything re-optimizes with adjoint
+    gradients, and reached(energy), if given, may stop it."""
     if max_iters < 0:
         raise ValueError(f"iteration count {max_iters} is negative")
     cfg = cfg or OptimizerConfig()
     screen = pool.candidate_circuit(n_qubits)
-    if screen.n_params != len(pool):
-        raise ValueError("a pool entry has no gates")
     values = np.array(start, dtype=float)
     trace = AdaptiveTrace(converged=False, final_energy=math.nan,
                           iterations=[])
@@ -162,13 +170,14 @@ def _adapt(h, n_qubits, pool, rank, name, initial, max_iters, cfg,
     if circuit.n_params:  # QCC's mean field, optimized alone first
         values = _reoptimize(circuit, h, initial, values, cfg).parameters
     tick = time.perf_counter()  # the first screening also gives E(start)
-    energy, slopes = commutator_gradient(circuit, h, values, initial, screen)
+    energy, slopes, amps = commutator_gradient(circuit, h, values, initial,
+                                               screen)
     for iteration in range(max_iters):
         if iteration:
             tick = time.perf_counter()
-            slopes = commutator_gradient(circuit, h, values, initial,
-                                         screen)[1]
-        ranked = rank(circuit, values, initial, slopes)
+            _, slopes, amps = commutator_gradient(circuit, h, values,
+                                                  initial, screen)
+        ranked = rank(slopes, amps)
         if ranked is None:
             trace.converged = True
             break
@@ -196,7 +205,7 @@ def _steepest(epsilon: float):
     if not 0 < epsilon < math.inf:  # NaN included
         raise ValueError(f"epsilon {epsilon!r} is not positive and finite")
 
-    def rank(circuit, values, initial, slopes):
+    def rank(slopes, amps):
         norm = float(np.linalg.norm(slopes))
         return None if norm < epsilon else (_pick(np.abs(slopes)), norm, 0.0)
     return rank
@@ -229,16 +238,6 @@ def qubit_adapt_vqe(h: QubitOperator, n_qubits: int, pool: OperatorPool,
                   initial_state, max_iters, cfg)
 
 
-def _entangler_curves(h, anticommutes, circuit, values, initial, slopes
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """(b, c) per pool string P, for E(tau) = <H_c> + b cos 2tau +
-    c sin 2tau with exp(i tau P) appended: b = <H_a> over the terms of h
-    that anticommute with P (P's row of `anticommutes`), c half P's
-    screening slope."""
-    return (anticommutes @ term_expectations(circuit, h, values, initial),
-            0.5 * slopes)
-
-
 def qcc_optimize(h: QubitOperator, n_qubits: int, pool: OperatorPool,
                  chem_tol: float = CHEMICAL_ACCURACY, max_entanglers: int = 20,
                  initial_state: int = 0,
@@ -249,8 +248,10 @@ def qcc_optimize(h: QubitOperator, n_qubits: int, pool: OperatorPool,
     """Mean-field Bloch product state plus greedily ranked entanglers.
 
     ADAPT's growth loop from the optimized mean field.  Each string P is
-    ranked by its exact 1-D energy gain with everything else frozen, read
-    off _entangler_curves: hypot(b, c) + b at tau* = atan2(-c, -b) / 2.
+    ranked by its exact 1-D energy gain with everything else frozen: with
+    exp(i tau P) appended, E = <H_c> + b cos 2tau + c sin 2tau (b the
+    screened state's <H_a>, over h's terms that anticommute with P; c half
+    P's slope), so the gain is hypot(b, c) + b at atan2(-c, -b) / 2.
     The best joins at tau* and all parameters re-optimize; the trace's
     gradient_norm holds that gain |Delta E|.  Stops when the best gain is
     below improvement_tol, when a supplied reference is matched to
@@ -274,9 +275,8 @@ def qcc_optimize(h: QubitOperator, n_qubits: int, pool: OperatorPool,
     anticommutes = anticommuting([entry.string for entry in pool.entries],
                                  h.terms)
 
-    def rank(circuit, values, initial, slopes):
-        b, c = _entangler_curves(h, anticommutes, circuit, values, initial,
-                                 slopes)
+    def rank(slopes, amps):
+        b, c = anticommutes @ term_expectations(h, amps), 0.5 * slopes
         gains = np.hypot(b, c) + b
         best = _pick(gains)
         return None if gains[best] < improvement_tol else (

@@ -29,7 +29,7 @@ class ExcitationGenerator:
     ones.  The fermionic convention is T = a†_{v1} a†_{v2} a_{o2} a_{o1}
     (creations in listed order, annihilations reversed); qubit kinds use
     the ladder operators without Z chains.  Several generators may share a
-    param_name; `prefactor` weights this generator's contribution.  No
+    param_name; `prefactor`, not zero, weights this generator's term.  No
     orbital may be listed twice (twice on one side, T would be zero).
     """
 
@@ -44,6 +44,8 @@ class ExcitationGenerator:
     def __post_init__(self):
         if self.kind not in FERMIONIC_KINDS | QUBIT_KINDS:
             raise ValueError(f"unknown generator kind {self.kind}")
+        if self.prefactor == 0:
+            raise ValueError(f"zero prefactor in {self!r}")
         orbitals = self.occupied + self.virtual
         for k, p in enumerate(orbitals):
             if p in orbitals[:k]:

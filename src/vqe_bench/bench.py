@@ -229,6 +229,10 @@ def load_record(path: str | Path) -> BenchRecord:
     if found != (path.stem, SCHEMA_VERSION):
         raise DataFileError(f"{path} holds (molecule, schema_version) "
                             f"{found}; want {(path.stem, SCHEMA_VERSION)}")
+    version = record.metadata.get("schema_version", SCHEMA_VERSION)
+    if version != SCHEMA_VERSION:
+        raise DataFileError(f"{path} holds metadata.schema_version "
+                            f"{version!r}; want {SCHEMA_VERSION}")
     return record
 
 

@@ -33,8 +33,8 @@ it holds no 2**n arrays.  Both kinds reverse psi and lam as one [psi,
 lam] array, a sector plan's through doubled index pairs and weights; a
 full-space step turns it in place, and _rotate uses up M [psi, lam].
 Screening pools are circuits too; only h is ever compiled as a matrix.
-Its terms' expectations are read off the state itself, a flip mask at a
-time (term_expectations).
+Its terms' expectations are read off the state a screening pass hands
+back, a flip mask at a time (term_expectations).
 
 Parameter values are one float array, `angles`, in param_names order.
 The kernel takes a leading batch axis: adjoint_gradient at (R, P) angles
@@ -778,20 +778,19 @@ def expectation(h: QubitOperator, amps: np.ndarray) -> float:
     return _real(np.vdot(amps, compiled_sum(h, _n_qubits(amps)) @ amps))
 
 
-def term_expectations(circuit: ParamCircuit, h: QubitOperator, angles,
-                      initial: int = 0) -> np.ndarray:
-    """<c_k Q_k> at the circuit's state for each term of h, in h.terms
-    order, so they sum to <h>.  The terms of one flip mask share the
-    product conj(psi[s ^ flip]) psi[s], summed per term with its signs."""
-    plan, psi = _run(circuit, _angles(circuit, angles), initial)
-    psi, states = _scatter(plan, psi), _indices(1 << circuit.n_qubits)
+def term_expectations(h: QubitOperator, amps: np.ndarray) -> np.ndarray:
+    """<c_k Q_k> at the state for each term of h, in h.terms order, so
+    they sum to <h>.  The terms of one flip mask share the product
+    conj(amps[s ^ flip]) amps[s], summed per term with its signs."""
+    amps = np.asarray(amps, dtype=complex)  # a real state included
+    states = _indices(1 << _n_qubits(amps))
     flips, yz = _masks(h.terms)
     weights = np.fromiter((coeff * pauli_masks(string)[2]
                            for string, coeff in h.terms.items()), complex)
     out = np.empty(len(h.terms))
     for flip in np.unique(flips).tolist():
         rows = np.flatnonzero(flips == flip)
-        product = (psi[states ^ flip].conj() * psi).view(float)
+        product = (amps[states ^ flip].conj() * amps).view(float)
         parity = np.bitwise_count(states & yz[rows, None]) & 1
         sums = ((1 - 2 * parity.view(np.int8)).astype(float)  # one cast
                 @ product.reshape(-1, 2))  # real and imaginary parts
@@ -847,23 +846,23 @@ def parameter_shift_gradient(circuit: ParamCircuit, h: QubitOperator,
 
 def commutator_gradient(circuit: ParamCircuit, h: QubitOperator, angles,
                         initial: int, pool: ParamCircuit
-                        ) -> tuple[float, np.ndarray]:
-    """Energy of the circuit's state psi and, per pool parameter in
-    pool.param_names order, the slope 2 Re<h psi|M psi> of appending its
-    gates at zero, h applied once over the pool plan's basis: the sector
-    when both keep it, else all 2**n.  A pool with a gate that binds no
-    parameter is refused."""
+                        ) -> tuple[float, np.ndarray, np.ndarray]:
+    """Energy of the circuit's state psi, per pool parameter in
+    pool.param_names order the slope 2 Re<h psi|M psi> of appending its
+    gates at zero, h applied once over the pool plan's basis (the sector
+    when both keep it, else all 2**n), and psi as apply_circuit gives it.
+    A pool with a gate that binds no parameter is refused."""
     if any(step.param < 0 for step in _circuit_plan(pool, None).steps):
         raise ValueError("every pool gate must bind a parameter")
     plan, psi = _run(circuit, _angles(circuit, angles), initial)
+    amps = _scatter(plan, psi)
     screen = _circuit_plan(pool, None if plan.basis is None else initial)
-    if screen.basis is None:
-        psi = _scatter(plan, psi)
+    psi = amps if screen.basis is None else psi
     lam = compiled_sum(h, circuit.n_qubits, screen.basis) @ psi
     slopes = np.zeros(pool.n_params)
     for step in screen.steps:
         slopes[step.param] += _slope(lam, *_act(step, psi)[:3])
-    return _real(np.vdot(psi, lam)), slopes
+    return _real(np.vdot(psi, lam)), slopes, amps
 
 
 def number_expectation(amps: np.ndarray) -> float:

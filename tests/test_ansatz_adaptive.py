@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from dataclasses import replace
@@ -183,8 +184,8 @@ class TestPoolScreening:
         rng = np.random.default_rng(seed)
         values = np.array([float(rng.uniform(-0.5, 0.5))
                            for _ in circuit.param_names])
-        energy, slopes = commutator_gradient(circuit, self.H4, values,
-                                             hf_idx, pool)
+        energy, slopes, _ = commutator_gradient(circuit, self.H4, values,
+                                                hf_idx, pool)
         appended = ParamCircuit(8, circuit.gates + pool.gates)
         assert appended.param_names == circuit.param_names + pool.param_names
         expected_energy, grad = adjoint_gradient(
@@ -311,13 +312,14 @@ class TestGrowthLoop:
                 call()
 
     def test_entry_without_gates_refused(self):
-        # its slope was read as 0.0; no generator maps to no gate now, so
-        # only an entry with neither string nor generators has none
-        h, _, hf_idx = h2_problem()
-        pool = OperatorPool("fermionic-sd", build_fermionic_pool(4, 2).entries
-                            + (PoolEntry("empty"),))
-        with pytest.raises(ValueError, match="no gates"):
-            adapt_vqe(h, 4, pool, initial_state=hf_idx)
+        # its slope was read as 0.0; no generator maps to no gate, so only
+        # an entry with neither string nor generators had none, and such
+        # an entry is refused where it is made
+        with pytest.raises(ValueError, match="'empty' needs a string or "
+                                             "generators"):
+            PoolEntry("empty")
+        with pytest.raises(ValueError, match="zero prefactor"):
+            ExcitationGenerator("single", (0,), (2,), "x", prefactor=0.0)
 
     @pytest.mark.parametrize("function,name,value", [
         ("adapt_vqe", "epsilon", math.nan),
@@ -413,7 +415,7 @@ class TestAdaptVqe:
         scores = np.array([1.0, 1.0 + 1e-13])
         monkeypatch.setattr(
             adaptive, "commutator_gradient",
-            lambda circuit, h, values, initial, pool: (0.0, scores))
+            lambda circuit, h, values, initial, pool: (0.0, scores, None))
         _, trace = adapt_vqe(h, 4, pool, initial_state=hf_idx, max_iters=1)
         assert trace.iterations[0].chosen_label == pool.entries[0].label
 
@@ -541,9 +543,10 @@ class TestQcc:
         c = np.array([1.0, 1.0 + 1e-13])
         assert list(-np.hypot(0.0, c)) == [-1.0, -1.0 - 1e-13]
         monkeypatch.setattr(
-            adaptive, "_entangler_curves",
-            lambda h, anticommutes, circuit, values, initial, slopes: (
-                np.zeros(2), c))
+            adaptive, "commutator_gradient",
+            lambda circuit, h, values, initial, pool: (0.0, 2.0 * c, None))
+        monkeypatch.setattr(adaptive, "term_expectations",
+                            lambda h, amps: np.zeros(len(h.terms)))
         _, trace = qcc_optimize(h, 4, pool, initial_state=hf_idx,
                                 max_entanglers=1)
         assert trace.iterations[0].chosen_label == pool.entries[0].label
@@ -565,11 +568,12 @@ class TestQcc:
         pool = OperatorPool("qubit-pauli", tuple(
             PoolEntry(str(s), string=s) for s in strings))
         screen = pool.candidate_circuit(n)
-        slopes = commutator_gradient(circuit, h, values, initial, screen)[1]
-        b, c = adaptive._entangler_curves(
-            h, simulator.anticommuting(strings, h.terms), circuit, values,
-            initial, np.array([slopes[screen.param_names.index(str(k))]
-                               for k in range(len(pool))]))
+        _, slopes, amps = commutator_gradient(circuit, h, values, initial,
+                                              screen)
+        b = (simulator.anticommuting(strings, h.terms)
+             @ simulator.term_expectations(h, amps))
+        c = 0.5 * np.array([slopes[screen.param_names.index(str(k))]
+                            for k in range(len(pool))])
         psi = circuit_state(circuit, values, initial)
         hmat = qubit_operator_matrix(h, n)
         e0 = np.vdot(psi, hmat @ psi).real
@@ -592,6 +596,58 @@ class TestQcc:
             rotated = math.cos(best) * psi + 1j * math.sin(best) * moved
             assert np.vdot(rotated, hmat @ rotated).real == pytest.approx(
                 e0 - gain, abs=1e-10)
+
+    def test_each_ranked_iteration_runs_its_circuit_once(self, monkeypatch):
+        # the ranking ran the circuit a second time for its term
+        # expectations; the screening pass now hands it the state
+        h = qubit_hamiltonian(bundled_molecule("H4").integrals(1.0))
+        qpool = build_qubit_pool(build_fermionic_pool(8, 4), 8)
+        runs, ranked, optimizing = [], [], []
+
+        def counting_run(circuit, *args):
+            if not optimizing:
+                runs.append(circuit.n_params)
+            return real_run(circuit, *args)
+
+        def reoptimizing(*args):
+            optimizing.append(True)
+            try:
+                return real_reoptimize(*args)
+            finally:
+                optimizing.pop()
+
+        def counting_terms(*args):
+            ranked.append(True)
+            return real_terms(*args)
+
+        real_run, real_reoptimize, real_terms = (
+            simulator._run, adaptive._reoptimize, adaptive.term_expectations)
+        monkeypatch.setattr(simulator, "_run", counting_run)
+        monkeypatch.setattr(adaptive, "_reoptimize", reoptimizing)
+        monkeypatch.setattr(adaptive, "term_expectations", counting_terms)
+        _, trace = qcc_optimize(h, 8, qpool,
+                                initial_state=hf_state_index(8, 4),
+                                max_entanglers=3)
+        assert len(trace.iterations) == len(ranked) == 3
+        assert runs == [16, 17, 18]  # the mean field, then one per pick
+
+    def test_mixed_entries_refused(self):
+        # an entry with a string and generators screened as iP but grew
+        # 3 gates on 4 qubits; a pool of the wrong kind of entry reached
+        # anticommuting, which died on a None string
+        string = parse_pauli_string("Y0 X1")
+        single = ExcitationGenerator("single", (0,), (2,), "x")
+        with pytest.raises(ValueError, match="'x' needs a string or "
+                                             "generators"):
+            PoolEntry("x", (single,), string)
+        fermionic = PoolEntry("x", (single,))
+        qubit = PoolEntry("Y0 X1", string=string)
+        with pytest.raises(ValueError, match="qubit-pauli pool cannot hold "
+                                             "entry 'x'"):
+            OperatorPool("qubit-pauli", (qubit, fermionic))
+        with pytest.raises(ValueError, match="fermionic-sd pool cannot "
+                                             "hold entry 'Y0 X1'"):
+            OperatorPool("fermionic-sd", (fermionic, qubit))
 
     # parent picks of the ranking by E(0) and E(+-pi/4), which this one
     # replaced; the labels are exact and the energies within 1e-12 Ha
@@ -623,3 +679,61 @@ class TestQcc:
         assert [it.chosen_label for it in trace.iterations] == labels
         assert trace.final_energy == pytest.approx(final, abs=1e-12)
         assert trace.converged
+
+
+def _adaptive_digest(monkeypatch, kind, molecule, bond_length, **kwargs):
+    """SHA-256 over a run's chosen labels, gradient_norm, energy_after_reopt
+    and n_params per iteration, its final energy and its final parameters
+    (the last re-optimization's), each as a repr of Python numbers."""
+    data = bundled_molecule(molecule).integrals(bond_length)
+    h, n = qubit_hamiltonian(data), data.n_qubits
+    hf_idx = hf_state_index(n, data.n_electrons)
+    pool = build_fermionic_pool(n, data.n_electrons)
+    if kind != "adapt":
+        pool = build_qubit_pool(pool, n)
+    outcomes = []
+
+    def recording(*args):
+        outcomes.append(real(*args))
+        return outcomes[-1]
+
+    real = adaptive._reoptimize
+    monkeypatch.setattr(adaptive, "_reoptimize", recording)
+    run = {"adapt": adapt_vqe, "qubit-adapt": qubit_adapt_vqe,
+           "qcc": qcc_optimize}[kind]
+    _, trace = run(h, n, pool, initial_state=hf_idx, **kwargs)
+    its = trace.iterations
+    digest = hashlib.sha256()
+    for value in ([it.chosen_label for it in its],
+                  [float(it.gradient_norm) for it in its],
+                  [float(it.energy_after_reopt) for it in its],
+                  [it.n_params for it in its], float(trace.final_energy),
+                  outcomes[-1].parameters.tolist()):
+        digest.update(repr(value).encode() + b"\n")
+    return digest.hexdigest()
+
+
+class TestAdaptivePins:
+    """Adaptive trajectories pinned bit for bit at commit 39c4cfa, where
+    QCC's ranking ran the circuit a second time for its term
+    expectations."""
+
+    PINS = {
+        ("adapt", "H4", 1.0, ()): (
+            "c2b33dac52e0b6b218f6d27c6f0e9616bedc6f81f479ef47c912a7bdf93caddc"),
+        ("adapt", "H4", 1.8, ()): (
+            "c071b2a6ab6f137ab2ebaea35227bf47d84250bde65ba5da913508d76f79736a"),
+        ("qubit-adapt", "H4", 1.0, (("max_iters", 3),)): (
+            "9f6f7011f0e4ad701e4bcef74c87cec1cfed90cc96db61f44126039eeb11e09b"),
+        ("qcc", "H4", 1.0, (("max_entanglers", 2),)): (
+            "3f30843096b18d6e1c37d2389ede0db2fe77ca7191d66850de2b611ce8e9b3eb"),
+        ("qcc", "LiH", 1.6, (("max_entanglers", 1),)): (
+            "511f06ed643a100df8e60c85f0b75c7ae34d66887e2981658a6bb950936d52ab"),
+    }
+
+    @pytest.mark.parametrize("kind,molecule,bond_length,kwargs", list(PINS))
+    def test_trajectory_is_pinned(self, monkeypatch, kind, molecule,
+                                  bond_length, kwargs):
+        assert _adaptive_digest(monkeypatch, kind, molecule, bond_length,
+                                **dict(kwargs)) == self.PINS[
+            kind, molecule, bond_length, kwargs]

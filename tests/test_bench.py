@@ -566,6 +566,27 @@ class TestCli:
             assert message in capsys.readouterr().err
         assert path.read_bytes() == before
 
+    def test_data_file_of_another_metadata_schema_refused(self, tmp_path,
+                                                          capsys):
+        # only the top-level version was checked: `compare` exited 0 and
+        # the next save wrote the 99 back
+        data_dir = tmp_path / "data"
+        main(["init", "--molecule", "H2", "--data-dir", str(data_dir)])
+        path = record_path(data_dir, "H2")
+        payload = json.loads(path.read_text())
+        payload["metadata"]["schema_version"] = 99
+        path.write_text(json.dumps(payload))
+        before = path.read_bytes()
+        message = f"{path} holds metadata.schema_version 99; want 1"
+        with pytest.raises(DataFileError, match=re.escape(message)):
+            load_record(path)
+        for argv in (["compare", "--format", "json"],
+                     ["run", "--ansatz", "UCCSD"]):
+            assert main(argv + ["--molecule", "H2",
+                                "--data-dir", str(data_dir)]) == 2
+            assert message in capsys.readouterr().err
+        assert path.read_bytes() == before
+
     def test_zero_evaluation_budget_fails_without_writing_infinity(
             self, tmp_path):
         data_dir = tmp_path / "data"

@@ -397,6 +397,29 @@ def test_embedded_state_matches_oracle_amplitudes(h4, h4_families):
     assert math.isclose(np.linalg.norm(state), 1.0, abs_tol=1e-12)
 
 
+@pytest.mark.parametrize("case", ["sector", "full space"])
+def test_screened_state_is_the_prepared_state(h4, h4_families, case):
+    # QCC's ranking ran the circuit a second time for this state; the
+    # screening pass hands back the amplitudes apply_circuit gives
+    h, n, hf, n_electrons = h4
+    fermionic = build_fermionic_pool(n, n_electrons)
+    if case == "sector":  # H4 UCCSD screened by the fermionic pool
+        circuit, initial = h4_families["UCCSD"].circuit, hf
+        pool = fermionic.candidate_circuit(n)
+    else:  # QCC's mean field from the vacuum, screened by the qubit pool
+        circuit, initial = ParamCircuit(n, [
+            Gate(kind, (q,), param=(f"mf_{kind}{q}", 1.0))
+            for q in range(n) for kind in ("RY", "RZ")]), 0
+        pool = build_qubit_pool(fermionic, n).candidate_circuit(n)
+    assert runs_in_sector(circuit, initial) == (case == "sector")
+    values = random_values(np.random.default_rng(3), circuit)
+    amps = simulator.commutator_gradient(circuit, h, values, initial,
+                                         pool)[2]
+    assert amps.shape == (1 << n,)
+    assert amps.tobytes() == apply_circuit(circuit, values,
+                                           initial).tobytes()
+
+
 def _digest(*values) -> str:
     """SHA-256 over the repr of each value, one per line."""
     digest = hashlib.sha256()
@@ -532,8 +555,8 @@ class TestKernelPins:
         circuit = h4_families["UCCSD"].circuit
         pool = build_fermionic_pool(n, n_electrons).candidate_circuit(n)
         values = random_values(np.random.default_rng(7), circuit)
-        energy, slopes = simulator.commutator_gradient(circuit, h, values,
-                                                       hf, pool)
+        energy, slopes, _ = simulator.commutator_gradient(circuit, h, values,
+                                                          hf, pool)
         assert _digest(energy, list(zip(pool.param_names,
                                         slopes.tolist()))) == (
             "56495f4b71b6205ab1d1cbc4c78a2e5972df03fbf77a86641633872fce0d205d")

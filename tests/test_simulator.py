@@ -149,7 +149,8 @@ class TestTermExpectations:
         values = random_values(rng, circuit)
         initial = int(rng.integers(2 ** n))
         h = random_hermitian_operator(rng, n, 10)
-        terms = simulator.term_expectations(circuit, h, values, initial)
+        terms = simulator.term_expectations(
+            h, apply_circuit(circuit, values, initial))
         psi = circuit_state(circuit, values, initial)
         assert len(terms) == len(h.terms)
         for value, (string, coeff) in zip(terms, h.terms.items()):
@@ -159,16 +160,29 @@ class TestTermExpectations:
             expectation(h, apply_circuit(circuit, values, initial)),
             abs=1e-12)
 
+    def test_real_state(self):
+        # a real array's products were split into false real and
+        # imaginary halves, and the sum raised a shape mismatch
+        h = qo("Z0") + qo("X0", 0.5)
+        terms = simulator.term_expectations(h, np.array([0.6, 0.8]))
+        np.testing.assert_allclose(terms, [0.36 - 0.64, 0.5 * 0.96],
+                                   rtol=0, atol=1e-15)
+
     def test_sector_plan_state(self):
-        # a particle-conserving circuit runs over its sector; the terms
-        # are read off the state scattered to all 2**n amplitudes
+        # a particle-conserving circuit and pool screen over their sector;
+        # the terms are read off the screened state, which
+        # commutator_gradient scatters to all 2**n amplitudes
         circuit = ParamCircuit(4, [
             Gate("GivensRotation", (0, 2), param=("a", 1.0)),
             Gate("GivensRotation", (1, 3), param=("b", 1.0))])
+        pool = ParamCircuit(4, [
+            Gate("GivensRotation", (1, 3), param=("p", 1.0))])
         assert simulator.runs_in_sector(circuit, 0b0011)
+        assert simulator.runs_in_sector(pool, 0b0011)
         h = qo("X0 X2", 0.5) + qo("Z1", -0.3) + qo("Y1 Y3") + qo("X0 Y1")
         values = [0.4, -1.1]  # a, b
-        terms = simulator.term_expectations(circuit, h, values, 0b0011)
+        amps = commutator_gradient(circuit, h, values, 0b0011, pool)[2]
+        terms = simulator.term_expectations(h, amps)
         psi = circuit_state(circuit, values, 0b0011)
         for value, (string, coeff) in zip(terms, h.terms.items()):
             dense = coeff * np.vdot(psi, pauli_matrix(string, 4) @ psi)
@@ -327,8 +341,8 @@ def tau_pool(n_qubits, taus):
 class TestCommutatorGradient:
     def test_commuting_generator_gives_zero(self):
         circuit = ParamCircuit(1, (Gate("H", (0,)),))
-        _, grads = commutator_gradient(circuit, qo("Z0"), [], 0,
-                                       tau_pool(1, [qo("Z0", 1j)]))
+        _, grads, _ = commutator_gradient(circuit, qo("Z0"), [], 0,
+                                          tau_pool(1, [qo("Z0", 1j)]))
         assert abs(grads[0]) < 1e-14
 
     def test_analytic_one_qubit_values(self):
@@ -363,7 +377,7 @@ class TestCommutatorGradient:
             minus = expectation(h, apply_pauli_evolution(state, string,
                                                          -delta))
             fd = (plus - minus) / (2 * delta)
-            _, grads = commutator_gradient(circuit, h, values, 1, pool)
+            _, grads, _ = commutator_gradient(circuit, h, values, 1, pool)
             assert abs(grads[0] - fd) < 1e-4
 
     def test_fermionic_form_matches_dense_expm(self):
@@ -383,8 +397,8 @@ class TestCommutatorGradient:
                          for s in (delta, -delta)]
             fd = (np.vdot(fd_states[0], hmat @ fd_states[0]).real
                   - np.vdot(fd_states[1], hmat @ fd_states[1]).real) / (2 * delta)
-            _, grads = commutator_gradient(circuit, h, values, 2,
-                                           tau_pool(n, [tau]))
+            _, grads, _ = commutator_gradient(circuit, h, values, 2,
+                                              tau_pool(n, [tau]))
             assert abs(grads[0] - fd) < 1e-4
 
     def test_mixed_batch_matches_dense_oracle(self):
@@ -403,7 +417,7 @@ class TestCommutatorGradient:
         expected = [2.0 * np.vdot(h_psi, qubit_operator_matrix(tau, n)
                                   @ state).real for tau in taus]
         pool = tau_pool(n, taus)
-        _, slopes = commutator_gradient(circuit, h, values, 3, pool)
+        _, slopes, _ = commutator_gradient(circuit, h, values, 3, pool)
         grads = [slopes[pool.param_names.index(str(k))]
                  for k in range(len(taus))]
         assert len(grads) == len(taus)
@@ -457,6 +471,7 @@ class TestBareStates:
         x0 = parse_pauli_string("X0")
         for call in (lambda: expectation(qo("Z0"), amps),
                      lambda: number_expectation(amps),
+                     lambda: simulator.term_expectations(qo("Z0"), amps),
                      lambda: simulator.apply_gates(amps, [ry(0, "t")],
                                                    [0.1]),
                      lambda: apply_pauli_evolution(amps, x0, 0.1)):
@@ -483,8 +498,6 @@ ONE_POINT_CALLS = {
     "apply_circuit": lambda c, h, pool, a: apply_circuit(c, a, 1),
     "apply_gates": lambda c, h, pool, a: simulator.apply_gates(
         basis_state(2, 1), c.gates, a),
-    "term_expectations": lambda c, h, pool, a: simulator.term_expectations(
-        c, h, a, 1),
     "parameter_shift_gradient": lambda c, h, pool, a: (
         parameter_shift_gradient(c, h, a, 1, "t")),
     "commutator_gradient": lambda c, h, pool, a: commutator_gradient(

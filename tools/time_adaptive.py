@@ -1,20 +1,27 @@
-"""Timings of adaptive growth: whole ADAPT runs with their plan-compile
-share, and the pool builds they start from, each the median over repeats.
+"""Timings of adaptive growth: whole ADAPT and QCC runs with their
+plan-compile and forward-sweep shares, and the pool builds they start
+from, each the median over repeats.
 
     PYTHONPATH=src python3 tools/time_adaptive.py [--repeats 7]
 
 ADAPT cases: adapt_vqe to convergence from the HF state on H4 @ 1.0,
 H4 @ 1.8 and LiH @ 1.6, each from a freshly built fermionic pool, as
-bench.run_ansatz_point does.  The compile share is the time spent in
-simulator._steps and simulator._restrict (which builds the sector table),
-found by wrapping the two (timing.timed); every commit that has them
-therefore times the same work.  Pool cases: build_fermionic_pool,
-build_qubit_pool on it and the fermionic pool's candidate_circuit, on H4
-and LiH, timed one after the other from scratch each repeat.  Each ADAPT
-case prints its final energy (repr) and each pool case its sizes next to
-the timings, so a change that alters answers shows.  The machine block
-is the one perfbench/run.py prints, with the same thread pins; the last
-line is the result as JSON.
+bench.run_ansatz_point does.  QCC cases: qcc_optimize from the HF state
+over the full qubit pool, built afresh each run, on H4 @ 1.0 with its
+default stops and on LiH @ 1.6 with max_entanglers=3.  The compile share
+is the time spent in simulator._steps and simulator._restrict (which
+builds the sector table), the forward share the time in
+simulator._forward (every forward sweep: screening and re-optimization),
+both found by wrapping those functions (timing.timed), which also counts
+the forward sweeps; every commit that has them therefore times the same
+work.  Pool cases:
+build_fermionic_pool, build_qubit_pool on it and the fermionic pool's
+candidate_circuit, on H4 and LiH, timed one after the other from scratch
+each repeat.  Each growth case prints its pick count and final energy
+(repr), and its JSON lists the picks; each pool case prints its sizes
+next to the timings, so a change that alters answers shows.  The
+machine block is the one perfbench/run.py prints, with the same thread
+pins; the last line is the result as JSON.
 """
 
 from __future__ import annotations
@@ -39,32 +46,46 @@ from vqe_bench.hamiltonian import (  # noqa: E402
 )
 from timing import quartiles, timed  # noqa: E402
 
-ADAPT_CASES = (("H4", 1.0), ("H4", 1.8), ("LiH", 1.6))
+# (family, molecule, bond length, keyword arguments)
+GROWTH_CASES = (("ADAPT", "H4", 1.0, {}), ("ADAPT", "H4", 1.8, {}),
+                ("ADAPT", "LiH", 1.6, {}), ("QCC", "H4", 1.0, {}),
+                ("QCC", "LiH", 1.6, {"max_entanglers": 3}))
 POOL_CASES = (("H4", 1.0), ("LiH", 1.6))  # the sizes are what matter
 COMPILE = ("_steps", "_restrict")
+FORWARD = ("_forward",)
 
 
-def time_adapt(molecule: str, bond_length: float, repeats: int) -> dict:
+def time_growth(family: str, molecule: str, bond_length: float,
+                kwargs: dict, repeats: int) -> dict:
     data = bundled_molecule(molecule).integrals(bond_length)
     h, n = qubit_hamiltonian(data), data.n_qubits
     initial = hf_state_index(n, data.n_electrons)
-    energy = None
-    samples = {"run_ms": [], "compile_ms": []}
+    answer = None
+    samples = {"run_ms": [], "compile_ms": [], "forward_ms": []}
     for repeat in range(repeats + 1):  # the first run compiles h: untimed
         pool = adaptive.build_fermionic_pool(n, data.n_electrons)
+        grow = adaptive.adapt_vqe
+        if family == "QCC":
+            pool = adaptive.build_qubit_pool(pool, n)
+            grow = adaptive.qcc_optimize
         sink: dict = {}
-        with timed(COMPILE, sink):
+        with timed(COMPILE + FORWARD, sink):
             start = time.perf_counter()
-            _, trace = adaptive.adapt_vqe(h, n, pool, initial_state=initial)
+            _, trace = grow(h, n, pool, initial_state=initial, **kwargs)
             total = time.perf_counter() - start
-        if energy is not None and trace.final_energy != energy:
-            raise RuntimeError(f"ADAPT {molecule}: energy changed")
-        energy = trace.final_energy
+        picks = [it.chosen_label for it in trace.iterations]
+        sweeps = sink.get("_forward calls", 0)  # the same on every run
+        if answer is not None and (picks, trace.final_energy) != answer:
+            raise RuntimeError(f"{family} {molecule}: answer changed")
+        answer = picks, trace.final_energy
         if repeat:
             samples["run_ms"].append(total * 1e3)
-            samples["compile_ms"].append(sum(sink.values()) * 1e3)
-    return {"case": f"ADAPT {molecule} @ {bond_length}", "repeats": repeats,
-            "picks": len(trace.iterations), "energy": repr(energy),
+            samples["compile_ms"].append(
+                sum(sink.get(name, 0.0) for name in COMPILE) * 1e3)
+            samples["forward_ms"].append(sink.get("_forward", 0.0) * 1e3)
+    return {"case": f"{family} {molecule} @ {bond_length}",
+            "repeats": repeats, "options": kwargs, "picks": picks,
+            "energy": repr(trace.final_energy), "forward_calls": sweeps,
             **{key: quartiles(values) for key, values in samples.items()}}
 
 
@@ -98,12 +119,15 @@ def main(argv=None) -> int:
     for key, value in machine.items():
         print(f"# env {key}={value}")
     results = []
-    for molecule, bond_length in ADAPT_CASES:
-        result = time_adapt(molecule, bond_length, args.repeats)
+    for case in GROWTH_CASES:
+        result = time_growth(*case, args.repeats)
         results.append(result)
-        print(f"{result['case']:<16} energy {result['energy']:<20} "
-              f"run_ms {result['run_ms']['median']:.2f}  "
-              f"compile_ms {result['compile_ms']['median']:.2f}", flush=True)
+        print(f"{result['case']:<16} picks {len(result['picks']):<3} "
+              f"energy {result['energy']:<20} "
+              f"sweeps {result['forward_calls']:<4} "
+              + "  ".join(f"{key} {result[key]['median']:.2f}"
+                          for key in ("run_ms", "compile_ms", "forward_ms")),
+              flush=True)
     for molecule, bond_length in POOL_CASES:
         result = time_pools(molecule, bond_length, args.repeats)
         results.append(result)

@@ -15,7 +15,8 @@ from vqe_bench import simulator
 
 @contextlib.contextmanager
 def timed(names, sink: dict):
-    """Wrap simulator functions so each call adds its seconds to sink."""
+    """Wrap simulator functions so each call adds its seconds to
+    sink[name] and one to sink[name + " calls"]."""
     originals = {name: getattr(simulator, name) for name in names}
 
     def wrapper(name, function):
@@ -25,6 +26,7 @@ def timed(names, sink: dict):
                 return function(*args, **kwargs)
             finally:
                 sink[name] = sink.get(name, 0.0) + time.perf_counter() - start
+                sink[f"{name} calls"] = sink.get(f"{name} calls", 0) + 1
         return call
 
     try:
