@@ -134,7 +134,7 @@ def build_qubit_pool(fermionic: OperatorPool,
         if string.y_count() % 2)
     return OperatorPool("qubit-pauli", tuple(
         PoolEntry(label=serialize_pauli_string(string), string=string)
-        for string in stripped if string.ops))
+        for string in stripped if string.qubits))
 
 
 def _pick(scores: np.ndarray) -> int:

@@ -216,6 +216,12 @@ def _reject_constant(token: str):
     raise ValueError(f"non-finite number {token}")
 
 
+def _is_schema_version(value) -> bool:
+    """True for SCHEMA_VERSION as a JSON integer; true and 1.0 equal it in
+    Python but are another type."""
+    return type(value) is int and value == SCHEMA_VERSION
+
+
 def load_record(path: str | Path) -> BenchRecord:
     path = Path(path)
     if not path.exists():
@@ -226,11 +232,11 @@ def load_record(path: str | Path) -> BenchRecord:
         raise DataFileError(f"{path} is not valid JSON: {exc}") from exc
     record = BenchRecord.from_dict(payload)
     found = (record.molecule, payload.get("schema_version", SCHEMA_VERSION))
-    if found != (path.stem, SCHEMA_VERSION):
+    if found[0] != path.stem or not _is_schema_version(found[1]):
         raise DataFileError(f"{path} holds (molecule, schema_version) "
                             f"{found}; want {(path.stem, SCHEMA_VERSION)}")
     version = record.metadata.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if not _is_schema_version(version):
         raise DataFileError(f"{path} holds metadata.schema_version "
                             f"{version!r}; want {SCHEMA_VERSION}")
     return record

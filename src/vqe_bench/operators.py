@@ -39,11 +39,29 @@ _AXIS_OF_BITS = (None, "X", "Z", "Y")  # indexed by x bit + 2 * z bit
 _I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 
+class _kept:
+    """A property worked out on first use and kept in the instance's
+    __dict__, which then shadows it: functools.cached_property without
+    the lock Python 3.11 takes on every first use."""
+
+    def __init__(self, method):
+        self.method, self.name = method, method.__name__
+        self.__doc__ = method.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.method(instance)
+        return value
+
+
 @dataclass(frozen=True, init=False)
 class PauliString:
     """Product of X/Y/Z factors on distinct qubits; the empty product is I.
 
-    Built from (qubit, axis) factors and stored as the masks x and z.
+    Built from (qubit, axis) factors and stored as the masks x and z,
+    its only fields; its qubits and label are worked out on first use and
+    kept on it, outside equality, hashing and pickling.
     """
 
     x: int = 0
@@ -80,11 +98,15 @@ class PauliString:
     def axis_on(self, qubit: int) -> str | None:
         return _AXIS_OF_BITS[(self.x >> qubit & 1) | (self.z >> qubit & 1) << 1]
 
-    @property
+    @_kept
     def qubits(self) -> tuple[int, ...]:
         """Qubits carrying a factor, ascending."""
-        mask = self.x | self.z
-        return tuple(q for q in range(mask.bit_length()) if mask >> q & 1)
+        mask, qubits = self.x | self.z, []
+        while mask:
+            low = mask & -mask
+            qubits.append(low.bit_length() - 1)
+            mask ^= low
+        return tuple(qubits)
 
     @property
     def ops(self) -> tuple[tuple[int, str], ...]:
@@ -100,11 +122,23 @@ class PauliString:
     def strip_z(self) -> "PauliString":
         return PauliString.from_masks(self.x, self.z & self.x)
 
+    @_kept
+    def _label(self) -> str:
+        x, z = self.x, self.z
+        return " ".join([
+            f"{_AXIS_OF_BITS[(x >> q & 1) | (z >> q & 1) << 1]}{q}"
+            for q in self.qubits]) or "I"
+
+    def __getstate__(self) -> dict:
+        """The masks alone, so a string pickles the same whether or not
+        its qubits and label were read."""
+        return {"x": self.x, "z": self.z}
+
     def __repr__(self) -> str:
         return f"PauliString({self.ops!r})"
 
     def __str__(self) -> str:
-        return serialize_pauli_string(self)
+        return self._label
 
 
 def _mask_product(x1: int, z1: int, x2: int, z2: int) -> tuple[int, int, int]:
@@ -139,7 +173,8 @@ def parse_pauli_string(text: str) -> PauliString:
 
 
 def serialize_pauli_string(p: PauliString) -> str:
-    return " ".join(f"{axis}{qubit}" for qubit, axis in p.ops) or "I"
+    """"X0 Z3" form, factors ascending by qubit; "I" for the identity."""
+    return p._label
 
 
 def _added(pairs: Iterable[tuple[object, complex]]) -> dict:

@@ -36,6 +36,13 @@ Screening pools are circuits too; only h is ever compiled as a matrix.
 Its terms' expectations are read off the state a screening pass hands
 back, a flip mask at a time (term_expectations).
 
+A Pauli string acts as P|s> = phase (-1)^popcount(s & yz) |s ^ flip>
+(pauli_masks).  Every sign is read off one table of (-1)^popcount(i) as
++-1.0 for i below 2**b, built once per b (_sign_table) and indexed by
+s & yz, b being yz's bit length or, for term_expectations, the qubit
+count: the Pauli-string kernel, pauli_sum_matrix and term_expectations
+share that one parity rule.
+
 Parameter values are one float array, `angles`, in param_names order.
 The kernel takes a leading batch axis: adjoint_gradient at (R, P) angles
 runs one forward and one reverse sweep over an (R, D) array of states,
@@ -227,14 +234,30 @@ def pauli_masks(string: PauliString) -> tuple[int, int, complex]:
     return flip, yz, (1j) ** ((flip & yz).bit_count() % 4)
 
 
+_SIGN_CACHE: dict[int, np.ndarray] = {}
+
+
+def _sign_table(bits: int) -> np.ndarray:
+    """(-1)^popcount(i) as +-1.0 for every i below 2**bits, built once per
+    bits."""
+    table = _SIGN_CACHE.get(bits)
+    if table is None:
+        table = 1.0 - 2.0 * (np.bitwise_count(np.arange(1 << bits)) & 1)
+        _SIGN_CACHE[bits] = table
+    return table
+
+
 def _parity_signs(states: np.ndarray, yz: int) -> np.ndarray | float:
-    """(-1)^popcount(s & yz) for each state s."""
-    return 1.0 - 2.0 * (np.bitwise_count(states & yz) & 1) if yz else 1.0
+    """(-1)^popcount(s & yz) for each state s, read off the sign table."""
+    return _sign_table(yz.bit_length()).take(states & yz) if yz else 1.0
 
 
 def apply_pauli_string(string: PauliString, amps: np.ndarray) -> np.ndarray:
     """Return P|amps> (new array), over the last axis of a batch too."""
     flip, yz, phase = pauli_masks(string)
+    if (flip | yz) >= amps.shape[-1]:
+        raise ValueError(f"{string} acts outside a state of "
+                         f"{amps.shape[-1]} amplitudes")
     states = _indices(amps.shape[-1])
     src = states ^ flip if flip else states
     out = _take(amps, src) if flip else amps.copy()
@@ -783,7 +806,8 @@ def term_expectations(h: QubitOperator, amps: np.ndarray) -> np.ndarray:
     they sum to <h>.  The terms of one flip mask share the product
     conj(amps[s ^ flip]) amps[s], summed per term with its signs."""
     amps = np.asarray(amps, dtype=complex)  # a real state included
-    states = _indices(1 << _n_qubits(amps))
+    n = _n_qubits(amps)
+    states, signs = _indices(1 << n), _sign_table(n)  # s & yz < 2**n
     flips, yz = _masks(h.terms)
     weights = np.fromiter((coeff * pauli_masks(string)[2]
                            for string, coeff in h.terms.items()), complex)
@@ -791,8 +815,7 @@ def term_expectations(h: QubitOperator, amps: np.ndarray) -> np.ndarray:
     for flip in np.unique(flips).tolist():
         rows = np.flatnonzero(flips == flip)
         product = (amps[states ^ flip].conj() * amps).view(float)
-        parity = np.bitwise_count(states & yz[rows, None]) & 1
-        sums = ((1 - 2 * parity.view(np.int8)).astype(float)  # one cast
+        sums = (signs.take(states & yz[rows, None])
                 @ product.reshape(-1, 2))  # real and imaginary parts
         out[rows] = (weights[rows] * (sums[:, 0] + 1j * sums[:, 1])).real
     return out

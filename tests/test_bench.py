@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -587,6 +588,32 @@ class TestCli:
             assert message in capsys.readouterr().err
         assert path.read_bytes() == before
 
+    @pytest.mark.parametrize("value", [True, 1.0], ids=["true", "1.0"])
+    @pytest.mark.parametrize("where", ["top level", "metadata"])
+    def test_schema_version_equal_to_one_but_not_an_integer_refused(
+            self, tmp_path, capsys, where, value):
+        # true and 1.0 compared equal to 1: `compare` exited 0, and the
+        # next save wrote the 1.0 back
+        data_dir = tmp_path / "data"
+        main(["init", "--molecule", "H2", "--data-dir", str(data_dir)])
+        path = record_path(data_dir, "H2")
+        payload = json.loads(path.read_text())
+        if where == "metadata":
+            payload["metadata"]["schema_version"] = value
+            message = (f"{path} holds metadata.schema_version {value!r}; "
+                       "want 1")
+        else:
+            payload["schema_version"] = value
+            message = f"('H2', {value!r}); want ('H2', 1)"
+        path.write_text(json.dumps(payload))
+        before = path.read_bytes()
+        with pytest.raises(DataFileError, match=re.escape(message)):
+            load_record(path)
+        assert main(["compare", "--molecule", "H2", "--format", "json",
+                     "--data-dir", str(data_dir)]) == 2
+        assert message in capsys.readouterr().err
+        assert path.read_bytes() == before
+
     def test_zero_evaluation_budget_fails_without_writing_infinity(
             self, tmp_path):
         data_dir = tmp_path / "data"
@@ -725,6 +752,35 @@ class TestCli:
 
         op = load_qubit_operator(out.read_text())
         assert len(op) == 15
+
+    @pytest.mark.parametrize("molecule,bond_length,pin", [
+        ("H2", "0.7414", "2c7f1445f225385f397eb7258162e697"
+                         "ae2550ec9f1d5ad9160938f8b166cece"),
+        ("H4", "0.8", "2fb65a427777d5c04622fd5b45336470"
+                      "ec520d2e71240c1633293824f1885d6e"),
+        ("H4", "1.0", "242313cd2279f3e77ca0af9f4fba3ca1"
+                      "17603eecec95a6833d2fb77fc15fed58"),
+        ("H4", "1.2", "37b9b70360029b94b2b15452ff100255"
+                      "eda2166a654d0789890a22a94d9274ab"),
+        ("H4", "1.5", "3fc3fddc782df833d329e44ed514b719"
+                      "4586b67655bbfe96b66ed4f8567b06e7"),
+        ("H4", "1.8", "41f4d37e2680fa08870c1ffbc89c4838"
+                      "0e8d88d8bdd05062f61bbf1919a36470"),
+        ("LiH", "1.2", "107fd8db218aa33f0bae4a21b76a5a77"
+                       "feba38404913b34f6edd9d3ecb020f08"),
+        ("LiH", "1.6", "f26f177b348c46343f01f05721f0a52f"
+                       "c9c3f795534550cf1ca733d728460119"),
+        ("LiH", "2.0", "8148241a79f699fa890286e521e520ed"
+                       "e6f3534bb4987d852f6dfc1b4f4e8a20")])
+    def test_dump_hamiltonian_bytes_are_pinned(self, tmp_path, molecule,
+                                               bond_length, pin):
+        # SHA-256 of the file, computed at commit 26938cf, before Pauli
+        # strings kept their labels; every bundled fixture
+        out = tmp_path / "h.txt"
+        assert main(["dump-hamiltonian", "--molecule", molecule,
+                     "--bond-length", bond_length, "--output",
+                     str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == pin
 
     def test_dump_hamiltonian_without_fixture_refused_before_writing(
             self, tmp_path, capsys):

@@ -375,6 +375,22 @@ class TestPauliStringMasks:
         with pytest.raises(ValueError, match="duplicate qubit index 2"):
             PauliString(((2, "X"), (2, "Z")))
 
+    @settings(max_examples=80, deadline=None)
+    @given(PAULI_STRINGS)
+    def test_read_string_is_a_fresh_string(self, string):
+        # qubits and the label are kept on the string once read; x and z
+        # stay its only fields, so nothing else may tell the two apart
+        read = PauliString.from_masks(string.x, string.z)
+        assert read.qubits == string.qubits
+        assert serialize_pauli_string(read) == str(string)
+        fresh = PauliString.from_masks(string.x, string.z)
+        assert read == fresh and hash(read) == hash(fresh)
+        assert pickle.dumps(read) == pickle.dumps(fresh)
+        loaded = pickle.loads(pickle.dumps(read))
+        assert loaded == fresh and vars(loaded) == {"x": string.x,
+                                                    "z": string.z}
+        assert loaded.qubits == string.qubits
+
     def test_immutable(self):
         string = parse_pauli_string("X0 Y2")
         with pytest.raises(AttributeError):

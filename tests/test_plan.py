@@ -523,6 +523,37 @@ FULL_SPACE_PINS = {  # one vector, then batches of 1, 3 and 20 rows
 }
 
 
+# SHA-256 of term_expectations' bytes, computed at commit 26938cf, where
+# each flip mask's signs came from a popcount of every state & yz
+TERM_EXPECTATION_PINS = {  # (molecule, bond length, family, seed)
+    ("H4", 1.0, "UCCSD", 0):
+        "15274697861e0bdc7852674284d67857146c5798d6c8ca05544aabd455174fbd",
+    ("H4", 1.0, "UCCSD", 1):
+        "fd366438597847bb40ad1189c77171e7b9343128c4a1260a0173c663028e3b5c",
+    ("H4", 1.0, "HEA", 0):
+        "6cd322f56a910ac88f8b2ca0eec0e5f198ec0c5883645cf7c4e5c3b29a08a8e9",
+    ("H4", 1.0, "HEA", 1):
+        "60e94d727a856cadf66887a85ec84120a77ae2f9c36b27d65f15876ae9b4a4b0",
+    ("LiH", 1.6, "UCCSD", 0):
+        "37f3c7c4d8baa074c3bfc23526cc690bc45b773edd0b623e7d23cf41d827b488",
+    ("LiH", 1.6, "UCCSD", 1):
+        "da9412d7e133b091d8165e5eb5a2174482f1b92dd8ebfa09039d78dec1c61cfe",
+}
+
+
+@pytest.mark.parametrize("case", sorted(TERM_EXPECTATION_PINS), ids=str)
+def test_term_expectations_are_pinned(case):
+    name, bond_length, family, seed = case
+    h, n, hf, n_electrons = molecule(name, bond_length)
+    circuit = (build_uccsd_singlet(n, n_electrons) if family == "UCCSD"
+               else build_hea(n, 2)).circuit
+    amps = apply_circuit(
+        circuit, random_values(np.random.default_rng(seed), circuit), hf)
+    terms = simulator.term_expectations(h, amps)
+    assert (hashlib.sha256(terms.tobytes()).hexdigest()
+            == TERM_EXPECTATION_PINS[case])
+
+
 class TestKernelPins:
     """Energies, gradients and amplitudes of sector plans, SHA-256 over
     their reprs, pinned bit for bit at commit 1b5bab8, where each step of

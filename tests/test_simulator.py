@@ -189,6 +189,53 @@ class TestTermExpectations:
             assert value == pytest.approx(dense.real, abs=1e-12)
 
 
+class TestParitySigns:
+    """_parity_signs reads (-1)^popcount(s & yz) off one +-1.0 table per
+    mask width; it must give the bytes of the direct popcount."""
+
+    @staticmethod
+    def direct(states, yz):
+        return 1.0 - 2.0 * (np.bitwise_count(states & yz) & 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), mask_bits=st.integers(1, 20),
+           state_bits=st.integers(1, 20))
+    def test_matches_direct_popcount(self, seed, mask_bits, state_bits):
+        # state_bits < mask_bits gives masks wider than the states
+        rng = np.random.default_rng(seed)
+        states = rng.integers(0, 1 << state_bits, 300, dtype=np.int64)
+        yz = int(rng.integers(1 << (mask_bits - 1), 1 << mask_bits))
+        signs = simulator._parity_signs(states, yz)
+        assert signs.dtype == np.float64
+        assert signs.tobytes() == self.direct(states, yz).tobytes()
+        batch = states.reshape(3, 100)
+        assert (simulator._parity_signs(batch, yz).tobytes()
+                == self.direct(batch, yz).tobytes())
+
+    def test_every_state_of_a_full_space(self):
+        states = np.arange(1 << 12, dtype=np.int64)
+        for yz in (1, 0b101100110101, 1 << 11, 1 << 19):
+            assert (simulator._parity_signs(states, yz).tobytes()
+                    == self.direct(states, yz).tobytes())
+        for bits in range(1, 21):  # every entry of every table
+            states, yz = np.arange(1 << bits, dtype=np.int64), (1 << bits) - 1
+            assert (simulator._parity_signs(states, yz).tobytes()
+                    == self.direct(states, yz).tobytes())
+
+    def test_empty_mask_is_plus_one(self):
+        states = np.arange(16, dtype=np.int64)
+        assert simulator._parity_signs(states, 0) == 1.0
+        assert np.all(self.direct(states, 0) == 1.0)
+
+    @pytest.mark.parametrize("text", ["X3", "Z2", "Y0 Z5"])
+    def test_string_outside_the_state_refused(self, text):
+        # a Z past the state's qubits was read as the identity, an X past
+        # them indexed out of range
+        with pytest.raises(ValueError, match="acts outside a state of 4"):
+            simulator.apply_pauli_string(parse_pauli_string(text),
+                                         basis_state(2, 1))
+
+
 class TestAnticommuting:
     def test_matches_dense_products(self):
         rng = np.random.default_rng(8)

@@ -1,7 +1,9 @@
 """Timings of the structures a point is built from: the Hamiltonian's
 fermionic form, its Jordan-Wigner image and the two together, the
-UCCSD, UCCSD0 and QUCC builds, and the fermionic ADAPT pool's screening
-circuit, each the median (q1, q3) over repeats.
+UCCSD, UCCSD0 and QUCC builds, the fermionic ADAPT pool's screening
+circuit, the sector plan of each of those four circuits and the
+Hamiltonian's matrix over that sector, each the median (q1, q3) over
+repeats.
 
     PYTHONPATH=src python3 tools/time_build.py [--repeats 7]
 
@@ -10,12 +12,18 @@ scratch, in the order listed, and so maps every generator afresh:
 build_fermionic_hamiltonian on the integrals, jordan_wigner on that
 operator, qubit_hamiltonian on the integrals, build_uccsd_singlet,
 build_uccsd0, build_qucc and build_fermionic_pool(...).candidate_circuit,
-which maps the pool's generators at first use.  Each piece prints its
-size (terms, or gates of the build's circuit or of the pool's circuit)
-and a digest of what it made, in order and with the reprs of every
-coefficient or binding, next to its timings, so a change that alters
-answers shows.  The machine block is the one perfbench/run.py prints,
-with the same thread pins; the last line is the result as JSON.
+which maps the pool's generators at first use; then, for each of those
+four circuits as this repeat made it, simulator._circuit_plan from the
+Hartree-Fock state (its steps restricted to the state's sector, the
+Pauli-string kernel weighing every step over all 2**n states); and last
+pauli_sum_matrix of the Hamiltonian over that sector, the matrix a
+sector plan's energy and gradient use.  Each piece prints its size
+(terms; gates of a build's or the pool's circuit; rows of a plan's
+table; stored entries of a matrix) and a digest of what it made, in
+order and with the reprs of every coefficient or binding or the bytes
+of every array, next to its timings, so a change that alters answers
+shows.  The machine block is the one perfbench/run.py prints, with the
+same thread pins; the last line is the result as JSON.
 """
 
 from __future__ import annotations
@@ -27,6 +35,8 @@ import os
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from run import THREAD_PINS, environment  # noqa: E402
@@ -42,11 +52,18 @@ from vqe_bench.ansatz.adaptive import build_fermionic_pool  # noqa: E402
 from vqe_bench.hamiltonian import (  # noqa: E402
     build_fermionic_hamiltonian,
     bundled_molecule,
+    hf_state_index,
     qubit_hamiltonian,
 )
 from vqe_bench.operators import (  # noqa: E402
     jordan_wigner,
     serialize_pauli_string,
+)
+from vqe_bench.simulator import (  # noqa: E402
+    _circuit_plan,
+    _state_sector,
+    pauli_sum_matrix,
+    sector_indices,
 )
 from timing import quartiles  # noqa: E402
 
@@ -74,10 +91,38 @@ def _gates(gates) -> tuple[int, str]:
         for g in gates)
 
 
+def _arrays(arrays) -> str:
+    """Digest of arrays' dtypes, shapes and bytes, in order."""
+    h = hashlib.sha256()
+    for array in arrays:
+        h.update(f"{array.dtype} {array.shape}".encode())
+        h.update(array.tobytes())
+    return h.hexdigest()[:16]
+
+
+def _plan(plan) -> tuple[int, str]:
+    """Rows of a sector plan's table, and a digest of its basis and of
+    every step's parameter and (rows, cols, |w|, w)."""
+    if plan.basis is None:
+        raise ValueError("the circuit left its initial state's sector")
+    return len(plan.table.r), _arrays([plan.basis] + [
+        array for step in plan.steps
+        for array in (np.array([step.param]), *step.pairs)])
+
+
+def _matrix(matrix) -> tuple[int, str]:
+    """Stored entries of a CSR matrix and a digest of its arrays."""
+    return matrix.nnz, _arrays((matrix.data, matrix.indices, matrix.indptr))
+
+
 def time_case(molecule: str, bond_length: float, repeats: int) -> dict:
     data = bundled_molecule(molecule).integrals(bond_length)
     n, n_electrons = data.n_qubits, data.n_electrons
     fermionic = build_fermionic_hamiltonian(data)
+    hf = hf_state_index(n, n_electrons)
+    h = qubit_hamiltonian(data)
+    sector = sector_indices(n, *_state_sector(hf))
+    made = {}
     pieces = {  # name: (make, size and digest of what it made, size unit)
         "build_fermionic_hamiltonian": (
             lambda: build_fermionic_hamiltonian(data), _terms, "terms"),
@@ -94,9 +139,18 @@ def time_case(molecule: str, bond_length: float, repeats: int) -> dict:
         "fermionic pool circuit": (
             lambda: build_fermionic_pool(n, n_electrons).candidate_circuit(n),
             lambda circuit: _gates(circuit.gates), "gates"),
+        **{f"compile {name.removeprefix('build ')}": (
+            # this repeat's circuit, made just before, so no plan is cached:
+            # a build's circuit, or the pool's circuit itself
+            lambda name=name: _circuit_plan(
+                getattr(made[name], "circuit", made[name]), hf),
+            _plan, "rows")
+           for name in ("build UCCSD", "build UCCSD0", "build QUCC",
+                        "fermionic pool circuit")},
+        "compile H over the sector": (
+            lambda: pauli_sum_matrix(h, n, sector), _matrix, "entries"),
     }
     samples = {name: [] for name in pieces}
-    made = {}
     for _ in range(repeats):
         for name, (make, _, _) in pieces.items():
             start = time.perf_counter()
@@ -126,8 +180,9 @@ def main(argv=None) -> int:
         results.append(result)
         for name, piece in result["pieces"].items():
             size = " ".join(f"{piece[unit]} {unit}" for unit in
-                            ("terms", "gates") if unit in piece)
-            print(f"{result['case']:<10} {name:<28} {size:<12} "
+                            ("terms", "gates", "rows", "entries")
+                            if unit in piece)
+            print(f"{result['case']:<10} {name:<33} {size:<15} "
                   f"{piece['digest']}  ms {piece['ms']['median']:.2f} "
                   f"({piece['ms']['q1']:.2f}, {piece['ms']['q3']:.2f})",
                   flush=True)
