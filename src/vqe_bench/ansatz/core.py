@@ -14,7 +14,7 @@ from ..operators import (
     ladder_product,
     serialize_pauli_string,
 )
-from ..simulator import Gate, ParamCircuit
+from ..simulator import Gate, ParamCircuit, pauli_evolution
 
 FERMIONIC_KINDS = frozenset({"single", "double", "paired-double",
                              "generalized-single"})
@@ -80,8 +80,7 @@ class ExcitationGenerator:
         op = QubitOperator({string: complex(0.0, 2.0 * c.imag)
                             for string, c in t.terms.items()})
         gates = tuple(
-            Gate("PauliEvolution", string.qubits, generator=string,
-                 param=(self.param_name, op.terms[string].imag))
+            pauli_evolution(string, self.param_name, op.terms[string].imag)
             for string in sorted(op.terms, key=serialize_pauli_string))
         mapped = self._mapped[n_qubits] = (op, gates)
         return mapped
@@ -96,11 +95,11 @@ class InitPolicy:
     high: float = 0.0
 
     def draw(self, n_params: int, rng: np.random.Generator) -> np.ndarray:
-        """Starting angles, one scalar draw per parameter in order."""
+        """Starting angles, drawn in parameter order in one call: the
+        values one scalar draw per parameter gives."""
         if self.kind == "zeros":
             return np.zeros(n_params)
-        return np.array([rng.uniform(self.low, self.high)
-                         for _ in range(n_params)])
+        return rng.uniform(self.low, self.high, n_params)
 
 
 ZEROS = InitPolicy("zeros")

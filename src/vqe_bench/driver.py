@@ -81,7 +81,7 @@ class _Evaluations:
             raise _BudgetExhausted()
         self.count += 1
         energy, grad = yield x
-        if not math.isfinite(energy) or not np.all(np.isfinite(grad)):
+        if not math.isfinite(energy) or not np.isfinite(grad).all():
             raise NumericalError(
                 f"objective returned a non-finite value at x={x!r}")
         if self.best is None or energy < self.best[0]:
@@ -200,7 +200,7 @@ def bfgs_steps(x0, cfg: OptimizerConfig | None = None, callback=None):
     iteration = 0
     first_update = True
     try:
-        while np.max(np.abs(g)) > cfg.gradient_tolerance:
+        while np.abs(g).max() > cfg.gradient_tolerance:
             iteration += 1
             p = -h @ g
             if p @ g >= 0.0:  # safeguard against a corrupted Hessian model
@@ -225,19 +225,21 @@ def bfgs_steps(x0, cfg: OptimizerConfig | None = None, callback=None):
             if callback is not None:
                 callback(x.copy(), f)
             sy = float(s @ y)
-            if sy > 1e-14 * float(np.linalg.norm(s) * np.linalg.norm(y) + 1e-300):
+            # sqrt(v @ v) is np.linalg.norm(v) for a real vector
+            if sy > 1e-14 * (math.sqrt(s @ s) * math.sqrt(y @ y) + 1e-300):
                 if first_update:
                     h = (sy / float(y @ y)) * np.eye(n)
                     first_update = False
                 rho = 1.0 / sy
                 hs = h @ y
-                h = (h - rho * (np.outer(s, hs) + np.outer(hs, s))
-                     + rho * rho * float(y @ hs) * np.outer(s, s)
-                     + rho * np.outer(s, s))
+                # outer products by broadcasting; (hs s^T) is (s hs^T)^T
+                shs, ss = s[:, None] * hs, s[:, None] * s
+                h = (h - rho * (shs + shs.T)
+                     + rho * rho * float(y @ hs) * ss + rho * ss)
     except _BudgetExhausted:
         energy, xs, _ = evaluate.best
         return result(energy, xs, iteration, False)
-    converged = bool(np.max(np.abs(g)) <= cfg.gradient_tolerance)
+    converged = bool(np.abs(g).max() <= cfg.gradient_tolerance)
     return result(f, x, iteration, converged)
 
 

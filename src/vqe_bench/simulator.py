@@ -27,14 +27,20 @@ angle number and each step's slice, index pairs and weights.  A sweep
 computes angle * |w| on all rows at once, then one cos and one sin / |w|
 (of -angle in reverse), so a step only gathers, rotates and scatters its
 rows; cos and sin act elementwise, so each row's factors have the bits a
-per-step pass gives them.  Otherwise the plan runs over all 2**n states
-and its steps act through the Pauli-string kernel per application, so
-it holds no 2**n arrays.  Both kinds reverse psi and lam as one [psi,
-lam] array, a sector plan's through doubled index pairs and weights; a
-full-space step turns it in place, and _rotate uses up M [psi, lam].
-Screening pools are circuits too; only h is ever compiled as a matrix.
-Its terms' expectations are read off the state a screening pass hands
-back, a flip mask at a time (term_expectations).
+per-step pass gives them.  A one-vector sweep casts both to complex once
+per sweep, since a complex-by-float product casts its float factor to
+(c, +0.0) anyway: each step then multiplies complex by complex in place,
+with the operands in the order of a float-factor sweep and so its bits.
+Otherwise the plan runs over all 2**n states and its steps act through
+the Pauli-string kernel per application, so it holds no 2**n arrays.
+Both kinds reverse psi and lam as one [psi, lam] array, a sector plan's
+through doubled index pairs and weights; a full-space step turns it in
+place, and _rotate uses up M [psi, lam].
+Screening pools are circuits too; only h is ever compiled as a matrix,
+and it is weighed a flip mask at a time: one sign-table read for all of
+the mask's terms, summed in term order from zero.  Its terms'
+expectations are read off the state a screening pass hands back, a flip
+mask at a time too (term_expectations).
 
 A Pauli string acts as P|s> = phase (-1)^popcount(s & yz) |s ^ flip>
 (pauli_masks).  Every sign is read off one table of (-1)^popcount(i) as
@@ -66,6 +72,9 @@ IMAG_RESIDUE_TOLERANCE = 1e-9
 # 20 bytes per compiled entry (complex128, int32 column): 168 MB; a 14-qubit
 # molecular Hamiltonian with dense integrals needs 2.7M over its full space
 MAX_COMPILED_ENTRIES = 1 << 23
+# (term, row) products pauli_sum_matrix weighs at once: ~100 kB of
+# temporaries, so a compile's peak memory stays where a term loop's was
+_WEIGH_BLOCK = 1 << 12
 
 PARAMETERIZED_KINDS = frozenset(
     {"RX", "RY", "RZ", "PauliEvolution", "GivensRotation"})
@@ -138,8 +147,14 @@ def ry(q: int, name: str, prefactor: float = 1.0) -> Gate:
 
 def pauli_evolution(string: PauliString, name: str,
                     prefactor: float = 1.0) -> Gate:
-    return Gate("PauliEvolution", string.qubits, generator=string,
-                param=(name, prefactor))
+    """exp(i prefactor * angle P), angle bound to `name`.  Its targets are
+    the string's own qubits, so it passes every __post_init__ check by
+    construction and is made without running them, as Gate.renamed is."""
+    gate = object.__new__(Gate)
+    gate.__dict__.update(kind="PauliEvolution", targets=string.qubits,
+                         generator=string, param=(name, prefactor),
+                         angle=None)
+    return gate
 
 
 @dataclass(frozen=True)
@@ -286,10 +301,11 @@ def _state_sector(index: int) -> tuple[int, int]:
 
 def pauli_sum_matrix(op: QubitOperator, n_qubits: int,
                      basis: np.ndarray | None = None) -> scipy.sparse.csr_array:
-    """op over a sorted list of basis states (default: all 2**n_qubits) as a
-    CSR matrix.  The terms of one flip mask fold into one weight per row r,
-    at the column of r ^ flip; zero weights and columns outside the basis
-    are dropped.  Past MAX_COMPILED_ENTRIES it raises before allocating."""
+    """op over a list of distinct basis states, its rows and columns in the
+    list's order (default: all 2**n_qubits, in order), as a CSR matrix.
+    The terms of one flip mask fold into one weight per row r, at the
+    column of r ^ flip; zero weights and columns outside the basis are
+    dropped.  Past MAX_COMPILED_ENTRIES it raises before allocating."""
     masks: dict[int, list[tuple[int, complex]]] = {}
     for string, coeff in op.terms.items():
         flip, yz, phase = pauli_masks(string)
@@ -297,15 +313,30 @@ def pauli_sum_matrix(op: QubitOperator, n_qubits: int,
             raise ValueError(f"{string} acts outside a {n_qubits}-qubit state")
         masks.setdefault(flip, []).append((yz, coeff * phase))
     rows = _indices(1 << n_qubits) if basis is None else np.asarray(basis)
+    outside = rows[(rows < 0) | (rows >= 1 << n_qubits)]
+    if outside.size:
+        raise ValueError(f"basis state {outside[0]} lies outside a "
+                         f"{n_qubits}-qubit state")
+    order = np.arange(len(rows), dtype=np.int32)
     position = np.full(1 << n_qubits, -1, dtype=np.int32)
-    position[rows] = np.arange(len(rows), dtype=np.int32)
+    position[rows] = order
+    repeated = rows[position[rows] != order]  # a later copy took its place
+    if repeated.size:
+        raise ValueError(f"basis state {repeated[0]} appears twice")
+    signs = _sign_table(n_qubits)
+    masks = {flip: (np.array([yz for yz, _ in terms])[:, None],
+                    np.array([coeff for _, coeff in terms])[:, None])
+             for flip, terms in masks.items()}
 
     def entries():  # per mask: rows kept, their columns and weights
-        for flip, terms in masks.items():
+        for flip, (yz, coeffs) in masks.items():
             states = rows ^ flip
-            weights = np.zeros(len(rows), dtype=complex)
-            for yz, coeff in terms:
-                weights += coeff * _parity_signs(states, yz)
+            # every term's signs in one take, summed in term order from 0,
+            # over row blocks of at most _WEIGH_BLOCK (term, row) products
+            step = max(_WEIGH_BLOCK // len(yz), 1)
+            weights = np.concatenate([np.add.reduce(
+                coeffs * signs.take(states[k:k + step] & yz), axis=0,
+                initial=0) for k in range(0, len(states), step)])
             cols = position[states]
             keep = (weights != 0) & (cols >= 0)
             yield keep, cols[keep], weights[keep]
@@ -319,8 +350,9 @@ def pauli_sum_matrix(op: QubitOperator, n_qubits: int,
     indices, data = np.empty(indptr[-1], np.int32), np.empty(indptr[-1], complex)
     cursor = indptr[:-1].copy()
     for keep, cols, weights in entries():
-        indices[cursor[keep]], data[cursor[keep]] = cols, weights
-        cursor[keep] += 1
+        at = cursor[keep]
+        indices[at], data[at] = cols, weights
+        cursor[keep] = at + 1
     return scipy.sparse.csr_array((data, indices, indptr.astype(np.int32)),
                                   shape=(len(rows), len(rows)))
 
@@ -435,6 +467,7 @@ def _steps(gates, param_names, start=()) -> tuple[_Step, ...]:
     step, without the pairs its predecessor may hold."""
     index = {name: k for k, name in enumerate(param_names)}
     steps: list[_Step] = list(start)
+    open_step, fused = None, {}  # the last fused step and its terms' dict
     for gate in gates:
         if gate.kind in FIXED_KINDS:
             u = _FIXED_MATRICES[gate.kind]
@@ -447,18 +480,25 @@ def _steps(gates, param_names, start=()) -> tuple[_Step, ...]:
         name, prefactor = gate.param
         terms = {string: prefactor * coeff for string, coeff in terms.items()}
         last = steps[-1] if steps else None
-        if (last is not None and last.param == index[name]
-                and _flip(last) == next(iter(terms)).x
-                and _commute(terms, [string for string, _ in last.terms])):
-            fused = dict(last.terms)
+        fusing = (last is not None and last.param == index[name]
+                  and _flip(last) == next(iter(terms)).x
+                  and _commute(terms, [string for string, _ in last.terms]))
+        if fusing:
+            if open_step is not last:  # copied once per step, not per gate
+                fused = dict(last.terms)
             for string, coeff in terms.items():
-                fused[string] = fused.get(string, 0.0) + coeff
-            terms = fused
+                coeff = fused.get(string, 0.0) + coeff
+                if coeff != 0:
+                    fused[string] = coeff
+                else:  # as the tuple below drops it
+                    fused.pop(string, None)
             steps.pop()
+            terms = fused
         terms = tuple((string, coeff) for string, coeff in terms.items()
                       if coeff != 0)
         if terms:
             steps.append(_Step(index[name], 0.0, terms))
+        open_step = steps[-1] if fusing and terms else None
     return tuple(steps)
 
 
@@ -530,12 +570,18 @@ def _grown(circuit: ParamCircuit, sector) -> tuple[_Step, ...]:
     return _steps(circuit.gates[n_gates:], circuit.param_names, start)
 
 
+def _check_index(index: int, n_qubits: int) -> None:
+    """Refuse an index that names no basis state of n_qubits qubits."""
+    if not 0 <= index < (1 << n_qubits):
+        raise ValueError(f"basis index {index} out of range")
+
+
 def _circuit_plan(circuit: ParamCircuit, initial: int | None) -> _Plan:
     """The circuit's plan from basis state `initial`, cached per sector;
     for None, its plan over all 2**n states.  A grown circuit starts each
     plan from its prefix's steps."""
-    if initial is not None and not 0 <= initial < (1 << circuit.n_qubits):
-        raise ValueError(f"basis index {initial} out of range")
+    if initial is not None:
+        _check_index(initial, circuit.n_qubits)
     plans = circuit._plans
     if None not in plans:
         plans[None] = _Plan(circuit.n_qubits, _grown(circuit, None))
@@ -637,10 +683,15 @@ def _forward(plan: _Plan, amps: np.ndarray, angles: np.ndarray) -> None:
     if table is not None:
         turn = _turns(table, angles)
         cos, sin = np.cos(turn), np.sin(turn) / table.r
-        if amps.ndim == 1:
+        if amps.ndim == 1:  # factors cast to complex once, not per product
+            cos, sin = cos.astype(complex), sin.astype(complex)
             for span, rows, cols, w in table.sweep:
-                amps[rows] = (amps[rows] * cos[span]
-                              + w * amps[cols] * sin[span])
+                moved = w * amps[cols]
+                moved *= sin[span]
+                old = amps[rows]
+                old *= cos[span]
+                old += moved
+                amps[rows] = old
         else:
             for span, rows, cols, w in table.sweep:
                 amps[:, rows] = (amps.take(rows, axis=1) * cos[:, span]
@@ -681,18 +732,23 @@ def _reverse_sector(table: _Table, psi: np.ndarray, lam: np.ndarray,
     scatters once.  The slope reads the lam and M psi halves of what it
     gathered, so np.vdot and _dot see the operands a sweep of psi and lam
     one at a time would give them."""
-    grad = np.zeros(psi.shape[:-1] + angles.shape[-1:])
     turn = -_turns(table, angles)
     cos = _take(np.cos(turn), table.twice)
     sin = _take(np.sin(turn) / table.r, table.twice)
     stacked = np.concatenate((psi, lam), axis=-1)
-    if psi.ndim == 1:
+    if psi.ndim == 1:  # complex factors and float slopes, as in _forward
+        cos, sin = cos.astype(complex), sin.astype(complex)
+        slopes = [0.0] * angles.shape[-1]
         for param, span, k, rows, cols, w in reversed(table.doubled):
             old, moved = stacked[rows], w * stacked[cols]
             if param >= 0:  # <lam| M |psi>, M the step's generator
-                grad[param] += 2.0 * np.vdot(old[k:], moved[:k]).real
-            stacked[rows] = old * cos[span] + moved * sin[span]
-        return grad
+                slopes[param] += 2.0 * float(np.vdot(old[k:], moved[:k]).real)
+            moved *= sin[span]
+            old *= cos[span]
+            old += moved
+            stacked[rows] = old
+        return np.array(slopes)
+    grad = np.zeros(psi.shape[:-1] + angles.shape[-1:])
     for param, span, k, rows, cols, w in reversed(table.doubled):
         old, moved = stacked.take(rows, axis=1), w * stacked.take(cols, axis=1)
         if param >= 0:
@@ -809,6 +865,10 @@ def term_expectations(h: QubitOperator, amps: np.ndarray) -> np.ndarray:
     n = _n_qubits(amps)
     states, signs = _indices(1 << n), _sign_table(n)  # s & yz < 2**n
     flips, yz = _masks(h.terms)
+    outside = np.flatnonzero((flips | yz) >> n)
+    if outside.size:
+        raise ValueError(f"{list(h.terms)[outside[0]]} acts outside a "
+                         f"{n}-qubit state")
     weights = np.fromiter((coeff * pauli_masks(string)[2]
                            for string, coeff in h.terms.items()), complex)
     out = np.empty(len(h.terms))
@@ -824,6 +884,7 @@ def term_expectations(h: QubitOperator, amps: np.ndarray) -> np.ndarray:
 def basis_expectation(h: QubitOperator, n_qubits: int, index: int) -> float:
     """<index|h|index>, read off h's matrix over the state's (N, 2Sz)
     sector, the one a plan from that state compiles h over."""
+    _check_index(index, n_qubits)
     basis = sector_indices(n_qubits, *_state_sector(index))
     diagonal = compiled_sum(h, n_qubits, basis).diagonal()
     return _real(diagonal[np.searchsorted(basis, index)])

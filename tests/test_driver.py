@@ -12,6 +12,7 @@ from vqe_bench.ansatz import (
     build_ldca,
     build_uccsd_singlet,
 )
+from vqe_bench.ansatz.core import UNIFORM_0_2PI, UNIFORM_PM_PI
 from vqe_bench.driver import (
     NumericalError,
     OptimizerConfig,
@@ -174,6 +175,22 @@ class TestStartsInLockstep:
         assert calls == [(20, build.n_params)]
         assert result.restarts_used == 20
         assert result.n_evaluations == sum(rows) > 20
+
+
+@pytest.mark.parametrize("policy", [UNIFORM_0_2PI, UNIFORM_PM_PI])
+def test_init_draw_gives_the_scalar_draws(policy):
+    # one rng.uniform call for all parameters, not one per parameter
+    for seed in range(25):
+        for n_params in (0, 1, 8, 37):
+            def rng():
+                return np.random.default_rng(
+                    np.random.SeedSequence([seed, n_params]))
+            scalar_rng = rng()
+            scalar = np.array([scalar_rng.uniform(policy.low, policy.high)
+                               for _ in range(n_params)], dtype=float)
+            drawn = policy.draw(n_params, rng())
+            assert drawn.shape == (n_params,)
+            assert drawn.tobytes() == scalar.tobytes()
 
 
 class TestRunVqe:

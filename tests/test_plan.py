@@ -35,10 +35,16 @@ from vqe_bench.ansatz.layered import (
 from vqe_bench.driver import run_vqe
 from vqe_bench.hamiltonian import (
     bundled_molecule,
+    bundled_molecules,
     hf_state_index,
     qubit_hamiltonian,
 )
-from vqe_bench.operators import parse_pauli_string
+from vqe_bench.operators import (
+    PauliString,
+    QubitOperator,
+    parse_pauli_string,
+    serialize_pauli_string,
+)
 from vqe_bench.simulator import (
     Gate,
     ParamCircuit,
@@ -52,6 +58,7 @@ from oracles import (
     energy_gradient,
     random_circuit,
     random_hermitian_operator,
+    random_string,
     random_values,
 )
 
@@ -613,3 +620,167 @@ class TestKernelPins:
         assert _digest(_gradient_digest(circuit, h, values, initial),
                        *(_batch_digest(circuit, h, initial, n_rows, n_rows)
                          for n_rows in (1, 3, 20))) == FULL_SPACE_PINS[name]
+
+
+# SHA-256 of pauli_sum_matrix's (dtype, shape, bytes) of data, indices and
+# indptr, over the Hartree-Fock state's sector and over all 2**n states,
+# computed at commit 8d81c8c, where each flip mask's weights were summed a
+# term at a time
+MATRIX_PINS = {
+    ("H2", 0.7414): (
+        "6bd22d6919d4dddd8e2562d0ebe0a0b8ada074be643054bacfd73bc872a4acc7",
+        "d7f34cea20dd0221905658d385b52ca3c0b0ed8b85aea898299ce92554183281"),
+    ("H4", 0.8): (
+        "a00bc5132e83fc0d519d9434cbaefbc928988c3886966011c4fff1112eddabb7",
+        "57c188acd341e62026c5a3dc2edfd3886ca0d45c0e6f377a3756c21be936b452"),
+    ("H4", 1.0): (
+        "bdf9a4659ccdd60094d6c772a56c7ac5bdfac942dc893308db8f91c30493f784",
+        "3867c4de61bc0e876e64dad9cc55cfd8f1bd78b62ec592fd412b49b857b06f6f"),
+    ("H4", 1.2): (
+        "aad71659c8b2a181ec7d7836313753b920bf0979b79f388bc47572eb208a129b",
+        "18ade1c863807aa835ab0bca0cc70e70e47ea5299749cc9e94582f9b741204d2"),
+    ("H4", 1.5): (
+        "627862d4372efe41b6b583b6252c02210e42759c4413fc63b6f19eb2e223ace2",
+        "2fb66804e86e25475dd8079cb4e1f5becf7f724a6a2333b7af6c2b718584b0f0"),
+    ("H4", 1.8): (
+        "f385a6234117c7da0ef0d75f282354e4b2038763ffa5354122d29e190e9babf2",
+        "785721e40e054d312724806cde4e40ea012aa1772ca8aba1cce8a58189c06794"),
+    ("LiH", 1.2): (
+        "1b6953ba699ecda86faf22041e657397d6dc74ce48be3b02068d9e4d6f071a37",
+        "19077413e076008e41aa1cc3916b864c0a069482e0f5894ccf250a471245516a"),
+    ("LiH", 1.6): (
+        "57468577541eff84179f3d1927afc2f9c1bd088dc777f1de959611d97796c8b6",
+        "a4b5fc26f59c8c8bdb62d541b686a49078ec4c5489b49af301485e8b23bf155b"),
+    ("LiH", 2.0): (
+        "e922a8dc2a2674354345238a6f39cd01e6d55b3a4479d56fd9e4e4036b8a6ae4",
+        "5830ad256a7289f46af88c2b91ce6140163bc4e74343ef15593c8e0b80693be5"),
+}
+# steps and SHA-256 over each step's parameter, angle and (label, coefficient
+# bits) terms, in order, computed at commit 8d81c8c, where every fused gate
+# copied the open step's term dict
+STEP_PINS = {
+    ("H4", 1.0, "UCCSD"): (
+        28, "140814431c0aafdbe02900f83456256bb07498c1b9f5f585f8555de7d28fe6ef"),
+    ("H4", 1.0, "UCCSD0"): (
+        30, "1c853b44f1e6cd0b9a2c70a079ddd82137649708cae451507312aa0be85af1fe"),
+    ("H4", 1.0, "QUCC"): (
+        26, "675bcb68388a752036ef23264bf649bfd330c08e66fd30ac0d2c9a462aabc1d9"),
+    ("H4", 1.0, "2-UpCCGSD"): (
+        36, "fa32a6f8e2505ba3ccc7cd777c88b95a82e859b05d788020ee09e459c7d668e5"),
+    ("H4", 1.0, "fermionic pool"): (
+        28, "140814431c0aafdbe02900f83456256bb07498c1b9f5f585f8555de7d28fe6ef"),
+    ("H4", 1.0, "qubit pool"): (
+        160, "3b7fc1a9810e9865471593a9676056bc5f1d1c13efa1a0ee1684d7819f031915"),
+    ("LiH", 1.6, "UCCSD"): (
+        104, "b9b81f1de008664b8abf4a38fed7159a64d625568ec41395c91531c984918192"),
+    ("LiH", 1.6, "UCCSD0"): (
+        116, "bb869507e0c9f0ec16a78fcc4e9f74c086cb1fb4a067e1f3ed0ba4c3f5eb84f1"),
+    ("LiH", 1.6, "QUCC"): (
+        92, "fe44a2c6f703bc87b0773ba3c80b1aeb1b5c343d2359eddd10b1f41058ec27d0"),
+    ("LiH", 1.6, "2-UpCCGSD"): (
+        90, "0a78664e87155fff4749bd01367f3757afdcfac9b3a1fe22d609efb7c43ace61"),
+    ("LiH", 1.6, "fermionic pool"): (
+        104, "b9b81f1de008664b8abf4a38fed7159a64d625568ec41395c91531c984918192"),
+    ("LiH", 1.6, "qubit pool"): (
+        640, "65c34b9dbbab6ee5f585743b2efe31e407084345a4fb502a407d3001a7813bf1"),
+}
+
+# the same digests for _random_complex_operator(seed), over its basis and
+# over all 64 states, computed at commit 8d81c8c
+RANDOM_MATRIX_PINS = {
+    0: (
+        "522774ba11683ef3977f3510b551c7bf2a535bdf5baa0c4f8e0da3e6bf7dbe32",
+        "f2127fa8fa8d0bae1584b572f1ce67e36b13450f9da0ce89db5da12e5b67fe86"),
+    1: (
+        "e3fabfdc90dcca7cde4cc59b627f46184c1a31fcbbe115e72e053aac9ba55bbe",
+        "4024e8515344f52126da9f38a3bc12b4fe9ab6d3b2a19df2db7bb687c5ab3d32"),
+    2: (
+        "d7f8884d7c433dafff20b0d08a8411883e2e23ef21df5f0a71491919965603a7",
+        "31d95b18adb860806c85066ef206b5226de5d7aa57065efb8af41b65ee6ffdd2"),
+    3: (
+        "d597c902baa85bae9b04072af743fbb06b93830a2be068efa84440a76a0833b6",
+        "9322dd96de2f478c1a237e705cf3ec3ee796222bc3b78c38b7cb7e4ec03df021"),
+    4: (
+        "7f30f46a6917087926ba3a7902beb3022abd02f9f7969d5d1fdcf3c740572cd7",
+        "7e1ae677ca89a5644ac59a5784f9e5cef9a5198759d9be8722f2fcfe1725a7da"),
+}
+
+
+def _random_complex_operator(seed):
+    """40 random strings on 6 qubits with complex coefficients, 8 of them
+    each with a partner P Z_q of the opposite coefficient, which cancels
+    it on half the rows of their flip mask; and a basis of 32 states."""
+    rng = np.random.default_rng(seed)
+    pairs = [(random_string(rng, 6), complex(rng.normal(), rng.normal()))
+             for _ in range(40)]
+    for string, coeff in pairs[:8]:
+        free = [q for q in range(6) if not (string.x | string.z) >> q & 1]
+        if free:
+            pairs.append((PauliString.from_masks(
+                string.x, string.z | 1 << free[0]), -coeff))
+    basis = np.sort(rng.choice(64, size=32, replace=False))
+    return QubitOperator.summed(pairs), basis
+
+
+def _matrix_digest(matrix) -> str:
+    digest = hashlib.sha256()
+    for array in (matrix.data, matrix.indices, matrix.indptr):
+        digest.update(f"{array.dtype} {array.shape}".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def _steps_digest(steps) -> str:
+    digest = hashlib.sha256()
+    for step in steps:
+        digest.update(f"{step.param} {step.angle!r}".encode())
+        for string, coeff in step.terms:
+            digest.update(f" {serialize_pauli_string(string)} "
+                          f"{coeff.real!r} {coeff.imag!r}".encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+class TestCompilePins:
+    """The compiled forms a plan and its energy are made of: the
+    Hamiltonian's CSR matrix and the fused steps of a circuit."""
+
+    def test_every_fixture_matrix_is_bit_identical(self):
+        assert set(MATRIX_PINS) == {
+            (name, r) for name in bundled_molecules()
+            for r in bundled_molecule(name).bond_lengths}
+        diverged = []
+        for (name, r), pins in MATRIX_PINS.items():
+            h, n, hf, _ = molecule(name, r)
+            sector = simulator.sector_indices(
+                n, *simulator._state_sector(hf))
+            digests = (
+                _matrix_digest(simulator.pauli_sum_matrix(h, n, sector)),
+                _matrix_digest(simulator.pauli_sum_matrix(h, n)))
+            diverged += [f"{name}@{r} {space}" for space, digest, pin in zip(
+                ("sector", "full space"), digests, pins) if digest != pin]
+        assert not diverged, f"compiled matrix changed: {diverged}"
+
+    @pytest.mark.parametrize("seed", sorted(RANDOM_MATRIX_PINS))
+    def test_random_complex_operator_matrix_is_bit_identical(self, seed):
+        op, basis = _random_complex_operator(seed)
+        assert (_matrix_digest(simulator.pauli_sum_matrix(op, 6, basis)),
+                _matrix_digest(simulator.pauli_sum_matrix(op, 6))) == (
+            RANDOM_MATRIX_PINS[seed])
+
+    @pytest.mark.parametrize("case", sorted(STEP_PINS), ids=str)
+    def test_steps_are_bit_identical(self, case):
+        name, r, family = case
+        _, n, _, n_electrons = molecule(name, r)
+        fermionic = build_fermionic_pool(n, n_electrons)
+        circuit = {
+            "UCCSD": lambda: build_uccsd_singlet(n, n_electrons).circuit,
+            "UCCSD0": lambda: build_uccsd0(n, n_electrons).circuit,
+            "QUCC": lambda: build_qucc(n, n_electrons).circuit,
+            "2-UpCCGSD": lambda: build_kupccgsd(n, n_electrons, 2).circuit,
+            "fermionic pool": lambda: fermionic.candidate_circuit(n),
+            "qubit pool": lambda: build_qubit_pool(
+                fermionic, n).candidate_circuit(n),
+        }[family]()
+        steps = simulator._steps(circuit.gates, circuit.param_names)
+        assert (len(steps), _steps_digest(steps)) == STEP_PINS[case]

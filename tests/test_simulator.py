@@ -189,6 +189,17 @@ class TestTermExpectations:
             assert value == pytest.approx(dense.real, abs=1e-12)
 
 
+    def test_term_beyond_the_state_refused(self):
+        # Z5 read 1.0 and Z0 Z3 read as Z0 on two qubits; X5 raised a raw
+        # IndexError
+        state = basis_state(2, 0b01)
+        for text in ("Z5", "Z0 Z3", "X5"):
+            h = qo("Z0") + qo(text)
+            with pytest.raises(ValueError,
+                               match=f"{text} acts outside a 2-qubit state"):
+                simulator.term_expectations(h, state)
+
+
 class TestParitySigns:
     """_parity_signs reads (-1)^popcount(s & yz) off one +-1.0 table per
     mask width; it must give the bytes of the direct popcount."""
@@ -298,6 +309,31 @@ class TestPauliSumMatrix:
                 pauli_sum_matrix(qo(text), 2)
             with pytest.raises(ValueError, match="outside"):
                 expectation(qo(text), state)
+
+    @pytest.mark.parametrize("basis, state", [
+        ([3, 3], 3), ([1, 2, 1], 1), ([-1, 2], -1), ([0, 5], 5)])
+    def test_basis_of_repeated_or_foreign_states_refused(self, basis, state):
+        # [3, 3] gave the non-Hermitian [[0, -1], [0, -1]], [-1, 2] was
+        # read as states 3 and 2, and [0, 5] raised a raw IndexError
+        h = qo("Z0") + qo("X0 X1", 0.5)
+        with pytest.raises(ValueError, match=f"basis state {state} "):
+            pauli_sum_matrix(h, 2, np.array(basis))
+
+    def test_basis_in_any_order(self):
+        h = qo("Z0") + qo("X0 X1", 0.5) + qo("Y0 Z1", 0.25)
+        basis = np.array([3, 0, 2])
+        np.testing.assert_array_equal(
+            pauli_sum_matrix(h, 2, basis).toarray(),
+            qubit_operator_matrix(h, 2)[np.ix_(basis, basis)])
+
+    def test_basis_expectation_of_a_foreign_index_refused(self):
+        # raised "index 0 is out of bounds for axis 0 with size 0"
+        h = qo("Z0") + qo("X0 X1", 0.5)
+        for index in (7, -1):
+            with pytest.raises(ValueError,
+                               match=f"basis index {index} out of range"):
+                simulator.basis_expectation(h, 2, index)
+        assert simulator.basis_expectation(h, 2, 0b11) == -1.0
 
     def test_cached_matrix_follows_the_state_size(self):
         h = qo("Z0", 2.0)

@@ -2,8 +2,8 @@
 fermionic form, its Jordan-Wigner image and the two together, the
 UCCSD, UCCSD0 and QUCC builds, the fermionic ADAPT pool's screening
 circuit, the sector plan of each of those four circuits and the
-Hamiltonian's matrix over that sector, each the median (q1, q3) over
-repeats.
+Hamiltonian's matrix over that sector and over all 2**n states, each the
+median (q1, q3) over repeats.
 
     PYTHONPATH=src python3 tools/time_build.py [--repeats 7]
 
@@ -17,7 +17,8 @@ four circuits as this repeat made it, simulator._circuit_plan from the
 Hartree-Fock state (its steps restricted to the state's sector, the
 Pauli-string kernel weighing every step over all 2**n states); and last
 pauli_sum_matrix of the Hamiltonian over that sector, the matrix a
-sector plan's energy and gradient use.  Each piece prints its size
+sector plan's energy and gradient use, then over all 2**n states, the
+one a full-space plan uses.  Each piece prints its size
 (terms; gates of a build's or the pool's circuit; rows of a plan's
 table; stored entries of a matrix) and a digest of what it made, in
 order and with the reprs of every coefficient or binding or the bytes
@@ -149,6 +150,8 @@ def time_case(molecule: str, bond_length: float, repeats: int) -> dict:
                         "fermionic pool circuit")},
         "compile H over the sector": (
             lambda: pauli_sum_matrix(h, n, sector), _matrix, "entries"),
+        "compile H over all states": (
+            lambda: pauli_sum_matrix(h, n), _matrix, "entries"),
     }
     samples = {name: [] for name in pieces}
     for _ in range(repeats):

@@ -14,14 +14,16 @@ product, then reverse sweep) and simulator._reverse (timing.timed); the
 h product is the _adjoint time less the _reverse time.  Every run of
 this file on any commit that has those three functions and this
 adjoint_gradient therefore times the same work.  Each case prints its
-energy (first row) next to its timings, so a change that alters answers
-shows.  The machine block is the one perfbench/run.py prints, with the
-same thread pins; the last line is the result as JSON.
+energy (first row) and a digest of every row's energy and gradient
+bytes next to its timings, so a change that alters answers shows.  The
+machine block is the one perfbench/run.py prints, with the same thread
+pins; the last line is the result as JSON.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -90,6 +92,9 @@ def run_case(name, molecule, bond_length, builder, rows, repeats) -> dict:
 
     for _ in range(WARMUP):
         energy = evaluate()
+    energies, grad = simulator.adjoint_gradient(circuit, h, batch, initial)
+    digest = hashlib.sha256(np.asarray(energies).tobytes()
+                            + grad.tobytes()).hexdigest()[:16]
     per_row = max(rows, 1) / 1e3  # seconds per evaluation -> ms per row
     samples = {"forward_ms": [], "h_product_ms": [], "reverse_ms": [],
                "evaluation_ms": []}
@@ -106,7 +111,7 @@ def run_case(name, molecule, bond_length, builder, rows, repeats) -> dict:
         samples["reverse_ms"].append(sink["_reverse"] / per_row)
         samples["evaluation_ms"].append(total / per_row)
     return {"case": name, "rows": max(rows, 1), "repeats": repeats,
-            "energy": repr(energy),
+            "energy": repr(energy), "digest": digest,
             **{key: quartiles(values) for key, values in samples.items()}}
 
 
@@ -124,6 +129,7 @@ def main(argv=None) -> int:
         result = run_case(*case, args.repeats)
         results.append(result)
         print(f"{result['case']:<12} energy {result['energy']:<20} "
+              f"{result['digest']}  "
               + "  ".join(f"{key} {result[key]['median']:.4f}"
                           for key in ("forward_ms", "h_product_ms",
                                       "reverse_ms", "evaluation_ms")),
