@@ -8,7 +8,8 @@ Each piece of work is done once.  A generator is mapped at first use and
 keeps its qubit image and gates (ExcitationGenerator), so the pools, the
 screening circuit and the picks rename those gates and map nothing
 again; the loop grows its circuit with ParamCircuit.extended, so each
-iteration compiles only the picked gates onto the plans it already has."""
+iteration compiles only the picked gates onto the plans it already has.
+The trace is built once, frozen; a point is timed only in run_ansatz_point."""
 
 from __future__ import annotations
 
@@ -94,7 +95,7 @@ class OperatorPool:
             for gate in entry.gates(n_qubits, str(k))])
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdaptiveIteration:
     chosen_label: str
     gradient_norm: float
@@ -103,7 +104,7 @@ class AdaptiveIteration:
     wall_time: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdaptiveTrace:
     converged: bool
     final_energy: float
@@ -164,8 +165,7 @@ def _adapt(h, n_qubits, pool, rank, name, initial, max_iters, cfg,
     cfg = cfg or OptimizerConfig()
     screen = pool.candidate_circuit(n_qubits)
     values = np.array(start, dtype=float)
-    trace = AdaptiveTrace(converged=False, final_energy=math.nan,
-                          iterations=[])
+    iterations, converged = [], False
     circuit = ParamCircuit(n_qubits, prefix)
     if circuit.n_params:  # QCC's mean field, optimized alone first
         values = _reoptimize(circuit, h, initial, values, cfg).parameters
@@ -179,7 +179,7 @@ def _adapt(h, n_qubits, pool, rank, name, initial, max_iters, cfg,
                                                   initial, screen)
         ranked = rank(slopes, amps)
         if ranked is None:
-            trace.converged = True
+            converged = True
             break
         pick, size, angle = ranked
         entry = pool.entries[pick]
@@ -187,16 +187,16 @@ def _adapt(h, n_qubits, pool, rank, name, initial, max_iters, cfg,
         values = np.append(values, angle)  # its parameter is the last
         outcome = _reoptimize(circuit, h, initial, values, cfg)
         values, energy = outcome.parameters, outcome.energy
-        trace.iterations.append(AdaptiveIteration(
+        iterations.append(AdaptiveIteration(
             chosen_label=entry.label, gradient_norm=size,
             energy_after_reopt=energy, n_params=circuit.n_params,
             wall_time=time.perf_counter() - tick))
         if reached is not None and reached(energy):
-            trace.converged = True
+            converged = True
             break
-    trace.final_energy = energy
-    return AnsatzBuild(circuit, init_policy=ZEROS,
-                       particle_conserving=pool.kind == "fermionic-sd"), trace
+    return (AnsatzBuild(circuit, init_policy=ZEROS,
+                        particle_conserving=pool.kind == "fermionic-sd"),
+            AdaptiveTrace(converged, energy, iterations))
 
 
 def _steepest(epsilon: float):

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 
 from ..operators import PauliString
-from ..simulator import Gate, ParamCircuit
+from ..simulator import Gate, ParamCircuit, pauli_evolution
 from .core import (
     UNIFORM_0_2PI,
     UNIFORM_PM_PI,
@@ -37,12 +37,9 @@ def build_hea(n_qubits: int, depth: int) -> AnsatzBuild:
 
 
 def _matchgate_block(qa: int, qb: int, prefix: str) -> list[Gate]:
-    gates = []
-    for idx, axes in enumerate(LDCA_BLOCK_AXES):
-        string = PauliString(((qa, axes[0]), (qb, axes[1])))
-        gates.append(Gate("PauliEvolution", (qa, qb), generator=string,
-                          param=(f"{prefix}_{idx}", 1.0)))
-    return gates
+    return [pauli_evolution(PauliString(((qa, axes[0]), (qb, axes[1]))),
+                            f"{prefix}_{idx}")
+            for idx, axes in enumerate(LDCA_BLOCK_AXES)]
 
 
 def build_ldca(n_qubits: int, cycles: int) -> AnsatzBuild:

@@ -64,6 +64,8 @@ SCHEMA_VERSION = 1
 DEFAULT_LDCA_CYCLES = 2
 KUPCCGSD_PATTERN = re.compile(r"^([1-9]\d*)-UpCCGSD$")  # k >= 1
 REFERENCE_KINDS = ("fci", "hf", "ccsd")
+# comparison columns that an ansatz of the same name would clash with
+RESERVED_ANSATZ_NAMES = ("CCSD", "bond_length")
 
 # the ansatz names besides the k-UpCCGSD family that KUPCCGSD_PATTERN matches
 NAMED_ANSATZES = ("UCCSD", "UCCSD0", "QUCC", "HEA", "LDCA", "BRC", "ADAPT",
@@ -143,6 +145,10 @@ class BenchRecord:
             mapping = getattr(self, name)
             if not isinstance(mapping, dict):
                 raise DataFileError(f"{name} is not a mapping of lists")
+            for key in RESERVED_ANSATZ_NAMES:
+                if key in mapping:
+                    raise DataFileError(f"{name} holds ansatz {key!r}, the "
+                                        "name of a comparison column")
             lists.update({f"{name} list for {key!r}": (values, name)
                           for key, values in mapping.items()})
         for label, (values, name) in lists.items():
@@ -167,8 +173,11 @@ class BenchRecord:
     def store(self, ansatz: str, bond_length: float, energy, runtime=None,
               n_params=None, trace=None) -> None:
         """Fill one point's aligned slots; a null energy (a failed point)
-        nulls the point's runtime, n_params and trace too.  A value that
-        no data file may hold is refused before anything is stored."""
+        nulls the point's runtime, n_params and trace too.  A value no data
+        file may hold, or a reserved ansatz name, is refused first."""
+        if ansatz in RESERVED_ANSATZ_NAMES:
+            raise ValueError(f"ansatz name {ansatz!r} is the name of a "
+                             "comparison column")
         values = {"energies": energy, "runtimes": runtime,
                   "n_params": n_params, "traces": trace}
         for name, value in values.items():
@@ -310,7 +319,7 @@ def rounddata(record: BenchRecord, decimals: int) -> BenchRecord:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class PointResult:
     energy: float
     n_params: int
@@ -327,9 +336,11 @@ def _point_seed(master_seed: int, ansatz: str, point_idx: int) -> int:
 def run_ansatz_point(name: str, h, n_qubits: int, n_electrons: int,
                      fci: float, cfg: OptimizerConfig, seed: int
                      ) -> PointResult:
-    """Run one ansatz on one prepared Hamiltonian point."""
+    """Run one ansatz on one prepared Hamiltonian point, the one place a
+    point is timed: its runtime covers the build and the optimization."""
     hf_idx = hf_state_index(n_qubits, n_electrons)
     tick = time.perf_counter()
+    energy = trace = None  # a fixed build's energy comes from run_vqe
     match = KUPCCGSD_PATTERN.match(name)
     if match:
         build = build_kupccgsd(n_qubits, n_electrons, int(match.group(1)))
@@ -346,8 +357,7 @@ def run_ansatz_point(name: str, h, n_qubits: int, n_electrons: int,
     elif name == "HEA":
         build, result = run_hea_layer_growth(
             h, n_qubits, hf_idx, reference_energy=fci, cfg=cfg, seed=seed)
-        return PointResult(result.energy, build.n_params,
-                           time.perf_counter() - tick)
+        energy = result.energy
     elif name in ("ADAPT", "qubit-ADAPT", "QCC"):
         pool = build_fermionic_pool(n_qubits, n_electrons)
         if name != "ADAPT":
@@ -359,13 +369,13 @@ def run_ansatz_point(name: str, h, n_qubits: int, n_electrons: int,
             grow = adapt_vqe if name == "ADAPT" else qubit_adapt_vqe
             build, trace = grow(h, n_qubits, pool, initial_state=hf_idx,
                                 cfg=cfg)
-        return PointResult(trace.final_energy, build.n_params,
-                           time.perf_counter() - tick, trace.to_dict())
+        energy, trace = trace.final_energy, trace.to_dict()
     else:
         raise ValueError(f"unknown ansatz {name!r}")
-    result = run_vqe(build, h, hf_idx, cfg, seed=seed)
-    return PointResult(result.energy, build.n_params,
-                       time.perf_counter() - tick)
+    if energy is None:
+        energy = run_vqe(build, h, hf_idx, cfg, seed=seed).energy
+    return PointResult(energy, build.n_params, time.perf_counter() - tick,
+                       trace)
 
 
 class SweepLock:

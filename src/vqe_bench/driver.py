@@ -10,12 +10,12 @@ lockstep: the pending points of the live runs go to the objective as one
 (R', P) batch, and a run leaves it when it converges or spends its
 budget, seeing the points and bits it would alone.  HEA layer growth
 stays serial, since each restart's budget is what the ones before it
-left."""
+left.  Nothing here keeps a clock: a point is timed only in
+bench.run_ansatz_point, and a VqeResult is frozen once returned."""
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,13 +55,12 @@ class OptimizerConfig:
         check_finite("gradient_tolerance", self.gradient_tolerance)
 
 
-@dataclass
+@dataclass(frozen=True)
 class VqeResult:
     energy: float
     parameters: np.ndarray  # in the order of the objective's vector
     n_evaluations: int
     n_iterations: int
-    wall_time: float
     converged: bool
     restarts_used: int = 1
 
@@ -189,9 +188,7 @@ def bfgs_steps(x0, cfg: OptimizerConfig | None = None, callback=None):
         return VqeResult(energy=float(energy),
                          parameters=np.array(xs, dtype=float),
                          n_evaluations=evaluate.count,
-                         n_iterations=n_iter,
-                         wall_time=0.0,  # minimize_bfgs times the call
-                         converged=converged)
+                         n_iterations=n_iter, converged=converged)
 
     f, g = yield from evaluate(x)  # the budget is at least one evaluation
     if n == 0:
@@ -255,7 +252,6 @@ def minimize_bfgs(objective, x0, cfg: OptimizerConfig | None = None,
     evaluations summed; `callback(x, value)` fires after every accepted
     step of every run.
     """
-    start = time.perf_counter()
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim not in (1, 2) or 0 in x0.shape[:-1]:
         raise ValueError(f"x0 of shape {x0.shape}; want (P,) or (R, P) "
@@ -278,7 +274,6 @@ def minimize_bfgs(objective, x0, cfg: OptimizerConfig | None = None,
                 del pending[k]
     return replace(min(results, key=lambda result: result.energy),
                    n_evaluations=sum(r.n_evaluations for r in results),
-                   wall_time=time.perf_counter() - start,
                    restarts_used=len(runs))
 
 
@@ -300,17 +295,14 @@ def run_vqe(ansatz: AnsatzBuild, h: QubitOperator, initial_state: int,
                                                          initial_state):
         raise ValueError("ansatz is labelled particle-conserving but its "
                          "circuit leaves the sector of the initial state")
-    start = time.perf_counter()
     restarts = (ansatz.restarts if circuit.n_params
                 and ansatz.init_policy.kind != "zeros" else 1)
     starts = np.array([ansatz.init_policy.draw(
         circuit.n_params,
         np.random.default_rng(np.random.SeedSequence([seed, restart])))
         for restart in range(restarts)])
-    result = minimize_bfgs(circuit_objective(circuit, h, initial_state),
-                           starts, cfg)
-    result.wall_time = time.perf_counter() - start
-    return result
+    return minimize_bfgs(circuit_objective(circuit, h, initial_state),
+                         starts, cfg)
 
 
 def run_hea_layer_growth(h: QubitOperator, n_qubits: int, initial_state: int,
@@ -335,7 +327,6 @@ def run_hea_layer_growth(h: QubitOperator, n_qubits: int, initial_state: int,
         raise ValueError("n_budget, s_restarts and max_depth must be positive")
     check_finite("chem_tol", chem_tol)
     check_finite("reference_energy", reference_energy, signed=True)
-    start = time.perf_counter()
     best: VqeResult | None = None
     best_build: AnsatzBuild | None = None
     total_evals = total_runs = 0
@@ -360,8 +351,6 @@ def run_hea_layer_growth(h: QubitOperator, n_qubits: int, initial_state: int,
         if (best.energy - reference_energy <= chem_tol
                 or total_evals >= n_budget):
             break
-    best.converged = best.energy - reference_energy <= chem_tol
-    best.n_evaluations = total_evals
-    best.wall_time = time.perf_counter() - start
-    best.restarts_used = total_runs
-    return best_build, best
+    return best_build, replace(
+        best, converged=best.energy - reference_energy <= chem_tol,
+        n_evaluations=total_evals, restarts_used=total_runs)

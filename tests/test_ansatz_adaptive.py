@@ -1,7 +1,7 @@
 import hashlib
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -370,6 +370,21 @@ class TestAdaptVqe:
                              initial_state=hf_state_index(8, 4), max_iters=6)
         energies = [it.energy_after_reopt for it in trace.iterations]
         assert all(b <= a + 1e-9 for a, b in zip(energies, energies[1:]))
+
+    def test_trace_is_built_once_and_frozen(self):
+        h, _, hf_idx = h2_problem()
+        _, trace = adapt_vqe(h, 4, build_fermionic_pool(4, 2),
+                             initial_state=hf_idx)
+        assert trace.converged and trace.iterations
+        with pytest.raises(FrozenInstanceError):
+            trace.converged = False
+        with pytest.raises(FrozenInstanceError):
+            trace.iterations[0].wall_time = 0.0
+        payload = trace.to_dict()
+        assert list(payload) == ["converged", "final_energy", "iterations"]
+        assert list(payload["iterations"][0]) == [
+            "chosen_label", "gradient_norm", "energy_after_reopt", "n_params",
+            "wall_time"]
 
     def test_deterministic_traces(self):
         h, _, hf_idx = h2_problem()

@@ -1,17 +1,20 @@
 import hashlib
 import json
+import math
 import os
 import re
 import socket
 import subprocess
 import sys
 import threading
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
 
 from vqe_bench import bench
 from vqe_bench.bench import (
+    NAMED_ANSATZES,
     BenchRecord,
     DataFileError,
     comparison_table,
@@ -28,7 +31,11 @@ from vqe_bench.bench import (
 )
 from vqe_bench.cli import cli, main
 from vqe_bench.driver import OptimizerConfig
-from vqe_bench.hamiltonian import bundled_molecule
+from vqe_bench.hamiltonian import (
+    bundled_molecule,
+    exact_ground_energy,
+    qubit_hamiltonian,
+)
 
 FAST_CFG = OptimizerConfig(gradient_tolerance=1e-6)
 
@@ -459,6 +466,26 @@ class TestAnsatzRegistry:
         assert not known_ansatz("0-UpCCGSD")
 
 
+class TestRunAnsatzPoint:
+    @pytest.fixture(scope="class")
+    def h2(self):
+        h = qubit_hamiltonian(bundled_molecule("H2").integrals(0.7414))
+        return h, exact_ground_energy(h, 4, sector=(2, 0))
+
+    @pytest.mark.parametrize("name", [*NAMED_ANSATZES, "1-UpCCGSD",
+                                      "2-UpCCGSD"])
+    def test_every_family_gives_one_frozen_point(self, h2, name):
+        h, fci = h2
+        point = run_ansatz_point(name, h, 4, 2, fci, OptimizerConfig(
+            max_energy_evaluations=200), seed=7)
+        assert math.isfinite(point.energy) and point.energy >= fci - 1e-9
+        assert point.runtime > 0 and point.n_params > 0
+        assert (point.trace is not None) == (
+            name in ("ADAPT", "qubit-ADAPT", "QCC"))
+        with pytest.raises(FrozenInstanceError):
+            point.runtime = 0.0
+
+
 class TestCli:
     def test_full_workflow(self, tmp_path):
         data_dir = str(tmp_path / "data")
@@ -741,6 +768,56 @@ class TestCli:
         assert main(["record", "--molecule", "H2", "--bond-length", "0.7414",
                      *values, "--data-dir", data_dir]) == 1
         assert message in capsys.readouterr().err
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["H2.json"]
+
+    @pytest.mark.parametrize("name", ["CCSD", "bond_length"])
+    def test_record_refuses_an_ansatz_named_after_a_column(
+            self, tmp_path, capsys, name):
+        # `record --ansatz CCSD` beside a ccsd reference made compare emit
+        # two CCSD_error columns, both the reference's error; an ansatz
+        # named bond_length gave runtimes and params two bond_length columns
+        data_dir = str(tmp_path)
+        main(["fci", "--molecule", "H2", "--data-dir", data_dir])
+        path = record_path(data_dir, "H2")
+        before = path.read_bytes()
+        capsys.readouterr()
+        assert main(["record", "--molecule", "H2", "--ansatz", name,
+                     "--bond-length", "0.7414", "--energy", "-1.1",
+                     "--runtime", "0.5", "--n-params", "3",
+                     "--data-dir", data_dir]) == 1
+        assert (f"ansatz name {name!r} is the name of a comparison column"
+                in capsys.readouterr().err)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["H2.json"]
+        assert main(["record", "--molecule", "H2", "--reference", "ccsd",
+                     "--bond-length", "0.7414", "--energy", "-1.13",
+                     "--data-dir", data_dir]) == 0
+        for kind in ("errors", "runtimes", "params"):
+            columns = comparison_table(load_record(path), kind)[0]
+            assert len(columns) == len(set(columns))
+
+    @pytest.mark.parametrize("mapping", ["energies", "runtimes", "n_params",
+                                         "traces"])
+    @pytest.mark.parametrize("name", ["CCSD", "bond_length"])
+    def test_data_file_with_an_ansatz_named_after_a_column_is_refused(
+            self, tmp_path, capsys, name, mapping):
+        data_dir = str(tmp_path)
+        main(["init", "--molecule", "H2", "--data-dir", data_dir])
+        path = record_path(data_dir, "H2")
+        payload = json.loads(path.read_text())
+        payload[mapping] = {name: [None]}
+        path.write_text(json.dumps(payload))
+        before = path.read_bytes()
+        with pytest.raises(DataFileError, match=f"{mapping} holds ansatz "
+                           f"'{name}', the name of a comparison column"):
+            load_record(path)
+        for argv in (["compare", "--kind", "params"],
+                     ["record", "--ansatz", "UCCSD", "--bond-length",
+                      "0.7414", "--energy", "-1.1"]):
+            assert main([argv[0], "--molecule", "H2", *argv[1:],
+                         "--data-dir", data_dir]) == 2
+        assert "data-file error" in capsys.readouterr().err
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["H2.json"]
 

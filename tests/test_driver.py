@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -44,6 +45,13 @@ def rosenbrock(x):
 
 
 class TestMinimizeBfgs:
+    def test_result_is_frozen_and_keeps_no_clock(self):
+        result = minimize_bfgs(quadratic_1d, np.array([0.0]))
+        assert "wall_time" not in {f.name for f in fields(VqeResult)}
+        for name in ("energy", "converged", "restarts_used"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(result, name, None)
+
     def test_shifted_parabola(self):
         result = minimize_bfgs(quadratic_1d, np.array([0.0]))
         assert abs(result.parameters[0] - 3.0) < 1e-10
@@ -298,6 +306,8 @@ class TestHeaLayerGrowth:
         _, result = run_hea_layer_growth(h, 4, 3, reference_energy=-99.0,
                                          seed=4, **kwargs)
         assert result.restarts_used == runs
+        with pytest.raises(FrozenInstanceError):
+            result.converged = True
 
     def test_max_depth_below_one_rejected(self):
         h = QubitOperator.identity(-1.0)

@@ -224,6 +224,24 @@ class TestExactGroundEnergy:
                                          sector=(data.n_electrons, data.ms2))
             assert sector == pytest.approx(full, abs=1e-10)
 
+    @pytest.mark.parametrize("r", [1.6, 2.0])
+    def test_lanczos_matches_the_dense_sector_on_lih(self, monkeypatch, r):
+        # the 225-state sector is dense at the default limit and runs
+        # Lanczos above 2**7 states; Lanczos had seen only a sum of Z terms
+        data = bundled_molecule("LiH").integrals(r)
+        h = qubit_hamiltonian(data)
+        sector = (data.n_electrons, data.ms2)
+        assert len(sector_indices(data.n_qubits, *sector)) == 225
+        dense = exact_ground_energy(h, data.n_qubits, sector=sector)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("dense matrix built on the Lanczos branch")
+
+        monkeypatch.setattr(hamiltonian, "DENSE_QUBIT_LIMIT", 7)
+        monkeypatch.setattr(hamiltonian, "operator_matrix", refused)
+        lanczos = exact_ground_energy(h, data.n_qubits, sector=sector)
+        assert lanczos == pytest.approx(dense, abs=1e-10)
+
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             exact_ground_energy(QubitOperator.from_term(
