@@ -22,7 +22,6 @@ from .layered import (
     build_brc_closed_shell,
     build_hea,
     build_ldca,
-    givens_compilation,
     givens_network,
 )
 
@@ -40,6 +39,5 @@ __all__ = [
     "build_ldca",
     "build_brc",
     "build_brc_closed_shell",
-    "givens_compilation",
     "givens_network",
 ]

@@ -108,10 +108,12 @@ class AdaptiveIteration:
 class AdaptiveTrace:
     converged: bool
     final_energy: float
-    iterations: list[AdaptiveIteration]
+    iterations: tuple[AdaptiveIteration, ...]
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """Plain types, iterations as a list, as a data file reloads it."""
+        return {**asdict(self), "iterations": [
+            asdict(iteration) for iteration in self.iterations]}
 
 
 def build_fermionic_pool(n_qubits: int, n_electrons: int) -> OperatorPool:
@@ -178,6 +180,7 @@ def _adapt(h, n_qubits, pool, rank, name, initial, max_iters, cfg,
             _, slopes, amps = commutator_gradient(circuit, h, values,
                                                   initial, screen)
         ranked = rank(slopes, amps)
+        del amps  # all 2**n amplitudes: not held through the re-optimization
         if ranked is None:
             converged = True
             break
@@ -196,7 +199,7 @@ def _adapt(h, n_qubits, pool, rank, name, initial, max_iters, cfg,
             break
     return (AnsatzBuild(circuit, init_policy=ZEROS,
                         particle_conserving=pool.kind == "fermionic-sd"),
-            AdaptiveTrace(converged, energy, iterations))
+            AdaptiveTrace(converged, energy, tuple(iterations)))
 
 
 def _steepest(epsilon: float):

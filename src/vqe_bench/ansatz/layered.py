@@ -116,16 +116,3 @@ def build_brc_closed_shell(n_qubits: int, n_electrons: int) -> AnsatzBuild:
                           param=(name, 1.0)))
     return AnsatzBuild(ParamCircuit(n_qubits, gates), particle_conserving=True,
                        init_policy=UNIFORM_PM_PI, restarts=20)
-
-
-def givens_compilation(theta: float, qa: int = 0, qb: int = 1) -> tuple[Gate, ...]:
-    """Five-gate decomposition of GivensRotation(theta) on (qa, qb): two
-    sqrt-iSWAP gates and three fixed-angle Z rotations, exactly equal to
-    the native two-level block."""
-    return (
-        Gate("SqrtISwap", (qa, qb)),
-        Gate("RZ", (qa,), angle=math.pi - theta),
-        Gate("RZ", (qb,), angle=theta),
-        Gate("SqrtISwap", (qa, qb)),
-        Gate("RZ", (qa,), angle=-math.pi),
-    )

@@ -62,7 +62,7 @@ log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 DEFAULT_LDCA_CYCLES = 2
-KUPCCGSD_PATTERN = re.compile(r"^([1-9]\d*)-UpCCGSD$")  # k >= 1
+KUPCCGSD_PATTERN = re.compile(r"([1-9]\d*)-UpCCGSD")  # k >= 1; fullmatch it
 REFERENCE_KINDS = ("fci", "hf", "ccsd")
 # comparison columns that an ansatz of the same name would clash with
 RESERVED_ANSATZ_NAMES = ("CCSD", "bond_length")
@@ -73,7 +73,8 @@ NAMED_ANSATZES = ("UCCSD", "UCCSD0", "QUCC", "HEA", "LDCA", "BRC", "ADAPT",
 
 
 def known_ansatz(name: str) -> bool:
-    return name in NAMED_ANSATZES or KUPCCGSD_PATTERN.match(name) is not None
+    return (name in NAMED_ANSATZES
+            or KUPCCGSD_PATTERN.fullmatch(name) is not None)
 
 
 class DataFileError(RuntimeError):
@@ -341,7 +342,7 @@ def run_ansatz_point(name: str, h, n_qubits: int, n_electrons: int,
     hf_idx = hf_state_index(n_qubits, n_electrons)
     tick = time.perf_counter()
     energy = trace = None  # a fixed build's energy comes from run_vqe
-    match = KUPCCGSD_PATTERN.match(name)
+    match = KUPCCGSD_PATTERN.fullmatch(name)
     if match:
         build = build_kupccgsd(n_qubits, n_electrons, int(match.group(1)))
     elif name == "UCCSD":
@@ -484,9 +485,13 @@ def run_sweep(spec: MoleculeSpec, ansatz_names, cfg: OptimizerConfig | None,
     comes from r's index among the spec's bond lengths, not the file's.
 
     Per-point failures are logged and stay null; the sweep continues.
+    An unknown ansatz name is refused before anything is read or written.
     """
     if seed < 0:
         raise ValueError(f"seed {seed} is negative")
+    for name in ansatz_names:
+        if not known_ansatz(name):
+            raise ValueError(f"unknown ansatz {name!r}")
     cfg = cfg or OptimizerConfig()
     references = reference_points(spec, bond_lengths)
     path = record_path(data_dir, spec.name)

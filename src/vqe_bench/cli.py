@@ -116,6 +116,7 @@ def cmd_init(molecule, bond_lengths, data_dir, fixtures_dir, force):
 def cmd_run(molecule, ansatzes, bond_lengths, seed, data_dir, fixtures_dir,
             gradient_tolerance, max_evaluations):
     """Run a sweep and persist energies/runtimes/parameter counts."""
+    ansatzes = list(dict.fromkeys(ansatzes))  # a repeated name runs once
     for name in ansatzes:
         if not known_ansatz(name):
             raise click.UsageError(f"unknown ansatz {name!r}")
@@ -126,7 +127,7 @@ def cmd_run(molecule, ansatzes, bond_lengths, seed, data_dir, fixtures_dir,
     except ValueError as exc:  # a bad option, not a numerical failure
         raise click.UsageError(str(exc)) from exc
     points = parse_bond_lengths(bond_lengths)
-    record = run_sweep(spec, list(ansatzes), cfg, seed, data_dir,
+    record = run_sweep(spec, ansatzes, cfg, seed, data_dir,
                        bond_lengths=points)
     failed = 0
     for name in ansatzes:

@@ -11,7 +11,8 @@ lockstep: the pending points of the live runs go to the objective as one
 budget, seeing the points and bits it would alone.  HEA layer growth
 stays serial, since each restart's budget is what the ones before it
 left.  Nothing here keeps a clock: a point is timed only in
-bench.run_ansatz_point, and a VqeResult is frozen once returned."""
+bench.run_ansatz_point, and a VqeResult is frozen once returned, its
+parameters a read-only array."""
 
 from __future__ import annotations
 
@@ -58,7 +59,7 @@ class OptimizerConfig:
 @dataclass(frozen=True)
 class VqeResult:
     energy: float
-    parameters: np.ndarray  # in the order of the objective's vector
+    parameters: np.ndarray  # in the order of the objective's vector; read-only
     n_evaluations: int
     n_iterations: int
     converged: bool
@@ -185,8 +186,9 @@ def bfgs_steps(x0, cfg: OptimizerConfig | None = None, callback=None):
     evaluate = _Evaluations(cfg.max_energy_evaluations)
 
     def result(energy, xs, n_iter, converged):
-        return VqeResult(energy=float(energy),
-                         parameters=np.array(xs, dtype=float),
+        parameters = np.array(xs, dtype=float)
+        parameters.flags.writeable = False
+        return VqeResult(energy=float(energy), parameters=parameters,
                          n_evaluations=evaluate.count,
                          n_iterations=n_iter, converged=converged)
 

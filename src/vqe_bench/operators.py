@@ -149,12 +149,6 @@ def _mask_product(x1: int, z1: int, x2: int, z2: int) -> tuple[int, int, int]:
     return power, x, z
 
 
-def multiply_strings(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
-    """Product of two Pauli strings as (exact phase in {1,i,-1,-i}, string)."""
-    power, x, z = _mask_product(a.x, a.z, b.x, b.z)
-    return _I_POWERS[power], PauliString.from_masks(x, z)
-
-
 def parse_pauli_string(text: str) -> PauliString:
     """Parse tokens like "X0 Z3"; "" and "I" both denote the identity."""
     tokens = text.split()
@@ -242,11 +236,6 @@ class _LinearCombination:
             return self._product(other)
         return type(self)({k: c * other for k, c in self.terms.items()})
 
-    def isclose(self, other, tol: float = 1e-9) -> bool:
-        keys = set(self.terms) | set(other.terms)
-        return all(abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) <= tol
-                   for k in keys)
-
 
 class QubitOperator(_LinearCombination):
     """Linear combination of Pauli strings."""
@@ -298,10 +287,6 @@ def _qubit_operator(terms: dict) -> QubitOperator:
     their strings are made."""
     return QubitOperator({PauliString.from_masks(x, z): coeff
                           for (x, z), coeff in _pruned(terms).items()})
-
-
-def commutator(a: QubitOperator, b: QubitOperator) -> QubitOperator:
-    return pauli_multiply(a, b) - pauli_multiply(b, a)
 
 
 def hermiticity_check(q: QubitOperator, tol: float = 1e-9) -> bool:
@@ -409,20 +394,6 @@ def fermion_multiply(a: FermionOperator, b: FermionOperator) -> FermionOperator:
     return FermionOperator.summed(
         pair for ka, ca in a.terms.items() for kb, cb in b.terms.items()
         for pair in _normal_order_term(ka + kb, ca * cb))
-
-
-def creation(mode: int) -> FermionOperator:
-    return FermionOperator({((mode, True),): 1.0})
-
-
-def annihilation(mode: int) -> FermionOperator:
-    return FermionOperator({((mode, False),): 1.0})
-
-
-def number_operator(n_modes: int) -> FermionOperator:
-    """Total number operator over the first n_modes modes."""
-    terms = {((m, True), (m, False)): 1.0 + 0.0j for m in range(n_modes)}
-    return FermionOperator(terms)
 
 
 # ---------------------------------------------------------------------------

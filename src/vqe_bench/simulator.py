@@ -141,10 +141,6 @@ class Gate:
         return gate
 
 
-def ry(q: int, name: str, prefactor: float = 1.0) -> Gate:
-    return Gate("RY", (q,), param=(name, prefactor))
-
-
 def pauli_evolution(string: PauliString, name: str,
                     prefactor: float = 1.0) -> Gate:
     """exp(i prefactor * angle P), angle bound to `name`.  Its targets are
@@ -947,9 +943,3 @@ def commutator_gradient(circuit: ParamCircuit, h: QubitOperator, angles,
     for step in screen.steps:
         slopes[step.param] += _slope(lam, *_act(step, psi)[:3])
     return _real(np.vdot(psi, lam)), slopes, amps
-
-
-def number_expectation(amps: np.ndarray) -> float:
-    """<N> for N = sum_i (1 - Z_i)/2, cheap diagonal evaluation."""
-    weights = np.bitwise_count(_indices(1 << _n_qubits(amps))).astype(float)
-    return float(np.real(np.sum(np.abs(amps) ** 2 * weights)))

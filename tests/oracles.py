@@ -1,12 +1,24 @@
-"""Brute-force dense-matrix oracles shared by the test suite.
+"""Brute-force dense-matrix oracles and test-only helpers shared by the
+test suite.
 
-These build operators directly from occupation-number / tensor-product
-rules, independent of the symbolic algebra they are used to check.
+The oracles build operators directly from occupation-number /
+tensor-product rules, independent of the symbolic algebra they are used
+to check.  The helpers (ladder factors, the number operator, commutators,
+RY gates, the sqrt-iSWAP Givens decomposition) are built from the
+package's public types; the package itself never calls them.
 """
+
+import math
 
 import numpy as np
 
-from vqe_bench.operators import FermionOperator, PauliString, QubitOperator
+from vqe_bench.operators import (
+    FermionOperator,
+    PauliString,
+    QubitOperator,
+    pauli_multiply,
+)
+from vqe_bench.simulator import Gate
 
 _SINGLE = {
     "I": np.eye(2, dtype=complex),
@@ -58,6 +70,63 @@ def fermion_operator_matrix(op: FermionOperator, n_modes: int) -> np.ndarray:
             term = term @ ladder_matrix(mode, dagger, n_modes)
         mat += coeff * term
     return mat
+
+
+def creation(mode: int) -> FermionOperator:
+    return FermionOperator({((mode, True),): 1.0})
+
+
+def annihilation(mode: int) -> FermionOperator:
+    return FermionOperator({((mode, False),): 1.0})
+
+
+def number_operator(n_modes: int) -> FermionOperator:
+    """Total number operator over the first n_modes modes."""
+    return FermionOperator({((m, True), (m, False)): 1.0
+                            for m in range(n_modes)})
+
+
+def multiply_strings(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
+    """Product of two Pauli strings as (exact phase in {1,i,-1,-i}, string),
+    read off the operator product of the two one-term operators."""
+    product = pauli_multiply(QubitOperator.from_term(a),
+                             QubitOperator.from_term(b))
+    ((string, phase),) = product.terms.items()
+    return phase, string
+
+
+def commutator(a: QubitOperator, b: QubitOperator) -> QubitOperator:
+    return pauli_multiply(a, b) - pauli_multiply(b, a)
+
+
+def isclose(a, b, tol: float = 1e-9) -> bool:
+    """Two operators of one type agree term by term to within tol."""
+    keys = set(a.terms) | set(b.terms)
+    return all(abs(a.terms.get(k, 0.0) - b.terms.get(k, 0.0)) <= tol
+               for k in keys)
+
+
+def number_expectation(amps: np.ndarray) -> float:
+    """<N> for N = sum_i (1 - Z_i)/2: each basis state weighs its set bits."""
+    weights = np.bitwise_count(np.arange(len(amps))).astype(float)
+    return float(np.sum(np.abs(amps) ** 2 * weights))
+
+
+def ry(q: int, name: str, prefactor: float = 1.0) -> Gate:
+    return Gate("RY", (q,), param=(name, prefactor))
+
+
+def givens_compilation(theta: float, qa: int = 0, qb: int = 1) -> tuple[Gate, ...]:
+    """Five-gate decomposition of GivensRotation(theta) on (qa, qb): two
+    sqrt-iSWAP gates and three fixed-angle Z rotations, exactly equal to
+    the native two-level block."""
+    return (
+        Gate("SqrtISwap", (qa, qb)),
+        Gate("RZ", (qa,), angle=math.pi - theta),
+        Gate("RZ", (qb,), angle=theta),
+        Gate("SqrtISwap", (qa, qb)),
+        Gate("RZ", (qa,), angle=-math.pi),
+    )
 
 
 def basis_state(n_qubits: int, index: int) -> np.ndarray:

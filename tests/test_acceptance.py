@@ -46,18 +46,22 @@ from vqe_bench.hamiltonian import (
 )
 from vqe_bench.operators import (
     QubitOperator,
-    annihilation,
-    creation,
     jordan_wigner,
     pauli_multiply,
 )
 from vqe_bench.simulator import (
     adjoint_gradient,
     apply_circuit,
-    number_expectation,
     parameter_shift_gradient,
 )
-from oracles import finite_difference_gradient, random_circuit, random_values
+from oracles import (
+    annihilation,
+    creation,
+    finite_difference_gradient,
+    number_expectation,
+    random_circuit,
+    random_values,
+)
 
 CHEM_TOL = 0.0016
 FLOOR_SLACK = 1e-9

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     basis_state,
     circuit_state,
+    isclose,
     pauli_matrix,
     pool_entry_finite_difference,
     qubit_operator_matrix,
@@ -17,6 +18,7 @@ from oracles import (
     random_hermitian_operator,
     random_string,
     random_values,
+    ry,
 )
 from vqe_bench import simulator
 from vqe_bench.ansatz import (
@@ -54,7 +56,6 @@ from vqe_bench.simulator import (
     expectation,
     parameter_shift_gradient,
     pauli_evolution,
-    ry,
     runs_in_sector,
 )
 
@@ -116,7 +117,7 @@ class TestFermionicPool:
             op = QubitOperator.zero()
             for gen in entry.generators:
                 op = op + gen.antihermitian_operator(8)
-            assert op.isclose(-1.0 * op.dagger(), 1e-12)
+            assert isclose(op, -1.0 * op.dagger(), 1e-12)
             for string, coeff in op.terms.items():
                 assert abs(coeff.real) < 1e-12
                 assert string.y_count() % 2 == 1
@@ -349,7 +350,7 @@ class TestAdaptVqe:
         h, _, hf_idx = h2_problem()
         pool = build_fermionic_pool(4, 2)
         build, trace = adapt_vqe(h, 4, pool, epsilon=1e3, initial_state=hf_idx)
-        assert trace.iterations == []
+        assert trace.iterations == ()
         assert trace.converged
         assert trace.final_energy == pytest.approx(hf_energy(h, 4, 2), abs=1e-12)
         assert build.n_params == 0
@@ -380,8 +381,10 @@ class TestAdaptVqe:
             trace.converged = False
         with pytest.raises(FrozenInstanceError):
             trace.iterations[0].wall_time = 0.0
+        assert isinstance(trace.iterations, tuple)
         payload = trace.to_dict()
         assert list(payload) == ["converged", "final_energy", "iterations"]
+        assert isinstance(payload["iterations"], list)
         assert list(payload["iterations"][0]) == [
             "chosen_label", "gradient_norm", "energy_after_reopt", "n_params",
             "wall_time"]
@@ -441,7 +444,7 @@ class TestQubitAdaptVqe:
         pool = OperatorPool("qubit-pauli", (PoolEntry(
             "Y0 X1", string=parse_pauli_string("Y0 X1")),))
         build, trace = qubit_adapt_vqe(h, 2, pool, initial_state=0)
-        assert trace.iterations == []
+        assert trace.iterations == ()
         assert trace.converged
         assert trace.final_energy == pytest.approx(1.0)
 
@@ -493,7 +496,7 @@ class TestQcc:
         pool = OperatorPool("qubit-pauli", (PoolEntry(
             "X0 Y1", string=parse_pauli_string("X0 Y1")),))
         build, trace = qcc_optimize(h, 2, pool, initial_state=0)
-        assert trace.iterations == []
+        assert trace.iterations == ()
         assert trace.final_energy == pytest.approx(-1.0, abs=1e-8)
         assert build.n_params == 4  # mean field only: 2 per qubit
 

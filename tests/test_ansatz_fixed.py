@@ -20,8 +20,12 @@ from vqe_bench.hamiltonian import (
     hf_state_index,
     qubit_hamiltonian,
 )
-from vqe_bench.simulator import apply_circuit, expectation, number_expectation
-from oracles import finite_difference_gradient, random_hermitian_operator
+from vqe_bench.simulator import apply_circuit, expectation
+from oracles import (
+    finite_difference_gradient,
+    number_expectation,
+    random_hermitian_operator,
+)
 
 BUILDERS = {
     "UCCSD": build_uccsd_singlet,

@@ -8,16 +8,16 @@ from vqe_bench.ansatz import (
     build_brc_closed_shell,
     build_hea,
     build_ldca,
-    givens_compilation,
     givens_network,
 )
-from vqe_bench.simulator import (
-    apply_circuit,
-    apply_gates,
-    expectation,
+from vqe_bench.simulator import apply_circuit, apply_gates, expectation
+from oracles import (
+    basis_state,
+    circuit_unitary,
+    givens_compilation,
     number_expectation,
+    random_hermitian_operator,
 )
-from oracles import basis_state, circuit_unitary, random_hermitian_operator
 
 
 def zero_values(circuit):

@@ -201,11 +201,12 @@ class TestRunSweep:
         assert abs(record.energies["UCCSD"][0] - fci) < 1e-7
         assert record.n_params["UCCSD"] == [2]
         assert record.runtimes["UCCSD"][0] > 0
-        # 9 blocks of generalized pairs is fine, so it runs; use a truly
-        # unknown name to exercise the per-point failure path
-        record = run_sweep(spec, ["NOPE"], FAST_CFG, seed=5,
-                           data_dir=tmp_path)
-        assert record.energies["NOPE"] == [None]
+        # 9 blocks of generalized pairs is fine, so it runs; a truly
+        # unknown name is refused before the sweep starts (failing points:
+        # test_failed_point_clears_its_stale_data)
+        with pytest.raises(ValueError, match="unknown ansatz 'NOPE'"):
+            run_sweep(spec, ["NOPE"], FAST_CFG, seed=5, data_dir=tmp_path)
+        assert "NOPE" not in load_record(record_path(tmp_path, "H2")).energies
 
     def test_sweep_determinism(self, tmp_path):
         spec = bundled_molecule("H2")
@@ -350,11 +351,13 @@ class TestRunSweep:
                             counted("save", bench.save_record))
         monkeypatch.setattr(bench, "load_record",
                             counted("load", bench.load_record))
-        record = run_sweep(bundled_molecule("H2"), ["UCCSD", "BRC"],
+        record = run_sweep(bundled_molecule("H2"), ["UCCSD", "BRC", "ADAPT"],
                            FAST_CFG, seed=3, data_dir=tmp_path)
         # one save after the references, then one after each point
-        assert calls == {"save": 3, "load": 0}
+        assert calls == {"save": 4, "load": 0}
         on_disk = load_record(record_path(tmp_path, "H2"))
+        # the frozen trace's tuple of iterations is stored as a list
+        assert record.traces["ADAPT"][0]["iterations"]
         assert on_disk.to_dict() == record.to_dict()
 
     def test_interrupted_sweep_keeps_its_finished_points(
@@ -464,6 +467,7 @@ class TestAnsatzRegistry:
         assert not known_ansatz("NOPE")
         assert not known_ansatz("k-UpCCGSD")
         assert not known_ansatz("0-UpCCGSD")
+        assert not known_ansatz("1-UpCCGSD\n")
 
 
 class TestRunAnsatzPoint:
@@ -509,6 +513,10 @@ class TestCli:
         assert main(["init", "--molecule", "UNOBTANIUM",
                      "--data-dir", str(tmp_path)]) == 1
         assert main(["run", "--molecule", "H2", "--ansatz", "0-UpCCGSD",
+                     "--data-dir", str(tmp_path)]) == 1
+        # `$` also matched before a trailing newline: the key was stored
+        # with it, and compare split its CSV header over two lines
+        assert main(["run", "--molecule", "H2", "--ansatz", "1-UpCCGSD\n",
                      "--data-dir", str(tmp_path)]) == 1
         assert list(tmp_path.iterdir()) == []
 
@@ -673,6 +681,22 @@ class TestCli:
         record = load_record(record_path(tmp_path, "H2"))
         assert record.energies["UCCSD"][0] is not None
         assert record.energies["BRC"] == [None]
+
+    def test_repeated_ansatz_runs_and_reports_once(self, tmp_path, capsys,
+                                                   monkeypatch):
+        names = []
+
+        def recording(name, *args, **kwargs):
+            names.append(name)
+            return run_ansatz_point(name, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "run_ansatz_point", recording)
+        assert main(["run", "--molecule", "H2", "--ansatz", "UCCSD",
+                     "--ansatz", "BRC", "--ansatz", "UCCSD",
+                     "--data-dir", str(tmp_path)]) == 0
+        assert names == ["UCCSD", "BRC"]
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[1] for line in lines] == ["UCCSD", "BRC"]
 
     def test_record_without_data_file_leaves_no_lock(self, tmp_path, capsys):
         for data_dir in (tmp_path / "void", tmp_path):
@@ -989,6 +1013,20 @@ class TestRefusedBeforeAnythingIsWritten:
             run_sweep(bundled_molecule("H2"), ["UCCSD"], FAST_CFG, -1,
                       data_dir)
         assert not data_dir.exists()
+
+    @pytest.mark.parametrize("names", [["NOPE"], ["UCCSD", "NOPE"], ["CCSD"]],
+                             ids=repr)
+    def test_run_sweep_refuses_an_unknown_ansatz_before_reading(
+            self, tmp_path, monkeypatch, names):
+        # NOPE was swept as a failed point and stored as a null column;
+        # CCSD stored the references, then failed in record.store
+        def unread(*args, **kwargs):
+            raise AssertionError("the fixtures were read")
+
+        monkeypatch.setattr(bench, "reference_points", unread)
+        with pytest.raises(ValueError, match=f"unknown ansatz {names[-1]!r}"):
+            run_sweep(bundled_molecule("H2"), names, FAST_CFG, 0, tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     @staticmethod
     def fixtures(tmp_path, case):

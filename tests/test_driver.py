@@ -30,7 +30,8 @@ from vqe_bench.hamiltonian import (
     qubit_hamiltonian,
 )
 from vqe_bench.operators import QubitOperator, parse_pauli_string
-from vqe_bench.simulator import ParamCircuit, apply_circuit, expectation, ry
+from vqe_bench.simulator import ParamCircuit, apply_circuit, expectation
+from oracles import ry
 
 
 def quadratic_1d(x):
@@ -51,6 +52,11 @@ class TestMinimizeBfgs:
         for name in ("energy", "converged", "restarts_used"):
             with pytest.raises(FrozenInstanceError):
                 setattr(result, name, None)
+        batch = minimize_bfgs(batched_rosenbrock,
+                              np.array([[0.0, 0.0], [-1.2, 1.0]]))
+        for parameters in (result.parameters, batch.parameters):
+            with pytest.raises(ValueError, match="read-only"):
+                parameters[0] = 5.0
 
     def test_shifted_parabola(self):
         result = minimize_bfgs(quadratic_1d, np.array([0.0]))

@@ -28,13 +28,17 @@ from vqe_bench.hamiltonian import (
 from vqe_bench.operators import (
     FermionOperator,
     QubitOperator,
-    commutator,
     jordan_wigner,
-    number_operator,
     parse_pauli_string,
     serialize_pauli_string,
 )
-from oracles import basis_state, fermion_operator_matrix
+from oracles import (
+    basis_state,
+    commutator,
+    fermion_operator_matrix,
+    isclose,
+    number_operator,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -173,7 +177,7 @@ class TestBuildHamiltonian:
             data = bundled_molecule(name).integrals(r)
             h = qubit_hamiltonian(data)
             n_op = jordan_wigner(number_operator(data.n_qubits), data.n_qubits)
-            assert commutator(h, n_op).isclose(QubitOperator.zero(), 1e-9)
+            assert isclose(commutator(h, n_op), QubitOperator.zero(), 1e-9)
 
 
 class TestHfStateIndex:

