@@ -20,6 +20,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+# NumPy loads np.random on first use; every sweep seeds its restarts, so
+# load it with the package rather than inside the first point's clock
+import numpy.random  # noqa: F401
 
 from .ansatz.core import AnsatzBuild
 from .ansatz.layered import build_hea

@@ -6,8 +6,10 @@ significant).  Rotation conventions: RY(t) = exp(-i t Y / 2), likewise RX
 and RZ; PauliEvolution applies exp(+i t P).  A state is a bare array of
 2**n amplitudes; every public entry point hands out a fresh one.
 
-A Pauli sum acts through one form: its sparse matrix over a basis
-(pauli_sum_matrix), compiled once per operator and basis (compiled_sum).
+A Pauli sum acts through one form: its matrix over a basis, a
+CompiledSum of CSR arrays and per-row slots (pauli_sum_matrix), compiled
+once per operator and basis (compiled_sum).  Its product is NumPy's, in
+scipy's csr_matvec arithmetic, so SciPy is never imported here.
 A circuit runs through one form too: a plan compiled once per circuit and
 initial (N, 2Sz) sector, which one kernel runs forward, in reverse and
 as generators for the adjoint gradient.  Plans extend: a circuit grown
@@ -52,9 +54,9 @@ share that one parity rule.
 Parameter values are one float array, `angles`, in param_names order.
 The kernel takes a leading batch axis: adjoint_gradient at (R, P) angles
 runs one forward and one reverse sweep over an (R, D) array of states,
-with h applied as one sparse product and the row reductions as stacked
-matmuls.  Every operation acts row by row with the arithmetic of the
-one-vector path, so each row gets the bits of its own (P,) call.
+with h applied as one product over the rows and the row reductions as
+stacked matmuls.  Every operation acts row by row with the arithmetic of
+the one-vector path, so each row gets the bits of its own (P,) call.
 """
 
 from __future__ import annotations
@@ -64,14 +66,30 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse
 
 from .operators import PauliString, QubitOperator
 
 IMAG_RESIDUE_TOLERANCE = 1e-9
-# 20 bytes per compiled entry (complex128, int32 column): 168 MB; a 14-qubit
-# molecular Hamiltonian with dense integrals needs 2.7M over its full space
+# slots of a compiled sum (its entries and the padding of its rows to
+# the longest in their block): 24 bytes per slot (complex weight,
+# intp column; 40 with complex weights) and 20 per CSR entry (complex128,
+# int32 column), at most 370 MB; a 14-qubit molecular Hamiltonian with
+# dense integrals has 2.7M entries over its full space
 MAX_COMPILED_ENTRIES = 1 << 23
+# slots a compiled sum's product takes at once: 512 kB of complex scratch
+# (1 MB with complex weights), whatever the batch
+_PRODUCT_BLOCK = 1 << 15
+# padded slots a block of them may hold: about what a block's own NumPy
+# calls cost on one state, so a new block pays for itself past it
+_PADDING_LIMIT = 1 << 10
+# glibc's malloc serves a block of 128 kB or more by mmap and unmaps it on
+# free, so an evaluation's larger temporaries (a sector sweep's factors, a
+# full-space [psi, lam] stack, product scratch) would fault in fresh pages
+# on every call.  Freeing one mmap'd block raises that threshold to the
+# block's size and the heap's trim threshold to twice it (mallopt(3)), so
+# blocks below 4 MB are reused from the heap.  The allocation, freed at
+# once, touches no page; other allocators ignore it.
+np.empty(4 << 20, dtype=np.uint8)
 # (term, row) products pauli_sum_matrix weighs at once: ~100 kB of
 # temporaries, so a compile's peak memory stays where a term loop's was
 _WEIGH_BLOCK = 1 << 12
@@ -295,13 +313,138 @@ def _state_sector(index: int) -> tuple[int, int]:
     return n, 2 * (index & _ALPHA_BITS).bit_count() - n
 
 
+class CompiledSum:
+    """A Pauli sum's matrix over a basis, as pauli_sum_matrix compiles it.
+
+    It holds the CSR arrays (`data` complex128, `indices` and `indptr`
+    int32, a row's entries in flip-mask order) and, for its product, the
+    same entries as per-row slots: slot k of a row holds its k-th entry.
+    The rows are taken longest first and cut into blocks (_row_blocks),
+    each a (start, stop) range of that order, its columns and real
+    weights as (K, stop - start) arrays, K its longest row, and its
+    imaginary weights too when some weight is complex.  A row shorter
+    than K is padded with weight 0 at column 0.
+
+    `matrix @ x` takes one vector or an (R, D) batch of rows, and gives
+    every row the bits of scipy's csr_matvec: 0 plus the row's products
+    a x in stored order, a x being (ar xr - ai xi, ar xi + ai xr) with
+    each of its four products rounded once.  NumPy's complex multiply
+    may fuse two of them into one rounding, but not when a factor has a
+    zero part, so a x is taken as x (ar + 0j) + x (0 + ai j).  A padded
+    slot adds a zero, which leaves a sum that starts from +0 as it was.
+    The sum runs over the slot axis, in order (_slot_sums); along a
+    contiguous axis np.add.reduce would sum pairwise."""
+
+    __slots__ = ("data", "indices", "indptr", "shape", "_blocks", "_unsort")
+
+    def __init__(self, data: np.ndarray, indices: np.ndarray,
+                 indptr: np.ndarray):
+        self.data, self.indices, self.indptr = data, indices, indptr
+        size = len(indptr) - 1
+        self.shape = (size, size)
+        counts = np.diff(indptr)
+        order = np.argsort(-counts, kind="stable")
+        self._unsort = np.argsort(order)
+        complex_weights = bool(data.imag.any())
+        self._blocks = []
+        for start, stop, width in _row_blocks(counts[order]):
+            rows = order[start:stop]
+            lengths = counts[rows]
+            row = np.repeat(np.arange(stop - start), lengths)
+            slot = np.arange(len(row)) - np.repeat(
+                np.cumsum(lengths) - lengths, lengths)
+            entries = indptr[rows][row] + slot
+            cols = np.zeros((width, stop - start), dtype=np.intp)
+            cols[slot, row] = indices[entries]
+            real = np.zeros(cols.shape, dtype=complex)
+            real.real[slot, row] = data[entries].real
+            imag = None
+            if complex_weights:
+                imag = np.zeros(cols.shape, dtype=complex)
+                imag.imag[slot, row] = data[entries].imag
+            self._blocks.append((start, stop, cols, real, imag))
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    def _rows(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape, dtype=complex)
+        dense[self._rows(), self.indices] = self.data
+        return dense
+
+    def diagonal(self) -> np.ndarray:
+        rows = self._rows()
+        on = self.indices == rows
+        diagonal = np.zeros(self.shape[0], dtype=complex)
+        diagonal[rows[on]] = self.data[on]
+        return diagonal
+
+    def __matmul__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=complex)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.shape[1]:
+            raise ValueError(f"a {self.shape} matrix cannot act on an "
+                             f"array of shape {x.shape}")
+        states = x.reshape(-1, self.shape[1])
+        out = np.empty(states.shape, dtype=complex)  # rows longest first
+        for start, stop, cols, real, imag in self._blocks:
+            batch = max(_PRODUCT_BLOCK // max(cols.size, 1), 1)
+            for row in range(0, len(states), batch):
+                _slot_sums(states[row:row + batch], cols, real, imag,
+                           out[row:row + batch, start:stop])
+        return out.take(self._unsort, axis=1).reshape(x.shape)
+
+
+def _row_blocks(counts: np.ndarray) -> list[tuple[int, int, int]]:
+    """(start, stop, width) of each block of rows whose entry counts,
+    in descending order, are `counts`: width is the block's first count.
+    A block holds at most _PRODUCT_BLOCK slots unless one row does, and
+    ends before the row that would take its padding to _PADDING_LIMIT."""
+    blocks, start = [], 0
+    while start < len(counts):
+        width = int(counts[start])
+        stop = min(start + max(_PRODUCT_BLOCK // max(width, 1), 1),
+                   len(counts))
+        padded = np.flatnonzero(
+            np.cumsum(width - counts[start:stop]) >= _PADDING_LIMIT)
+        if padded.size:
+            stop = start + max(int(padded[0]), 1)
+        blocks.append((start, stop, width))
+        start = stop
+    return blocks
+
+
+def _slot_sums(states: np.ndarray, cols: np.ndarray, real: np.ndarray,
+               imag: np.ndarray | None, out: np.ndarray) -> None:
+    """out[i, j] = 0 + the sum over slots k, in order, of the weight at
+    (k, j) times states[i, cols[k, j]].  The sum runs over float pairs,
+    whose last axis holds at least two numbers even for one row, so NumPy
+    never takes the slot axis as the contiguous one and sums along it.
+    Every column is in range, so "wrap" never wraps; it skips the bounds
+    error path, the slower one here."""
+    products = states.take(cols, axis=1, mode="wrap")
+    if imag is not None:
+        swapped = products * imag
+        products *= real
+        products += swapped
+    else:
+        products *= real
+    np.add.reduce(products.view(float), axis=1, initial=0,
+                  out=out.view(float))
+
+
 def pauli_sum_matrix(op: QubitOperator, n_qubits: int,
-                     basis: np.ndarray | None = None) -> scipy.sparse.csr_array:
+                     basis: np.ndarray | None = None) -> CompiledSum:
     """op over a list of distinct basis states, its rows and columns in the
-    list's order (default: all 2**n_qubits, in order), as a CSR matrix.
+    list's order (default: all 2**n_qubits, in order), as a CompiledSum.
     The terms of one flip mask fold into one weight per row r, at the
     column of r ^ flip; zero weights and columns outside the basis are
-    dropped.  Past MAX_COMPILED_ENTRIES it raises before allocating."""
+    dropped.  Past MAX_COMPILED_ENTRIES slots, padding included, it
+    raises before allocating."""
     masks: dict[int, list[tuple[int, complex]]] = {}
     for string, coeff in op.terms.items():
         flip, yz, phase = pauli_masks(string)
@@ -340,21 +483,22 @@ def pauli_sum_matrix(op: QubitOperator, n_qubits: int,
     # count, then fill in place, so the peak stays at the final size
     counts = sum((keep for keep, _, _ in entries()),
                  np.zeros(len(rows), dtype=np.int64))
+    slots = sum(width * (stop - start) for start, stop, width
+                in _row_blocks(np.sort(counts)[::-1]))
+    if slots > MAX_COMPILED_ENTRIES:
+        raise ValueError(f"{slots} slots exceed MAX_COMPILED_ENTRIES")
     indptr = np.concatenate(([0], np.cumsum(counts)))
-    if indptr[-1] > MAX_COMPILED_ENTRIES:
-        raise ValueError(f"{indptr[-1]} entries exceed MAX_COMPILED_ENTRIES")
     indices, data = np.empty(indptr[-1], np.int32), np.empty(indptr[-1], complex)
     cursor = indptr[:-1].copy()
     for keep, cols, weights in entries():
         at = cursor[keep]
         indices[at], data[at] = cols, weights
         cursor[keep] = at + 1
-    return scipy.sparse.csr_array((data, indices, indptr.astype(np.int32)),
-                                  shape=(len(rows), len(rows)))
+    return CompiledSum(data, indices, indptr.astype(np.int32))
 
 
 def compiled_sum(op: QubitOperator, n_qubits: int,
-                 basis: np.ndarray | None = None) -> scipy.sparse.csr_array:
+                 basis: np.ndarray | None = None) -> CompiledSum:
     """pauli_sum_matrix(op, n_qubits, basis), compiled once per (n_qubits,
     basis) and kept on op, whose terms never change."""
     key = (n_qubits, None if basis is None
@@ -786,13 +930,9 @@ def _run(circuit: ParamCircuit, angles: np.ndarray,
 
 def _adjoint(plan: _Plan, h: QubitOperator, psi: np.ndarray, angles):
     """<h> and its gradient at the prepared state psi, one vector or an
-    (R, D) batch: h acts once, as one sparse product, then one reverse
-    sweep of the plan."""
-    matrix = compiled_sum(h, plan.n_qubits, plan.basis)
-    if psi.ndim == 1:
-        lam = matrix @ psi
-    else:  # rows as columns, so each row gets its own matvec's bits
-        lam = np.ascontiguousarray((matrix @ psi.T).T)
+    (R, D) batch: h acts once, as one compiled-sum product, then one
+    reverse sweep of the plan."""
+    lam = compiled_sum(h, plan.n_qubits, plan.basis) @ psi
     energy = _dot(psi, lam)
     return energy, _reverse(plan, psi, lam, angles)
 
@@ -868,7 +1008,7 @@ def term_expectations(h: QubitOperator, amps: np.ndarray) -> np.ndarray:
     weights = np.fromiter((coeff * pauli_masks(string)[2]
                            for string, coeff in h.terms.items()), complex)
     out = np.empty(len(h.terms))
-    for flip in np.unique(flips).tolist():
+    for flip in sorted(set(flips.tolist())):  # np.unique loads numpy.ma
         rows = np.flatnonzero(flips == flip)
         product = (amps[states ^ flip].conj() * amps).view(float)
         sums = (signs.take(states & yz[rows, None])

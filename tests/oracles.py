@@ -3,14 +3,17 @@ test suite.
 
 The oracles build operators directly from occupation-number /
 tensor-product rules, independent of the symbolic algebra they are used
-to check.  The helpers (ladder factors, the number operator, commutators,
-RY gates, the sqrt-iSWAP Givens decomposition) are built from the
-package's public types; the package itself never calls them.
+to check; scipy_product is SciPy's own CSR product, the bit-level
+reference for a compiled sum's.  The helpers (ladder factors, the number
+operator, commutators, RY gates, the sqrt-iSWAP Givens decomposition)
+are built from the package's public types; the package itself never
+calls them.
 """
 
 import math
 
 import numpy as np
+import scipy.sparse
 
 from vqe_bench.operators import (
     FermionOperator,
@@ -43,6 +46,14 @@ def qubit_operator_matrix(op: QubitOperator, n_qubits: int) -> np.ndarray:
     for string, coeff in op.terms.items():
         mat += coeff * pauli_matrix(string, n_qubits)
     return mat
+
+
+def scipy_product(matrix, x: np.ndarray) -> np.ndarray:
+    """A compiled sum's CSR arrays as a scipy.sparse.csr_array, times one
+    vector or each row of a batch: scipy's csr_matvec and csr_matvecs."""
+    csr = scipy.sparse.csr_array(
+        (matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
+    return csr @ x if x.ndim == 1 else np.ascontiguousarray((csr @ x.T).T)
 
 
 def ladder_matrix(mode: int, dagger: bool, n_modes: int,

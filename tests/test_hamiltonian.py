@@ -192,15 +192,30 @@ class TestHfStateIndex:
 
 
 class TestExactGroundEnergy:
-    def test_cli_import_leaves_out_the_lanczos_module(self):
+    def test_cli_import_leaves_out_the_lanczos_module(self, tmp_path):
+        # nor any SciPy module, on import or through a run whose references
+        # are dense: only Lanczos, past 2**DENSE_QUBIT_LIMIT states, uses it
         paths = [str(REPO / "src")] + sys.path
+        script = (
+            "import sys; data_dir = sys.argv[1]; sys.path[:0] = sys.argv[2:]\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m == 'scipy' or m.startswith('scipy.'))\n"
+            "import vqe_bench.cli\n"
+            "print('scipy.sparse.linalg' in sys.modules)\n"
+            "print(scipy_modules())\n"
+            "vqe_bench.cli.cli.main(['run', '--molecule', 'H4', "
+            "'--bond-lengths', '1.0', '--ansatz', 'UCCSD', '--data-dir', "
+            "data_dir], standalone_mode=False)\n"
+            "print(scipy_modules())\n")
         done = subprocess.run(
-            [sys.executable, "-c",
-             "import sys; sys.path[:0] = sys.argv[1:]; import vqe_bench.cli; "
-             "print('scipy.sparse.linalg' in sys.modules)", *paths],
+            [sys.executable, "-c", script, str(tmp_path / "data"), *paths],
             capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "False"
+        lines = done.stdout.splitlines()
+        assert lines[:2] == ["False", "[]"] and lines[-1] == "[]"
+        assert lines[2].startswith("H4 UCCSD r=1.0: E=")
+        assert (tmp_path / "data" / "H4.json").is_file()
 
     def test_scaled_identity(self):
         h = QubitOperator.identity(0.75)

@@ -10,6 +10,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from vqe_bench import simulator
 from vqe_bench.ansatz import (
@@ -60,6 +61,7 @@ from oracles import (
     random_hermitian_operator,
     random_string,
     random_values,
+    scipy_product,
 )
 
 TOLERANCE = 1e-12
@@ -784,3 +786,97 @@ class TestCompilePins:
         }[family]()
         steps = simulator._steps(circuit.gates, circuit.param_names)
         assert (len(steps), _steps_digest(steps)) == STEP_PINS[case]
+
+
+def _differing_batches(matrix, seed) -> list[int]:
+    """The batch sizes (0: one vector) at which matrix @ x and SciPy's
+    product of the same CSR arrays differ in any bit, on random complex
+    states."""
+    rng = np.random.default_rng(seed)
+    differing = []
+    for rows in (0, 1, 3, 20):
+        shape = (rows, matrix.shape[0]) if rows else (matrix.shape[0],)
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        if (matrix @ x).tobytes() != scipy_product(matrix, x).tobytes():
+            differing.append(rows)
+    return differing
+
+
+class TestCompiledSumProduct:
+    """A compiled sum's product gives every row the bits of SciPy's CSR
+    product over the same arrays, on one vector and on batches of rows."""
+
+    def test_every_fixture_product_keeps_scipy_bits(self):
+        diverged = []
+        for name in bundled_molecules():
+            for r in bundled_molecule(name).bond_lengths:
+                h, n, hf, _ = molecule(name, r)
+                sector = simulator.sector_indices(
+                    n, *simulator._state_sector(hf))
+                for space, basis in (("sector", sector), ("full", None)):
+                    matrix = simulator.pauli_sum_matrix(h, n, basis)
+                    diverged += [f"{name}@{r} {space} rows {rows}"
+                                 for rows in _differing_batches(matrix, 1)]
+        assert not diverged, f"product bits changed: {diverged}"
+
+    @pytest.mark.parametrize("seed", sorted(RANDOM_MATRIX_PINS))
+    def test_complex_weights_keep_scipy_bits(self, seed):
+        # a fused complex multiply rounds ar xr - ai xi once, where scipy
+        # rounds each product; these weights have both parts nonzero
+        op, basis = _random_complex_operator(seed)
+        hermitian = random_hermitian_operator(
+            np.random.default_rng(seed), 8, 60)
+        for matrix in (simulator.pauli_sum_matrix(op, 6, basis),
+                       simulator.pauli_sum_matrix(op, 6),
+                       simulator.pauli_sum_matrix(hermitian, 8)):
+            assert np.any(matrix.data.real * matrix.data.imag)
+            assert _differing_batches(matrix, seed) == []
+
+    def test_every_block_and_pass_keeps_scipy_bits(self, monkeypatch):
+        # 11 slots at a time: a row or a few per block, a state a pass
+        monkeypatch.setattr(simulator, "_PRODUCT_BLOCK", 11)
+        op, basis = _random_complex_operator(0)
+        h, n, _, _ = molecule("H4", 1.0)
+        for matrix in (simulator.pauli_sum_matrix(op, 6, basis),
+                       simulator.pauli_sum_matrix(h, n)):
+            assert len(matrix._blocks) > 1
+            assert _differing_batches(matrix, 2) == []
+
+    def test_an_empty_row_sums_to_positive_zero(self):
+        # X0 takes state 2 to 3, outside the basis: its row is all
+        # padding, whose 0 * (-1 - 1j) is (0.0, -0.0); a sum from +0, as
+        # scipy's, turns that into (0.0, 0.0)
+        matrix = simulator.pauli_sum_matrix(
+            QubitOperator.from_term(parse_pauli_string("X0")), 2,
+            np.array([0, 2, 1]))
+        x = np.array([-1 - 1j, 2 + 2j, 3 + 3j])
+        assert matrix.nnz == 2
+        assert (matrix @ x).tobytes() == scipy_product(matrix, x).tobytes()
+        assert _differing_batches(matrix, 6) == []
+
+    def test_real_states_and_dense_forms_match_scipy(self):
+        op, basis = _random_complex_operator(3)
+        matrix = simulator.pauli_sum_matrix(op, 6, basis)
+        csr = scipy.sparse.csr_array(
+            (matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
+        x = np.random.default_rng(4).normal(size=(3, len(basis)))
+        assert (matrix @ x[0]).tobytes() == (csr @ x[0]).tobytes()
+        assert (matrix @ x).tobytes() == scipy_product(matrix, x).tobytes()
+        assert matrix.toarray().tobytes() == csr.toarray().tobytes()
+        assert matrix.diagonal().tobytes() == csr.diagonal().tobytes()
+        assert matrix.nnz == csr.nnz
+
+    def test_batch_product_scratch_is_bounded(self):
+        # LiH's full-space H holds 105,472 entries in up to 36 slots a
+        # row: a batch of 10 states taken at once would hold 17-24 MB of
+        # products; past the output and its copy in row order, 512 kB
+        h, n, _, _ = molecule("LiH", 1.6)
+        matrix = simulator.compiled_sum(h, n)
+        states = np.random.default_rng(5).normal(size=(10, 1 << n)) + 0j
+        tracemalloc.start()
+        try:
+            out = matrix @ states
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 2 * out.nbytes < 0.6e6

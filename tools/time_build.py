@@ -112,7 +112,7 @@ def _plan(plan) -> tuple[int, str]:
 
 
 def _matrix(matrix) -> tuple[int, str]:
-    """Stored entries of a CSR matrix and a digest of its arrays."""
+    """Stored entries of a compiled sum and a digest of its CSR arrays."""
     return matrix.nnz, _arrays((matrix.data, matrix.indices, matrix.indptr))
 
 
