@@ -96,7 +96,9 @@ class InitPolicy:
 
     def draw(self, n_params: int, rng: np.random.Generator) -> np.ndarray:
         """Starting angles, drawn in parameter order in one call: the
-        values one scalar draw per parameter gives."""
+        values one scalar draw per parameter gives.  `rng` is anything
+        with NumPy Generator.uniform's (low, high, size) call, such as
+        the driver's seeds.SeedStream."""
         if self.kind == "zeros":
             return np.zeros(n_params)
         return rng.uniform(self.low, self.high, n_params)

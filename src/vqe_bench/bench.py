@@ -17,8 +17,8 @@ import json
 import logging
 import math
 import os
+import platform
 import re
-import socket
 import tempfile
 import time
 import zlib
@@ -58,6 +58,8 @@ from .hamiltonian import (
     hf_state_index,
     qubit_hamiltonian,
 )
+from .seeds import seed_words
+
 log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
@@ -329,9 +331,8 @@ class PointResult:
 
 
 def _point_seed(master_seed: int, ansatz: str, point_idx: int) -> int:
-    return int(np.random.SeedSequence(
-        [master_seed, zlib.crc32(ansatz.encode()), point_idx]
-    ).generate_state(1)[0])
+    return seed_words([master_seed, zlib.crc32(ansatz.encode()), point_idx],
+                      1)[0]
 
 
 def run_ansatz_point(name: str, h, n_qubits: int, n_electrons: int,
@@ -405,7 +406,7 @@ class SweepLock:
             except (FileNotFoundError, NotADirectoryError) as exc:  # no dir
                 raise DataFileError(f"no data file at {self.path}") from exc
         with os.fdopen(fd, "w") as fh:
-            fh.write(f"{os.getpid()} {socket.gethostname()}")
+            fh.write(f"{os.getpid()} {platform.node()}")
         return self
 
     def _owner_is_dead(self) -> bool:
@@ -413,7 +414,7 @@ class SweepLock:
             pid, _, host = self.lock_path.read_text().partition(" ")
         except FileNotFoundError:  # released since the failed open: free
             return True
-        if not pid.isdecimal() or host != socket.gethostname():
+        if not pid.isdecimal() or host != platform.node():
             return False
         try:
             os.kill(int(pid), 0)

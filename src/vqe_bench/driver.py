@@ -20,13 +20,11 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-# NumPy loads np.random on first use; every sweep seeds its restarts, so
-# load it with the package rather than inside the first point's clock
-import numpy.random  # noqa: F401
 
 from .ansatz.core import AnsatzBuild
 from .ansatz.layered import build_hea
 from .operators import QubitOperator
+from .seeds import SeedStream
 from .simulator import adjoint_gradient, runs_in_sector
 
 WOLFE_C1, WOLFE_C2 = 1e-4, 0.9  # sufficient decrease, curvature
@@ -303,8 +301,7 @@ def run_vqe(ansatz: AnsatzBuild, h: QubitOperator, initial_state: int,
     restarts = (ansatz.restarts if circuit.n_params
                 and ansatz.init_policy.kind != "zeros" else 1)
     starts = np.array([ansatz.init_policy.draw(
-        circuit.n_params,
-        np.random.default_rng(np.random.SeedSequence([seed, restart])))
+        circuit.n_params, SeedStream((seed, restart)))
         for restart in range(restarts)])
     return minimize_bfgs(circuit_objective(circuit, h, initial_state),
                          starts, cfg)
@@ -342,10 +339,9 @@ def run_hea_layer_growth(h: QubitOperator, n_qubits: int, initial_state: int,
             remaining = n_budget - total_evals
             if remaining <= 0:
                 break
-            rng = np.random.default_rng(
-                np.random.SeedSequence([seed, depth, restart]))
             outcome = minimize_bfgs(
-                objective, build.init_policy.draw(build.n_params, rng),
+                objective, build.init_policy.draw(
+                    build.n_params, SeedStream((seed, depth, restart))),
                 replace(cfg, max_energy_evaluations=min(
                     cfg.max_energy_evaluations, remaining)))
             total_evals += outcome.n_evaluations

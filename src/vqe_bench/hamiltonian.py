@@ -180,7 +180,7 @@ def hf_state_index(n_qubits: int, n_electrons: int) -> int:
 def operator_matrix(h: QubitOperator, n_qubits: int,
                     basis: np.ndarray | None = None) -> np.ndarray:
     """Dense matrix of h, optionally restricted to a list of basis states."""
-    return compiled_sum(h, n_qubits, basis).toarray()
+    return compiled_sum(h, n_qubits, basis, product=False).toarray()
 
 
 def exact_ground_energy(h: QubitOperator, n_qubits: int,
@@ -207,7 +207,7 @@ def exact_ground_energy(h: QubitOperator, n_qubits: int,
     import scipy.sparse
     import scipy.sparse.linalg
 
-    matrix = compiled_sum(h, n_qubits, basis)
+    matrix = compiled_sum(h, n_qubits, basis, product=False)
     csr = scipy.sparse.csr_array(
         (matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
     vals = scipy.sparse.linalg.eigsh(csr, k=1, which="SA",

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import zlib
 from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
@@ -14,6 +15,7 @@ from vqe_bench.ansatz import (
     build_uccsd_singlet,
 )
 from vqe_bench.ansatz.core import UNIFORM_0_2PI, UNIFORM_PM_PI
+from vqe_bench.bench import NAMED_ANSATZES, _point_seed
 from vqe_bench.driver import (
     NumericalError,
     OptimizerConfig,
@@ -30,6 +32,7 @@ from vqe_bench.hamiltonian import (
     qubit_hamiltonian,
 )
 from vqe_bench.operators import QubitOperator, parse_pauli_string
+from vqe_bench.seeds import SeedStream, seed_words
 from vqe_bench.simulator import ParamCircuit, apply_circuit, expectation
 from oracles import ry
 
@@ -205,6 +208,55 @@ def test_init_draw_gives_the_scalar_draws(policy):
             drawn = policy.draw(n_params, rng())
             assert drawn.shape == (n_params,)
             assert drawn.tobytes() == scalar.tobytes()
+
+
+# 0 to 7 one-word integers, then values of one to three words each,
+# True and a NumPy integer among them: up to 11 words, past the pool's 4
+SEED_ENTROPY = [tuple(range(k)) for k in range(8)] + [
+    (0, 2**32 - 1, 2**32, 2**70, True, np.int64(2**40 + 5), 3)[:k]
+    for k in range(1, 8)]
+
+
+class TestSeedStream:
+    """vqe_bench.seeds against numpy.random, the oracle, bit for bit."""
+
+    @pytest.mark.parametrize("entropy", SEED_ENTROPY, ids=repr)
+    def test_words_are_seed_sequence_state(self, entropy):
+        for n in (0, 1, 4, 8, 37):
+            oracle = np.random.SeedSequence(entropy).generate_state(n)
+            words = np.array(seed_words(entropy, n), dtype=np.uint32)
+            assert words.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("policy", [UNIFORM_0_2PI, UNIFORM_PM_PI])
+    @pytest.mark.parametrize("entropy", SEED_ENTROPY, ids=repr)
+    def test_uniform_is_default_rng_uniform(self, entropy, policy):
+        for n in (0, 1, 37, 300):
+            oracle = policy.draw(n, np.random.default_rng(
+                np.random.SeedSequence(entropy)))
+            drawn = policy.draw(n, SeedStream(entropy))
+            assert drawn.dtype == oracle.dtype
+            assert drawn.tobytes() == oracle.tobytes()
+
+    def test_point_seed_is_seed_sequence_state(self):
+        names = NAMED_ANSATZES + ("1-UpCCGSD", "2-UpCCGSD")
+        assert len(set(names)) == 11
+        for name in names:
+            for seed in (0, 7, 2**40 + 3):
+                for idx in range(3):
+                    oracle = np.random.SeedSequence(
+                        [seed, zlib.crc32(name.encode()), idx])
+                    assert _point_seed(seed, name, idx) == int(
+                        oracle.generate_state(1)[0])
+
+    @pytest.mark.parametrize("entropy,error", [
+        ((1.5,), TypeError), ((0, np.float64(2.0)), TypeError),
+        ((-1,), ValueError), ((3, np.int64(-2)), ValueError)])
+    def test_refuses_what_numpy_refuses(self, entropy, error):
+        for make in (lambda: seed_words(entropy, 1),
+                     lambda: SeedStream(entropy),
+                     lambda: np.random.SeedSequence(entropy)):
+            with pytest.raises(error):
+                make()
 
 
 class TestRunVqe:

@@ -217,6 +217,31 @@ class TestExactGroundEnergy:
         assert lines[2].startswith("H4 UCCSD r=1.0: E=")
         assert (tmp_path / "data" / "H4.json").is_file()
 
+    def test_cli_leaves_out_numpy_random_and_openssl(self, tmp_path):
+        # seeded restarts draw in-package (vqe_bench.seeds); numpy.random
+        # brought secrets, hmac and _hashlib, which maps libcrypto, and
+        # the sweep lock names its host through platform, not socket
+        paths = [str(REPO / "src")] + sys.path
+        script = (
+            "import sys; data_dir = sys.argv[1]; sys.path[:0] = sys.argv[2:]\n"
+            "def loaded():\n"
+            "    return [m for m in ('numpy.random', 'secrets', '_hashlib',\n"
+            "                        'socket') if m in sys.modules]\n"
+            "import vqe_bench.cli\n"
+            "print(loaded())\n"
+            "vqe_bench.cli.cli.main(['run', '--molecule', 'H2', '--ansatz', "
+            "'BRC', '--ansatz', 'HEA', '--max-evaluations', '60', "
+            "'--data-dir', data_dir], standalone_mode=False)\n"
+            "print(loaded())\n")
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "data"), *paths],
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[0] == lines[-1] == "[]"
+        assert [line.split(":")[0] for line in lines[1:-1]] == [
+            "H2 BRC r=0.7414", "H2 HEA r=0.7414"]
+
     def test_scaled_identity(self):
         h = QubitOperator.identity(0.75)
         assert exact_ground_energy(h, 2) == pytest.approx(0.75)
@@ -260,6 +285,24 @@ class TestExactGroundEnergy:
         monkeypatch.setattr(hamiltonian, "operator_matrix", refused)
         lanczos = exact_ground_energy(h, data.n_qubits, sector=sector)
         assert lanczos == pytest.approx(dense, abs=1e-10)
+
+    def test_lanczos_lays_out_no_product_slots(self, monkeypatch):
+        # eigsh reads the CSR arrays alone; the product's per-row slots
+        # (112,618 of them, 2.7 MB, on LiH's 4,096-state full space) wait
+        # for a first product
+        data = bundled_molecule("LiH").integrals(1.6)
+        h = qubit_hamiltonian(data)
+        basis = sector_indices(data.n_qubits, data.n_electrons, data.ms2)
+        monkeypatch.setattr(hamiltonian, "DENSE_QUBIT_LIMIT", 7)
+        exact_ground_energy(h, data.n_qubits,
+                            sector=(data.n_electrons, data.ms2))
+        matrix = simulator.compiled_sum(h, data.n_qubits, basis,
+                                        product=False)
+        assert len(h._compiled) == 1 and matrix._layout is None
+        state = np.zeros(len(basis), dtype=complex)
+        state[0] = 1.0
+        assert (matrix @ state).tobytes() == matrix.toarray()[:, 0].tobytes()
+        assert matrix._layout is not None
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="not Hermitian"):

@@ -1,12 +1,14 @@
 """Start-up cost of the command line: fresh interpreters that import
-vqe_bench.cli, their seconds and peak RSS, and whether SciPy is loaded.
+vqe_bench.cli, their seconds and peak RSS, and whether SciPy,
+numpy.random, _hashlib (OpenSSL) or socket is loaded.
 
     PYTHONPATH=src python3 tools/time_import.py [--runs 20]
 
 Each run is a new `python3 -c` process with the thread pins
 perfbench/run.py sets.  It times `import vqe_bench.cli` with
 time.perf_counter, reads its own peak RSS (getrusage's ru_maxrss, kB on
-Linux) and counts the SciPy modules in sys.modules after the import.
+Linux) and counts the SciPy modules in sys.modules after the import, and
+notes which of numpy.random, _hashlib and socket it holds.
 The tool also times each process from its start to its exit, since
 perfbench's setup_s counts the interpreter's own start too; it imports
 no part of the package itself.  It prints the medians (q1, q3) over the
@@ -37,7 +39,9 @@ print(json.dumps({
     "import_s": seconds,
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     "scipy_modules": sum(name == "scipy" or name.startswith("scipy.")
-                         for name in sys.modules)}))
+                         for name in sys.modules),
+    "loaded": [name for name in ("numpy.random", "_hashlib", "socket")
+               if name in sys.modules]}))
 """
 
 
@@ -67,12 +71,14 @@ def main(argv=None) -> int:
             [run[key] for run in runs], n=4, method="inclusive")
         result[key] = {"median": median, "q1": q1, "q3": q3}
     scipy_loaded = sorted({run["scipy_modules"] > 0 for run in runs})
+    loaded = sorted({name for run in runs for name in run["loaded"]})
     for key, values in result.items():
         print(f"{key:<12} {values['median']:.4f} "
               f"({values['q1']:.4f}, {values['q3']:.4f})")
     print(f"scipy loaded: {scipy_loaded}")
+    print(f"numpy.random, _hashlib, socket loaded: {loaded}")
     print(json.dumps({"machine": machine, "runs": args.runs, **result,
-                      "scipy_loaded": scipy_loaded}))
+                      "scipy_loaded": scipy_loaded, "loaded": loaded}))
     return 0
 
 
