@@ -7,10 +7,10 @@ and RZ; PauliEvolution applies exp(+i t P).  A state is a bare array of
 2**n amplitudes; every public entry point hands out a fresh one.
 
 A Pauli sum acts through one form: its matrix over a basis, a
-CompiledSum of CSR arrays and per-row slots (pauli_sum_matrix), compiled
-once per operator and basis (compiled_sum), the slots only for a caller
-that multiplies.  Its product is NumPy's, in scipy's csr_matvec
-arithmetic, so SciPy is never imported here.
+CompiledSum of CSR arrays (pauli_sum_csr) and per-row slots
+(pauli_sum_matrix), compiled once per operator and basis (compiled_sum).
+Its product is NumPy's, in scipy's csr_matvec arithmetic, so SciPy is
+never imported here.
 A circuit runs through one form too: a plan compiled once per circuit and
 initial (N, 2Sz) sector, which one kernel runs forward, in reverse and
 as generators for the adjoint gradient.  Plans extend: a circuit grown
@@ -318,10 +318,8 @@ class CompiledSum:
     """A Pauli sum's matrix over a basis, as pauli_sum_matrix compiles it.
 
     It holds the CSR arrays (`data` complex128, `indices` and `indptr`
-    int32, a row's entries in flip-mask order) and, once compiled_sum or
-    a first product lays them out, the same entries as per-row slots:
-    slot k of a row holds its k-th entry.  Their count, and the
-    MAX_COMPILED_ENTRIES refusal, come at compile time (pauli_sum_matrix).
+    int32, a row's entries in flip-mask order) and, for its product, the
+    same entries as per-row slots: slot k of a row holds its k-th entry.
     The rows are taken longest first and cut into blocks (_row_blocks),
     each a (start, stop) range of that order, its columns and real
     weights as (K, stop - start) arrays, K its longest row, and its
@@ -338,48 +336,34 @@ class CompiledSum:
     The sum runs over the slot axis, in order (_slot_sums); along a
     contiguous axis np.add.reduce would sum pairwise."""
 
-    __slots__ = ("data", "indices", "indptr", "shape", "_layout")
+    __slots__ = ("data", "indices", "indptr", "shape", "_blocks", "_unsort")
 
     def __init__(self, data: np.ndarray, indices: np.ndarray,
                  indptr: np.ndarray):
         self.data, self.indices, self.indptr = data, indices, indptr
         size = len(indptr) - 1
         self.shape = (size, size)
-        self._layout = None  # (unsort, blocks), laid out at first use
-
-    def _laid_out(self) -> tuple[np.ndarray, list]:
-        """The row order's inverse and the blocks, laid out on first use:
-        a matrix read only as CSR, e.g. by Lanczos, never holds them."""
-        if self._layout is not None:
-            return self._layout
-        counts = np.diff(self.indptr)
+        counts = np.diff(indptr)
         order = np.argsort(-counts, kind="stable")
-        complex_weights = bool(self.data.imag.any())
-        blocks = []
+        self._unsort = np.argsort(order)
+        complex_weights = bool(data.imag.any())
+        self._blocks = []
         for start, stop, width in _row_blocks(counts[order]):
             rows = order[start:stop]
             lengths = counts[rows]
             row = np.repeat(np.arange(stop - start), lengths)
             slot = np.arange(len(row)) - np.repeat(
                 np.cumsum(lengths) - lengths, lengths)
-            entries = self.indptr[rows][row] + slot
+            entries = indptr[rows][row] + slot
             cols = np.zeros((width, stop - start), dtype=np.intp)
-            cols[slot, row] = self.indices[entries]
+            cols[slot, row] = indices[entries]
             real = np.zeros(cols.shape, dtype=complex)
-            real.real[slot, row] = self.data[entries].real
+            real.real[slot, row] = data[entries].real
             imag = None
             if complex_weights:
                 imag = np.zeros(cols.shape, dtype=complex)
-                imag.imag[slot, row] = self.data[entries].imag
-            blocks.append((start, stop, cols, real, imag))
-        self._layout = (np.argsort(order), blocks)
-        return self._layout
-
-    @property
-    def _blocks(self) -> list:
-        """(start, stop, cols, real, imag) of each block, laid out if not
-        yet."""
-        return self._laid_out()[1]
+                imag.imag[slot, row] = data[entries].imag
+            self._blocks.append((start, stop, cols, real, imag))
 
     @property
     def nnz(self) -> int:
@@ -407,14 +391,13 @@ class CompiledSum:
             raise ValueError(f"a {self.shape} matrix cannot act on an "
                              f"array of shape {x.shape}")
         states = x.reshape(-1, self.shape[1])
-        unsort, blocks = self._laid_out()
         out = np.empty(states.shape, dtype=complex)  # rows longest first
-        for start, stop, cols, real, imag in blocks:
+        for start, stop, cols, real, imag in self._blocks:
             batch = max(_PRODUCT_BLOCK // max(cols.size, 1), 1)
             for row in range(0, len(states), batch):
                 _slot_sums(states[row:row + batch], cols, real, imag,
                            out[row:row + batch, start:stop])
-        return out.take(unsort, axis=1).reshape(x.shape)
+        return out.take(self._unsort, axis=1).reshape(x.shape)
 
 
 def _row_blocks(counts: np.ndarray) -> list[tuple[int, int, int]]:
@@ -455,14 +438,16 @@ def _slot_sums(states: np.ndarray, cols: np.ndarray, real: np.ndarray,
                   out=out.view(float))
 
 
-def pauli_sum_matrix(op: QubitOperator, n_qubits: int,
-                     basis: np.ndarray | None = None) -> CompiledSum:
+def pauli_sum_csr(op: QubitOperator, n_qubits: int,
+                  basis: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """op over a list of distinct basis states, its rows and columns in the
-    list's order (default: all 2**n_qubits, in order), as a CompiledSum.
-    The terms of one flip mask fold into one weight per row r, at the
-    column of r ^ flip; zero weights and columns outside the basis are
-    dropped.  Past MAX_COMPILED_ENTRIES slots, padding included, it
-    raises before allocating."""
+    list's order (default: all 2**n_qubits, in order), as CSR arrays
+    (data, indices, indptr).  The terms of one flip mask fold into one
+    weight per row r, at the column of r ^ flip; zero weights and columns
+    outside the basis are dropped.  Past MAX_COMPILED_ENTRIES slots of a
+    CompiledSum's product, padding included, it raises before
+    allocating."""
     masks: dict[int, list[tuple[int, complex]]] = {}
     for string, coeff in op.terms.items():
         flip, yz, phase = pauli_masks(string)
@@ -512,16 +497,20 @@ def pauli_sum_matrix(op: QubitOperator, n_qubits: int,
         at = cursor[keep]
         indices[at], data[at] = cols, weights
         cursor[keep] = at + 1
-    return CompiledSum(data, indices, indptr.astype(np.int32))
+    return data, indices, indptr.astype(np.int32)
+
+
+def pauli_sum_matrix(op: QubitOperator, n_qubits: int,
+                     basis: np.ndarray | None = None) -> CompiledSum:
+    """pauli_sum_csr(op, n_qubits, basis) as a CompiledSum, its product's
+    slots laid out."""
+    return CompiledSum(*pauli_sum_csr(op, n_qubits, basis))
 
 
 def compiled_sum(op: QubitOperator, n_qubits: int,
-                 basis: np.ndarray | None = None, *,
-                 product: bool = True) -> CompiledSum:
+                 basis: np.ndarray | None = None) -> CompiledSum:
     """pauli_sum_matrix(op, n_qubits, basis), compiled once per (n_qubits,
-    basis) and kept on op, whose terms never change, with its product's
-    slots laid out; with `product` False, for a caller that reads only
-    the CSR arrays, they wait for a first @."""
+    basis) and kept on op, whose terms never change."""
     key = (n_qubits, None if basis is None
            else np.asarray(basis, dtype=np.int64).tobytes())
     cache = getattr(op, "_compiled", None)
@@ -530,8 +519,6 @@ def compiled_sum(op: QubitOperator, n_qubits: int,
     matrix = cache.get(key)
     if matrix is None:
         matrix = cache[key] = pauli_sum_matrix(op, n_qubits, basis)
-    if product:
-        matrix._laid_out()
     return matrix
 
 
@@ -1045,7 +1032,7 @@ def basis_expectation(h: QubitOperator, n_qubits: int, index: int) -> float:
     sector, the one a plan from that state compiles h over."""
     _check_index(index, n_qubits)
     basis = sector_indices(n_qubits, *_state_sector(index))
-    diagonal = compiled_sum(h, n_qubits, basis, product=False).diagonal()
+    diagonal = compiled_sum(h, n_qubits, basis).diagonal()
     return _real(diagonal[np.searchsorted(basis, index)])
 
 

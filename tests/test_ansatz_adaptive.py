@@ -284,12 +284,14 @@ class TestPoolScreening:
 
     def test_adapt_memory_is_bounded(self):
         # grown plans hold no earlier circuit or table: 1.77-1.87 MB
-        # when each iteration compiled its circuit afresh, 1.64 MB now.
-        # One step on a pool of its own first leaves H's compiled form
-        # and the process's index and sign tables out of the window
+        # when each iteration compiled its circuit afresh.  H's compiled
+        # form and the process's index and sign tables, which an earlier
+        # test may or may not have built, are built before the window
         h, fermionic, _, hf_idx = lih_problem()
-        adapt_vqe(h, 12, build_fermionic_pool(12, 4), initial_state=hf_idx,
-                  max_iters=1)
+        simulator.compiled_sum(h, 12, simulator.sector_indices(12, 4, 0))
+        simulator._indices(1 << 12)
+        for bits in range(1, 13):
+            simulator._sign_table(bits)
         (_, trace), peak = _traced_peak(lambda: adapt_vqe(
             h, 12, fermionic, initial_state=hf_idx, max_iters=6))
         assert len(trace.iterations) == 6

@@ -287,22 +287,21 @@ class TestExactGroundEnergy:
         assert lanczos == pytest.approx(dense, abs=1e-10)
 
     def test_lanczos_lays_out_no_product_slots(self, monkeypatch):
-        # eigsh reads the CSR arrays alone; the product's per-row slots
-        # (112,618 of them, 2.7 MB, on LiH's 4,096-state full space) wait
-        # for a first product
+        # eigsh reads the CSR arrays alone: no CompiledSum, whose product
+        # slots on LiH's 4,096-state full space are 112,618 (2.7 MB), is
+        # built, and nothing compiled stays on h
         data = bundled_molecule("LiH").integrals(1.6)
+        sector = exact_ground_energy(qubit_hamiltonian(data), data.n_qubits,
+                                     sector=(data.n_electrons, data.ms2))
         h = qubit_hamiltonian(data)
-        basis = sector_indices(data.n_qubits, data.n_electrons, data.ms2)
-        monkeypatch.setattr(hamiltonian, "DENSE_QUBIT_LIMIT", 7)
-        exact_ground_energy(h, data.n_qubits,
-                            sector=(data.n_electrons, data.ms2))
-        matrix = simulator.compiled_sum(h, data.n_qubits, basis,
-                                        product=False)
-        assert len(h._compiled) == 1 and matrix._layout is None
-        state = np.zeros(len(basis), dtype=complex)
-        state[0] = 1.0
-        assert (matrix @ state).tobytes() == matrix.toarray()[:, 0].tobytes()
-        assert matrix._layout is not None
+
+        def refused(*args, **kwargs):
+            raise AssertionError("product slots laid out for Lanczos")
+
+        monkeypatch.setattr(simulator.CompiledSum, "__init__", refused)
+        assert exact_ground_energy(h, data.n_qubits) == pytest.approx(
+            sector, abs=1e-8)
+        assert getattr(h, "_compiled", {}) == {}
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="not Hermitian"):
