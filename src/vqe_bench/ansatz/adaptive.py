@@ -30,6 +30,7 @@ from ..operators import PauliString, QubitOperator, serialize_pauli_string
 from ..simulator import (
     Gate,
     ParamCircuit,
+    _check_index,
     anticommuting,
     commutator_gradient,
     pauli_evolution,
@@ -197,8 +198,7 @@ def _adapt(h, n_qubits, pool, rank, name, initial, max_iters, cfg,
         if reached is not None and reached(energy):
             converged = True
             break
-    return (AnsatzBuild(circuit, init_policy=ZEROS,
-                        particle_conserving=pool.kind == "fermionic-sd"),
+    return (AnsatzBuild(circuit, init_policy=ZEROS),
             AdaptiveTrace(converged, energy, tuple(iterations)))
 
 
@@ -264,6 +264,7 @@ def qcc_optimize(h: QubitOperator, n_qubits: int, pool: OperatorPool,
         raise ValueError("empty entangler pool")
     if pool.kind != "qubit-pauli":
         raise ValueError("qcc_optimize expects a qubit-pauli pool")
+    _check_index(initial_state, n_qubits)  # its low n bits alone seed it
     check_finite("improvement_tol", improvement_tol)
     check_finite("chem_tol", chem_tol)
     if reference_energy is not None:

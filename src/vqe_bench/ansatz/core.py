@@ -114,7 +114,6 @@ class AnsatzBuild:
     """A compiled circuit and how run_vqe starts it; nothing else."""
 
     circuit: ParamCircuit
-    particle_conserving: bool
     init_policy: InitPolicy
     restarts: int = 1
 

@@ -78,8 +78,7 @@ def uccsd_singlet_generators(n_qubits: int, n_electrons: int) -> list:
 def build_uccsd_singlet(n_qubits: int, n_electrons: int) -> AnsatzBuild:
     """Spin-preserving singles and doubles with spatial parameter sharing."""
     gens = uccsd_singlet_generators(n_qubits, n_electrons)
-    return AnsatzBuild(trotterize(gens, n_qubits),
-                       particle_conserving=True, init_policy=ZEROS)
+    return AnsatzBuild(trotterize(gens, n_qubits), init_policy=ZEROS)
 
 
 def _pair_channel_doubles(occ, virt) -> list[ExcitationGenerator]:
@@ -120,8 +119,7 @@ def build_uccsd0(n_qubits: int, n_electrons: int) -> AnsatzBuild:
     occ, virt = _spatial_split(n_qubits, n_electrons)
     gens = _shared_singles(occ, virt)
     gens.extend(_pair_channel_doubles(occ, virt))
-    return AnsatzBuild(trotterize(gens, n_qubits),
-                       particle_conserving=True, init_policy=ZEROS)
+    return AnsatzBuild(trotterize(gens, n_qubits), init_policy=ZEROS)
 
 
 def build_kupccgsd(n_qubits: int, n_electrons: int, k: int) -> AnsatzBuild:
@@ -141,7 +139,7 @@ def build_kupccgsd(n_qubits: int, n_electrons: int, k: int) -> AnsatzBuild:
             gens.append(ExcitationGenerator(
                 "paired-double", (_alpha(p), _beta(p)),
                 (_alpha(q), _beta(q)), f"k{block}_pd_{p}_{q}"))
-    return AnsatzBuild(trotterize(gens, n_qubits), particle_conserving=True,
+    return AnsatzBuild(trotterize(gens, n_qubits),
                        init_policy=UNIFORM_0_2PI, restarts=10)
 
 
@@ -161,5 +159,4 @@ def build_qucc(n_qubits: int, n_electrons: int) -> AnsatzBuild:
             if (i % 2 + j % 2) == (a % 2 + b % 2):  # Sz-preserving
                 gens.append(ExcitationGenerator(
                     "qubit-double", (i, j), (a, b), f"qd_{i}_{j}_{a}_{b}"))
-    return AnsatzBuild(trotterize(gens, n_qubits),
-                       particle_conserving=True, init_policy=ZEROS)
+    return AnsatzBuild(trotterize(gens, n_qubits), init_policy=ZEROS)

@@ -33,7 +33,7 @@ def build_hea(n_qubits: int, depth: int) -> AnsatzBuild:
             gates.append(Gate("CNOT", (q, q + 1)))
         rotation_layer(layer)
     return AnsatzBuild(ParamCircuit(n_qubits, gates),
-                       particle_conserving=False, init_policy=UNIFORM_0_2PI)
+                       init_policy=UNIFORM_0_2PI)
 
 
 def _matchgate_block(qa: int, qb: int, prefix: str) -> list[Gate]:
@@ -62,8 +62,8 @@ def build_ldca(n_qubits: int, cycles: int) -> AnsatzBuild:
                     gates.extend(_matchgate_block(qa, qa + 1, prefix))
     for q in range(n_qubits):
         gates.append(Gate("RZ", (q,), param=(f"phase_{q}", 1.0)))
-    return AnsatzBuild(ParamCircuit(n_qubits, gates), restarts=20,
-                       particle_conserving=False, init_policy=UNIFORM_0_2PI)
+    return AnsatzBuild(ParamCircuit(n_qubits, gates),
+                       init_policy=UNIFORM_0_2PI, restarts=20)
 
 
 def givens_network(n_modes: int, n_filled: int) -> list[tuple[int, int]]:
@@ -96,8 +96,8 @@ def build_brc(n_modes: int, n_filled: int) -> AnsatzBuild:
     for epoch, p in givens_network(n_modes, n_filled):
         gates.append(Gate("GivensRotation", (p, p + 1),
                           param=(f"g_{epoch}_{p}", 1.0)))
-    return AnsatzBuild(ParamCircuit(n_modes, gates), particle_conserving=True,
-                       init_policy=UNIFORM_PM_PI, restarts=20)
+    return AnsatzBuild(ParamCircuit(n_modes, gates), init_policy=UNIFORM_PM_PI,
+                       restarts=20)
 
 
 def build_brc_closed_shell(n_qubits: int, n_electrons: int) -> AnsatzBuild:
@@ -114,5 +114,5 @@ def build_brc_closed_shell(n_qubits: int, n_electrons: int) -> AnsatzBuild:
                           param=(name, 1.0)))
         gates.append(Gate("GivensRotation", (2 * p + 1, 2 * p + 3),
                           param=(name, 1.0)))
-    return AnsatzBuild(ParamCircuit(n_qubits, gates), particle_conserving=True,
+    return AnsatzBuild(ParamCircuit(n_qubits, gates),
                        init_policy=UNIFORM_PM_PI, restarts=20)

@@ -25,7 +25,7 @@ from .ansatz.core import AnsatzBuild
 from .ansatz.layered import build_hea
 from .operators import QubitOperator
 from .seeds import SeedStream
-from .simulator import adjoint_gradient, runs_in_sector
+from .simulator import adjoint_gradient
 
 WOLFE_C1, WOLFE_C2 = 1e-4, 0.9  # sufficient decrease, curvature
 CHEMICAL_ACCURACY = 0.0016  # Ha, the paper's band around the FCI energy
@@ -288,16 +288,8 @@ def circuit_objective(circuit, h: QubitOperator, initial_state: int):
 def run_vqe(ansatz: AnsatzBuild, h: QubitOperator, initial_state: int,
             cfg: OptimizerConfig | None = None, seed: int = 0) -> VqeResult:
     """Optimize one ansatz, best-of over seeded restarts for random inits;
-    restarts run in lockstep, and ties go to the lowest restart.
-
-    A build labelled particle-conserving whose circuit leaves the (N, 2Sz)
-    sector of the initial state is refused.
-    """
+    restarts run in lockstep, and ties go to the lowest restart."""
     circuit = ansatz.circuit
-    if ansatz.particle_conserving and not runs_in_sector(circuit,
-                                                         initial_state):
-        raise ValueError("ansatz is labelled particle-conserving but its "
-                         "circuit leaves the sector of the initial state")
     restarts = (ansatz.restarts if circuit.n_params
                 and ansatz.init_policy.kind != "zeros" else 1)
     starts = np.array([ansatz.init_policy.draw(

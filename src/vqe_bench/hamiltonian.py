@@ -26,6 +26,7 @@ from .operators import (
 )
 from .simulator import (
     basis_expectation,
+    check_qubits,
     compiled_sum,
     pauli_sum_csr,
     sector_indices,
@@ -35,7 +36,6 @@ SYMMETRY_TOLERANCE = 1e-10
 # references over more than 2**DENSE_QUBIT_LIMIT basis states run Lanczos:
 # a dense matrix over d states is 16 * d**2 bytes, 16.8 MB at d = 1024
 DENSE_QUBIT_LIMIT = 10
-ITERATIVE_QUBIT_LIMIT = 20
 LANCZOS_TOLERANCE = 1e-9
 
 
@@ -196,8 +196,7 @@ def exact_ground_energy(h: QubitOperator, n_qubits: int,
     """
     if not hermiticity_check(h, 1e-9):
         raise ValueError("Hamiltonian is not Hermitian")
-    if n_qubits > ITERATIVE_QUBIT_LIMIT:
-        raise ValueError(f"dimension overflow: {n_qubits} qubits")
+    check_qubits(n_qubits)
     basis = None if sector is None else sector_indices(n_qubits, *sector)
     size = 1 << n_qubits if basis is None else len(basis)
     if size == 0:

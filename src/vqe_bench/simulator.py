@@ -55,9 +55,10 @@ share that one parity rule.
 Parameter values are one float array, `angles`, in param_names order.
 The kernel takes a leading batch axis: adjoint_gradient at (R, P) angles
 runs one forward and one reverse sweep over an (R, D) array of states,
-with h applied as one product over the rows and the row reductions as
-stacked matmuls.  Every operation acts row by row with the arithmetic of
-the one-vector path, so each row gets the bits of its own (P,) call.
+with h applied as one product over the rows, the row reductions and
+fixed two-qubit gates as stacked matmuls.  Every operation acts row by
+row with the arithmetic of the one-vector path, so each row gets the
+bits of its own (P,) call.
 """
 
 from __future__ import annotations
@@ -71,6 +72,9 @@ import numpy as np
 from .operators import PauliString, QubitOperator
 
 IMAG_RESIDUE_TOLERANCE = 1e-9
+# the most qubits a circuit, sector or compiled sum may span: a state is
+# 16 MB at 20 qubits, and a compile holds a few 2**n index arrays beside it
+MAX_QUBITS = 20
 # slots of a compiled sum (its entries and the padding of its rows to
 # the longest in their block): 24 bytes per slot (complex weight,
 # intp column; 40 with complex weights) and 20 per CSR entry (complex128,
@@ -172,6 +176,14 @@ def pauli_evolution(string: PauliString, name: str,
     return gate
 
 
+def check_qubits(n_qubits: int) -> None:
+    """Refuse a qubit count past MAX_QUBITS, before 2**n of anything is
+    allocated."""
+    if n_qubits > MAX_QUBITS:
+        raise ValueError(f"dimension overflow: {n_qubits} qubits exceed "
+                         f"MAX_QUBITS = {MAX_QUBITS}")
+
+
 @dataclass(frozen=True)
 class ParamCircuit:
     """Ordered gate list whose parameter names are those its gates bind,
@@ -190,6 +202,7 @@ class ParamCircuit:
                           compare=False)
 
     def __post_init__(self):
+        check_qubits(self.n_qubits)
         object.__setattr__(self, "gates", tuple(self.gates))
         for gate in self.gates:
             if any(t >= self.n_qubits or t < 0 for t in gate.targets):
@@ -241,6 +254,7 @@ def _indices(n_amps: int) -> np.ndarray:
 
 
 def _apply_single(amps: np.ndarray, qubit: int, u: np.ndarray) -> None:
+    """Apply a 2x2 matrix to every row of a C-ordered state or batch."""
     view = amps.reshape(-1, 2, 1 << qubit)
     lo = view[:, 0, :].copy()
     hi = view[:, 1, :]
@@ -250,10 +264,11 @@ def _apply_single(amps: np.ndarray, qubit: int, u: np.ndarray) -> None:
 
 def _apply_two(amps: np.ndarray, n_qubits: int, qa: int, qb: int,
                u: np.ndarray) -> None:
-    """Apply a 4x4 matrix in the basis |b_a b_b> (b_a the high bit)."""
-    tensor = amps.reshape((2,) * n_qubits)
-    moved = np.moveaxis(tensor, (n_qubits - 1 - qa, n_qubits - 1 - qb), (0, 1))
-    flat = moved.reshape(4, -1)
+    """Apply a 4x4 matrix in the basis |b_a b_b> (b_a the high bit) to every
+    row of a C-ordered state or batch: a (4, 4) @ (4, M) product per row."""
+    tensor = amps.reshape((-1,) + (2,) * n_qubits)
+    moved = np.moveaxis(tensor, (n_qubits - qa, n_qubits - qb), (1, 2))
+    flat = moved.reshape(len(tensor), 4, -1)
     moved[...] = (u @ flat).reshape(moved.shape)
 
 
@@ -298,6 +313,7 @@ def apply_pauli_string(string: PauliString, amps: np.ndarray) -> np.ndarray:
 def sector_indices(n_qubits: int, n_electrons: int,
                    ms2: int | None = None) -> np.ndarray:
     """Basis indices with the given electron count (and optionally 2*Sz)."""
+    check_qubits(n_qubits)
     indices = np.arange(1 << n_qubits, dtype=np.int64)
     counts = np.bitwise_count(indices).astype(np.int64)  # signed: ms2 < 0
     mask = counts == n_electrons
@@ -446,8 +462,9 @@ def pauli_sum_csr(op: QubitOperator, n_qubits: int,
     (data, indices, indptr).  The terms of one flip mask fold into one
     weight per row r, at the column of r ^ flip; zero weights and columns
     outside the basis are dropped.  Past MAX_COMPILED_ENTRIES slots of a
-    CompiledSum's product, padding included, it raises before
-    allocating."""
+    CompiledSum's product, padding included, or past MAX_QUBITS, it
+    raises before allocating."""
+    check_qubits(n_qubits)
     masks: dict[int, list[tuple[int, complex]]] = {}
     for string, coeff in op.terms.items():
         flip, yz, phase = pauli_masks(string)
@@ -799,11 +816,10 @@ def _rotate(amps: np.ndarray, acted: tuple, angle) -> None:
 
 
 def _apply_matrix(amps: np.ndarray, n_qubits: int, targets, u) -> None:
-    for row in amps.reshape(-1, amps.shape[-1]):  # one vector at a time
-        if len(targets) == 1:
-            _apply_single(row, targets[0], u)
-        else:
-            _apply_two(row, n_qubits, *targets, u)
+    if len(targets) == 1:
+        _apply_single(amps, targets[0], u)
+    else:
+        _apply_two(amps, n_qubits, *targets, u)
 
 
 def _angle(step: _Step, angles: np.ndarray):
@@ -959,12 +975,6 @@ def _scatter(plan: _Plan, amps: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
-
-
-def runs_in_sector(circuit: ParamCircuit, initial: int) -> bool:
-    """True when every step of the circuit maps the (N, 2Sz) sector of
-    basis state `initial` into itself, so its plan runs in that sector."""
-    return _circuit_plan(circuit, initial).basis is not None
 
 
 def apply_circuit(circuit: ParamCircuit, angles,

@@ -6,7 +6,8 @@ tensor-product rules, independent of the symbolic algebra they are used
 to check; scipy_product is SciPy's own CSR product, the bit-level
 reference for a compiled sum's.  The helpers (ladder factors, the number
 operator, commutators, RY gates, the sqrt-iSWAP Givens decomposition)
-are built from the package's public types; the package itself never
+are built from the package's public types, and runs_in_sector reads
+the verdict of the plan the package compiles; the package itself never
 calls them.
 """
 
@@ -21,7 +22,7 @@ from vqe_bench.operators import (
     QubitOperator,
     pauli_multiply,
 )
-from vqe_bench.simulator import Gate
+from vqe_bench.simulator import Gate, _circuit_plan
 
 _SINGLE = {
     "I": np.eye(2, dtype=complex),
@@ -138,6 +139,12 @@ def givens_compilation(theta: float, qa: int = 0, qb: int = 1) -> tuple[Gate, ..
         Gate("SqrtISwap", (qa, qb)),
         Gate("RZ", (qa,), angle=-math.pi),
     )
+
+
+def runs_in_sector(circuit, initial: int) -> bool:
+    """True when every step of the circuit maps the (N, 2Sz) sector of
+    basis state `initial` into itself, so its plan runs in that sector."""
+    return _circuit_plan(circuit, initial).basis is not None
 
 
 def basis_state(n_qubits: int, index: int) -> np.ndarray:

@@ -20,6 +20,7 @@ from oracles import (
     random_string,
     random_values,
     ry,
+    runs_in_sector,
 )
 from vqe_bench import simulator
 from vqe_bench.ansatz import (
@@ -57,7 +58,6 @@ from vqe_bench.simulator import (
     expectation,
     parameter_shift_gradient,
     pauli_evolution,
-    runs_in_sector,
 )
 
 
@@ -466,11 +466,16 @@ class TestQubitAdaptVqe:
                            if g.kind == "PauliEvolution"]
         assert len(evolution_gates) == len(trace.iterations)
 
-    def test_not_marked_particle_conserving(self):
+    def test_h2_pick_keeps_the_hf_sector(self):
+        # the family may leave the sector (H4 does, in test_plan), but
+        # H2's one pick, X0 X1 X2 Y3, maps the (2, 0) sector onto itself:
+        # the circuit, not its family, decides where the plan runs
         h, _, hf_idx = h2_problem()
         qpool = build_qubit_pool(build_fermionic_pool(4, 2), 4)
         build, _ = qubit_adapt_vqe(h, 4, qpool, initial_state=hf_idx)
-        assert not build.particle_conserving
+        assert [gate.generator for gate in build.circuit.gates] == [
+            parse_pauli_string("X0 X1 X2 Y3")]
+        assert runs_in_sector(build.circuit, hf_idx)
 
     def test_fermionic_pool_rejected(self):
         h, _, _ = h2_problem()
@@ -560,6 +565,16 @@ class TestQcc:
         with pytest.raises(ValueError, match="qubit-pauli"):
             qcc_optimize(h, 4, build_fermionic_pool(4, 2),
                          initial_state=hf_idx)
+
+    @pytest.mark.parametrize("initial", [19, -1])
+    def test_initial_state_outside_the_register_refused(self, initial):
+        # only its low 4 bits seeded the mean field: 19 gave state 3's
+        # answer and -1 state 15's
+        h, _, _ = h2_problem()
+        qpool = build_qubit_pool(build_fermionic_pool(4, 2), 4)
+        with pytest.raises(ValueError, match=f"basis index {initial} out "
+                                             "of range"):
+            qcc_optimize(h, 4, qpool, initial_state=initial)
 
     def test_gain_ties_pick_lowest_index(self, monkeypatch):
         # gains equal up to rounding must not let the later entry win

@@ -25,6 +25,7 @@ from oracles import (
     finite_difference_gradient,
     number_expectation,
     random_hermitian_operator,
+    runs_in_sector,
 )
 
 BUILDERS = {
@@ -201,9 +202,9 @@ class TestParticleConservation:
     def test_random_draws_conserve_occupation(self, name):
         data = bundled_molecule("H4").integrals(1.0)
         build = BUILDERS[name](data.n_qubits, data.n_electrons)
-        assert build.particle_conserving
-        rng = np.random.default_rng(13)
         initial = hf_state_index(data.n_qubits, data.n_electrons)
+        assert runs_in_sector(build.circuit, initial)
+        rng = np.random.default_rng(13)
         for _ in range(20):
             values = np.array([float(rng.uniform(-np.pi, np.pi))
                                for _ in build.circuit.param_names])

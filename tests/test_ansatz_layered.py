@@ -17,6 +17,7 @@ from oracles import (
     givens_compilation,
     number_expectation,
     random_hermitian_operator,
+    runs_in_sector,
 )
 
 
@@ -54,8 +55,8 @@ class TestHea:
         assert expectation(h, state) == pytest.approx(
             expectation(h, vacuum), abs=1e-12)
 
-    def test_not_marked_particle_conserving(self):
-        assert not build_hea(4, 1).particle_conserving
+    def test_leaves_the_hf_sector(self):
+        assert not runs_in_sector(build_hea(4, 1).circuit, 0b0011)
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from vqe_bench import simulator
 from vqe_bench.ansatz.adaptive import build_fermionic_pool, build_qubit_pool
+from vqe_bench.hamiltonian import hf_energy
 from vqe_bench.operators import PauliString, QubitOperator, parse_pauli_string
 from vqe_bench.simulator import (
     Gate,
@@ -35,6 +37,7 @@ from oracles import (
     random_string,
     random_values,
     ry,
+    runs_in_sector,
 )
 
 
@@ -178,8 +181,8 @@ class TestTermExpectations:
             Gate("GivensRotation", (1, 3), param=("b", 1.0))])
         pool = ParamCircuit(4, [
             Gate("GivensRotation", (1, 3), param=("p", 1.0))])
-        assert simulator.runs_in_sector(circuit, 0b0011)
-        assert simulator.runs_in_sector(pool, 0b0011)
+        assert runs_in_sector(circuit, 0b0011)
+        assert runs_in_sector(pool, 0b0011)
         h = qo("X0 X2", 0.5) + qo("Z1", -0.3) + qo("Y1 Y3") + qo("X0 Y1")
         values = [0.4, -1.1]  # a, b
         amps = commutator_gradient(circuit, h, values, 0b0011, pool)[2]
@@ -566,6 +569,35 @@ class TestBareStates:
         out = apply_pauli_evolution(state, parse_pauli_string("X0 Y1"), 0.3)
         np.testing.assert_array_equal(state, basis_state(2, 0))
         assert abs(out[0] - math.cos(0.3)) < 1e-15
+
+
+class TestQubitLimit:
+    # unchecked, each of these goes on to allocate 2**n: a 40-qubit
+    # circuit reached np.arange(1 << 40) in apply_circuit
+    PAST = simulator.MAX_QUBITS + 1
+    CALLS = {
+        "circuit": lambda n: ParamCircuit(n, []),
+        "sector": lambda n: simulator.sector_indices(n, 2, 0),
+        "csr over one state": lambda n: simulator.pauli_sum_csr(
+            qo("Z0"), n, basis=np.array([0])),
+        "hf energy": lambda n: hf_energy(qo("Z0"), n, 2),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_refused_before_allocating(self, call):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="dimension overflow: "
+                                                 f"{self.PAST} qubits"):
+                self.CALLS[call](self.PAST)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_limit_itself_allowed(self):
+        circuit = ParamCircuit(simulator.MAX_QUBITS, [])
+        assert circuit.n_qubits == simulator.MAX_QUBITS
 
 
 def _two_parameter_case():
