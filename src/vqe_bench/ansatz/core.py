@@ -8,10 +8,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..operators import (
-    FermionOperator,
+    COEFF_TOLERANCE,
+    PauliString,
     QubitOperator,
-    jordan_wigner,
-    ladder_product,
+    _add_ladder_terms,
+    _check_modes,
+    _normal_order_term,
     serialize_pauli_string,
 )
 from ..simulator import Gate, ParamCircuit, pauli_evolution
@@ -62,23 +64,33 @@ class ExcitationGenerator:
     def _on_qubits(self, n_qubits: int) -> tuple[QubitOperator,
                                                  tuple[Gate, ...]]:
         """T - T† on qubits and its Pauli-evolution gates, bound to
-        param_name in canonical term order.  Both are made once per qubit
-        count and kept on the generator, never changed, so every build,
-        pool and screening circuit made from it shares one mapping."""
+        param_name in canonical term order.  T is one factor product,
+        normal-ordered for fermionic kinds (one term, since no orbital
+        is named twice), so it maps in one pass through its ladder
+        template; T, each term of its image and each 2i Im c are pruned
+        at COEFF_TOLERANCE, as jordan_wigner and QubitOperator prune.
+        Both are made once per qubit count and kept on the generator,
+        never changed, so every build, pool and screening circuit made
+        from it shares one mapping."""
         mapped = self._mapped.get(n_qubits)
         if mapped is not None:
             return mapped
         factors = tuple((v, True) for v in self.virtual)
         factors += tuple((o, False) for o in reversed(self.occupied))
+        image: dict = {}
         if self.kind in FERMIONIC_KINDS:
-            t = FermionOperator.from_term(factors, self.prefactor)
-            t = jordan_wigner(t, n_qubits)
+            (key, coeff), = _normal_order_term(factors, self.prefactor)
+            if abs(coeff) > COEFF_TOLERANCE:
+                _check_modes(max((mode for mode, _ in key), default=-1),
+                             n_qubits)
+                _add_ladder_terms(image, key, coeff, True)
         else:
-            t = ladder_product(factors, self.prefactor, z_chain=False)
+            _add_ladder_terms(image, factors, self.prefactor, False)
         # Pauli strings are Hermitian, so T - T† = sum of (c - c*) P over
         # T's image, with c - c* = 2i Im c exactly; pruned as a difference
-        op = QubitOperator({string: complex(0.0, 2.0 * c.imag)
-                            for string, c in t.terms.items()})
+        op = QubitOperator({PauliString.from_masks(x, z): complex(
+            0.0, 2.0 * c.imag) for (x, z), c in image.items()
+            if abs(c) > COEFF_TOLERANCE})
         gates = tuple(
             pauli_evolution(string, self.param_name, op.terms[string].imag)
             for string in sorted(op.terms, key=serialize_pauli_string))

@@ -37,6 +37,10 @@ COEFF_TOLERANCE = 1e-12
 _AXES = ("X", "Y", "Z")
 _AXIS_OF_BITS = (None, "X", "Z", "Y")  # indexed by x bit + 2 * z bit
 _I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+# a factor's label token, as _TOKENS[qubit][x bit + 2 * z bit], for the
+# first 64 qubits; a string past them formats its tokens
+_TOKENS = tuple(tuple(f"{axis}{qubit}" for axis in _AXIS_OF_BITS)
+                for qubit in range(64))
 
 
 class _kept:
@@ -125,9 +129,12 @@ class PauliString:
     @_kept
     def _label(self) -> str:
         x, z = self.x, self.z
-        return " ".join([
-            f"{_AXIS_OF_BITS[(x >> q & 1) | (z >> q & 1) << 1]}{q}"
-            for q in self.qubits]) or "I"
+        if (x | z) >> len(_TOKENS):
+            return " ".join([
+                f"{_AXIS_OF_BITS[(x >> q & 1) | (z >> q & 1) << 1]}{q}"
+                for q in self.qubits])
+        return " ".join([_TOKENS[q][(x >> q & 1) | (z >> q & 1) << 1]
+                         for q in self.qubits]) or "I"
 
     def __getstate__(self) -> dict:
         """The masks alone, so a string pickles the same whether or not
@@ -422,11 +429,14 @@ def _template(pattern: tuple[tuple[int, bool], ...],
 
 def _add_ladder_terms(out: dict, factors: Iterable[tuple[int, bool]],
                       coeff: complex, z_chain: bool) -> None:
-    """Add the ladder product's {(x, z): coeff} terms into out, read off
-    its pattern's template: x is the XOR of the factors' mode bits, and
-    each term's z the XOR of their chains and its picked mode bits.  Every
-    term has magnitude |coeff| 2^-(distinct modes), so one test prunes
-    them all."""
+    """Add the {(x, z): coeff} terms of coeff times the product of
+    (mode, is_creation) ladder images into out: a†_i -> (X_i - iY_i)/2
+    and a_i -> (X_i + iY_i)/2, each with Z on every qubit below i when
+    z_chain (the Jordan-Wigner image) and bare otherwise (qubit
+    excitations).  They are read off the pattern's template: x is the XOR
+    of the factors' mode bits, and each term's z the XOR of their chains
+    and its picked mode bits.  Every term has magnitude
+    |coeff| 2^-(distinct modes), so one test prunes them all."""
     factors = [(index(mode), dagger) for mode, dagger in factors]
     modes = sorted({mode for mode, _ in factors})
     if modes and modes[0] < 0:
@@ -449,24 +459,16 @@ def _add_ladder_terms(out: dict, factors: Iterable[tuple[int, bool]],
         out[key] = out.get(key, 0.0) + coeff * value
 
 
-def ladder_product(factors: Iterable[tuple[int, bool]], coeff: complex = 1.0,
-                   z_chain: bool = True) -> QubitOperator:
-    """coeff times the product of (mode, is_creation) ladder images.
-
-    a†_i -> (X_i - iY_i)/2 and a_i -> (X_i + iY_i)/2, each with Z on every
-    qubit below i when z_chain (the Jordan-Wigner image) and bare otherwise
-    (qubit excitations).
-    """
-    terms: dict = {}
-    _add_ladder_terms(terms, factors, coeff, z_chain)
-    return _qubit_operator(terms)
+def _check_modes(top: int, n_qubits: int) -> None:
+    """Refuse a highest mode index with no qubit to map it to."""
+    if top >= n_qubits:
+        raise ValueError(
+            f"mode index {top} out of range for {n_qubits} qubits")
 
 
 def jordan_wigner(f: FermionOperator, n_qubits: int) -> QubitOperator:
     """Map a fermionic operator to qubits, one spin orbital per qubit."""
-    if f.max_mode() >= n_qubits:
-        raise ValueError(
-            f"mode index {f.max_mode()} out of range for {n_qubits} qubits")
+    _check_modes(f.max_mode(), n_qubits)
     terms: dict = {}
     for key, coeff in f.terms.items():
         _add_ladder_terms(terms, key, coeff, True)

@@ -26,11 +26,14 @@ state's sector into itself the plan runs over that sector alone, and h
 acts through its matrix over the sector, exact since the state never
 leaves it.  A sector plan holds one table, built when it is compiled:
 the |w| of every stored row of every step, concatenated, each row's
-angle number and each step's slice, index pairs and weights.  A sweep
-computes angle * |w| on all rows at once, then one cos and one sin / |w|
-(of -angle in reverse), so a step only gathers, rotates and scatters its
-rows; cos and sin act elementwise, so each row's factors have the bits a
-per-step pass gives them.  A one-vector sweep casts both to complex once
+angle number and each step's slice, index pairs and weights.  The
+forward sweep computes angle * |w| on all rows at once, then one cos and
+one sin / |w|, so a step only gathers, rotates and scatters its rows;
+cos and sin act elementwise, so each row's factors have the bits a
+per-step pass gives them.  The reverse sweep of one evaluation reads
+those same factors as cos and -(sin / |w|) of -angle: NumPy's cos is
+even and its sin odd, bit for bit, so they are the bits a second pass
+over -angle would give.  A one-vector sweep casts both to complex once
 per sweep, since a complex-by-float product casts its float factor to
 (c, +0.0) anyway: each step then multiplies complex by complex in place,
 with the operands in the order of a float-factor sweep and so its bits.
@@ -177,8 +180,10 @@ def pauli_evolution(string: PauliString, name: str,
 
 
 def check_qubits(n_qubits: int) -> None:
-    """Refuse a qubit count past MAX_QUBITS, before 2**n of anything is
-    allocated."""
+    """Refuse a negative qubit count, or one past MAX_QUBITS before 2**n
+    of anything is allocated."""
+    if n_qubits < 0:
+        raise ValueError(f"qubit count {n_qubits} is negative")
     if n_qubits > MAX_QUBITS:
         raise ValueError(f"dimension overflow: {n_qubits} qubits exceed "
                          f"MAX_QUBITS = {MAX_QUBITS}")
@@ -630,42 +635,50 @@ def _flip(step: _Step) -> int:
 def _steps(gates, param_names, start=()) -> tuple[_Step, ...]:
     """Compile gates into steps after the steps `start`, fusing runs of one
     parameter and one flip mask whose strings commute pairwise, across
-    that boundary too; identity steps are dropped.  A fused step is a new
-    step, without the pairs its predecessor may hold."""
+    that boundary too; identity steps are dropped.  The open run is one
+    {string: coeff} dict, made a step once, when the run closes.  With no
+    run open (at the start, or after one that cancelled to nothing), a
+    gate that fuses with the last step reopens it as a run, so it becomes
+    a new step, without the pairs it may hold."""
     index = {name: k for k, name in enumerate(param_names)}
     steps: list[_Step] = list(start)
-    open_step, fused = None, {}  # the last fused step and its terms' dict
+    run, param, flip = {}, -1, 0  # the open run's terms, parameter, mask
     for gate in gates:
-        if gate.kind in FIXED_KINDS:
-            u = _FIXED_MATRICES[gate.kind]
-            steps.append(_Step(-1, matrix=(gate.targets, u, u.conj().T)))
-            continue
-        terms = _generator(gate)
-        if gate.param is None:
-            steps.append(_Step(-1, gate.angle, tuple(terms.items())))
+        if gate.kind in FIXED_KINDS or gate.param is None:
+            if run:
+                steps.append(_Step(param, 0.0, tuple(run.items())))
+                run = {}
+            if gate.kind in FIXED_KINDS:
+                u = _FIXED_MATRICES[gate.kind]
+                steps.append(_Step(-1, matrix=(gate.targets, u, u.conj().T)))
+            else:
+                steps.append(_Step(-1, gate.angle,
+                                   tuple(_generator(gate).items())))
             continue
         name, prefactor = gate.param
-        terms = {string: prefactor * coeff for string, coeff in terms.items()}
-        last = steps[-1] if steps else None
-        fusing = (last is not None and last.param == index[name]
-                  and _flip(last) == next(iter(terms)).x
-                  and _commute(terms, [string for string, _ in last.terms]))
-        if fusing:
-            if open_step is not last:  # copied once per step, not per gate
-                fused = dict(last.terms)
-            for string, coeff in terms.items():
-                coeff = fused.get(string, 0.0) + coeff
-                if coeff != 0:
-                    fused[string] = coeff
-                else:  # as the tuple below drops it
-                    fused.pop(string, None)
-            steps.pop()
-            terms = fused
-        terms = tuple((string, coeff) for string, coeff in terms.items()
-                      if coeff != 0)
-        if terms:
-            steps.append(_Step(index[name], 0.0, terms))
-        open_step = steps[-1] if fusing and terms else None
+        terms = {string: prefactor * coeff
+                 for string, coeff in _generator(gate).items()}
+        number, mask = index[name], next(iter(terms)).x
+        if run and (number != param or mask != flip
+                    or not _commute(terms, run)):
+            steps.append(_Step(param, 0.0, tuple(run.items())))
+            run = {}
+        elif (not run and steps and steps[-1].param == number
+              and _flip(steps[-1]) == mask
+              and _commute(terms, [string for string, _ in steps[-1].terms])):
+            run, param, flip = dict(steps.pop().terms), number, mask
+        if not run:
+            run, param, flip = {string: coeff for string, coeff
+                                in terms.items() if coeff != 0}, number, mask
+            continue
+        for string, coeff in terms.items():
+            coeff = run.get(string, 0.0) + coeff
+            if coeff != 0:
+                run[string] = coeff
+            else:
+                run.pop(string, None)
+    if run:
+        steps.append(_Step(param, 0.0, tuple(run.items())))
     return tuple(steps)
 
 
@@ -834,49 +847,55 @@ def _angle(step: _Step, angles: np.ndarray):
 def _turns(table: _Table, angles: np.ndarray) -> np.ndarray:
     """angle * |w| on every row of a sector table, for (P,) angles or an
     (R, P) batch of them: (T,) or (R, T)."""
+    if angles.ndim == 1:
+        return np.concatenate((angles, table.fixed))[table.index] * table.r
     fixed = np.broadcast_to(table.fixed,
                             angles.shape[:-1] + table.fixed.shape)
     angles = np.concatenate((angles, fixed), axis=-1)
     return _take(angles, table.index) * table.r
 
 
-def _forward(plan: _Plan, amps: np.ndarray, angles: np.ndarray) -> None:
+def _forward(plan: _Plan, amps: np.ndarray, angles: np.ndarray):
     """Run the plan on amps, one vector with (P,) angles or an (R, D)
     batch with (R, P).  Over a sector, cos and sin / |w| of every row come
     from one pass over the table, and each step gathers, rotates and
-    scatters its rows."""
+    scatters its rows; returns those two float arrays, which the reverse
+    sweep reads, or None for a full-space plan."""
     table = plan.table
-    if table is not None:
-        turn = _turns(table, angles)
-        cos, sin = np.cos(turn), np.sin(turn) / table.r
-        if amps.ndim == 1:  # factors cast to complex once, not per product
-            cos, sin = cos.astype(complex), sin.astype(complex)
-            for span, rows, cols, w in table.sweep:
-                moved = w * amps[cols]
-                moved *= sin[span]
-                old = amps[rows]
-                old *= cos[span]
-                old += moved
-                amps[rows] = old
-        else:
-            for span, rows, cols, w in table.sweep:
-                amps[:, rows] = (amps.take(rows, axis=1) * cos[:, span]
-                                 + w * amps.take(cols, axis=1) * sin[:, span])
-        return
-    for step in plan.steps:
-        if step.matrix is not None:
-            _apply_matrix(amps, plan.n_qubits, *step.matrix[:2])
-        else:
-            _rotate(amps, _act(step, amps), _angle(step, angles))
+    if table is None:
+        for step in plan.steps:
+            if step.matrix is not None:
+                _apply_matrix(amps, plan.n_qubits, *step.matrix[:2])
+            else:
+                _rotate(amps, _act(step, amps), _angle(step, angles))
+        return None
+    turn = _turns(table, angles)
+    factors = np.cos(turn), np.sin(turn) / table.r
+    if amps.ndim == 1:  # factors cast to complex once, not per product
+        cos, sin = (factor.astype(complex) for factor in factors)
+        for span, rows, cols, w in table.sweep:
+            moved = w * amps[cols]
+            moved *= sin[span]
+            old = amps[rows]
+            old *= cos[span]
+            old += moved
+            amps[rows] = old
+    else:
+        cos, sin = factors
+        for span, rows, cols, w in table.sweep:
+            amps[:, rows] = (amps.take(rows, axis=1) * cos[:, span]
+                             + w * amps.take(cols, axis=1) * sin[:, span])
+    return factors
 
 
 def _reverse(plan: _Plan, psi: np.ndarray, lam: np.ndarray,
-             angles: np.ndarray) -> np.ndarray:
+             angles: np.ndarray, factors) -> np.ndarray:
     """Undo the plan on [psi, lam], one array, summing the slope
     2 Re<lam|M psi> of each parameterized step into its parameter's
-    gradient; one vector each or a batch each, as in _forward."""
+    gradient; one vector each or a batch each, as in _forward, whose
+    `factors` a sector plan reads."""
     if plan.table is not None:
-        return _reverse_sector(plan.table, psi, lam, angles)
+        return _reverse_sector(plan.table, psi, lam, angles, factors)
     grad = np.zeros(psi.shape[:-1] + angles.shape[-1:])
     stacked = np.stack((psi, lam))
     for step in reversed(plan.steps):
@@ -891,16 +910,18 @@ def _reverse(plan: _Plan, psi: np.ndarray, lam: np.ndarray,
 
 
 def _reverse_sector(table: _Table, psi: np.ndarray, lam: np.ndarray,
-                    angles: np.ndarray) -> np.ndarray:
+                    angles: np.ndarray, factors) -> np.ndarray:
     """_reverse over a sector plan.  psi and lam run as one [psi, lam]
     array per vector, whose doubled rows each step gathers, rotates by cos
-    and sin / |w| of -angle, taken from one pass over the table, and
-    scatters once.  The slope reads the lam and M psi halves of what it
+    and sin / |w| of -angle, and scatters once.  Those are the forward
+    sweep's `factors`, cos and -(sin / |w|): NumPy's cos is even and its
+    sin odd, bit for bit, so they are the bits a pass over -angle gives.
+    The sine is negated as floats, before any cast, since -(s + 0j) would
+    be (-s, -0.0).  The slope reads the lam and M psi halves of what it
     gathered, so np.vdot and _dot see the operands a sweep of psi and lam
     one at a time would give them."""
-    turn = -_turns(table, angles)
-    cos = _take(np.cos(turn), table.twice)
-    sin = _take(np.sin(turn) / table.r, table.twice)
+    cos, sin = factors
+    cos, sin = _take(cos, table.twice), _take(-sin, table.twice)
     stacked = np.concatenate((psi, lam), axis=-1)
     if psi.ndim == 1:  # complex factors and float slopes, as in _forward
         cos, sin = cos.astype(complex), sin.astype(complex)
@@ -944,23 +965,23 @@ def _start(plan: _Plan, initial: int, batch: tuple = ()) -> np.ndarray:
     return amps
 
 
-def _run(circuit: ParamCircuit, angles: np.ndarray,
-         initial: int) -> tuple[_Plan, np.ndarray]:
-    """The circuit's plan from `initial` and the state it prepares over
-    the plan's basis at (P,) angles, or one per row of (R, P) angles."""
+def _run(circuit: ParamCircuit, angles: np.ndarray, initial: int) -> tuple:
+    """The circuit's plan from `initial`, the state it prepares over the
+    plan's basis at (P,) angles, or one per row of (R, P) angles, and the
+    forward sweep's factors (_forward)."""
     plan = _circuit_plan(circuit, initial)
     amps = _start(plan, initial, angles.shape[:-1])
-    _forward(plan, amps, angles)
-    return plan, amps
+    return plan, amps, _forward(plan, amps, angles)
 
 
-def _adjoint(plan: _Plan, h: QubitOperator, psi: np.ndarray, angles):
+def _adjoint(plan: _Plan, h: QubitOperator, psi: np.ndarray, angles,
+             factors):
     """<h> and its gradient at the prepared state psi, one vector or an
     (R, D) batch: h acts once, as one compiled-sum product, then one
-    reverse sweep of the plan."""
+    reverse sweep of the plan, which reads the forward's factors."""
     lam = compiled_sum(h, plan.n_qubits, plan.basis) @ psi
     energy = _dot(psi, lam)
-    return energy, _reverse(plan, psi, lam, angles)
+    return energy, _reverse(plan, psi, lam, angles, factors)
 
 
 def _scatter(plan: _Plan, amps: np.ndarray) -> np.ndarray:
@@ -980,7 +1001,7 @@ def _scatter(plan: _Plan, amps: np.ndarray) -> np.ndarray:
 def apply_circuit(circuit: ParamCircuit, angles,
                   initial: int = 0) -> np.ndarray:
     """The 2**n amplitudes the circuit prepares from a basis state."""
-    plan, amps = _run(circuit, _angles(circuit, angles), initial)
+    plan, amps, _ = _run(circuit, _angles(circuit, angles), initial)
     return _scatter(plan, amps)
 
 
@@ -1056,8 +1077,8 @@ def adjoint_gradient(circuit: ParamCircuit, h: QubitOperator, angles,
     angles = _angles(circuit, angles, batch=True)
     # one row runs faster as a plain vector
     point = angles[0] if len(angles) == 1 and angles.ndim == 2 else angles
-    plan, psi = _run(circuit, point, initial)
-    energy, grad = _adjoint(plan, h, psi, point)
+    plan, psi, factors = _run(circuit, point, initial)
+    energy, grad = _adjoint(plan, h, psi, point, factors)
     if angles.ndim == 1:
         return _real(energy), grad
     return (np.array([_real(e) for e in np.atleast_1d(energy)]),
@@ -1094,7 +1115,7 @@ def commutator_gradient(circuit: ParamCircuit, h: QubitOperator, angles,
     A pool with a gate that binds no parameter is refused."""
     if any(step.param < 0 for step in _circuit_plan(pool, None).steps):
         raise ValueError("every pool gate must bind a parameter")
-    plan, psi = _run(circuit, _angles(circuit, angles), initial)
+    plan, psi, _ = _run(circuit, _angles(circuit, angles), initial)
     amps = _scatter(plan, psi)
     screen = _circuit_plan(pool, None if plan.basis is None else initial)
     psi = amps if screen.basis is None else psi

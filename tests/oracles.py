@@ -8,7 +8,11 @@ reference for a compiled sum's.  The helpers (ladder factors, the number
 operator, commutators, RY gates, the sqrt-iSWAP Givens decomposition)
 are built from the package's public types, and runs_in_sector reads
 the verdict of the plan the package compiles; the package itself never
-calls them.
+calls them.  ladder_product reads one ladder product off the package's
+templates, as the generators' mapping does.  operator_path_mapping and
+fused_steps are the operator-by-operator mapping of a generator and the
+gate-by-gate fusion rule that the package's one-pass forms replaced,
+kept as their bit-level references.
 """
 
 import math
@@ -16,13 +20,28 @@ import math
 import numpy as np
 import scipy.sparse
 
+from vqe_bench.ansatz.core import FERMIONIC_KINDS
 from vqe_bench.operators import (
     FermionOperator,
     PauliString,
     QubitOperator,
+    _add_ladder_terms,
+    _qubit_operator,
+    jordan_wigner,
     pauli_multiply,
+    serialize_pauli_string,
 )
-from vqe_bench.simulator import Gate, _circuit_plan
+from vqe_bench.simulator import (
+    FIXED_KINDS,
+    Gate,
+    _FIXED_MATRICES,
+    _circuit_plan,
+    _commute,
+    _flip,
+    _generator,
+    _Step,
+    pauli_evolution,
+)
 
 _SINGLE = {
     "I": np.eye(2, dtype=complex),
@@ -96,6 +115,78 @@ def number_operator(n_modes: int) -> FermionOperator:
     """Total number operator over the first n_modes modes."""
     return FermionOperator({((m, True), (m, False)): 1.0
                             for m in range(n_modes)})
+
+
+def ladder_product(factors, coeff: complex = 1.0,
+                   z_chain: bool = True) -> QubitOperator:
+    """coeff times the product of (mode, is_creation) ladder images.
+
+    a†_i -> (X_i - iY_i)/2 and a_i -> (X_i + iY_i)/2, each with Z on every
+    qubit below i when z_chain (the Jordan-Wigner image) and bare otherwise
+    (qubit excitations).
+    """
+    terms: dict = {}
+    _add_ladder_terms(terms, factors, coeff, z_chain)
+    return _qubit_operator(terms)
+
+
+def operator_path_mapping(gen, n_qubits: int):
+    """(T - T† on qubits, its gates) as a generator was mapped through
+    whole operators: T as a FermionOperator and its jordan_wigner image,
+    or a ladder product for qubit kinds, then the difference as a
+    QubitOperator, each pruned as it is constructed."""
+    factors = tuple((v, True) for v in gen.virtual)
+    factors += tuple((o, False) for o in reversed(gen.occupied))
+    if gen.kind in FERMIONIC_KINDS:
+        t = FermionOperator.from_term(factors, gen.prefactor)
+        t = jordan_wigner(t, n_qubits)
+    else:
+        t = ladder_product(factors, gen.prefactor, z_chain=False)
+    op = QubitOperator({string: complex(0.0, 2.0 * c.imag)
+                        for string, c in t.terms.items()})
+    gates = tuple(
+        pauli_evolution(string, gen.param_name, op.terms[string].imag)
+        for string in sorted(op.terms, key=serialize_pauli_string))
+    return op, gates
+
+
+def fused_steps(gates, param_names, start=()) -> tuple:
+    """Gates compiled into steps after `start` by rebuilding the last
+    step at every gate it fuses: a gate of the last step's parameter and
+    flip mask whose strings commute with its strings replaces that step
+    by one with the summed terms, zero sums dropped, and an empty step
+    goes."""
+    index = {name: k for k, name in enumerate(param_names)}
+    steps = list(start)
+    for gate in gates:
+        if gate.kind in FIXED_KINDS:
+            u = _FIXED_MATRICES[gate.kind]
+            steps.append(_Step(-1, matrix=(gate.targets, u, u.conj().T)))
+            continue
+        terms = _generator(gate)
+        if gate.param is None:
+            steps.append(_Step(-1, gate.angle, tuple(terms.items())))
+            continue
+        name, prefactor = gate.param
+        terms = {string: prefactor * coeff for string, coeff in terms.items()}
+        last = steps[-1] if steps else None
+        if (last is not None and last.param == index[name]
+                and _flip(last) == next(iter(terms)).x
+                and _commute(terms, [string for string, _ in last.terms])):
+            fused = dict(last.terms)
+            for string, coeff in terms.items():
+                coeff = fused.get(string, 0.0) + coeff
+                if coeff != 0:
+                    fused[string] = coeff
+                else:
+                    fused.pop(string, None)
+            steps.pop()
+            terms = fused
+        terms = tuple((string, coeff) for string, coeff in terms.items()
+                      if coeff != 0)
+        if terms:
+            steps.append(_Step(index[name], 0.0, terms))
+    return tuple(steps)
 
 
 def multiply_strings(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:

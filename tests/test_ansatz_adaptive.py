@@ -81,16 +81,18 @@ class TestFermionicPool:
             self, monkeypatch):
         # the UCCSD build, the qubit pool and the screening circuit each
         # mapped every generator again: 92 mappings of H4's 36; then the
-        # pool's UCCSD build mapped 36, 8 of them zero (an orbital repeated)
+        # pool's UCCSD build mapped 36, 8 of them zero (an orbital repeated).
+        # A generator maps as one ladder product, its normal-ordered key.
         mapped = []
 
-        def recording(op, n_qubits):
-            image = real(op, n_qubits)
-            mapped.append((frozenset(op.terms.items()), len(image.terms)))
-            return image
+        def recording(out, factors, coeff, z_chain):
+            image = {}
+            real(image, factors, coeff, z_chain)
+            out.update(image)
+            mapped.append(((tuple(factors), coeff, z_chain), len(image)))
 
-        real = core.jordan_wigner
-        monkeypatch.setattr(core, "jordan_wigner", recording)
+        real = core._add_ladder_terms
+        monkeypatch.setattr(core, "_add_ladder_terms", recording)
         fermionic = build_fermionic_pool(8, 4)
         assert mapped == []  # the pool maps at first use
         build_qubit_pool(fermionic, 8)

@@ -1,7 +1,9 @@
+import dataclasses
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from vqe_bench.ansatz import (
     ExcitationGenerator,
@@ -12,6 +14,9 @@ from vqe_bench.ansatz import (
     trotterize,
     uccsd_singlet_generators,
 )
+from vqe_bench.ansatz import fixed
+from vqe_bench.ansatz.core import FERMIONIC_KINDS, QUBIT_KINDS
+from vqe_bench.ansatz.adaptive import build_fermionic_pool
 from vqe_bench.driver import OptimizerConfig, run_vqe
 from vqe_bench.hamiltonian import (
     bundled_molecule,
@@ -24,6 +29,7 @@ from vqe_bench.simulator import apply_circuit, expectation
 from oracles import (
     finite_difference_gradient,
     number_expectation,
+    operator_path_mapping,
     random_hermitian_operator,
     runs_in_sector,
 )
@@ -239,3 +245,70 @@ class TestTwoElectronExactness:
             build = builder(data.n_qubits, data.n_electrons)
             result = run_vqe(build, h, initial, cfg, seed=11)
             assert abs(result.energy - fci) < 1e-8
+
+
+def mapping_bits(op, gates) -> tuple:
+    """An operator's terms in order and a gate sequence, every
+    coefficient and prefactor as the reprs of its parts."""
+    return ([(str(string), repr(c.real), repr(c.imag))
+             for string, c in op.terms.items()],
+            [(g.kind, g.targets, str(g.generator), g.param[0],
+              repr(g.param[1])) for g in gates])
+
+
+def fresh_mapping(gen, n_qubits) -> tuple:
+    """gen's mapping made anew, on a copy that holds none yet."""
+    return mapping_bits(*dataclasses.replace(gen)._on_qubits(n_qubits))
+
+
+class TestOnePassMapping:
+    """A generator maps in one pass to the bits the operator path gave."""
+
+    @pytest.mark.parametrize("name,bond_length", [
+        ("H2", 0.7414), ("H4", 1.0), ("LiH", 1.6)])
+    def test_every_family_generator_maps_as_the_operator_path(
+            self, monkeypatch, name, bond_length):
+        data = bundled_molecule(name).integrals(bond_length)
+        n, n_electrons = data.n_qubits, data.n_electrons
+        gens = []
+
+        def recording(generators, n_qubits):
+            gens.extend(generators)
+            return real(generators, n_qubits)
+
+        real = fixed.trotterize
+        monkeypatch.setattr(fixed, "trotterize", recording)
+        for builder in BUILDERS.values():
+            builder(n, n_electrons)
+        gens.extend(gen for entry in build_fermionic_pool(
+            n, n_electrons).entries for gen in entry.generators)
+        assert {gen.kind for gen in gens} == FERMIONIC_KINDS | QUBIT_KINDS
+        assert len({gen.prefactor for gen in gens}) > 1
+        for gen in gens:
+            assert fresh_mapping(gen, n) == mapping_bits(
+                *operator_path_mapping(gen, n))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(FERMIONIC_KINDS | QUBIT_KINDS)),
+           st.lists(st.integers(-1, 9), max_size=4, unique=True),
+           st.integers(0, 3),
+           st.sampled_from([1.0, -0.5, 0.7, 1e-13, 1e-12, -2.5e-12, 5e-12,
+                            2e-11, 3.0e-12]))
+    # a T pruned as a FermionOperator maps to nothing, not to an error
+    @example("double", [1, 0, 9, 8], 2, 1e-13)
+    @example("single", [-1, 3], 1, 1e-13)
+    # no orbital at all: T is the identity, whose T - T† is zero
+    @example("single", [], 0, 1.0)
+    def test_prunes_and_refuses_where_the_operator_path_did(
+            self, kind, orbitals, split, prefactor):
+        split = min(split, len(orbitals))
+        gen = ExcitationGenerator(kind, tuple(orbitals[:split]),
+                                  tuple(orbitals[split:]), "t", prefactor)
+        results = []
+        for mapping in (fresh_mapping,
+                        lambda g, n: mapping_bits(*operator_path_mapping(g, n))):
+            try:
+                results.append(mapping(gen, 8))
+            except ValueError as error:
+                results.append(str(error))
+        assert results[0] == results[1]

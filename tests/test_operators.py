@@ -14,7 +14,6 @@ from vqe_bench.operators import (
     fermion_multiply,
     hermiticity_check,
     jordan_wigner,
-    ladder_product,
     load_qubit_operator,
     parse_pauli_string,
     pauli_multiply,
@@ -27,6 +26,7 @@ from oracles import (
     fermion_operator_matrix,
     isclose,
     ladder_matrix,
+    ladder_product,
     multiply_strings,
     number_operator,
     pauli_matrix,

@@ -11,6 +11,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import example, given, settings, strategies as st
 
 from vqe_bench import simulator
 from vqe_bench.ansatz import (
@@ -54,6 +55,7 @@ from vqe_bench.simulator import (
 from oracles import (
     circuit_state,
     energy_gradient,
+    fused_steps,
     random_circuit,
     random_hermitian_operator,
     random_string,
@@ -875,3 +877,118 @@ class TestCompiledSumProduct:
         finally:
             tracemalloc.stop()
         assert peak - 2 * out.nbytes < 0.6e6
+
+
+class TestForwardFactorsReused:
+    """The reverse sweep reads cos and -(sin / |w|) of the forward sweep's
+    turns as the factors of -angle."""
+
+    def test_numpy_cos_is_even_and_sin_odd_bit_for_bit(self):
+        # a NumPy build that breaks either symmetry fails here, rather than
+        # shifting the pinned gradients' bits
+        rng = np.random.default_rng(0)
+        grid = np.concatenate((
+            [0.0, 5e-324, 1e-300, 1e-16, 1e-8],
+            np.arange(-64, 65) * (np.pi / 2),
+            np.geomspace(1e-8, 1e4, 20001),
+            rng.uniform(-1e4, 1e4, 20000)))
+        # every length up to 33, so SIMD loops and their tails both run
+        for t in [grid] + [grid[k:2 * k] for k in range(1, 34)]:
+            assert np.cos(-t).tobytes() == np.cos(t).tobytes()
+            assert np.sin(-t).tobytes() == (-np.sin(t)).tobytes()
+            assert (np.sin(-t) / 3.0).tobytes() == (
+                -(np.sin(t) / 3.0)).tobytes()
+
+    @pytest.mark.parametrize("rows", [0, 1, 3], ids=["vector", "one row",
+                                                     "batch"])
+    def test_one_pass_over_the_table_per_evaluation(self, monkeypatch, h4,
+                                                    rows):
+        h, n, hf, n_electrons = h4
+        circuit = build_uccsd_singlet(n, n_electrons).circuit
+        rng = np.random.default_rng(3)
+        angles = rng.uniform(-np.pi, np.pi, (max(rows, 1), circuit.n_params))
+        angles = angles if rows else angles[0]
+        expected = adjoint_gradient(circuit, h, angles, hf)
+        assert simulator._circuit_plan(circuit, hf).table is not None
+        passes = []
+
+        def counting(table, values):
+            passes.append(values.shape)
+            return real(table, values)
+
+        real = simulator._turns
+        monkeypatch.setattr(simulator, "_turns", counting)
+        energy, grad = adjoint_gradient(circuit, h, angles, hf)
+        assert len(passes) == 1
+        assert np.asarray(energy).tobytes() == np.asarray(
+            expected[0]).tobytes()
+        assert grad.tobytes() == expected[1].tobytes()
+
+
+def step_bits(steps) -> list:
+    """Each step's fields, coefficients as the reprs of their parts and a
+    fixed step's matrices as bytes."""
+    return [(step.param, repr(step.angle),
+             [(str(string), repr(c.real), repr(c.imag))
+              for string, c in step.terms],
+             None if step.matrix is None else (
+                 step.matrix[0], step.matrix[1].tobytes(),
+                 step.matrix[2].tobytes()),
+             step.pairs) for step in steps]
+
+
+# strings on three qubits: X0 Y1 and Y0 X1 share a flip mask and commute,
+# X0 X1 anticommutes with both
+RUN_STRINGS = [parse_pauli_string(text) for text in (
+    "X0 Y1", "Y0 X1", "X0 X1", "Y0 Y1", "X0 Y1 Z2", "Z0", "X2", "Z0 Y2")]
+PREFACTORS = st.sampled_from([1.0, -1.0, 0.5, -0.5, 2.0, 0.0])
+NAMES = st.sampled_from(["a", "b"])
+RUN_GATES = st.one_of(
+    st.builds(pauli_evolution, st.sampled_from(RUN_STRINGS), NAMES,
+              PREFACTORS),
+    st.builds(lambda kind, qubit, name, prefactor: Gate(
+        kind, (qubit,), param=(name, prefactor)),
+        st.sampled_from(["RX", "RY", "RZ"]), st.integers(0, 2), NAMES,
+        PREFACTORS),
+    st.builds(lambda targets, name, prefactor: Gate(
+        "GivensRotation", targets, param=(name, prefactor)),
+        st.sampled_from([(0, 1), (1, 0), (1, 2)]), NAMES, PREFACTORS),
+    st.builds(lambda string, angle: Gate(
+        "PauliEvolution", string.qubits, generator=string, angle=angle),
+        st.sampled_from(RUN_STRINGS), st.sampled_from([0.3, -1.2])),
+    st.builds(lambda targets: Gate("CNOT", targets),
+              st.sampled_from([(0, 1), (2, 0)])),
+)
+
+
+def _evolution(text, prefactor, name="a"):
+    return pauli_evolution(parse_pauli_string(text), name, prefactor)
+
+
+class TestStepFusion:
+    """_steps keeps the rule that rebuilt the last step at every gate it
+    fused (oracles.fused_steps)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(RUN_GATES, max_size=8), st.lists(RUN_GATES, max_size=12))
+    # a run that cancels to nothing closes, and the next gate fuses with
+    # the step before it
+    @example([], [_evolution("X0 X1", 1.0), _evolution("X0 Y1", 1.0),
+                  _evolution("Y0 X1", 0.5), _evolution("X0 Y1", -1.0),
+                  _evolution("Y0 X1", -0.5), _evolution("X0 X1", 1.0)])
+    # the prefix's last step reopens, cancels, and the step before it
+    # reopens in turn
+    @example([_evolution("X0 X1", 1.0), Gate("RZ", (2,), param=("a", 1.0))],
+             [Gate("RZ", (2,), param=("a", -1.0)), _evolution("X0 X1", 2.0),
+              _evolution("Y0 X1", 1.0, "b")])
+    def test_steps_equal_the_gate_by_gate_rule(self, prefix, gates):
+        names = ("a", "b")
+        assert step_bits(simulator._steps(prefix, names)) == step_bits(
+            fused_steps(prefix, names))
+        # a prefix's steps as a sector plan holds them: each with its pairs,
+        # which a step that fuses on must drop
+        start = tuple(step._replace(pairs=("restricted", k))
+                      for k, step in enumerate(simulator._steps(prefix,
+                                                                names)))
+        assert step_bits(simulator._steps(gates, names, start)) == step_bits(
+            fused_steps(gates, names, start))

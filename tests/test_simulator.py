@@ -599,6 +599,19 @@ class TestQubitLimit:
         circuit = ParamCircuit(simulator.MAX_QUBITS, [])
         assert circuit.n_qubits == simulator.MAX_QUBITS
 
+    @pytest.mark.parametrize("call", ["circuit", "csr over one state",
+                                      "sector"])
+    @pytest.mark.parametrize("n_qubits", [-1, -2])
+    def test_negative_count_refused_by_name(self, call, n_qubits):
+        # a circuit of -1 qubits constructed, and the others raised
+        # Python's "negative shift count", naming neither count nor bound
+        with pytest.raises(ValueError,
+                           match=f"qubit count {n_qubits} is negative"):
+            self.CALLS[call](n_qubits)
+
+    def test_zero_qubits_allowed(self):
+        assert apply_circuit(ParamCircuit(0, []), []).tolist() == [1]
+
 
 def _two_parameter_case():
     """A circuit of parameters "t" (a unit Pauli evolution, so parameter

@@ -5,6 +5,8 @@ reverse sweep, each the median over repeated evaluations.
 
 Cases: LiH @ 1.6 UCCSD and H4 @ 1.0 UCCSD on one vector, and H4 @ 1.0 BRC
 in a batch of 20 rows, timed per row: plans over the (N, 2Sz) sector.
+Then H4 @ 1.0 UCCSD cut to its first 1, 4 and 16 generators, the sizes
+of ADAPT's circuits, whose evaluations are mostly per-call overhead.
 Then plans over all 2**n states: HEA of depth 4 and LDCA with the
 sweep's cycle count, on H4 @ 1.0 and LiH @ 1.6, each on one vector and
 in a batch of 10 rows.  An evaluation is one simulator.adjoint_gradient
@@ -38,7 +40,13 @@ os.environ.update(THREAD_PINS)
 import numpy as np  # noqa: E402
 
 from vqe_bench import simulator  # noqa: E402
-from vqe_bench.ansatz import build_uccsd_singlet  # noqa: E402
+from vqe_bench.ansatz import (  # noqa: E402
+    AnsatzBuild,
+    build_uccsd_singlet,
+    trotterize,
+    uccsd_singlet_generators,
+)
+from vqe_bench.ansatz.core import ZEROS  # noqa: E402
 from vqe_bench.ansatz.layered import (  # noqa: E402
     build_brc_closed_shell,
     build_hea,
@@ -61,10 +69,21 @@ def ldca(n_qubits, _):
     return build_ldca(n_qubits, DEFAULT_LDCA_CYCLES)
 
 
+def uccsd_prefix(k):
+    """A builder of UCCSD's first k generators."""
+    def build(n_qubits, n_electrons):
+        gens = uccsd_singlet_generators(n_qubits, n_electrons)[:k]
+        return AnsatzBuild(trotterize(gens, n_qubits), ZEROS)
+    return build
+
+
 CASES = (  # name, molecule, bond length, builder, batch rows (0: one vector)
     ("LiH UCCSD", "LiH", 1.6, build_uccsd_singlet, 0),
     ("H4 UCCSD", "H4", 1.0, build_uccsd_singlet, 0),
     ("H4 BRC x20", "H4", 1.0, build_brc_closed_shell, 20),
+    ("H4 UCCSD[:1]", "H4", 1.0, uccsd_prefix(1), 0),
+    ("H4 UCCSD[:4]", "H4", 1.0, uccsd_prefix(4), 0),
+    ("H4 UCCSD[:16]", "H4", 1.0, uccsd_prefix(16), 0),
     ("H4 HEA4", "H4", 1.0, hea, 0),
     ("H4 HEA4 x10", "H4", 1.0, hea, 10),
     ("H4 LDCA", "H4", 1.0, ldca, 0),
@@ -128,7 +147,7 @@ def main(argv=None) -> int:
     for case in CASES:
         result = run_case(*case, args.repeats)
         results.append(result)
-        print(f"{result['case']:<12} energy {result['energy']:<20} "
+        print(f"{result['case']:<13} energy {result['energy']:<20} "
               f"{result['digest']}  "
               + "  ".join(f"{key} {result[key]['median']:.4f}"
                           for key in ("forward_ms", "h_product_ms",

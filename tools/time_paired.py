@@ -142,7 +142,7 @@ def main(argv=None) -> int:
                   "change_wins": sum(r < 1 for r in ratios),
                   "rounds": args.rounds, "digests": digests}
         results.append(result)
-        print(f"{name:<12} parent {result['parent_ms']:.4f} ms  change "
+        print(f"{name:<13} parent {result['parent_ms']:.4f} ms  change "
               f"{result['change_ms']:.4f} ms  ratio {median:.3f} "
               f"({q1:.3f}, {q3:.3f})  change won {result['change_wins']}/"
               f"{args.rounds}  digests "
