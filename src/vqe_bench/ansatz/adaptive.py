@@ -181,7 +181,7 @@ def _adapt(h, n_qubits, pool, rank, name, initial, max_iters, cfg,
             _, slopes, amps = commutator_gradient(circuit, h, values,
                                                   initial, screen)
         ranked = rank(slopes, amps)
-        del amps  # all 2**n amplitudes: not held through the re-optimization
+        del amps  # the screened state: not held through the re-optimization
         if ranked is None:
             converged = True
             break

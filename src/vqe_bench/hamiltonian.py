@@ -24,6 +24,7 @@ from .operators import (
     hermiticity_check,
     jordan_wigner,
 )
+from .seeds import SeedStream
 from .simulator import (
     basis_expectation,
     check_qubits,
@@ -192,7 +193,8 @@ def exact_ground_energy(h: QubitOperator, n_qubits: int,
     occupation block, which matches the full minimum for particle-conserving
     Hamiltonians whose ground state lies in the sector.  A basis (the
     sector, else the full space) of at most 2**DENSE_QUBIT_LIMIT states is
-    diagonalized densely; a larger one runs Lanczos on h's CSR matrix.
+    diagonalized densely; a larger one runs Lanczos on h's CSR matrix from
+    one fixed start vector, so every call gives the same bits.
     """
     if not hermiticity_check(h, 1e-9):
         raise ValueError("Hamiltonian is not Hermitian")
@@ -211,7 +213,10 @@ def exact_ground_energy(h: QubitOperator, n_qubits: int,
     # product's slots, 2.7 MB of them on LiH's 4,096-state full space
     csr = scipy.sparse.csr_array(pauli_sum_csr(h, n_qubits, basis),
                                  shape=(size, size))
-    vals = scipy.sparse.linalg.eigsh(csr, k=1, which="SA",
+    # a fixed random start: ARPACK's own carries over between calls, and a
+    # constant vector could be orthogonal to the ground state by symmetry
+    start = SeedStream((size,)).uniform(-1.0, 1.0, size)
+    vals = scipy.sparse.linalg.eigsh(csr, k=1, which="SA", v0=start,
                                      tol=LANCZOS_TOLERANCE,
                                      return_eigenvectors=False)
     return float(vals[0])

@@ -1111,16 +1111,18 @@ def commutator_gradient(circuit: ParamCircuit, h: QubitOperator, angles,
     """Energy of the circuit's state psi, per pool parameter in
     pool.param_names order the slope 2 Re<h psi|M psi> of appending its
     gates at zero, h applied once over the pool plan's basis (the sector
-    when both keep it, else all 2**n), and psi as apply_circuit gives it.
-    A pool with a gate that binds no parameter is refused."""
+    when both keep it, else all 2**n), and psi over that basis: the
+    sector's amplitudes in sector_indices order, else all 2**n as
+    apply_circuit gives them.  A pool with a gate that binds no parameter
+    is refused."""
     if any(step.param < 0 for step in _circuit_plan(pool, None).steps):
         raise ValueError("every pool gate must bind a parameter")
     plan, psi, _ = _run(circuit, _angles(circuit, angles), initial)
-    amps = _scatter(plan, psi)
     screen = _circuit_plan(pool, None if plan.basis is None else initial)
-    psi = amps if screen.basis is None else psi
+    if screen.basis is None:  # a sector circuit screened over all states
+        psi = _scatter(plan, psi)
     lam = compiled_sum(h, circuit.n_qubits, screen.basis) @ psi
     slopes = np.zeros(pool.n_params)
     for step in screen.steps:
         slopes[step.param] += _slope(lam, *_act(step, psi)[:3])
-    return _real(np.vdot(psi, lam)), slopes, amps
+    return _real(np.vdot(psi, lam)), slopes, psi

@@ -299,6 +299,24 @@ class TestPoolScreening:
         assert len(trace.iterations) == 6
         assert peak < 1.7e6
 
+    def test_sector_screening_holds_no_full_state(self):
+        # ADAPT's first LiH screening, circuit and pool both over the
+        # 225-state sector, scattered its state to all 4,096 amplitudes
+        # (64 KB) that no sector rank reads: its peak beyond h's product
+        # over the sector was 70 KB, and is under half a full state now
+        h, fermionic, _, hf_idx = lih_problem()
+        circuit, screen = ParamCircuit(12, ()), fermionic.candidate_circuit(12)
+        commutator_gradient(circuit, h, [], hf_idx, screen)  # plans, h's form
+        sector = simulator.sector_indices(12, 4, 0)
+        product = simulator.compiled_sum(h, 12, sector)
+        state = np.zeros(len(sector), dtype=complex)
+        state[0] = 1.0
+        _, product_peak = _traced_peak(lambda: product @ state)
+        (_, _, amps), peak = _traced_peak(lambda: commutator_gradient(
+            circuit, h, [], hf_idx, screen))
+        assert amps.shape == (len(sector),)
+        assert peak - product_peak < (1 << 12) * 16 // 2
+
     def test_qubit_adapt_screening_memory_is_bounded(self):
         # a 2**12-row CSR matrix per candidate of the 640-string pool would
         # peak near 64 MB; the pool's plan holds no per-candidate array

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -286,6 +287,16 @@ class TestExactGroundEnergy:
         lanczos = exact_ground_energy(h, data.n_qubits, sector=sector)
         assert lanczos == pytest.approx(dense, abs=1e-10)
 
+    def test_lanczos_gives_the_same_bits_on_every_call(self):
+        # ARPACK's own start vector carries over between calls, so four
+        # calls on LiH's 4,096-state full space gave four values apart in
+        # their last digits; a fixed start vector makes them one value
+        data = bundled_molecule("LiH").integrals(1.6)
+        h = qubit_hamiltonian(data)
+        values = {exact_ground_energy(h, data.n_qubits).hex()
+                  for _ in range(4)}
+        assert len(values) == 1, values
+
     def test_lanczos_lays_out_no_product_slots(self, monkeypatch):
         # eigsh reads the CSR arrays alone: no CompiledSum, whose product
         # slots on LiH's 4,096-state full space are 112,618 (2.7 MB), is
@@ -559,29 +570,89 @@ class TestFixtureTool:
         assert snapshot() == before
 
 
-class TestBuildTimingTool:
-    def test_one_repeat_runs_and_counts_every_hamiltonian_term(self):
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, (str(REPO / "src"), os.environ.get("PYTHONPATH"))))}
-        done = subprocess.run(
-            [sys.executable, str(REPO / "tools" / "time_build.py"),
-             "--repeats", "1"], capture_output=True, text=True, timeout=300,
-            env=env)
-        assert done.returncode == 0, done.stdout + done.stderr
+class TestPairedTimingTool:
+    TOOLS = REPO / "tools"
+    KERNEL_CASES = (  # the unpaired kernel runner's case names
+        "LiH UCCSD", "H4 UCCSD", "H4 BRC x20", "H4 UCCSD[:1]",
+        "H4 UCCSD[:4]", "H4 UCCSD[:16]", "H4 HEA4", "H4 HEA4 x10",
+        "H4 LDCA", "H4 LDCA x10", "LiH HEA4", "LiH HEA4 x10", "LiH LDCA",
+        "LiH LDCA x10")
+    BUILD_PIECES = (  # the unpaired build runner's pieces, per molecule
+        "build_fermionic_hamiltonian", "jordan_wigner", "qubit_hamiltonian",
+        "build UCCSD", "build UCCSD0", "build QUCC", "fermionic pool circuit",
+        "compile UCCSD", "compile UCCSD0", "compile QUCC",
+        "compile fermionic pool circuit", "compile H over the sector",
+        "compile H over all states")
+
+    def test_worker_makes_every_case_and_counts_every_hamiltonian_term(self):
+        worker = subprocess.Popen(
+            [sys.executable, str(self.TOOLS / "time_paired.py"), "--worker",
+             str(REPO / "src")], stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE, text=True)
+        try:
+            line = worker.stdout.readline()
+        finally:
+            worker.stdin.close()
+            worker.stdout.close()
+            assert worker.wait(timeout=60) == 0
 
         def reject(token):
             raise ValueError(f"non-strict JSON constant {token}")
 
-        result = json.loads(done.stdout.splitlines()[-1],
-                            parse_constant=reject)
-        cases = {case["case"]: case["pieces"] for case in result["cases"]}
-        assert set(cases) == {"H4 @ 1.0", "LiH @ 1.6"}
-        for name, pieces in cases.items():
-            molecule, r = name.split(" @ ")
+        ready = {case["case"]: case
+                 for case in json.loads(line, parse_constant=reject)}
+        builds = {(molecule, float(r)) for molecule, _, r, *_ in
+                  (name.split() for name in ready if " @ " in name)}
+        assert builds == {("H4", 1.0), ("LiH", 1.6)}
+        assert set(self.KERNEL_CASES) | {
+            f"{molecule} @ {r} {piece}" for molecule, r in builds
+            for piece in self.BUILD_PIECES} <= set(ready)
+        for molecule, r in builds:
             n_terms = len(qubit_hamiltonian(
-                bundled_molecule(molecule).integrals(float(r))))
-            whole = pieces["qubit_hamiltonian"]
-            mapped = pieces["jordan_wigner"]
+                bundled_molecule(molecule).integrals(r)))
+            whole = ready[f"{molecule} @ {r} qubit_hamiltonian"]["made"]
+            mapped = ready[f"{molecule} @ {r} jordan_wigner"]["made"]
             assert whole["terms"] == mapped["terms"] == n_terms
             assert whole["digest"] == mapped["digest"]
-            assert all(piece["ms"]["median"] > 0 for piece in pieces.values())
+        assert all(case["warm_s"] > 0 for case in ready.values())
+
+    def test_a_digest_mismatch_is_marked_and_exits_non_zero(
+            self, tmp_path, monkeypatch, capsys):
+        # a change that altered answers printed DIFFER and exited 0, so its
+        # ratios read as claimable.  One coefficient of H4 @ 1.0 perturbed
+        # in a copy of src; the real workers make two of H4's pieces, one
+        # that reads the coefficient and one that does not
+        changed = tmp_path / "src"
+        shutil.copytree(REPO / "src", changed,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        fcidump = changed / "vqe_bench" / "fixtures" / "H4" / "1.0.fcidump"
+        text = fcidump.read_text()
+        line = " 4.9728497792174081e-01 1 1 1 1\n"
+        assert line in text
+        fcidump.write_text(text.replace(line, " 5.0e-01 1 1 1 1\n"))
+        monkeypatch.setattr(sys, "path", [str(self.TOOLS), *sys.path])
+        import time_paired
+
+        popen = subprocess.Popen
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "import time_paired as t; listed = t.cases; "
+                "t.cases = lambda: [case for case in listed() if case[0] in "
+                "('H4 @ 1.0 qubit_hamiltonian', 'H4 @ 1.0 build UCCSD')]; "
+                "t.worker(sys.argv[2])")
+
+        def h4_pieces(argv, **kwargs):
+            return popen([sys.executable, "-c", code, str(self.TOOLS),
+                          argv[-1]], **kwargs)
+
+        monkeypatch.setattr(subprocess, "Popen", h4_pieces)
+        monkeypatch.setattr(time_paired, "BURST_S", 0.0)  # fewest samples
+        monkeypatch.setattr(time_paired, "ROUNDS_PER_PAIR", 5)
+        status = time_paired.main(["--parent", str(REPO / "src"),
+                                   "--change", str(changed),
+                                   "--rounds", "10"])
+        result = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert status == 1 and result["digests_equal"] is False
+        assert {case["case"]: case["digests_equal"]
+                for case in result["cases"]} == {
+            "H4 @ 1.0 qubit_hamiltonian": False,
+            "H4 @ 1.0 build UCCSD": True}

@@ -175,7 +175,7 @@ class TestTermExpectations:
     def test_sector_plan_state(self):
         # a particle-conserving circuit and pool screen over their sector;
         # the terms are read off the screened state, which
-        # commutator_gradient scatters to all 2**n amplitudes
+        # commutator_gradient hands back over the sector alone
         circuit = ParamCircuit(4, [
             Gate("GivensRotation", (0, 2), param=("a", 1.0)),
             Gate("GivensRotation", (1, 3), param=("b", 1.0))])
@@ -185,7 +185,9 @@ class TestTermExpectations:
         assert runs_in_sector(pool, 0b0011)
         h = qo("X0 X2", 0.5) + qo("Z1", -0.3) + qo("Y1 Y3") + qo("X0 Y1")
         values = [0.4, -1.1]  # a, b
-        amps = commutator_gradient(circuit, h, values, 0b0011, pool)[2]
+        screened = commutator_gradient(circuit, h, values, 0b0011, pool)[2]
+        amps = np.zeros(16, dtype=complex)
+        amps[simulator.sector_indices(4, 2, 0)] = screened
         terms = simulator.term_expectations(h, amps)
         psi = circuit_state(circuit, values, 0b0011)
         for value, (string, coeff) in zip(terms, h.terms.items()):

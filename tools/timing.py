@@ -1,5 +1,6 @@
-"""Timing helpers shared by the tools in this directory: sum the seconds
-spent in chosen simulator functions, and the quartiles of a sample.
+"""Timing helpers of time_adaptive.py, which reports shares of a run: sum
+the seconds spent in chosen simulator functions, and the quartiles of a
+sample.
 
 Import it after the thread pins are set, since it imports the package
 and so NumPy."""
