@@ -9,12 +9,12 @@ import numpy as np
 
 from ..operators import (
     COEFF_TOLERANCE,
-    PauliString,
     QubitOperator,
     _add_ladder_terms,
     _check_modes,
     _normal_order_term,
-    serialize_pauli_string,
+    _qubit_operator,
+    pauli_sort_key,
 )
 from ..simulator import Gate, ParamCircuit, pauli_evolution
 
@@ -44,7 +44,7 @@ class ExcitationGenerator:
                           compare=False)
 
     def __post_init__(self):
-        if self.kind not in FERMIONIC_KINDS | QUBIT_KINDS:
+        if self.kind not in FERMIONIC_KINDS and self.kind not in QUBIT_KINDS:
             raise ValueError(f"unknown generator kind {self.kind}")
         if self.prefactor == 0:
             raise ValueError(f"zero prefactor in {self!r}")
@@ -88,12 +88,12 @@ class ExcitationGenerator:
             _add_ladder_terms(image, factors, self.prefactor, False)
         # Pauli strings are Hermitian, so T - T† = sum of (c - c*) P over
         # T's image, with c - c* = 2i Im c exactly; pruned as a difference
-        op = QubitOperator({PauliString.from_masks(x, z): complex(
-            0.0, 2.0 * c.imag) for (x, z), c in image.items()
-            if abs(c) > COEFF_TOLERANCE})
+        op = _qubit_operator({key: complex(0.0, 2.0 * c.imag)
+                              for key, c in image.items()
+                              if abs(c) > COEFF_TOLERANCE})
         gates = tuple(
             pauli_evolution(string, self.param_name, op.terms[string].imag)
-            for string in sorted(op.terms, key=serialize_pauli_string))
+            for string in sorted(op.terms, key=pauli_sort_key))
         mapped = self._mapped[n_qubits] = (op, gates)
         return mapped
 

@@ -216,8 +216,9 @@ class BenchRecord:
             raise DataFileError(f"malformed record payload: {exc}") from exc
 
     def serialize(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True,
-                          allow_nan=False) + "\n"
+        """to_dict as JSON, dumped from the fields without asdict's copy."""
+        return json.dumps({"schema_version": SCHEMA_VERSION, **vars(self)},
+                          indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def record_path(data_dir: str | Path, molecule: str) -> Path:

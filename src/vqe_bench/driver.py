@@ -4,15 +4,15 @@ hardware-efficient ansatz.
 
 A point is one float array in param_names order, from the initial draw
 to VqeResult.parameters.  BFGS is one ask/tell generator, bfgs_steps: it
-yields the points it needs evaluated and is sent back (energy, gradient).
-minimize_bfgs drives it from one (P,) start, or from R starts in
-lockstep: the pending points of the live runs go to the objective as one
-(R', P) batch, and a run leaves it when it converges or spends its
-budget, seeing the points and bits it would alone.  HEA layer growth
-stays serial, since each restart's budget is what the ones before it
-left.  Nothing here keeps a clock: a point is timed only in
-bench.run_ansatz_point, and a VqeResult is frozen once returned, its
-parameters a read-only array."""
+yields the points it needs evaluated and is sent back (energy, gradient);
+its line search yields step lengths to it the same way.  minimize_bfgs
+drives it from one (P,) start, or from R starts in lockstep: the pending
+points of the live runs go to the objective as one (R', P) batch, whose
+answers are checked finite at once, and a run leaves it when it
+converges or spends its budget, seeing the points and bits it would
+alone.  HEA layer growth stays serial, since each restart's budget is
+what the ones before it left.  Nothing here keeps a clock, and a
+VqeResult is frozen once returned, its parameters a read-only array."""
 
 from __future__ import annotations
 
@@ -68,27 +68,24 @@ class VqeResult:
 
 
 class _Evaluations:
-    """Budget accounting, the non-finite check and best tracking for the
-    points one run asks to have evaluated."""
+    """Budget and best of the points one run has evaluated: ask(x) before
+    x goes out, tell(x, energy, gradient) when it comes back."""
 
     def __init__(self, budget: int):
         self.budget = budget
         self.count = 0
         self.best: tuple[float, np.ndarray, np.ndarray] | None = None
 
-    def __call__(self, x: np.ndarray):
-        """Yield x, take (energy, gradient) back, return them as floats."""
+    def ask(self, x: np.ndarray) -> np.ndarray:
         if self.count >= self.budget:
             raise _BudgetExhausted()
         self.count += 1
-        energy, grad = yield x
-        if not math.isfinite(energy) or not np.isfinite(grad).all():
-            raise NumericalError(
-                f"objective returned a non-finite value at x={x!r}")
+        return x
+
+    def tell(self, x: np.ndarray, energy: float, grad: np.ndarray):
         if self.best is None or energy < self.best[0]:
-            self.best = (float(energy), np.array(x, dtype=float),
-                         np.asarray(grad, dtype=float))
-        return float(energy), np.asarray(grad, dtype=float)
+            self.best = (energy, np.array(x, dtype=float), grad)
+        return energy, grad
 
 
 def _cubic_minimizer(a0, f0, d0, a1, f1, d1):
@@ -106,32 +103,28 @@ def _cubic_minimizer(a0, f0, d0, a1, f1, d1):
     return a1 - (a1 - a0) * (d1 + root - g) / denom
 
 
-def _wolfe_line_search(phi, f0, d0, max_trials=25):
-    """Strong-Wolfe search along a ray; returns (alpha, f, grad, aux).
-
-    phi(alpha) is a generator returning (f, slope, aux), so the search
-    yields what phi yields: the points it needs evaluated.
+def _wolfe_line_search(f0, d0, max_trials=25):
+    """Strong-Wolfe search along a ray, as a generator: it yields each step
+    length to try, takes (f, slope, aux) there back through send(), and
+    returns (alpha, f, slope, aux) of the lowest-f Wolfe trial, or None.
     A cubic refinement is evaluated even when the first trial already
     satisfies Wolfe and the lowest-energy Wolfe point wins, so quadratic
     restrictions get their exact 1-D minimizer.
     """
     if d0 >= 0.0:
         return None
-
-    def wolfe(a, f, d):
-        return f <= f0 + WOLFE_C1 * a * d0 and abs(d) <= -WOLFE_C2 * d0
-
     best = None  # lowest-f Wolfe-satisfying trial
 
     def consider(a, f, d, aux):
         nonlocal best
-        if wolfe(a, f, d) and (best is None or f < best[1]):
+        if (f <= f0 + WOLFE_C1 * a * d0 and abs(d) <= -WOLFE_C2 * d0
+                and (best is None or f < best[1])):
             best = (a, f, d, aux)
 
     a_prev, f_prev, d_prev = 0.0, f0, d0
     a = 1.0
     for trial in range(max_trials):
-        f, d, aux = yield from phi(a)
+        f, d, aux = yield a
         consider(a, f, d, aux)
         if f > f0 + WOLFE_C1 * a * d0 or (trial > 0 and f >= f_prev):
             lo, hi = (a_prev, f_prev, d_prev), (a, f, d)
@@ -141,7 +134,7 @@ def _wolfe_line_search(phi, f0, d0, max_trials=25):
             # one refinement even after acceptance: exact on quadratic rays
             if (refined is not None and refined > 1e-12
                     and refined != a and refined < 100.0 * max(a, 1.0)):
-                fr, dr, auxr = yield from phi(refined)
+                fr, dr, auxr = yield refined
                 consider(refined, fr, dr, auxr)
             return best
         if d >= 0.0:
@@ -161,7 +154,7 @@ def _wolfe_line_search(phi, f0, d0, max_trials=25):
         if (a_j is None or not (min(a_lo, a_hi) + 1e-3 * width
                                 <= a_j <= max(a_lo, a_hi) - 1e-3 * width)):
             a_j = 0.5 * (a_lo + a_hi)
-        f_j, d_j, aux_j = yield from phi(a_j)
+        f_j, d_j, aux_j = yield a_j
         consider(a_j, f_j, d_j, aux_j)
         if best is not None:
             return best
@@ -178,9 +171,9 @@ def _wolfe_line_search(phi, f0, d0, max_trials=25):
 
 def bfgs_steps(x0, cfg: OptimizerConfig | None = None, callback=None):
     """minimize_bfgs as an ask/tell generator: it yields each point to
-    evaluate, takes its (value, gradient) back through send(), and
-    returns the VqeResult.  Nocedal & Wright Alg. 6.1 with the strong-Wolfe
-    search of Alg. 3.5/3.6."""
+    evaluate, takes its (value, gradient), checked finite by minimize_bfgs,
+    back through send() and returns the VqeResult.  Nocedal & Wright Alg.
+    6.1 with the strong-Wolfe search of Alg. 3.5/3.6."""
     cfg = cfg or OptimizerConfig()
     x = np.array(x0, dtype=float)
     n = len(x)
@@ -193,31 +186,36 @@ def bfgs_steps(x0, cfg: OptimizerConfig | None = None, callback=None):
                          n_evaluations=evaluate.count,
                          n_iterations=n_iter, converged=converged)
 
-    f, g = yield from evaluate(x)  # the budget is at least one evaluation
+    f, g = evaluate.tell(x, *(yield evaluate.ask(x)))  # the budget is >= 1
     if n == 0:
         return result(f, x, 0, True)
     h = np.eye(n)
     iteration = 0
     first_update = True
     try:
-        while np.abs(g).max() > cfg.gradient_tolerance:
+        while np.maximum.reduce(np.abs(g)) > cfg.gradient_tolerance:
             iteration += 1
             p = -h @ g
-            if p @ g >= 0.0:  # safeguard against a corrupted Hessian model
+            slope = float(g @ p)
+            if slope >= 0.0:  # safeguard against a corrupted Hessian model
                 h = np.eye(n)
                 p = -g
-
-            def phi(alpha, _p=p):
-                fx, gx = yield from evaluate(x + alpha * _p)
-                return fx, float(gx @ _p), (fx, gx)
-
-            hit = yield from _wolfe_line_search(phi, f, float(g @ p))
+                slope = float(g @ p)
+            search = _wolfe_line_search(f, slope)
+            try:  # the search's step lengths, evaluated along p
+                alpha = next(search)
+                while True:
+                    point = evaluate.ask(x + alpha * p)
+                    fx, gx = evaluate.tell(point, *(yield point))
+                    alpha = search.send((fx, float(gx @ p), gx))
+            except StopIteration as done:
+                hit = done.value
             if hit is None:
                 if np.allclose(p, -g):
                     break  # steepest descent stalled: local flatness
                 h = np.eye(n)
                 continue
-            alpha, _, _, (f_new, g_new) = hit
+            alpha, f_new, _, g_new = hit
             s = alpha * p
             y = g_new - g
             x = x + s
@@ -239,7 +237,7 @@ def bfgs_steps(x0, cfg: OptimizerConfig | None = None, callback=None):
     except _BudgetExhausted:
         energy, xs, _ = evaluate.best
         return result(energy, xs, iteration, False)
-    converged = bool(np.abs(g).max() <= cfg.gradient_tolerance)
+    converged = bool(np.maximum.reduce(np.abs(g)) <= cfg.gradient_tolerance)
     return result(f, x, iteration, converged)
 
 
@@ -264,11 +262,14 @@ def minimize_bfgs(objective, x0, cfg: OptimizerConfig | None = None,
     results: list[VqeResult | None] = [None] * len(runs)
     while pending:
         order = list(pending)
-        if x0.ndim == 1:
-            values, grads = objective(pending[0])
-            values, grads = [values], [grads]
-        else:
-            values, grads = objective(np.array([pending[k] for k in order]))
+        points = (pending[0] if x0.ndim == 1
+                  else np.array([pending[k] for k in order]))
+        values, grads = objective(points)
+        values = np.asarray(values, dtype=float).reshape(len(order)).tolist()
+        grads = np.asarray(grads, dtype=float).reshape(len(order), -1)
+        if not (all(map(math.isfinite, values)) and np.isfinite(grads).all()):
+            raise NumericalError(
+                f"objective returned a non-finite value at x={points!r}")
         for k, value, grad in zip(order, values, grads):
             try:
                 pending[k] = runs[k].send((value, grad))

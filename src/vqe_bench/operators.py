@@ -19,8 +19,9 @@ ladder product depends on its modes only through their rank order, so
 each pattern (ranks, dagger flags, Z chains or none) is expanded by that
 rule once, as a template, and every product is read off its pattern's
 template: x is the XOR of its mode bits, and each term's z the XOR of
-their Z chains and the mode bits its template entry picks.  All values
-are immutable after construction and all operations are pure functions.
+their Z chains and the mode bits its template entry picks.  A string
+keeps its hash, qubits, label and a sort key in its labels' order.  All
+values are immutable and all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from numbers import Integral
-from operator import index
+from operator import attrgetter, index
 from typing import Iterable, Iterator, Mapping
 
 COEFF_TOLERANCE = 1e-12
@@ -37,10 +38,16 @@ COEFF_TOLERANCE = 1e-12
 _AXES = ("X", "Y", "Z")
 _AXIS_OF_BITS = (None, "X", "Z", "Y")  # indexed by x bit + 2 * z bit
 _I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
-# a factor's label token, as _TOKENS[qubit][x bit + 2 * z bit], for the
-# first 64 qubits; a string past them formats its tokens
-_TOKENS = tuple(tuple(f"{axis}{qubit}" for axis in _AXIS_OF_BITS)
-                for qubit in range(64))
+
+
+@lru_cache(maxsize=None)
+def _factors(nibble: int, bits: int) -> tuple[tuple, tuple]:
+    """Qubits and label tokens of the factors on qubits 4 nibble + (0 to
+    3) with x bits bits & 15 and z bits bits >> 4."""
+    factors = [(4 * nibble + q, (bits >> q & 1) | (bits >> q + 4 & 1) << 1)
+               for q in range(4) if bits >> q & 17]
+    return (tuple(q for q, _ in factors),
+            tuple(f"{_AXIS_OF_BITS[axis]}{q}" for q, axis in factors))
 
 
 class _kept:
@@ -63,9 +70,9 @@ class _kept:
 class PauliString:
     """Product of X/Y/Z factors on distinct qubits; the empty product is I.
 
-    Built from (qubit, axis) factors and stored as the masks x and z,
-    its only fields; its qubits and label are worked out on first use and
-    kept on it, outside equality, hashing and pickling.
+    Built from (qubit, axis) factors and stored as the masks x and z, its
+    only fields; its hash (that of (x, z)), qubits, label and sort key are
+    worked out on first use and kept on it, outside equality and pickling.
     """
 
     x: int = 0
@@ -84,15 +91,14 @@ class PauliString:
                 x |= bit
             if axis != "X":
                 z |= bit
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "z", z)
+        self.__dict__.update(x=x, z=z, _hash=hash((x, z)))
 
     @classmethod
     def from_masks(cls, x: int, z: int) -> "PauliString":
         """The string with masks x and z, unvalidated."""
         string = object.__new__(cls)
-        object.__setattr__(string, "x", x)
-        object.__setattr__(string, "z", z)
+        fields = string.__dict__
+        fields["x"], fields["z"], fields["_hash"] = x, z, hash((x, z))
         return string
 
     @classmethod
@@ -103,14 +109,17 @@ class PauliString:
         return _AXIS_OF_BITS[(self.x >> qubit & 1) | (self.z >> qubit & 1) << 1]
 
     @_kept
-    def qubits(self) -> tuple[int, ...]:
-        """Qubits carrying a factor, ascending."""
-        mask, qubits = self.x | self.z, []
-        while mask:
-            low = mask & -mask
-            qubits.append(low.bit_length() - 1)
-            mask ^= low
-        return tuple(qubits)
+    def _nibbled(self) -> tuple[tuple, tuple]:
+        """Its qubits and label tokens, joined over nibbles."""
+        x, z, nibble, qubits, tokens = self.x, self.z, 0, (), ()
+        while x | z:
+            more_qubits, more_tokens = _factors(nibble, x & 15 | (z & 15) << 4)
+            qubits, tokens = qubits + more_qubits, tokens + more_tokens
+            x, z, nibble = x >> 4, z >> 4, nibble + 1
+        return qubits, tokens
+
+    qubits = property(lambda self: self._nibbled[0],
+                      doc="Qubits carrying a factor, ascending.")
 
     @property
     def ops(self) -> tuple[tuple[int, str], ...]:
@@ -128,17 +137,21 @@ class PauliString:
 
     @_kept
     def _label(self) -> str:
-        x, z = self.x, self.z
-        if (x | z) >> len(_TOKENS):
-            return " ".join([
-                f"{_AXIS_OF_BITS[(x >> q & 1) | (z >> q & 1) << 1]}{q}"
-                for q in self.qubits])
-        return " ".join([_TOKENS[q][(x >> q & 1) | (z >> q & 1) << 1]
-                         for q in self.qubits]) or "I"
+        return " ".join(self._nibbled[1]) or "I"
+
+    # its tokens, which sort as the label does: " " sorts before them all
+    _position = property(lambda self: self._nibbled[1])
+
+    @_kept
+    def _hash(self) -> int:
+        return hash((self.x, self.z))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __getstate__(self) -> dict:
         """The masks alone, so a string pickles the same whether or not
-        its qubits and label were read."""
+        its hash, qubits, label or sort key were read."""
         return {"x": self.x, "z": self.z}
 
     def __repr__(self) -> str:
@@ -176,6 +189,9 @@ def parse_pauli_string(text: str) -> PauliString:
 def serialize_pauli_string(p: PauliString) -> str:
     """"X0 Z3" form, factors ascending by qubit; "I" for the identity."""
     return p._label
+
+
+pauli_sort_key = attrgetter("_position")  # serialize_pauli_string's order
 
 
 def _added(pairs: Iterable[tuple[object, complex]]) -> dict:
@@ -266,8 +282,8 @@ class QubitOperator(_LinearCombination):
     def __repr__(self) -> str:
         if not self.terms:
             return "QubitOperator(0)"
-        parts = [f"({c:.6g}) {s}" for s, c in sorted(
-            self.terms.items(), key=lambda kv: serialize_pauli_string(kv[0]))]
+        parts = [f"({self.terms[s]:.6g}) {s}"
+                 for s in sorted(self.terms, key=pauli_sort_key)]
         return "QubitOperator(" + " + ".join(parts) + ")"
 
 
@@ -290,10 +306,12 @@ def _mask_multiply(a: dict, b: dict) -> dict:
 
 
 def _qubit_operator(terms: dict) -> QubitOperator:
-    """Wrap summed {(x, z): coeff} terms as an operator, pruned before
-    their strings are made."""
-    return QubitOperator({PauliString.from_masks(x, z): coeff
-                          for (x, z), coeff in _pruned(terms).items()})
+    """Wrap summed {(x, z): coeff} terms as an operator, pruned once,
+    before their strings are made."""
+    op = QubitOperator()
+    op.terms = {PauliString.from_masks(x, z): coeff
+                for (x, z), coeff in _pruned(terms).items()}
+    return op
 
 
 def hermiticity_check(q: QubitOperator, tol: float = 1e-9) -> bool:
@@ -304,7 +322,7 @@ def hermiticity_check(q: QubitOperator, tol: float = 1e-9) -> bool:
 def dump_qubit_operator(q: QubitOperator) -> str:
     """One term per line: `<re> <im> <pauli-string>`, sorted canonically."""
     lines = []
-    for string in sorted(q.terms, key=serialize_pauli_string):
+    for string in sorted(q.terms, key=pauli_sort_key):
         coeff = q.terms[string]
         lines.append(f"{coeff.real!r} {coeff.imag!r} {serialize_pauli_string(string)}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -36,7 +36,6 @@ from vqe_bench.simulator import (
     Gate,
     _FIXED_MATRICES,
     _circuit_plan,
-    _commute,
     _flip,
     _generator,
     _Step,
@@ -148,6 +147,13 @@ def operator_path_mapping(gen, n_qubits: int):
         pauli_evolution(string, gen.param_name, op.terms[string].imag)
         for string in sorted(op.terms, key=serialize_pauli_string))
     return op, gates
+
+
+def _commute(strings, others) -> bool:
+    """Whether every string commutes with every other: their symplectic
+    products |x1 & z2| + |z1 & x2| are even."""
+    return not any(((a.x & b.z) ^ (a.z & b.x)).bit_count() % 2
+                   for a in strings for b in others)
 
 
 def fused_steps(gates, param_names, start=()) -> tuple:

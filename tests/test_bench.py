@@ -7,7 +7,7 @@ import socket
 import subprocess
 import sys
 import threading
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, asdict
 from pathlib import Path
 
 import pytest
@@ -122,6 +122,19 @@ class TestSaveData:
         reparsed = BenchRecord.from_dict(json.loads(text))
         assert reparsed.serialize() == text
         assert load_record(path).to_dict() == reparsed.to_dict()
+
+    def test_serialize_writes_the_asdict_form(self):
+        # serialize dumps the fields themselves, with no deep copy first
+        record = BenchRecord("H2", [0.7, 1.1])
+        record.store_reference("fci", 0.7, -1.13)
+        record.store("ADAPT", 0.7, -1.12, 0.5, 3, trace={
+            "iterations": [{"picked": "X0 Y1", "slopes": [0.25, -1e-3]}],
+            "final_energy": -1.12, "converged": True, "note": None})
+        record.store("UCCSD", 1.1, None)
+        expected = json.dumps(
+            {"schema_version": bench.SCHEMA_VERSION, **asdict(record)},
+            indent=2, sort_keys=True, allow_nan=False) + "\n"
+        assert record.serialize() == expected
 
     @pytest.mark.parametrize("write", [
         lambda path: initdata("X", [1.0], path.parent, force=True),

@@ -17,6 +17,7 @@ from vqe_bench.operators import (
     load_qubit_operator,
     parse_pauli_string,
     pauli_multiply,
+    pauli_sort_key,
     serialize_pauli_string,
 )
 from oracles import (
@@ -391,6 +392,30 @@ class TestPauliStringMasks:
         assert loaded == fresh and vars(loaded) == {"x": string.x,
                                                     "z": string.z}
         assert loaded.qubits == string.qubits
+
+    @settings(max_examples=80, deadline=None)
+    @given(PAULI_STRINGS)
+    def test_kept_hash_is_that_of_the_masks_and_not_pickled(self, string):
+        fresh = PauliString.from_masks(string.x, string.z)
+        unread = pickle.dumps(fresh)
+        assert hash(fresh) == hash((string.x, string.z))
+        assert fresh.__dict__["_hash"] == hash((string.x, string.z))
+        assert pickle.dumps(fresh) == unread
+        assert hash(pickle.loads(unread)) == hash(fresh)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(PAULI_STRINGS, max_size=12))
+    def test_sort_key_orders_strings_as_their_labels(self, strings):
+        # qubits 0-70: tokens like X7 and X70, and masks past 64 bits
+        assert (sorted(strings, key=pauli_sort_key)
+                == sorted(strings, key=serialize_pauli_string))
+
+    def test_sort_key_separates_digits_from_the_next_factor(self):
+        texts = ["X1 Y2", "X10", "X1", "I", "Y0", "X7", "X70", "Z69 X70",
+                 "X6 X7", "X64 Y65", "X1 Z10", "X1 Y10"]
+        strings = [parse_pauli_string(text) for text in texts]
+        assert ([str(s) for s in sorted(strings, key=pauli_sort_key)]
+                == sorted(str(s) for s in strings))
 
     def test_immutable(self):
         string = parse_pauli_string("X0 Y2")

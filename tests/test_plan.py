@@ -125,8 +125,9 @@ def test_family_matches_oracle_on_h4(family, h4, h4_families):
 
 def assert_batch_rows_match(circuit, h, initial, rng):
     """Each row of an (R, P) adjoint_gradient batch, alone (R = 1) or
-    among others, carries the bits its own (P,) call gives it."""
-    for n_rows in (1, 3):
+    among others, run as vectors (R <= 2) or as one batch, carries the
+    bits its own (P,) call gives it."""
+    for n_rows in (1, 2, 3, 4):
         rows = [random_values(rng, circuit) for _ in range(n_rows)]
         energies, grads = adjoint_gradient(circuit, h, np.array(rows),
                                            initial)
@@ -984,6 +985,12 @@ class TestStepFusion:
     @example([_evolution("X0 X1", 1.0), Gate("RZ", (2,), param=("a", 1.0))],
              [Gate("RZ", (2,), param=("a", -1.0)), _evolution("X0 X1", 2.0),
               _evolution("Y0 X1", 1.0, "b")])
+    # one flip mask: X0 X1 and Y0 Y1 (Y counts even) commute and fuse, and
+    # X0 Y1 (odd) closes the run; Givens strings share a mask and parity
+    @example([], [_evolution("X0 X1", 1.0), _evolution("Y0 Y1", 0.5),
+                  _evolution("X0 Y1", 1.0), _evolution("Y0 X1", -1.0),
+                  Gate("GivensRotation", (0, 1), param=("a", 1.0)),
+                  Gate("GivensRotation", (0, 1), param=("a", -1.0))])
     def test_steps_equal_the_gate_by_gate_rule(self, prefix, gates):
         names = ("a", "b")
         assert step_bits(simulator._steps(prefix, names)) == step_bits(

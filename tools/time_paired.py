@@ -22,10 +22,17 @@ on the integrals, jordan_wigner on that operator, qubit_hamiltonian on
 the integrals, the UCCSD, UCCSD0 and QUCC builds, the fermionic pool's
 circuit (build_fermionic_pool(...).candidate_circuit, which maps the
 pool's generators at first use), simulator._circuit_plan of each of
-those four circuits from the Hartree-Fock state, and pauli_sum_matrix of
-the Hamiltonian over that sector and over all 2**n states.  A compile
-sample times the compile alone: its circuit, made afresh so that no plan
-is cached on it, is made before the clock starts.
+those four circuits from the Hartree-Fock state, pauli_sum_matrix of
+the Hamiltonian over that sector and over all 2**n states, and the FCI
+reference (exact_ground_energy over the sector).  A compile or FCI
+sample times that alone: its circuit, made afresh so that no plan is
+cached on it, or a copy of the Hamiltonian, on which no compiled sum is
+cached, is made before the clock starts.  Sweep cases, on H4 @ 1.0:
+bench.run_ansatz_point of UCCSD, UCCSD0, QUCC and BRC at the seeds
+`vqe-bench run --seed 1` gives them, build included, as perfbench's
+h4-sweep runs them (the sweep's FCI has compiled H over the sector
+already), and the BRC point's minimize_bfgs fed the replies it got,
+recorded once per worker, so that a sample times the driver alone.
 
 Each round starts a fresh pair of workers.  A worker imports vqe_bench
 from its own src directory, makes every case and runs it twice, then
@@ -49,7 +56,9 @@ change won, and whether the two sides' digests of what the case made
 agree: every row's energy and gradient bytes for an evaluation; for a
 build or compile, its size (terms; gates; rows of a plan's table; stored
 entries of a matrix) and a digest of it in order, with the reprs of
-every coefficient or binding or the bytes of every array.  A case whose
+every coefficient or binding or the bytes of every array; the reprs of
+the energy of an FCI or a point, and of the energy and parameters the
+bookkeeping case returns.  A case whose
 digests differ, between the sides or from one pair of workers to the
 next, is marked in the JSON, and the tool then exits 1: its ratio times
 a change that alters answers.  The machine block is the one
@@ -76,6 +85,8 @@ BURST_S = 0.1  # seconds of samples per side, case and round
 CHUNK_S = 0.01  # seconds of samples before the other side's turn
 ROUNDS_PER_PAIR = 1  # rounds a pair of workers runs before a fresh pair
 BOND_LENGTHS = {"H4": 1.0, "LiH": 1.6}
+SWEEP_SEED = 1  # perfbench's h4-sweep points, as `vqe-bench run --seed 1`
+SWEEP_FAMILIES = ("UCCSD", "UCCSD0", "QUCC", "BRC")
 EVALUATIONS = (  # name, molecule, family, batch rows (0: one vector)
     ("LiH UCCSD", "LiH", "UCCSD", 0),
     ("H4 UCCSD", "H4", "UCCSD", 0),
@@ -140,6 +151,11 @@ def _matrix(matrix) -> dict:
             "digest": _arrays((matrix.data, matrix.indices, matrix.indptr))}
 
 
+def _floats(*values) -> dict:
+    """Digest of floats' reprs, in order."""
+    return {"digest": _digest(repr(float(value)) for value in values)}
+
+
 def _answers(made) -> dict:
     """Digest of an evaluation's energies and gradients, every row."""
     energies, grad = made
@@ -151,7 +167,7 @@ def cases() -> list:
     """Every case as (name, prepare, describe): prepare() gives the call
     that one sample times, describe(what the call made) its size and
     digest.  It imports vqe_bench from sys.path."""
-    from vqe_bench import simulator
+    from vqe_bench import bench, driver, simulator
     from vqe_bench.ansatz import (
         AnsatzBuild,
         build_qucc,
@@ -171,10 +187,12 @@ def cases() -> list:
     from vqe_bench.hamiltonian import (
         build_fermionic_hamiltonian,
         bundled_molecule,
+        exact_ground_energy,
         hf_state_index,
         qubit_hamiltonian,
     )
-    from vqe_bench.operators import jordan_wigner
+    from vqe_bench.operators import QubitOperator, jordan_wigner
+    from vqe_bench.seeds import SeedStream
 
     def uccsd_prefix(k):
         return lambda n, n_electrons: AnsatzBuild(trotterize(
@@ -198,6 +216,10 @@ def cases() -> list:
         n, n_electrons = data.n_qubits, data.n_electrons
         fermionic = build_fermionic_hamiltonian(data)
         sector = simulator.sector_indices(n, n_electrons, data.ms2)
+
+        def fci():  # on a copy of h, so that no compiled sum is cached on it
+            op = QubitOperator(h.terms)
+            return lambda: exact_ground_energy(op, n, (n_electrons, data.ms2))
 
         def compiled(make):  # made before the clock starts, no plan cached
             def prepare():
@@ -225,7 +247,39 @@ def cases() -> list:
                 lambda: simulator.pauli_sum_matrix(h, n, sector), _matrix),
             "compile H over all states": made_by(
                 lambda: simulator.pauli_sum_matrix(h, n), _matrix),
+            "FCI": (fci, _floats),
         }
+
+    def sweep_cases(data, h, hf) -> dict:
+        """h4-sweep's points at its --seed, each build included, and the
+        BRC point's minimize_bfgs against the replies it got, so that a
+        sample times the driver alone."""
+        n, n_electrons = data.n_qubits, data.n_electrons
+        fci = exact_ground_energy(h, n, (n_electrons, data.ms2))
+        index = bundled_molecule("H4").bond_lengths.index(BOND_LENGTHS["H4"])
+        seeds = {family: bench._point_seed(SWEEP_SEED, family, index)
+                 for family in SWEEP_FAMILIES}
+        made = {f"{family} point": made_by(
+            lambda family=family: bench.run_ansatz_point(
+                family, h, n, n_electrons, fci, driver.OptimizerConfig(),
+                seeds[family]), lambda point: _floats(point.energy))
+            for family in SWEEP_FAMILIES}
+        build = build_brc_closed_shell(n, n_electrons)
+        starts = np.array([build.init_policy.draw(
+            build.n_params, SeedStream((seeds["BRC"], restart)))
+            for restart in range(build.restarts)])
+        objective = driver.circuit_objective(build.circuit, h, hf)
+        replies = []
+        driver.minimize_bfgs(
+            lambda x: replies.append(objective(x)) or replies[-1], starts)
+
+        def replayed():
+            answers = iter(replies)
+            return lambda: driver.minimize_bfgs(lambda x: next(answers),
+                                                starts)
+        made["BRC bookkeeping"] = (replayed, lambda result: _floats(
+            result.energy, *result.parameters.tolist()))
+        return made
 
     listed = []
     for name, molecule, family, rows in EVALUATIONS:
@@ -240,6 +294,8 @@ def cases() -> list:
     for molecule, bond_length in BOND_LENGTHS.items():
         listed += [(f"{molecule} @ {bond_length} {name}", *case)
                    for name, case in pieces(*problems[molecule]).items()]
+    listed += [(f"H4 @ {BOND_LENGTHS['H4']} {name}", *case)
+               for name, case in sweep_cases(*problems["H4"]).items()]
     return listed
 
 
