@@ -14,7 +14,12 @@ import os
 import sys
 from contextlib import nullcontext
 
-import click
+# one BLAS thread unless the caller chose, before NumPy loads: LiH @ 1.6's
+# FCI reads -7.882324394792935 on the default threads, -7.88232439479294 on one
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import click  # noqa: E402
 
 from . import __version__
 from .bench import (

@@ -20,7 +20,8 @@ A circuit runs through a plan compiled once per circuit and initial
 generators for the adjoint gradient; a circuit grown by
 ParamCircuit.extended compiles and restricts only the gates past its
 prefix's steps.  Every parameterized gate is a step exp(angle * M) with
-M|c> = w_r |r>, r = c ^ flip; consecutive gates of one parameter, flip
+M|c> = w_r |r>, r = c ^ flip, w weighed as a flip mask of H is and moved
+by one Pauli-string kernel call; consecutive gates of one parameter, flip
 mask and Y parity (pairwise commuting strings, such as the 2 or 8
 evolutions of one excitation) fuse into one step, and fixed gates stay
 full-space matrices.  When every step maps the initial state's sector
@@ -78,7 +79,7 @@ _PADDING_LIMIT = 1 << 10
 # blocks below 4 MB are reused from the heap.  The allocation, freed at
 # once, touches no page; other allocators ignore it.
 np.empty(4 << 20, dtype=np.uint8)
-# (term, row) products pauli_sum_matrix weighs at once: ~250 kB of
+# (term, state) products _mask_sums weighs at once: ~250 kB of
 # temporaries, so a compile's peak memory stays near a term loop's
 _WEIGH_BLOCK = 1 << 13
 # bytes of what a compile's count pass weighed that its fill pass reuses
@@ -440,6 +441,23 @@ def _slot_sums(states: np.ndarray, cols: np.ndarray, real: np.ndarray,
                   out=out.view(float))
 
 
+def _mask_sums(terms, states: np.ndarray, n_qubits: int) -> np.ndarray:
+    """0 + the sum over terms (yz, c), in order, of c (-1)^popcount(s & yz)
+    for each state s: every term's signs in one sign-table read, over
+    blocks of at most _WEIGH_BLOCK (term, state) products.  Coefficients
+    all real and finite sum floats: sum (c + 0j) s is (sum c s) + 0j
+    exactly."""
+    yz, coeffs = (np.array(column)[:, None] for column in zip(*terms))
+    if not coeffs.imag.any() and np.isfinite(coeffs).all():
+        coeffs = coeffs.real
+    signs, step = _sign_table(n_qubits), max(_WEIGH_BLOCK // len(terms), 1)
+    sums = np.empty(len(states), dtype=coeffs.dtype)
+    for k in range(0, len(states), step):
+        np.add.reduce(coeffs * signs.take(states[k:k + step] & yz), axis=0,
+                      initial=0, out=sums[k:k + step])
+    return sums
+
+
 def pauli_sum_csr(op: QubitOperator, n_qubits: int,
                   basis: np.ndarray | None = None
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -468,19 +486,10 @@ def pauli_sum_csr(op: QubitOperator, n_qubits: int,
     repeated = rows[position[rows] != order]  # a later copy took its place
     if repeated.size:
         raise ValueError(f"basis state {repeated[0]} appears twice")
-    signs = _sign_table(n_qubits)
 
     def weigh(flip, terms):  # a mask's kept rows, their columns and weights
-        yz, coeffs = (np.array(column)[:, None] for column in zip(*terms))
-        if not coeffs.imag.any() and np.isfinite(coeffs).all():
-            coeffs = coeffs.real  # sum (c + 0j) s is (sum c s) + 0j exactly
         states = rows ^ flip
-        # every term's signs in one take, summed in term order from 0,
-        # over row blocks of at most _WEIGH_BLOCK (term, row) products
-        step = max(_WEIGH_BLOCK // len(terms), 1)
-        weights = np.concatenate([np.add.reduce(
-            coeffs * signs.take(states[k:k + step] & yz), axis=0,
-            initial=0) for k in range(0, len(states), step)])
+        weights = _mask_sums(terms, states, n_qubits)
         cols = position[states]
         keep = (weights != 0) & (cols >= 0)
         return keep, cols[keep], weights[keep]
@@ -664,11 +673,14 @@ def _steps(gates, param_names, start=()) -> tuple[_Step, ...]:
 
 
 def _weights(step: _Step, n_amps: int) -> np.ndarray:
-    """M's entry in every row of the full space, (M 1)_r, read off the
-    Pauli-string kernel."""
-    ones = np.ones(n_amps, dtype=complex)
-    return sum(coeff * apply_pauli_string(string, ones)
-               for string, coeff in step.terms)
+    """M's entry in every row of the full space, (M 1)_r.  M is X^flip D:
+    D's diagonal d is weighed over all states by H's flip-mask rule
+    (_mask_sums), and the Pauli-string kernel moves it, w_r = d_{r ^ flip}."""
+    d = _mask_sums([(string.z, coeff * pauli_masks(string)[2])
+                    for string, coeff in step.terms],
+                   _indices(n_amps), n_amps.bit_length() - 1)
+    return apply_pauli_string(PauliString.from_masks(_flip(step), 0),
+                              d.astype(complex, copy=False))
 
 
 def _restrict(plan: _Plan, steps, sector: tuple[int, int],

@@ -12,7 +12,8 @@ calls them.  ladder_product reads one ladder product off the package's
 templates, as the generators' mapping does.  operator_path_mapping and
 fused_steps are the operator-by-operator mapping of a generator and the
 gate-by-gate fusion rule that the package's one-pass forms replaced,
-kept as their bit-level references.
+and term_weights the term-by-term weighing of a plan step, kept as their
+bit-level references.
 """
 
 import math
@@ -39,6 +40,7 @@ from vqe_bench.simulator import (
     _flip,
     _generator,
     _Step,
+    apply_pauli_string,
     pauli_evolution,
 )
 
@@ -193,6 +195,14 @@ def fused_steps(gates, param_names, start=()) -> tuple:
         if terms:
             steps.append(_Step(index[name], 0.0, terms))
     return tuple(steps)
+
+
+def term_weights(step: _Step, n_amps: int) -> np.ndarray:
+    """A step's M 1 over all n_amps states, one Pauli-string kernel call
+    per term, summed in term order from 0."""
+    ones = np.ones(n_amps, dtype=complex)
+    return sum(coeff * apply_pauli_string(string, ones)
+               for string, coeff in step.terms)
 
 
 def multiply_strings(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:

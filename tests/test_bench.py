@@ -1155,3 +1155,32 @@ def test_benchmark_argv_parses(tmp_path, workload):
     with command.make_context(argv[0], argv[1:]) as ctx:
         assert all(map(known_ansatz, ctx.params["ansatzes"]))
     assert list(tmp_path.iterdir()) == []
+
+
+THREAD_PINS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset", [{}, {"OPENBLAS_NUM_THREADS": "2"}])
+def test_cli_pins_blas_threads_before_numpy_loads(preset):
+    # unpinned, LiH @ 1.6's FCI read other bits than perfbench's pinned
+    # run; the pins are read when NumPy loads, so they must come first
+    script = (
+        "import json, os, sys\n"
+        "seen = {}\n"
+        "class Watch:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy' and not seen:\n"
+        "            seen.update((k, os.environ.get(k))\n"
+        f"                        for k in {THREAD_PINS})\n"
+        "sys.meta_path.insert(0, Watch())\n"
+        "import vqe_bench.cli\n"
+        "print(json.dumps(seen))\n")
+    env = {key: value for key, value in os.environ.items()
+           if key not in THREAD_PINS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(bench.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    finished = subprocess.run([sys.executable, "-c", script],
+                              env={**env, **preset}, capture_output=True,
+                              text=True, check=True)
+    assert json.loads(finished.stdout) == {
+        key: preset.get(key, "1") for key in THREAD_PINS}

@@ -19,6 +19,8 @@ from vqe_bench.ansatz import (
     build_qucc,
     build_uccsd0,
     build_uccsd_singlet,
+    trotterize,
+    uccsd_singlet_generators,
 )
 from vqe_bench.ansatz.adaptive import (
     OperatorPool,
@@ -62,6 +64,7 @@ from oracles import (
     random_values,
     runs_in_sector,
     scipy_product,
+    term_weights,
 )
 
 TOLERANCE = 1e-12
@@ -927,6 +930,106 @@ class TestForwardFactorsReused:
         assert np.asarray(energy).tobytes() == np.asarray(
             expected[0]).tobytes()
         assert grad.tobytes() == expected[1].tobytes()
+
+
+def _family_circuits(name, r) -> dict:
+    _, n, _, n_electrons = molecule(name, r)
+    return {
+        "UCCSD": build_uccsd_singlet(n, n_electrons).circuit,
+        "UCCSD0": build_uccsd0(n, n_electrons).circuit,
+        "QUCC": build_qucc(n, n_electrons).circuit,
+        "1-UpCCGSD": build_kupccgsd(n, n_electrons, 1).circuit,
+        "2-UpCCGSD": build_kupccgsd(n, n_electrons, 2).circuit,
+        "BRC": build_brc_closed_shell(n, n_electrons).circuit,
+        "fermionic pool": build_fermionic_pool(
+            n, n_electrons).candidate_circuit(n),
+    }
+
+
+def _assert_weights_match_terms(step, n_amps):
+    """_weights keeps the term-by-term sum's nonzero rows and their bytes,
+    and holds +0 on every other row."""
+    weights, expected = simulator._weights(step, n_amps), term_weights(
+        step, n_amps)
+    rows = np.flatnonzero(expected)
+    assert np.array_equal(np.flatnonzero(weights), rows)
+    assert weights[rows].tobytes() == expected[rows].tobytes()
+    zero = np.delete(weights, rows)
+    assert zero.tobytes() == bytes(zero.nbytes)
+
+
+class TestStepWeights:
+    """A plan step's weights, weighed by H's flip-mask rule, against the
+    term-by-term sum of the Pauli-string kernel (oracles.term_weights)."""
+
+    @pytest.mark.parametrize("name, r", [("H2", 0.7414), ("H4", 1.0),
+                                         ("LiH", 1.6)])
+    def test_every_family_step_matches_the_term_sum(self, name, r):
+        for family, circuit in _family_circuits(name, r).items():
+            steps = simulator._steps(circuit.gates, circuit.param_names)
+            assert any(len(step.terms) > 1 for step in steps), family
+            for step in steps:
+                if step.matrix is None:
+                    _assert_weights_match_terms(step, 1 << circuit.n_qubits)
+
+    @pytest.mark.parametrize("terms", [
+        # a coefficient with both parts, beside a pure imaginary one
+        (("X0 Y1", 0.3 - 0.7j), ("Y0 X1", 0.25j)),
+        (("Z0 Z2", 1.5), ("Z1", -0.5j)),  # flip mask 0
+        (("X0 Z1 Y2", -0.75j),),  # one term
+        # the pair cancels on the rows with qubit 1 set
+        (("X0 X2", 0.5j), ("X0 Z1 X2", 0.5j), ("Y0 Y2", -0.125j)),
+    ], ids=["complex", "z only", "one term", "cancelling"])
+    def test_hand_made_steps_match_the_term_sum(self, terms):
+        step = simulator._Step(0, 0.0, tuple(
+            (parse_pauli_string(text), coeff) for text, coeff in terms))
+        _assert_weights_match_terms(step, 8)
+        _assert_weights_match_terms(step, 32)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("coeff", [math.inf, -math.inf * 1j,
+                                       complex(1.0, math.nan)])
+    def test_a_non_finite_coefficient_is_weighed_as_complex(self, coeff):
+        # its products keep the NaN parts a complex product makes, as
+        # pauli_sum_csr's do; the kernel's move may turn an inf part
+        # into NaN, so the rows, not the bytes, of a non-finite weight
+        # are the term sum's
+        strings = [parse_pauli_string(text) for text in ("X0 Y1", "Y0 X1")]
+        assert simulator._mask_sums(
+            [(strings[0].z, complex(coeff))], simulator._indices(4),
+            2).dtype == complex
+        step = simulator._Step(0, 0.0, ((strings[0], coeff),
+                                        (strings[1], 0.5j)))
+        weights, expected = simulator._weights(step, 8), term_weights(step, 8)
+        assert np.array_equal(np.isfinite(weights), np.isfinite(expected))
+        assert np.array_equal(np.flatnonzero(weights),
+                              np.flatnonzero(expected))
+        finite = np.isfinite(expected)
+        assert weights[finite].tobytes() == expected[finite].tobytes()
+        # an evaluation through either plan kind reads NaN
+        h = QubitOperator({parse_pauli_string("Z0"): 1.0})
+        for gates in ([], [Gate("X", (2,))]):
+            circuit = ParamCircuit(3, gates + [
+                Gate("GivensRotation", (0, 1), param=("a", coeff))])
+            energy, grad = adjoint_gradient(circuit, h, np.array([0.3]), 1)
+            assert math.isnan(energy) and np.isnan(grad).all()
+
+    def test_weights_memory_is_bounded(self):
+        # 16 qubits, UCCSD's first 8-term step: the term-by-term sum
+        # peaked at 5.4 MB; under 4 state vectors of 2**16 amplitudes
+        n = 16
+        circuit = trotterize(uccsd_singlet_generators(n, 8), n)
+        step = next(step for step in simulator._steps(
+            circuit.gates, circuit.param_names) if len(step.terms) == 8)
+        simulator._indices(1 << n)
+        simulator._sign_table(n)
+        tracemalloc.start()
+        try:
+            weights = simulator._weights(step, 1 << n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * weights.nbytes
 
 
 def step_bits(steps) -> list:

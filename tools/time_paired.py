@@ -27,12 +27,13 @@ the Hamiltonian over that sector and over all 2**n states, and the FCI
 reference (exact_ground_energy over the sector).  A compile or FCI
 sample times that alone: its circuit, made afresh so that no plan is
 cached on it, or a copy of the Hamiltonian, on which no compiled sum is
-cached, is made before the clock starts.  Sweep cases, on H4 @ 1.0:
-bench.run_ansatz_point of UCCSD, UCCSD0, QUCC and BRC at the seeds
-`vqe-bench run --seed 1` gives them, build included, as perfbench's
-h4-sweep runs them (the sweep's FCI has compiled H over the sector
-already), and the BRC point's minimize_bfgs fed the replies it got,
-recorded once per worker, so that a sample times the driver alone.
+cached, is made before the clock starts.  Sweep cases:
+bench.run_ansatz_point at the seeds `vqe-bench run --seed 1` gives, build
+included, after the sweep's FCI has compiled H over the sector, of
+UCCSD, UCCSD0, QUCC and BRC on H4 @ 1.0, as perfbench's h4-sweep runs
+them, and of UCCSD on LiH @ 1.6, as lih-uccsd runs it; and the H4 BRC
+point's minimize_bfgs fed the replies it got, recorded once per worker,
+so that a sample times the driver alone.
 
 Each round starts a fresh pair of workers.  A worker imports vqe_bench
 from its own src directory, makes every case and runs it twice, then
@@ -86,7 +87,8 @@ CHUNK_S = 0.01  # seconds of samples before the other side's turn
 ROUNDS_PER_PAIR = 1  # rounds a pair of workers runs before a fresh pair
 BOND_LENGTHS = {"H4": 1.0, "LiH": 1.6}
 SWEEP_SEED = 1  # perfbench's h4-sweep points, as `vqe-bench run --seed 1`
-SWEEP_FAMILIES = ("UCCSD", "UCCSD0", "QUCC", "BRC")
+SWEEP_POINTS = {"H4": ("UCCSD", "UCCSD0", "QUCC", "BRC"),  # h4-sweep's
+                "LiH": ("UCCSD",)}  # lih-uccsd's, whose start is all zeros
 EVALUATIONS = (  # name, molecule, family, batch rows (0: one vector)
     ("LiH UCCSD", "LiH", "UCCSD", 0),
     ("H4 UCCSD", "H4", "UCCSD", 0),
@@ -250,23 +252,30 @@ def cases() -> list:
             "FCI": (fci, _floats),
         }
 
-    def sweep_cases(data, h, hf) -> dict:
-        """h4-sweep's points at its --seed, each build included, and the
-        BRC point's minimize_bfgs against the replies it got, so that a
-        sample times the driver alone."""
+    def points(molecule, families) -> dict:
+        """`molecule`'s points at the sweep's --seed, each build included,
+        as perfbench runs them: the sweep's FCI has compiled H over the
+        sector already."""
+        data, h, _ = problems[molecule]
         n, n_electrons = data.n_qubits, data.n_electrons
         fci = exact_ground_energy(h, n, (n_electrons, data.ms2))
-        index = bundled_molecule("H4").bond_lengths.index(BOND_LENGTHS["H4"])
-        seeds = {family: bench._point_seed(SWEEP_SEED, family, index)
-                 for family in SWEEP_FAMILIES}
-        made = {f"{family} point": made_by(
+        index = bundled_molecule(molecule).bond_lengths.index(
+            BOND_LENGTHS[molecule])
+        return {f"{family} point": made_by(
             lambda family=family: bench.run_ansatz_point(
                 family, h, n, n_electrons, fci, driver.OptimizerConfig(),
-                seeds[family]), lambda point: _floats(point.energy))
-            for family in SWEEP_FAMILIES}
+                bench._point_seed(SWEEP_SEED, family, index)),
+            lambda point: _floats(point.energy)) for family in families}
+
+    def bookkeeping() -> tuple:
+        """The H4 BRC point's minimize_bfgs against the replies it got, so
+        that a sample times the driver alone."""
+        data, h, hf = problems["H4"]
+        n, n_electrons = data.n_qubits, data.n_electrons
+        index = bundled_molecule("H4").bond_lengths.index(BOND_LENGTHS["H4"])
         build = build_brc_closed_shell(n, n_electrons)
-        starts = np.array([build.init_policy.draw(
-            build.n_params, SeedStream((seeds["BRC"], restart)))
+        starts = np.array([build.init_policy.draw(build.n_params, SeedStream(
+            (bench._point_seed(SWEEP_SEED, "BRC", index), restart)))
             for restart in range(build.restarts)])
         objective = driver.circuit_objective(build.circuit, h, hf)
         replies = []
@@ -277,9 +286,8 @@ def cases() -> list:
             answers = iter(replies)
             return lambda: driver.minimize_bfgs(lambda x: next(answers),
                                                 starts)
-        made["BRC bookkeeping"] = (replayed, lambda result: _floats(
-            result.energy, *result.parameters.tolist()))
-        return made
+        return replayed, lambda result: _floats(
+            result.energy, *result.parameters.tolist())
 
     listed = []
     for name, molecule, family, rows in EVALUATIONS:
@@ -294,8 +302,11 @@ def cases() -> list:
     for molecule, bond_length in BOND_LENGTHS.items():
         listed += [(f"{molecule} @ {bond_length} {name}", *case)
                    for name, case in pieces(*problems[molecule]).items()]
-    listed += [(f"H4 @ {BOND_LENGTHS['H4']} {name}", *case)
-               for name, case in sweep_cases(*problems["H4"]).items()]
+    for molecule, families in SWEEP_POINTS.items():
+        listed += [(f"{molecule} @ {BOND_LENGTHS[molecule]} {name}", *case)
+                   for name, case in points(molecule, families).items()]
+    listed.append((f"H4 @ {BOND_LENGTHS['H4']} BRC bookkeeping",
+                   *bookkeeping()))
     return listed
 
 
