@@ -491,6 +491,8 @@ def run_sweep(spec: MoleculeSpec, ansatz_names, cfg: OptimizerConfig | None,
     """
     if seed < 0:
         raise ValueError(f"seed {seed} is negative")
+    # read once, so that a generator runs every point, each name once
+    ansatz_names = list(dict.fromkeys(ansatz_names))
     for name in ansatz_names:
         if not known_ansatz(name):
             raise ValueError(f"unknown ansatz {name!r}")

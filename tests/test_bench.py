@@ -305,6 +305,30 @@ class TestRunSweep:
         assert idents == [threading.get_ident()] * 2
         assert "threads" not in record.metadata
 
+    def test_a_generator_of_names_runs_every_point(self, tmp_path):
+        # the names were read once to check them and again per bond
+        # length, so a generator ran no point and the record kept only
+        # its references
+        record = run_sweep(bundled_molecule("H2"),
+                           (name for name in ["UCCSD", "QUCC"]), FAST_CFG,
+                           seed=3, data_dir=tmp_path)
+        assert sorted(record.energies) == ["QUCC", "UCCSD"]
+        assert all(energy is not None for column in record.energies.values()
+                   for energy in column)
+
+    def test_a_name_given_twice_runs_once(self, tmp_path, monkeypatch):
+        names = []
+
+        def counting(name, *args, **kwargs):
+            names.append(name)
+            return run_ansatz_point(name, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "run_ansatz_point", counting)
+        record = run_sweep(bundled_molecule("H2"), ["UCCSD", "UCCSD"],
+                           FAST_CFG, seed=3, data_dir=tmp_path)
+        assert names == ["UCCSD"]
+        assert list(record.energies) == ["UCCSD"]
+
     def test_failed_point_clears_its_stale_data(self, tmp_path, monkeypatch):
         spec = bundled_molecule("H2")
         record = run_sweep(spec, ["UCCSD", "ADAPT"], FAST_CFG, seed=5,

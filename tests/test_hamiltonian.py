@@ -583,6 +583,13 @@ class TestPairedTimingTool:
         "compile UCCSD", "compile UCCSD0", "compile QUCC",
         "compile fermionic pool circuit", "compile H over the sector",
         "compile H over all states")
+    # the unpaired adaptive runner's pools, and a screening pass over each
+    ADAPTIVE_PIECES = ("build_fermionic_pool", "build_qubit_pool",
+                       "screen fermionic pool", "screen qubit pool")
+    POOL_SIZES = {"H4": (14, 160), "LiH": (44, 640)}  # that runner's sizes
+    POINTS = {"H4": ("UCCSD", "UCCSD0", "QUCC", "BRC", "1-UpCCGSD", "ADAPT",
+                     "qubit-ADAPT", "QCC"),
+              "LiH": ("UCCSD", "ADAPT", "QCC")}
 
     def test_worker_makes_every_case_and_counts_every_hamiltonian_term(self):
         worker = subprocess.Popen(
@@ -606,14 +613,23 @@ class TestPairedTimingTool:
         assert builds == {("H4", 1.0), ("LiH", 1.6)}
         assert set(self.KERNEL_CASES) | {
             f"{molecule} @ {r} {piece}" for molecule, r in builds
-            for piece in self.BUILD_PIECES} <= set(ready)
+            for piece in self.BUILD_PIECES + self.ADAPTIVE_PIECES} | {
+            f"{molecule} @ {r} {family} point" for molecule, r in builds
+            for family in self.POINTS[molecule]} <= set(ready)
         for molecule, r in builds:
-            n_terms = len(qubit_hamiltonian(
-                bundled_molecule(molecule).integrals(r)))
+            data = bundled_molecule(molecule).integrals(r)
+            n_terms = len(qubit_hamiltonian(data))
             whole = ready[f"{molecule} @ {r} qubit_hamiltonian"]["made"]
             mapped = ready[f"{molecule} @ {r} jordan_wigner"]["made"]
             assert whole["terms"] == mapped["terms"] == n_terms
             assert whole["digest"] == mapped["digest"]
+            fermionic = build_fermionic_pool(data.n_qubits, data.n_electrons)
+            sizes = (len(fermionic), len(build_qubit_pool(fermionic,
+                                                          data.n_qubits)))
+            assert sizes == self.POOL_SIZES[molecule]
+            assert sizes == tuple(
+                ready[f"{molecule} @ {r} build_{kind}_pool"]["made"]["entries"]
+                for kind in ("fermionic", "qubit"))
         assert all(case["warm_s"] > 0 for case in ready.values())
 
     def test_a_digest_mismatch_is_marked_and_exits_non_zero(

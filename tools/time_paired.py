@@ -1,6 +1,7 @@
-"""Paired timings of two checkouts: every evaluation, build and compile
-case, run by two worker processes, one per checkout, that take turns, so
-both sides see the same drift of a shared host.
+"""Paired timings of two checkouts: every evaluation, build, compile,
+screening and sweep-point case, run by two worker processes, one per
+checkout, that take turns, so both sides see the same drift of a shared
+host.
 
     python3 tools/time_paired.py --parent <parent checkout>/src \
         --change src [--rounds 20]
@@ -23,17 +24,28 @@ the integrals, the UCCSD, UCCSD0 and QUCC builds, the fermionic pool's
 circuit (build_fermionic_pool(...).candidate_circuit, which maps the
 pool's generators at first use), simulator._circuit_plan of each of
 those four circuits from the Hartree-Fock state, pauli_sum_matrix of
-the Hamiltonian over that sector and over all 2**n states, and the FCI
-reference (exact_ground_energy over the sector).  A compile or FCI
-sample times that alone: its circuit, made afresh so that no plan is
-cached on it, or a copy of the Hamiltonian, on which no compiled sum is
-cached, is made before the clock starts.  Sweep cases:
-bench.run_ansatz_point at the seeds `vqe-bench run --seed 1` gives, build
-included, after the sweep's FCI has compiled H over the sector, of
-UCCSD, UCCSD0, QUCC and BRC on H4 @ 1.0, as perfbench's h4-sweep runs
-them, and of UCCSD on LiH @ 1.6, as lih-uccsd runs it; and the H4 BRC
+the Hamiltonian over that sector and over all 2**n states, the FCI
+reference (exact_ground_energy over the sector), build_fermionic_pool,
+build_qubit_pool, and one simulator.commutator_gradient pass from the
+Hartree-Fock state over each pool's circuit ("screen fermionic pool",
+"screen qubit pool"), as ADAPT's first iteration screens.  A compile, FCI or
+qubit pool sample times that alone: its circuit, made afresh so that no
+plan is cached on it, a copy of the Hamiltonian, on which no compiled
+sum is cached, or a fresh fermionic pool, whose generators are not yet
+mapped, is made before the clock starts; a screening sample runs on
+plans the warm run compiled.  Sweep cases: bench.run_ansatz_point at
+the seeds `vqe-bench run --seed 1` gives, build included, after the
+sweep's FCI has compiled H over the sector, of UCCSD, UCCSD0, QUCC and
+BRC on H4 @ 1.0, as perfbench's h4-sweep runs them, of 1-UpCCGSD,
+ADAPT, qubit-ADAPT and QCC on H4 @ 1.0, of UCCSD on LiH @ 1.6, as
+lih-uccsd runs it, and of ADAPT and QCC on LiH @ 1.6; and the H4 BRC
 point's minimize_bfgs fed the replies it got, recorded once per worker,
-so that a sample times the driver alone.
+so that a sample times the driver alone.  An adaptive point's share of
+plan compiles, screening and re-optimization is not split out: those
+shares were read by wrapping simulator functions in unpaired runs, and
+unpaired readings cannot resolve a few percent on a shared host whose
+speed drifts; the separately paired compile, screening and whole-point
+cases stand in.
 
 Each round starts a fresh pair of workers.  A worker imports vqe_bench
 from its own src directory, makes every case and runs it twice, then
@@ -57,9 +69,11 @@ change won, and whether the two sides' digests of what the case made
 agree: every row's energy and gradient bytes for an evaluation; for a
 build or compile, its size (terms; gates; rows of a plan's table; stored
 entries of a matrix) and a digest of it in order, with the reprs of
-every coefficient or binding or the bytes of every array; the reprs of
-the energy of an FCI or a point, and of the energy and parameters the
-bookkeeping case returns.  A case whose
+every coefficient or binding or the bytes of every array; for a pool,
+its entries and a digest of their labels; the reprs of the energy of an
+FCI or a point (with its parameter count, for a point that grew), of
+the energy and slopes of a screening pass, and of the energy and
+parameters the bookkeeping case returns.  A case whose
 digests differ, between the sides or from one pair of workers to the
 next, is marked in the JSON, and the tool then exits 1: its ratio times
 a change that alters answers.  The machine block is the one
@@ -87,8 +101,10 @@ CHUNK_S = 0.01  # seconds of samples before the other side's turn
 ROUNDS_PER_PAIR = 1  # rounds a pair of workers runs before a fresh pair
 BOND_LENGTHS = {"H4": 1.0, "LiH": 1.6}
 SWEEP_SEED = 1  # perfbench's h4-sweep points, as `vqe-bench run --seed 1`
-SWEEP_POINTS = {"H4": ("UCCSD", "UCCSD0", "QUCC", "BRC"),  # h4-sweep's
-                "LiH": ("UCCSD",)}  # lih-uccsd's, whose start is all zeros
+SWEEP_POINTS = {"H4": ("UCCSD", "UCCSD0", "QUCC", "BRC",  # h4-sweep's
+                       "1-UpCCGSD", "ADAPT", "qubit-ADAPT", "QCC"),
+                "LiH": ("UCCSD",  # lih-uccsd's, whose start is all zeros
+                        "ADAPT", "QCC")}
 EVALUATIONS = (  # name, molecule, family, batch rows (0: one vector)
     ("LiH UCCSD", "LiH", "UCCSD", 0),
     ("H4 UCCSD", "H4", "UCCSD", 0),
@@ -153,6 +169,19 @@ def _matrix(matrix) -> dict:
             "digest": _arrays((matrix.data, matrix.indices, matrix.indptr))}
 
 
+def _pool(pool) -> dict:
+    """Entries of a pool and a digest of their labels, in order."""
+    return {"entries": len(pool),
+            "digest": _digest(entry.label for entry in pool.entries)}
+
+
+def _point(point) -> dict:
+    """Digest of a point's energy and, where growth chose it (a point
+    with a trace), its parameter count."""
+    return _floats(point.energy,
+                   *([] if point.trace is None else [point.n_params]))
+
+
 def _floats(*values) -> dict:
     """Digest of floats' reprs, in order."""
     return {"digest": _digest(repr(float(value)) for value in values)}
@@ -178,7 +207,10 @@ def cases() -> list:
         trotterize,
         uccsd_singlet_generators,
     )
-    from vqe_bench.ansatz.adaptive import build_fermionic_pool
+    from vqe_bench.ansatz.adaptive import (
+        build_fermionic_pool,
+        build_qubit_pool,
+    )
     from vqe_bench.ansatz.core import ZEROS
     from vqe_bench.ansatz.layered import (
         build_brc_closed_shell,
@@ -229,6 +261,18 @@ def cases() -> list:
                 return lambda: simulator._circuit_plan(circuit, hf)
             return prepare, _plan
 
+        def qubit_pool():  # from a fermionic pool made before the clock
+            pool = build_fermionic_pool(n, n_electrons)
+            return lambda: build_qubit_pool(pool, n)
+
+        def screen(pool):  # one pass from HF; the warm run compiles plans
+            start = simulator.ParamCircuit(n, [])
+            circuit = pool.candidate_circuit(n)
+            return made_by(lambda: simulator.commutator_gradient(
+                start, h, np.zeros(0), hf, circuit),
+                lambda made: _floats(made[0], *made[1]))
+
+        fermionic_pool = build_fermionic_pool(n, n_electrons)
         circuits = {
             **{f"build {family}": lambda build=builders[family]: build(
                 n, n_electrons).circuit
@@ -250,6 +294,11 @@ def cases() -> list:
             "compile H over all states": made_by(
                 lambda: simulator.pauli_sum_matrix(h, n), _matrix),
             "FCI": (fci, _floats),
+            "build_fermionic_pool": made_by(
+                lambda: build_fermionic_pool(n, n_electrons), _pool),
+            "build_qubit_pool": (qubit_pool, _pool),
+            "screen fermionic pool": screen(fermionic_pool),
+            "screen qubit pool": screen(build_qubit_pool(fermionic_pool, n)),
         }
 
     def points(molecule, families) -> dict:
@@ -265,7 +314,7 @@ def cases() -> list:
             lambda family=family: bench.run_ansatz_point(
                 family, h, n, n_electrons, fci, driver.OptimizerConfig(),
                 bench._point_seed(SWEEP_SEED, family, index)),
-            lambda point: _floats(point.energy)) for family in families}
+            _point) for family in families}
 
     def bookkeeping() -> tuple:
         """The H4 BRC point's minimize_bfgs against the replies it got, so
